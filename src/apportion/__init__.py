@@ -27,6 +27,7 @@ from .errors import (
     InfeasibleHouseSizeError,
     InputError,
     InstanceTooLargeError,
+    InvariantError,
     NegativeSeatError,
     NonpositiveQuotaError,
     NonRationalWeightsError,

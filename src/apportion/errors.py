@@ -42,3 +42,9 @@ class UnsupportedMethodError(ApportionError):
 
 class InstanceTooLargeError(ApportionError):
     """Brute-force enumeration would exceed the configured size limit."""
+
+
+class InvariantError(ApportionError):
+    """A vectorized fast path found a runtime invariant broken (a bisection
+    bracket that misses the house size, a pooled seat count too small to
+    sub-apportion); raised instead of returning a wrong result."""

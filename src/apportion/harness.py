@@ -6,16 +6,20 @@ statistics; averaged over a long range this realizes the uniform-random-house
 model the asymptotic formulas describe.  Rational shares are periodic in the
 house size, so their exact bias is the average over one period.
 
-Float sweeps run on vectorized fast paths (the divisor path generates the
-seat-award sequence once and reads every house size off cumulative counts);
-exact sweeps allocate per house size with full tie handling and exact
-averaging over tie orbits.
+Float sweeps run on vectorized fast paths.  The divisor path builds the
+seat-award sequence once, as a stable sort of every party's table of
+quotients shares[i] / d(n), with each table long enough by a bound on the
+figure of the last award, and reads every house size off cumulative counts;
+chunks run on worker threads all slice that one sequence.  Exact sweeps
+allocate per house size with full tie handling and exact averaging over tie
+orbits.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +29,7 @@ import numpy as np
 
 from .allocation import NEAR_TIE_RTOL, allocate, allocate_divisor, allocate_quota
 from .asymptotics import excess_bounds, moment_prediction
-from .errors import InputError, NegativeSeatError, UnsupportedMethodError
+from .errors import InputError, InvariantError, NegativeSeatError, UnsupportedMethodError
 from .methods import DivisorMethod, Method, QuotaMethod, TiePolicy, small_n_guard
 from .samplers import sample_uniform_simplex
 from .signposts import (
@@ -87,48 +91,69 @@ def _winner_sequence(shares: np.ndarray, sp: SignpostSequence, steps: int):
 
     winners[k] is the party taking award k, figures[k] its comparative figure;
     figures are nonincreasing.
+
+    This is the table-of-quotients reading of highest averages.  Party i's
+    table holds its figures shares[i] / d(n) for n = z+1 .. budget[i]; the
+    tables are concatenated in party order and sorted stably by descending
+    figure, so equal figures go to the lower party index, then the lower seat.
+    The budgets come from a bound, not a guess: let ``cut`` be the figure of
+    the last award.  A table whose last entry lies strictly below ``cut``
+    holds every entry of that party that can reach the first ``steps``
+    awards, since later entries are smaller still.  A table ending in 0 (past
+    a capped table, or after underflow) is complete too; then ``cut`` is 0
+    only when too few positive figures exist, and the house size is
+    unreachable.  Each other table has its budget doubled and the sort runs
+    again.
     """
     m = shares.size
     z = sp.zero_count()
-    # generous per-party quotient budget, grown on demand
-    budget = np.maximum((shares * (steps + z * m)).astype(int) + m + 8, z + 2)
-    with np.errstate(divide="ignore"):
-        tables = [shares[i] / _signpost_array(sp, int(budget[i])) for i in range(m)]
-    winners = np.empty(steps, dtype=np.int32)
-    figures = np.empty(steps, dtype=float)
-    seats = [z] * m
-    heap = [(-tables[i][seats[i]] if seats[i] < budget[i] else 0.0, i) for i in range(m)]
-    heapq.heapify(heap)
-    for k in range(steps):
-        negfig, i = heapq.heappop(heap)
-        if negfig == 0.0:
-            raise InputError("house size unreachable under the table cap")
-        winners[k] = i
-        figures[k] = -negfig
-        seats[i] += 1
-        if seats[i] >= budget[i]:
-            budget[i] = budget[i] * 2
-            with np.errstate(divide="ignore"):
-                tables[i] = shares[i] / _signpost_array(sp, int(budget[i]))
-        heapq.heappush(heap, (-tables[i][seats[i]], i))
-    return winners, figures
+    if steps <= 0:
+        return np.empty(0, dtype=np.int32), np.empty(0)
+    budget = np.maximum((shares * (steps + z * m)).astype(np.int64) + m + 8, z + 2)
+    while True:
+        d = _signpost_array(sp, int(budget.max()))[z:]
+        figs = np.concatenate([shares[i] / d[: budget[i] - z] for i in range(m)])
+        ends = np.cumsum(budget - z)
+        order = np.argsort(-figs, kind="stable")[:steps]
+        cut = figs[order[-1]] if order.size == steps else 0.0
+        last = figs[ends - 1]
+        short = (last >= cut) & (last > 0)
+        if not short.any():
+            break
+        budget[short] *= 2
+    if cut == 0:
+        raise InputError("house size unreachable under the table cap")
+    winners = np.repeat(np.arange(m, dtype=np.int32), budget - z)[order]
+    return winners, figs[order]
+
+
+def _award_sequence(shares: np.ndarray, sp: SignpostSequence, n_to: int):
+    """Winners of every award up to house n_to, and per-award near-tie flags.
+
+    near[a] flags award a as tied with award a+1, i.e. house z*m+a+1 as
+    near-tied; one extra award is computed for the flag at n_to.
+    """
+    steps = n_to - sp.zero_count() * shares.size + 1
+    winners, figures = _winner_sequence(shares, sp, steps)
+    near = figures[:-1] - figures[1:] <= NEAR_TIE_RTOL * np.abs(figures[:-1])
+    return winners, near
 
 
 def _divisor_sweep_float(
     shares: np.ndarray,
     sp: SignpostSequence,
+    winners: np.ndarray,
+    near: np.ndarray,
     n_from: int,
     n_to: int,
     stats: SweepStats,
     average_ties: bool,
     block: int = 65536,
 ) -> None:
+    """Sweep [n_from, n_to] off an award sequence from ``_award_sequence``
+    computed for any house size >= n_to."""
     m = shares.size
     z = sp.zero_count()
-    steps = n_to - z * m + 1  # one extra award for tie detection at n_to
-    winners, figures = _winner_sequence(shares, sp, steps)
-    gaps = figures[:-1] - figures[1:]
-    near = gaps <= NEAR_TIE_RTOL * np.abs(figures[:-1])  # award a ties house z*m+a+1
 
     # tie flag per house in [n_from, n_to]
     award_of = np.arange(n_from, n_to + 1) - z * m - 1
@@ -136,9 +161,8 @@ def _divisor_sweep_float(
     ok = award_of >= 0
     house_tied[ok] = near[award_of[ok]]
 
-    base = np.full(m, z, dtype=np.int64)
     consumed = n_from - z * m  # awards already counted at house n_from
-    base += np.array([np.count_nonzero(winners[: max(consumed, 0)] == i) for i in range(m)])
+    base = z + np.bincount(winners[: max(consumed, 0)], minlength=m).astype(np.int64)
     for start in range(n_from, n_to + 1, block):
         stop = min(start + block - 1, n_to)
         rows = stop - start + 1
@@ -398,7 +422,13 @@ def sweep(
     exact per-house path (honoring the tie policy); longer ranges and float
     weights use the vectorized float path, where near-ties are counted and,
     under the averaging policy, contribute the class average.
+
+    ``workers`` (at least 1) splits a float sweep into that many chunks run
+    on threads, clamped to the CPU count and to the number of houses; divisor
+    chunks all read one award sequence computed for ``n_to``.
     """
+    if workers < 1:
+        raise InputError("workers must be at least 1")
     if n_to < n_from:
         raise InputError("empty sweep range")
     guard = small_n_guard(method, weights)
@@ -428,21 +458,26 @@ def sweep(
 
     shares = np.asarray(weights.shares_float())
     average = tie_policy.kind == "average"
+    divisor = isinstance(method, DivisorMethod)
+    if divisor:
+        winners, near = _award_sequence(shares, method.signposts, n_to)  # every chunk slices it
 
-    def run_chunk(a: int, b: int) -> SweepStats:
+    def run_chunk(ab: tuple[int, int]) -> SweepStats:
+        a, b = ab
         chunk = make_stats()
-        if isinstance(method, DivisorMethod):
-            _divisor_sweep_float(shares, method.signposts, a, b, chunk, average)
+        if divisor:
+            _divisor_sweep_float(shares, method.signposts, winners, near, a, b, chunk, average)
         else:
             _quota_sweep_float(shares, float(method.gamma), a, b, chunk, average)
         return chunk
 
-    if workers <= 1:
-        return run_chunk(n_from, n_to)
+    workers = min(workers, os.cpu_count() or 1, n_to - n_from + 1)
+    if workers == 1:
+        return run_chunk((n_from, n_to))
     edges = np.linspace(n_from, n_to + 1, workers + 1).astype(int)
     spans = [(int(a), int(b - 1)) for a, b in zip(edges, edges[1:]) if b > a]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(lambda ab: run_chunk(*ab), spans))
+        chunks = list(pool.map(run_chunk, spans))
     stats = chunks[0]
     for other in chunks[1:]:
         stats.merge(other)
@@ -561,7 +596,8 @@ def _allocate_linear_many(shares: np.ndarray, beta: float, house: int) -> np.nda
         s = np.floor(shares * t[:, None] - beta + 1.0)
         return np.maximum(s, 0.0).sum(axis=1)
 
-    assert (total(lo) <= house).all() and (total(hi) >= house).all()
+    if not ((total(lo) <= house).all() and (total(hi) >= house).all()):
+        raise InvariantError("bisection bracket misses the house size; share rows must be finite and sum to 1")
     for _ in range(64):
         mid = 0.5 * (lo + hi)
         ge = total(mid) >= house
@@ -760,7 +796,8 @@ def apparentement_sweep(
         s_i = full[houses, party_i]
         s_j = full[houses, party_j]
         s_pool = pooled[houses, im]
-        assert s_pool.min() >= 2 * method.signposts.zero_count()
+        if s_pool.min() < sub_min:
+            raise InvariantError("pooled seat count below the sub-apportionment minimum")
         sub = _cumulative_seats(pair_shares, method.signposts, int(s_pool.max()))
         sub_i = sub[s_pool, 0]
         sub_j = sub[s_pool, 1]
@@ -772,7 +809,8 @@ def apparentement_sweep(
         s_i = s_full[:, party_i]
         s_j = s_full[:, party_j]
         s_pool = s_pooled[:, im]
-        assert s_pool.min() + gamma > 0
+        if not s_pool.min() + gamma > 0:
+            raise InvariantError("pooled seat count leaves a nonpositive sub-apportionment quota")
         sub, _ = _allocate_quota_many(pair_shares[None, :], gamma, s_pool)
         sub_i = sub[:, 0]
         sub_j = sub[:, 1]

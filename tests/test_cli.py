@@ -158,3 +158,11 @@ def test_violations_command_fixed_mode():
 def test_table_output():
     proc = cli("verify", "--method", "hamilton", "--shares", "sqrt:3", "--seats-max", "30000", "--table")
     assert "overall: pass" in proc.stderr
+
+
+def test_threads_below_one_rejected():
+    proc = cli("sweep", "--method", "webster", "--shares", "sqrt:3", "--seats-max", "100", "--threads", "0")
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)["error"]
+    assert err["kind"] == "InputError"
+    assert "workers" in err["message"]

@@ -1,0 +1,192 @@
+"""The sorted quotient table behind float divisor sweeps, against a heap oracle.
+
+``heap_winner_sequence`` is the per-seat heap that ``harness._winner_sequence``
+replaced: it pops the largest comparative figure once per award, breaking ties
+by the lower party index, and grows a party's quotient table on demand.  The
+sort-based sequence must reproduce its winners and figures bit for bit.
+"""
+
+import heapq
+from fractions import Fraction
+
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from apportion import InputError, InvariantError, PartyWeights, SignpostSequence, TiePolicy
+from apportion.harness import _signpost_array, _winner_sequence, allocate_many, sqrt_shares, sweep
+from apportion.methods import linear_divisor, method_by_name
+
+
+def heap_winner_sequence(shares: np.ndarray, sp: SignpostSequence, steps: int):
+    m = shares.size
+    z = sp.zero_count()
+    budget = np.maximum((shares * (steps + z * m)).astype(int) + m + 8, z + 2)
+    with np.errstate(divide="ignore"):
+        tables = [shares[i] / _signpost_array(sp, int(budget[i])) for i in range(m)]
+    winners = np.empty(steps, dtype=np.int32)
+    figures = np.empty(steps, dtype=float)
+    seats = [z] * m
+    heap = [(-tables[i][seats[i]] if seats[i] < budget[i] else 0.0, i) for i in range(m)]
+    heapq.heapify(heap)
+    for k in range(steps):
+        negfig, i = heapq.heappop(heap)
+        if negfig == 0.0:
+            raise InputError("house size unreachable under the table cap")
+        winners[k] = i
+        figures[k] = -negfig
+        seats[i] += 1
+        if seats[i] >= budget[i]:
+            budget[i] = budget[i] * 2
+            with np.errstate(divide="ignore"):
+                tables[i] = shares[i] / _signpost_array(sp, int(budget[i]))
+        heapq.heappush(heap, (-tables[i][seats[i]], i))
+    return winners, figures
+
+
+FAMILIES = {
+    "jefferson": method_by_name("jefferson").signposts,
+    "webster": method_by_name("webster").signposts,
+    "adams": method_by_name("adams").signposts,
+    "imperiali": method_by_name("imperiali").signposts,
+    "danish": method_by_name("danish").signposts,
+    "cambridge": method_by_name("cambridge").signposts,  # clipped beta = -5
+    "clipped-half": linear_divisor(Fraction(-1, 2)).signposts,
+    "huntington": method_by_name("huntington").signposts,
+    "dean": method_by_name("dean").signposts,
+    "estonia": method_by_name("estonia").signposts,
+    "macau": method_by_name("macau").signposts,
+    "geometric-1.1": SignpostSequence.geometric(1.1),
+    "adjusted-sainte-lague": method_by_name("adjusted-sainte-lague").signposts,
+    "capped-table": SignpostSequence.table([k + 0.5 for k in range(600)], cap=600),
+}
+
+SHARES = {f"sqrt{m}": sqrt_shares(m) for m in (2, 4, 8, 12)}
+SHARES["tied"] = (0.5, 0.25, 0.25)  # exact figure ties between parties 1 and 2
+
+STEPS = 3000
+
+
+def outcome(fn, shares, sp, steps):
+    """(winners, figures), or the InputError message when unreachable."""
+    try:
+        return fn(np.asarray(shares, dtype=float), sp, steps)
+    except InputError as exc:
+        return str(exc)
+
+
+def assert_same(shares, sp, steps):
+    want = outcome(heap_winner_sequence, shares, sp, steps)
+    got = outcome(_winner_sequence, shares, sp, steps)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("shares_name", sorted(SHARES))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_sorted_table_matches_heap(family, shares_name):
+    assert_same(SHARES[shares_name], FAMILIES[family], STEPS)
+
+
+@given(
+    raw=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=8),
+    family=st.sampled_from(sorted(FAMILIES)),
+    steps=st.integers(0, 1500),
+)
+@settings(max_examples=150, deadline=None)
+def test_sorted_table_matches_heap_generated(raw, family, steps):
+    total = sum(raw)
+    assert_same(tuple(x / total for x in raw), FAMILIES[family], steps)
+
+
+def test_capped_table_unreachable_on_both_sides():
+    sp = SignpostSequence.table([0.5, 1.5, 2.5], cap=3)
+    shares = np.asarray(sqrt_shares(3))
+    for fn in (heap_winner_sequence, _winner_sequence):
+        assert np.array_equal(fn(shares, sp, 9)[0], heap_winner_sequence(shares, sp, 9)[0])
+        with pytest.raises(InputError, match="unreachable under the table cap"):
+            fn(shares, sp, 10)
+
+
+def test_budget_grows_past_a_proportional_guess():
+    # Estonia favours large parties beyond proportion, so the initial
+    # per-party budget is too short and must grow from the bound
+    shares = np.asarray(sqrt_shares(4))
+    assert_same(shares, FAMILIES["estonia"], 200_000)
+
+
+# -- divisor sweeps split over workers ------------------------------------------
+
+
+def test_divisor_sweep_workers_agree_at_a_tied_chunk_edge():
+    # under Webster, shares (1/2, 1/4, 1/4) tie parties 1 and 2 at every house
+    # 2 mod 4; with two workers the second chunk starts at house 5002
+    w = PartyWeights.of((0.5, 0.25, 0.25))
+    method = linear_divisor(0.5)
+    assert sweep(method, w, 5002, 5002).near_ties == 1
+    serial = sweep(method, w, 1, 10_002)
+    assert serial.near_ties == 2501
+    for workers in (2, 3):
+        par = sweep(method, w, 1, 10_002, workers=workers)
+        assert par.count == serial.count
+        assert par.near_ties == serial.near_ties
+        assert np.array_equal(par.histogram.counts, serial.histogram.counts)
+        assert np.allclose(par.mean, serial.mean, atol=1e-12)
+        assert np.allclose(par.covariance, serial.covariance, atol=1e-10)
+
+
+def test_divisor_sweep_workers_agree_nonlinear():
+    w = PartyWeights.of(sqrt_shares(4))
+    for name in ("huntington", "estonia"):
+        method = method_by_name(name)
+        serial = sweep(method, w, 1, 30_000, TiePolicy.average())
+        par = sweep(method, w, 1, 30_000, TiePolicy.average(), workers=3)
+        assert par.count == serial.count
+        assert par.near_ties == serial.near_ties
+        assert np.array_equal(par.histogram.counts, serial.histogram.counts)
+        assert np.allclose(par.mean, serial.mean, atol=1e-12)
+
+
+def test_workers_rejected_below_one():
+    w = PartyWeights.of(sqrt_shares(3))
+    for workers in (0, -2):
+        with pytest.raises(InputError, match="workers"):
+            sweep(linear_divisor(0.5), w, 1, 100, workers=workers)
+
+
+@pytest.mark.parametrize(
+    "cpus, workers, n_to, expected",
+    [(2, 8, 1_000, 2), (64, 5, 3, 3), (None, 4, 1_000, None), (4, 3, 1_000, 3)],
+)
+def test_workers_clamped(monkeypatch, cpus, workers, n_to, expected):
+    import apportion.harness as harness
+
+    started = []
+
+    class RecordingPool(harness.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+    w = PartyWeights.of(sqrt_shares(3))
+    for method in (linear_divisor(0.5), method_by_name("hamilton")):
+        started.clear()
+        stats = sweep(method, w, 1, n_to, workers=workers)
+        assert stats.count == n_to
+        assert started == ([] if expected is None else [expected])
+
+
+# -- runtime invariants ----------------------------------------------------------
+
+
+def test_linear_bracket_invariant_raises():
+    # rows that do not sum to 1 leave the bisection bracket short of the house
+    with pytest.raises(InvariantError, match="bracket"):
+        allocate_many(linear_divisor(1.0), np.array([[0.25, 0.25]]), 100)
