@@ -13,7 +13,6 @@ from .allocation import (
     TieInfo,
     allocate,
     allocate_divisor,
-    allocate_divisor_by_search,
     allocate_quota,
     alpha_round,
     d_round,

@@ -1,12 +1,13 @@
 """Seat allocation for divisor and quota methods, with exact tie handling.
 
-Divisor allocation awards seats sequentially to the largest comparative
-figure v_i / d(s_i + 1); an independent formulation searches for a divisor D
-with sum_i round_d(v_i / D) = house_size and exists to cross-validate the
-first.  Quota allocation floors the ideal shares (house + gamma) * p_i and
-hands remaining seats to the largest fractional parts, generalized so any
-real gamma works even when the raw remainder is negative or exceeds the
-party count.
+Divisor allocation returns the seats of awarding each seat in turn to the
+largest comparative figure v_i / d(s_i + 1).  It computes them by
+jump-and-step: a float estimate of the seat vector, then exact steps through
+the quotient table, so the cost does not grow with the house size for the
+linear-like families.  Quota allocation floors the ideal shares
+(house + gamma) * p_i and hands remaining seats to the largest fractional
+parts, generalized so any real gamma works even when the raw remainder is
+negative or exceeds the party count.
 
 Ties are detected exactly for rational arithmetic classes and reported as a
 single tied rank class: ``grants`` of the ``parties`` in the class receive
@@ -17,7 +18,6 @@ one extra seat each, in any combination.  Float arithmetic flags near-ties
 from __future__ import annotations
 
 import heapq
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +29,7 @@ from .errors import (
     CapExceededError,
     DimensionMismatchError,
     InfeasibleHouseSizeError,
+    InvariantError,
     NegativeSeatError,
     NonpositiveQuotaError,
 )
@@ -104,7 +105,7 @@ class Allocation:
 
     def __post_init__(self):
         if sum(self.seats) != self.house_size:
-            raise AssertionError("seat vector does not sum to the house size")
+            raise InvariantError("seat vector does not sum to the house size")
 
     @property
     def m(self) -> int:
@@ -255,7 +256,7 @@ def _finalize_divisor(
         holds = cur[i] == f
         can_take = nxt[i] == f
         if holds and can_take:  # excluded by strict monotonicity once positive
-            raise AssertionError("signpost sequence not strictly increasing at a tie")
+            raise InvariantError("signpost sequence not strictly increasing at a tie")
         if holds:
             parties.append(i)
             base.append(seats[i] - 1)
@@ -276,154 +277,93 @@ def allocate_divisor(
     house_size: int,
     tie_policy: TiePolicy = DEFAULT_TIES,
 ) -> Allocation:
-    """Highest-averages allocation: award each seat to the largest v/d(s+1).
+    """Highest-averages allocation, computed by jump-and-step.
 
-    Zero signposts pre-assign their mandatory seats, so v/0 is never formed.
+    The seats are those of awarding each seat in turn to the largest figure
+    v_i / d(s_i + 1), the lower party index first on equal figures: the
+    top ``house_size - z*m`` entries of the quotient table v_i / d(n), n > z,
+    under figure descending, then party index ascending.  Zero signposts
+    pre-assign their z mandatory seats, so v/0 is never formed.  On an exact
+    tie the canonical vector grants the contested seats to the lowest
+    indices; the tie policy then picks the primary vector and lists the rest
+    of the orbit.
+
+    Jump: families with an asymptotic beta start each party at
+    floor(v_i (N + m(beta - 1/2)) / T + 1 - beta), clamped to
+    [z, min(cap, N)]; the others start at z.  Step: add the best next
+    entries or drop the worst held ones until the seats sum to N, then swap
+    while the best next entry beats the worst held one.  Every comparison
+    goes through ``SignpostSequence.figure``, so exact figures stay exact.
+    After a jump the work is O(m) figure steps, not O(N); from z it is the
+    sequential award, one step per seat.
     """
     z = _divisor_validate(weights, signposts, house_size)
     votes = weights.votes
     m = len(votes)
-    seats = [z] * m
-    remaining = house_size - z * m
-    heap = [(_neg(signposts.figure(votes[i], z + 1)), i) for i in range(m)]
-    heapq.heapify(heap)
-    for _ in range(remaining):
-        negfig, i = heapq.heappop(heap)
+    fig = signposts.figure
+    seats = _jump_start(votes, signposts, house_size, z)
+    # nxt: best next entry on top (figure descending, party ascending);
+    # held: worst held entry on top (figure ascending, party descending).
+    # Entries carry their seat index n and go stale when the party moves.
+    nxt = [(-fig(votes[i], seats[i] + 1), i, seats[i] + 1) for i in range(m)]
+    held = [(fig(votes[i], seats[i]), -i, seats[i]) for i in range(m) if seats[i] > z]
+    heapq.heapify(nxt)
+    heapq.heapify(held)
+
+    # From an all-z start the fill below is the sequential award itself, so
+    # the held heap and the swaps are needed only when the jump placed seats.
+    swap = bool(held)
+
+    def best_next():
+        while nxt[0][2] != seats[nxt[0][1]] + 1:
+            heapq.heappop(nxt)
+        return nxt[0]
+
+    def worst_held():
+        while held and held[0][2] != seats[-held[0][1]]:
+            heapq.heappop(held)
+        return held[0] if held else None
+
+    def take():
+        # the top of nxt is valid here: no drop precedes the fill, and a swap
+        # checks best_next() and then drops an entry that ranks below it
+        negfig, i, n = nxt[0]
         if negfig == 0:  # all remaining signposts are infinite
             raise CapExceededError("house size unreachable under the table cap")
-        seats[i] += 1
-        heapq.heappush(heap, (_neg(signposts.figure(votes[i], seats[i] + 1)), i))
+        seats[i] = n
+        heapq.heapreplace(nxt, (-fig(votes[i], n + 1), i, n + 1))
+        if swap:
+            heapq.heappush(held, (-negfig, -i, n))
+
+    def drop():
+        f, negi, n = worst_held()
+        seats[-negi] = n - 1
+        heapq.heappush(nxt, (-f, -negi, n))
+        if n - 1 > z:
+            heapq.heappush(held, (fig(votes[-negi], n - 1), negi, n - 1))
+
+    surplus = sum(seats) - house_size
+    for _ in range(-surplus):
+        take()
+    for _ in range(surplus):
+        drop()
+    while swap and (b := worst_held()) is not None and best_next()[:2] < (-b[0], -b[1]):
+        drop()
+        take()
     return _finalize_divisor(weights, signposts, seats, house_size, tie_policy)
 
 
-def _neg(fig):
-    return -fig if fig != INF else -INF
-
-
-def allocate_divisor_by_search(
-    weights: PartyWeights,
-    signposts: SignpostSequence,
-    house_size: int,
-    tie_policy: TiePolicy = DEFAULT_TIES,
-) -> Allocation:
-    """Divisor allocation by monotone search for D with sum round_d(v/D) = N.
-
-    Independent of the sequential formulation; used to cross-validate it.
-    The returned support interval is the full feasible divisor range.
-    """
-    z = _divisor_validate(weights, signposts, house_size)
-    votes = weights.votes
+def _jump_start(votes, sp: SignpostSequence, house_size: int, z: int) -> list[int]:
+    """Float estimate of the seat vector; z for families without a beta."""
     m = len(votes)
-    exact = _is_exact(weights, signposts)
-    cap = signposts.max_seats()
-
-    def seats_at(i: int, fig) -> tuple[int, int]:
-        """(strict, max) counts of figure values of party i that are >= fig."""
-        lo, hi = 0, 1
-        while signposts.figure(votes[i], hi) >= fig:
-            hi *= 2
-            if cap is not None and hi > cap:
-                hi = cap + 1
-                break
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if signposts.figure(votes[i], mid) >= fig:
-                lo = mid
-            else:
-                hi = mid
-        n_max = lo
-        n_strict = n_max - 1 if (n_max >= 1 and signposts.figure(votes[i], n_max) == fig) else n_max
-        return n_strict, n_max
-
-    def totals(fig):
-        strict = total = 0
-        for i in range(m):
-            s, t = seats_at(i, fig)
-            strict += s
-            total += t
-        return strict, total
-
-    def build(fig) -> Allocation:
-        counts = [seats_at(i, fig) for i in range(m)]
-        base = [c[0] for c in counts]
-        extra = house_size - sum(base)
-        seats = list(base)
-        if extra:
-            boundary = [i for i in range(m) if counts[i][1] > counts[i][0]]
-            for i in boundary[:extra]:  # canonical branch; ties re-derived below
-                seats[i] += 1
-        return _finalize_divisor(weights, signposts, seats, house_size, tie_policy)
-
-    if house_size == z * m:
-        return _finalize_divisor(weights, signposts, [z] * m, house_size, tie_policy)
-
-    # bracket: lo_fig gives too many figure values, hi_fig too few
-    hi_fig = max(signposts.figure(votes[i], z + 1) for i in range(m))
-    _, t = totals(hi_fig)
-    if t >= house_size:
-        return build(hi_fig)
-    k = house_size + 1
-    if cap is not None:
-        k = min(k, cap)
-    lo_fig = min(signposts.figure(votes[i], k) for i in range(m))
-    while totals(lo_fig)[1] < house_size:
-        if cap is not None and k >= cap:
-            raise CapExceededError("house size unreachable under the table cap")
-        k *= 2
-        if cap is not None:
-            k = min(k, cap)
-        lo_fig = min(signposts.figure(votes[i], k) for i in range(m))
-    strict, total = totals(lo_fig)
-    if strict <= house_size <= total:
-        return build(lo_fig)
-
-    for iteration in range(4096):
-        mid = (lo_fig + hi_fig) / 2
-        strict, total = totals(mid)
-        if strict <= house_size <= total:
-            return build(mid)
-        if total < house_size:
-            hi_fig = mid
-        else:
-            lo_fig = mid
-        if exact and iteration % 16 == 15:
-            built = _exhaust_bracket(
-                weights, signposts, house_size, lo_fig, hi_fig, seats_at, totals, build
-            )
-            if built is not None:
-                return built
-    # float arithmetic can stall on an exact tie: accept the lower bracket edge
-    strict, total = totals(lo_fig)
-    counts = [seats_at(i, lo_fig) for i in range(m)]
-    seats = [c[1] for c in counts]
-    surplus = total - house_size
-    if surplus > 0:
-        order = sorted(range(m), key=lambda i: (signposts.figure(votes[i], seats[i]), i))
-        for i in order[:surplus]:
-            seats[i] -= 1
-    return _finalize_divisor(weights, signposts, seats, house_size, tie_policy)
-
-
-def _exhaust_bracket(weights, signposts, house_size, lo_fig, hi_fig, seats_at, totals, build):
-    """Enumerate the exact figure values inside the bracket and pick the
-    feasible one; resolves brackets that straddle an exact tie."""
-    votes = weights.votes
-    m = len(votes)
-    candidates = set()
-    for i in range(m):
-        lo_n = seats_at(i, lo_fig)[1]
-        hi_n = seats_at(i, hi_fig)[1]
-        if lo_n - hi_n > 64:
-            return None  # bracket still too wide; keep bisecting
-        for n in range(hi_n + 1, lo_n + 1):
-            fig = signposts.figure(votes[i], n)
-            if lo_fig <= fig < hi_fig:
-                candidates.add(fig)
-    for fig in sorted(candidates, reverse=True):
-        strict, total = totals(fig)
-        if strict <= house_size <= total:
-            return build(fig)
-    return None
+    beta = sp.asymptotic_beta()
+    if beta is None:
+        return [z] * m
+    cap = sp.max_seats()
+    top = house_size if cap is None else min(cap, house_size)
+    beta = float(beta)
+    scale = (house_size + m * (beta - 0.5)) / float(sum(votes))
+    return [min(max(floor(float(v) * scale + 1.0 - beta), z), top) for v in votes]
 
 
 # -- quota allocation -------------------------------------------------------

@@ -122,7 +122,11 @@ def _weights_from_args(args) -> PartyWeights:
     if spec == "sqrt":
         raise InputError("--shares sqrt needs a party count, e.g. sqrt:4")
     if spec.startswith("sqrt:"):
-        m = int(spec.split(":", 1)[1])
+        count = spec.split(":", 1)[1]
+        try:
+            m = int(count)
+        except ValueError:
+            raise InputError(f"--shares sqrt needs an integer party count, got {count!r}") from None
         p = sqrt_shares(m)
         return PartyWeights.of(p, [f"P{i+1}" for i in range(m)])
     raise InputError(f"unknown shares preset {spec!r}")
@@ -466,10 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        args.seed = int(os.environ.get("APPORTION_SEED", "0"))
     started = time.perf_counter()
     try:
+        if args.seed is None:
+            args.seed = _env_seed()
         payload, code = _COMMANDS[args.command](args)
     except InstanceTooLargeError as exc:
         _emit_error(args, str(exc), "instance-too-large")
@@ -494,6 +498,14 @@ def run(argv=None) -> int:
     else:
         print(text)
     return code
+
+
+def _env_seed() -> int:
+    raw = os.environ.get("APPORTION_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError(f"APPORTION_SEED must be an integer, got {raw!r}") from None
 
 
 def _echo_config(args) -> dict:

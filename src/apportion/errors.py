@@ -45,6 +45,7 @@ class InstanceTooLargeError(ApportionError):
 
 
 class InvariantError(ApportionError):
-    """A vectorized fast path found a runtime invariant broken (a bisection
-    bracket that misses the house size, a pooled seat count too small to
-    sub-apportion); raised instead of returning a wrong result."""
+    """A runtime invariant is broken (a seat vector that misses the house
+    size, a bisection bracket that misses it, a pooled seat count too small
+    to sub-apportion, an unknown signpost kind); raised instead of returning
+    a wrong result."""

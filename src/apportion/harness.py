@@ -83,7 +83,7 @@ def _signpost_array(sp: SignpostSequence, n_max: int) -> np.ndarray:
     if sp.kind == TABLE:
         vals = np.array([float(sp.value(k)) for k in range(1, n_max + 1)])
         return vals
-    raise AssertionError(sp.kind)
+    raise InvariantError(f"unknown signpost kind {sp.kind!r}")
 
 
 def _winner_sequence(shares: np.ndarray, sp: SignpostSequence, steps: int):
@@ -277,13 +277,11 @@ def _exact_divisor_scan(weights, sp, n_to: int):
     tie_class is (parties, grants, base_seats) when the allocation at that
     house is tied, else None; ``seats`` is one branch of the orbit.
     """
-    from .allocation import _neg  # single branch point shared with allocate
-
     votes = weights.votes
     m = len(votes)
     z = sp.zero_count()
     seats = [z] * m
-    heap = [(_neg(sp.figure(votes[i], z + 1)), i) for i in range(m)]
+    heap = [(-sp.figure(votes[i], z + 1), i) for i in range(m)]
     heapq.heapify(heap)
     yield z * m, tuple(seats), None
     for house in range(z * m + 1, n_to + 1):
@@ -292,7 +290,7 @@ def _exact_divisor_scan(weights, sp, n_to: int):
             raise InputError("house size unreachable under the table cap")
         f = -negfig
         seats[i] += 1
-        heapq.heappush(heap, (_neg(sp.figure(votes[i], seats[i] + 1)), i))
+        heapq.heappush(heap, (-sp.figure(votes[i], seats[i] + 1), i))
         tie = None
         if -heap[0][0] == f:
             parties, base, grants = [], [], 0

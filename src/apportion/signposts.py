@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import CapExceededError, InputError
+from .errors import CapExceededError, InputError, InvariantError
 
 INF = math.inf
 
@@ -162,7 +162,7 @@ class SignpostSequence:
             if self.tail_beta is not None:
                 return n - 1 + self.tail_beta
             return INF
-        raise AssertionError(self.kind)
+        raise InvariantError(f"unknown signpost kind {self.kind!r}")
 
     @property
     def exactness(self) -> Exactness:

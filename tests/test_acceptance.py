@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.stats as st
 
-from apportion import PartyWeights, TiePolicy, allocate_divisor, allocate_divisor_by_search, allocate_quota, seat_excess
+from apportion import PartyWeights, TiePolicy, allocate_divisor, allocate_quota, seat_excess
 from apportion.allocation import allocate
 from apportion.analysis import (
     ADAMS,
@@ -50,6 +50,7 @@ from apportion.samplers import (
 from apportion.signposts import SignpostSequence
 from apportion.stats import Tolerances
 from apportion.violation import irwin_hall_cdf, violation_probability
+from conftest import heap_divisor
 
 
 def report(num, name, ok, detail=""):
@@ -198,7 +199,7 @@ def test_criterion_07a_formulation_equivalence():
         sp = SignpostSequence.linear(rng.choice(BETAS))
         house = rng.randint(len(w) * sp.zero_count(), 14)
         a = allocate_divisor(w, sp, house)
-        b = allocate_divisor_by_search(w, sp, house)
+        b = heap_divisor(w, sp, house)
         assert a.seats == b.seats and set(a.ties) == set(b.ties), (w.votes, sp.beta, house)
     report(7, "properties: divisor formulation equivalence (10^4 cases)", True)
 

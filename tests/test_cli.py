@@ -166,3 +166,19 @@ def test_threads_below_one_rejected():
     err = json.loads(proc.stderr)["error"]
     assert err["kind"] == "InputError"
     assert "workers" in err["message"]
+
+
+def test_shares_party_count_not_an_integer():
+    proc = cli("sweep", "--method", "webster", "--shares", "sqrt:abc", "--seats-max", "100")
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)["error"]
+    assert err["kind"] == "InputError"
+    assert "'abc'" in err["message"]
+
+
+def test_seed_from_environment_not_an_integer():
+    proc = cli("allocate", "--method", "dhondt", "--seats", "3", "--votes", "A=2,B=1", env={"APPORTION_SEED": "abc"})
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)["error"]
+    assert err["kind"] == "InputError"
+    assert "APPORTION_SEED" in err["message"]

@@ -10,9 +10,8 @@ from apportion import (
     SignpostSequence,
     TiePolicy,
     allocate_divisor,
-    allocate_divisor_by_search,
 )
-from conftest import divd_orbit, random_weights
+from conftest import divd_orbit, heap_divisor, random_weights
 
 W21 = PartyWeights.of([2, 1])
 LIN1 = SignpostSequence.linear(1)
@@ -129,7 +128,7 @@ def test_by_search_matches_sequential(spname, rng):
         w = random_weights(rng, m)
         house = rng.randint(z * m, 14)
         a = allocate_divisor(w, sp, house)
-        b = allocate_divisor_by_search(w, sp, house)
+        b = heap_divisor(w, sp, house)
         assert a.seats == b.seats, (w.votes, house)
         assert orbit(a) == orbit(b)
         assert a.support_interval == b.support_interval
@@ -137,7 +136,7 @@ def test_by_search_matches_sequential(spname, rng):
 
 def test_by_search_handles_exact_tie_point():
     # feasible divisor interval degenerates to one point
-    b = allocate_divisor_by_search(W21, LIN1, 2)
+    b = allocate_divisor(W21, LIN1, 2)
     assert orbit(b) == {(2, 0), (1, 1)}
     lo, hi = b.support_interval
     assert lo == hi == 1

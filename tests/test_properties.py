@@ -14,12 +14,12 @@ from apportion import (
     SignpostSequence,
     TiePolicy,
     allocate_divisor,
-    allocate_divisor_by_search,
     allocate_quota,
     seat_excess,
 )
 from apportion.methods import linear_divisor, quota_method, small_n_guard
 from apportion.harness import _exact_divisor_scan
+from conftest import heap_divisor
 
 votes_lists = st.lists(st.integers(1, 9), min_size=1, max_size=4)
 betas = st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(2)])
@@ -37,7 +37,7 @@ def test_formulation_equivalence(votes, beta, house):
     sp = SignpostSequence.linear(beta)
     house = max(house, len(votes) * sp.zero_count())
     a = allocate_divisor(w, sp, house)
-    b = allocate_divisor_by_search(w, sp, house)
+    b = heap_divisor(w, sp, house)
     assert a.seats == b.seats
     assert orbit(a) == orbit(b)
 
