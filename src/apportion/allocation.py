@@ -171,14 +171,18 @@ def _is_exact(weights: PartyWeights, sp: SignpostSequence) -> bool:
     return weights.exact and sp.exactness is not Exactness.FLOAT
 
 
-def _resolve_orbit(primary_grant: tuple[int, ...], ti: TieInfo, policy: TiePolicy, seats: list[int]):
+def _primary_grant(parties: tuple[int, ...], k: int, policy: TiePolicy) -> tuple[int, ...]:
+    """The tied parties granted the contested seats: the k lowest indices, or
+    a seeded random choice under ``TiePolicy.seeded``."""
+    if policy.kind == "random":
+        return tuple(sorted(random.Random(policy.seed).sample(parties, k)))
+    return tuple(parties[:k])
+
+
+def _resolve_orbit(ti: TieInfo, policy: TiePolicy, seats: list[int]):
     """Apply the tie policy: pick the primary grant set, list alternatives."""
     parties, k = ti.parties, ti.grants
-    if policy.kind == "random":
-        rng = random.Random(policy.seed)
-        grant = tuple(sorted(rng.sample(parties, k)))
-    else:
-        grant = primary_grant
+    grant = _primary_grant(parties, k, policy)
     base = dict(zip(parties, ti.base_seats))
     vec = list(seats)
     for p in parties:
@@ -266,8 +270,7 @@ def _finalize_divisor(
             base.append(seats[i])
     orbit = comb(len(parties), grants)
     ti = TieInfo(tuple(parties), grants, tuple(base), orbit)
-    primary_grant = tuple(parties[:grants])  # canonical: lowest indices granted
-    vec, alternatives, info = _resolve_orbit(primary_grant, ti, policy, seats)
+    vec, alternatives, info = _resolve_orbit(ti, policy, seats)
     return Allocation(vec, house_size, alternatives, info, interval)
 
 
@@ -390,58 +393,78 @@ def allocate_quota(
         raise NonpositiveQuotaError(f"need house_size + gamma > 0, got {house_size} + {gamma}")
     m = len(weights)
     exact = weights.exact and isinstance(gamma, Fraction)
-    shares = weights.shares if exact else weights.shares_float()
-    scale = house_size + gamma
-    ideal = [scale * p for p in shares]
-    base = [floor(f) for f in ideal]
-    fracs = [f - b for f, b in zip(ideal, base)]
-    r = house_size - sum(base)
-    q, t = divmod(r, m)
-    seats = [b + q for b in base]
-
+    ideal = [(house_size + gamma) * p for p in (weights.shares if exact else weights.shares_float())]
     ti = None
-    grant: tuple[int, ...] = ()
-    if t > 0:
-        order = sorted(range(m), key=lambda i: (-fracs[i], i))
-        cut = fracs[order[t - 1]]
-        if exact:
-            tied = [i for i in range(m) if fracs[i] == cut]
-            above = sum(1 for i in range(m) if fracs[i] > cut)
-            k = t - above
-            if len(tied) > k:
-                ti = TieInfo(
-                    tuple(tied), k, tuple(seats[i] for i in tied), comb(len(tied), k)
-                )
-                grant = tuple(i for i in order[:t] if fracs[i] > cut)
-            else:
-                grant = tuple(order[:t])
-        else:
-            nxt = fracs[order[t]] if t < m else None
-            if nxt is not None and cut - nxt <= NEAR_TIE_RTOL:
+    if exact:
+        votes, total = weights.integer_votes
+        scale = house_size * gamma.denominator + gamma.numerator
+        seats, tie = _largest_remainder(
+            [scale * v for v in votes], gamma.denominator * total, house_size, gamma, tie_policy
+        )
+        if tie is not None:
+            ti = TieInfo(*tie, comb(len(tie[0]), tie[1]))
+    else:
+        base = [floor(f) for f in ideal]
+        fracs = [f - b for f, b in zip(ideal, base)]
+        q, t = divmod(house_size - sum(base), m)
+        seats = [b + q for b in base]
+        if t > 0:
+            order = sorted(range(m), key=lambda i: (-fracs[i], i))
+            if fracs[order[t - 1]] - fracs[order[t]] <= NEAR_TIE_RTOL:  # 0 < t < m
                 ti = TieInfo((), 0, (), 1, near=True)
-            grant = tuple(order[:t])
-        for i in grant:
-            seats[i] += 1
+            for i in order[:t]:
+                seats[i] += 1
+        if min(seats) < 0:
+            raise NegativeSeatError(
+                f"gamma={gamma} yields negative seats {tuple(seats)} at house size {house_size}"
+            )
 
     if ti is not None and not ti.near:
-        if min(ti.base_seats) < 0:  # some orbit branch would go negative
-            raise NegativeSeatError(
-                f"gamma={gamma} yields negative seats in the tie orbit at house size {house_size}"
-            )
-        primary_grant = tuple(ti.parties[: ti.grants])
-        vec, alternatives, info = _resolve_orbit(primary_grant, ti, tie_policy, seats)
+        vec, alternatives, info = _resolve_orbit(ti, tie_policy, seats)
         seats = list(vec)
     else:
         alternatives, info = (), ti
 
+    lo = max(f - s for f, s in zip(ideal, seats))
+    hi = min(f - s for f, s in zip(ideal, seats)) + 1
+    return Allocation(tuple(seats), house_size, alternatives, info, (lo, hi))
+
+
+def _largest_remainder(ideal: list[int], den: int, house_size: int, gamma, policy: TiePolicy):
+    """The exact largest-remainder rule on ideal seat counts ideal[i] / den.
+
+    Every party gets its floor plus q, and the t largest remainders one seat
+    more, where the seats left over are q * m + t with 0 <= t < m.  Returns
+    the seats, in which the tie policy picks the parties granted among equal
+    remainders, and the tie class (parties, grants, base_seats), or None
+    when the granted and the refused remainders differ.  Raises
+    NegativeSeatError when any seat vector of the orbit has a negative count.
+    """
+    m = len(ideal)
+    base = [x // den for x in ideal]
+    rem = [x % den for x in ideal]
+    q, t = divmod(house_size - sum(base), m)
+    seats = [b + q for b in base]
+    tie = None
+    if t > 0:
+        ranked = sorted(rem, reverse=True)
+        cut = ranked[t - 1]
+        k = t - ranked.index(cut)  # seats granted among the remainders equal to cut
+        tied = [i for i, r in enumerate(rem) if r == cut]
+        if len(tied) > k:
+            tie = (tuple(tied), k, tuple(seats[i] for i in tied))
+            if min(tie[2]) < 0:
+                raise NegativeSeatError(
+                    f"gamma={gamma} yields negative seats in the tie orbit at house size {house_size}"
+                )
+        seats = [s + (r > cut) for s, r in zip(seats, rem)]
+        for i in _primary_grant(tuple(tied), k, policy):
+            seats[i] += 1
     if min(seats) < 0:
         raise NegativeSeatError(
             f"gamma={gamma} yields negative seats {tuple(seats)} at house size {house_size}"
         )
-
-    lo = max(f - s for f, s in zip(ideal, seats))
-    hi = min(f - s for f, s in zip(ideal, seats)) + 1
-    return Allocation(tuple(seats), house_size, alternatives, info, (lo, hi))
+    return seats, tie
 
 
 # -- method dispatch ---------------------------------------------------------

@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -474,6 +475,9 @@ def run(argv=None) -> int:
     try:
         if args.seed is None:
             args.seed = _env_seed()
+        tolerance = getattr(args, "tolerance", None)
+        if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
+            raise InputError(f"--tolerance must be finite and nonnegative, got {tolerance!r}")
         payload, code = _COMMANDS[args.command](args)
     except InstanceTooLargeError as exc:
         _emit_error(args, str(exc), "instance-too-large")

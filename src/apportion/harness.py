@@ -10,24 +10,33 @@ Float sweeps run on vectorized fast paths.  The divisor path builds the
 seat-award sequence once, as a stable sort of every party's table of
 quotients shares[i] / d(n), with each table long enough by a bound on the
 figure of the last award, and reads every house size off cumulative counts;
-chunks run on worker threads all slice that one sequence.  Exact sweeps
-allocate per house size with full tie handling and exact averaging over tie
-orbits.
+chunks run on worker threads all slice that one sequence.  Exact sweeps and
+period averages run one integer kernel: the votes are scaled once to coprime
+integers, a divisor scan adds one seat per house size and compares figures
+by integer cross-multiplication, quota houses floor integer ideal seats, and
+ties are found exactly and averaged over their orbits; the rows of an exact
+sweep are recorded in blocks.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, floor
+from itertools import islice
+from math import comb
 
 import numpy as np
 
-from .allocation import NEAR_TIE_RTOL, allocate, allocate_divisor, allocate_quota
+from .allocation import (
+    NEAR_TIE_RTOL,
+    _is_exact,
+    _largest_remainder,
+    allocate_divisor,
+)
 from .asymptotics import excess_bounds, moment_prediction
 from .errors import InputError, InvariantError, NegativeSeatError, UnsupportedMethodError
 from .methods import DivisorMethod, Method, QuotaMethod, TiePolicy, small_n_guard
@@ -270,134 +279,157 @@ def _allocate_quota_many(shares, gamma, houses, average_ties=False):
 
 # -- exact sweeps -------------------------------------------------------------
 
+_EXACT_BLOCK = 4096  # houses per record_batch call of an exact sweep
+
 
 def _exact_divisor_scan(weights, sp, n_to: int):
     """Yield (house, seats, tie_class) incrementally for every feasible house.
 
     tie_class is (parties, grants, base_seats) when the allocation at that
-    house is tied, else None; ``seats`` is one branch of the orbit.
+    house is tied, else None; ``seats`` is one branch of the orbit, the one
+    that grants the contested seats to the lowest indices.
+
+    The arithmetic is integer: with integer votes V_i and d(n) = a/b in
+    figure space (``SignpostSequence.exact_pair``), party i's figure is
+    w_i*b/a with w_i = V_i (V_i**2 for the sqrt pair product), and figures
+    compare by cross-multiplication.  Each house awards one seat to the
+    largest next figure, the lower index first among equal figures.
     """
-    votes = weights.votes
-    m = len(votes)
+    if not _is_exact(weights, sp):
+        raise InputError("exact scan requires exact weights and signposts")
+    votes, _ = weights.integer_votes
+    w = [v * v for v in votes] if sp.kind == SQRT_PAIR else list(votes)
+    m = len(w)
     z = sp.zero_count()
+    pairs = [sp.exact_pair(n) for n in range(z + 2)]  # pairs[n] for d(n), grown on demand
     seats = [z] * m
-    heap = [(-sp.figure(votes[i], z + 1), i) for i in range(m)]
-    heapq.heapify(heap)
+    a, b = pairs[z + 1]
+    num = [x * b for x in w]  # party i's next figure is num[i] / den[i]
+    den = [a] * m
+
+    def top():
+        best, b_num, b_den = 0, num[0], den[0]
+        for j in range(1, m):
+            if num[j] * b_den > b_num * den[j]:
+                best, b_num, b_den = j, num[j], den[j]
+        return best, b_num, b_den
+
+    i, f_num, f_den = top()
     yield z * m, tuple(seats), None
     for house in range(z * m + 1, n_to + 1):
-        negfig, i = heapq.heappop(heap)
-        if negfig == 0:
+        if f_num == 0:  # all remaining signposts are infinite
             raise InputError("house size unreachable under the table cap")
-        f = -negfig
         seats[i] += 1
-        heapq.heappush(heap, (-sp.figure(votes[i], seats[i] + 1), i))
+        n = seats[i] + 1
+        if n == len(pairs):
+            pairs.append(sp.exact_pair(n))
+        a, b = pairs[n]
+        num[i] = w[i] * b
+        den[i] = a
+        best, b_num, b_den = top()
         tie = None
-        if -heap[0][0] == f:
+        if b_num * f_den == f_num * b_den:
             parties, base, grants = [], [], 0
-            for idx in range(m):
-                holds = sp.figure(votes[idx], seats[idx]) == f
-                takes = sp.figure(votes[idx], seats[idx] + 1) == f
-                if holds:
-                    parties.append(idx)
-                    base.append(seats[idx] - 1)
+            for j in range(m):
+                a, b = pairs[seats[j]]
+                if w[j] * b * f_den == f_num * a:  # party j holds a seat at figure f
+                    parties.append(j)
+                    base.append(seats[j] - 1)
                     grants += 1
-                elif takes:
-                    parties.append(idx)
-                    base.append(seats[idx])
+                elif num[j] * f_den == f_num * den[j]:  # party j could take one at f
+                    parties.append(j)
+                    base.append(seats[j])
             tie = (tuple(parties), grants, tuple(base))
+        yield house, tuple(seats), tie
+        i, f_num, f_den = best, b_num, b_den
+
+
+def _exact_houses(method, weights, n_from: int, n_to: int, tie_policy):
+    """Yield (house, seats, tie_class) for every house in [n_from, n_to].
+
+    Quota houses share the integer denominator gamma.denominator * T of
+    their ideal seats (house + gamma) V_i / T.
+    """
+    if isinstance(method, DivisorMethod):
+        for row in _exact_divisor_scan(weights, method.signposts, n_to):
+            if row[0] >= n_from:
+                yield row
+        return
+    votes, total = weights.integer_votes
+    gamma = Fraction(method.gamma)
+    for house in range(n_from, n_to + 1):
+        scale = house * gamma.denominator + gamma.numerator
+        seats, tie = _largest_remainder(
+            [scale * v for v in votes], gamma.denominator * total, house, gamma, tie_policy
+        )
         yield house, tuple(seats), tie
 
 
-def _exact_sweep(method, weights, n_from, n_to, tie_policy, stats) -> None:
+def _exact_rows(method, weights, n_from: int, n_to: int, tie_policy):
+    """Yield (house, tie_class, delta, lower, upper, any_violation) per house.
+
+    delta holds the seat excesses s_i - house*p_i, lower and upper the
+    quota-violation indicators, any_violation whether some party violates
+    its quota.  Under the averaging policy a tied house gives their averages
+    over the tie orbit, in which ``grants`` of the k tied parties get one
+    seat over their base.  With integer votes V_i and total T every float is
+    one int division, which Python rounds correctly, so it equals float() of
+    the exact rational.
+    """
     average = tie_policy.kind == "average"
-    shares = weights.shares
-    if isinstance(method, DivisorMethod):
-        for house, seats, tie in _exact_divisor_scan(weights, method.signposts, n_to):
-            if house < n_from:
+    votes, total = weights.integer_votes
+    for house, seats, tie in _exact_houses(method, weights, n_from, n_to, tie_policy):
+        parties, grants, base_seats = tie if average and tie is not None else ((), 0, ())
+        k = len(parties)
+        base = dict(zip(parties, base_seats))
+        delta, lower, upper = [], [], []
+        viol_if_granted = viol_if_not = 0
+        fixed_violation = False
+        for i, (s, v) in enumerate(zip(seats, votes)):
+            x = house * v
+            lo_cut, r = divmod(x, total)  # lower quota violated iff s < floor(house*p)
+            hi_cut = lo_cut + (r > 0)  # upper violated iff s > ceil(house*p)
+            if i not in base:
+                delta.append((s * total - x) / total)
+                lo, hi = s < lo_cut, s > hi_cut
+                lower.append(float(lo))
+                upper.append(float(hi))
+                fixed_violation = fixed_violation or lo or hi
                 continue
-            _record_exact(stats, weights, house, seats, tie, average)
-    else:
-        for house in range(n_from, n_to + 1):
-            alloc = allocate_quota(weights, method.gamma, house, tie_policy)
-            ti = alloc.tie_info
-            tie = (ti.parties, ti.grants, ti.base_seats) if ti is not None and not ti.near else None
-            _record_exact(stats, weights, house, alloc.seats, tie, average)
-    stats.n_from = n_from if stats.n_from is None else min(stats.n_from, n_from)
-    stats.n_to = n_to if stats.n_to is None else max(stats.n_to, n_to)
-
-
-def _record_exact(stats, weights, house, seats, tie, average) -> None:
-    shares = weights.shares
-    if average and tie is not None:
-        parties, grants, base = tie
-        share = Fraction(grants, len(parties))
-        expected = list(map(Fraction, seats))
-        for party, b in zip(parties, base):
-            expected[party] = b + share
-    else:
-        expected = seats
-    delta = [float(s - house * p) for s, p in zip(expected, shares)]
-    lower, upper, any_v = _violation_indicators(weights, house, seats, tie if average else None)
-    stats.record_batch(
-        np.array([delta]), lower=np.array([lower]), upper=np.array([upper]), any_violation=any_v
-    )
-    if tie is not None:
-        stats.ties += 1
-
-
-def _violation_indicators(weights, house, seats, tie):
-    """Per-party expected quota-violation indicators, exact over tie orbits."""
-    m = len(weights)
-    shares = weights.shares
-    lo_cut = [floor(house * p) for p in shares]  # lower violated iff s < floor(q)
-    hi_cut = [-floor(-(house * p)) for p in shares]  # upper violated iff s > ceil(q)
-    if tie is None:
-        lower = [s < c for s, c in zip(seats, lo_cut)]
-        upper = [s > c for s, c in zip(seats, hi_cut)]
-        return (
-            [float(x) for x in lower],
-            [float(x) for x in upper],
-            float(any(lower) or any(upper)),
-        )
-    parties, k, base_seats = tie
-    tied = set(parties)
-    base = dict(zip(parties, base_seats))
-    tsize = len(parties)
-    p_grant = Fraction(k, tsize)
-    lower, upper = [], []
-    viol_if_granted, viol_if_not = set(), set()
-    fixed_violation = False
-    for i in range(m):
-        if i in tied:
-            lo_g = base[i] + 1 < lo_cut[i]
-            lo_n = base[i] < lo_cut[i]
-            hi_g = base[i] + 1 > hi_cut[i]
-            hi_n = base[i] > hi_cut[i]
-            lower.append(float(p_grant * lo_g + (1 - p_grant) * lo_n))
-            upper.append(float(p_grant * hi_g + (1 - p_grant) * hi_n))
+            b = base[i]
+            delta.append(((b * k + grants) * total - x * k) / (k * total))
+            lo_g, lo_n, hi_g, hi_n = b + 1 < lo_cut, b < lo_cut, b + 1 > hi_cut, b > hi_cut
+            lower.append((grants * lo_g + (k - grants) * lo_n) / k)
+            upper.append((grants * hi_g + (k - grants) * hi_n) / k)
             if (lo_g or hi_g) and (lo_n or hi_n):
                 fixed_violation = True
             elif lo_g or hi_g:
-                viol_if_granted.add(i)
+                viol_if_granted += 1
             elif lo_n or hi_n:
-                viol_if_not.add(i)
-        else:
-            lo = seats[i] < lo_cut[i]
-            hi = seats[i] > hi_cut[i]
-            lower.append(float(lo))
-            upper.append(float(hi))
-            if lo or hi:
-                fixed_violation = True
-    if fixed_violation:
-        any_v = 1.0
-    else:
+                viol_if_not += 1
         # orbit members avoiding every violation grant all of viol_if_not
         # and none of viol_if_granted
-        free = tsize - len(viol_if_granted) - len(viol_if_not)
-        need = k - len(viol_if_not)
-        good = comb(free, need) if 0 <= need <= free else 0
-        any_v = 1.0 - good / comb(tsize, k)
-    return lower, upper, any_v
+        free, need = k - viol_if_granted - viol_if_not, grants - viol_if_not
+        good = comb(free, need) if 0 <= need <= free and not fixed_violation else 0
+        yield house, tie, delta, lower, upper, 1.0 - good / comb(k, grants)
+
+
+def _exact_sweep(method, weights, n_from, n_to, tie_policy, stats) -> None:
+    m = len(weights)
+    rows = _exact_rows(method, weights, n_from, n_to, tie_policy)
+    while True:
+        buf, any_v, ties = array("d"), 0.0, 0
+        for _, tie, delta, lower, upper, a in islice(rows, _EXACT_BLOCK):
+            buf.extend(delta + lower + upper)
+            any_v += a
+            ties += tie is not None
+        if not buf:
+            break
+        block = np.frombuffer(buf).reshape(-1, 3, m)
+        stats.record_batch(block[:, 0], lower=block[:, 1], upper=block[:, 2], any_violation=any_v)
+        stats.ties += ties
+    stats.n_from = n_from if stats.n_from is None else min(stats.n_from, n_from)
+    stats.n_to = n_to if stats.n_to is None else max(stats.n_to, n_to)
 
 
 # -- public sweep -------------------------------------------------------------
@@ -551,14 +583,17 @@ def period_average_bias(method: Method, weights: PartyWeights) -> tuple[Fraction
         raise InputError("period averaging requires a rational quota offset")
     period = detect_period(weights)
     start = max(small_n_guard(method, weights), 1)
-    shares = weights.shares
-    total = [Fraction(0)] * len(weights)
-    for house in range(start, start + period):
-        alloc = allocate(method, weights, house, TiePolicy.average())
-        seats = alloc.expected_seats()
-        for i, (s, p) in enumerate(zip(seats, shares)):
-            total[i] += s - house * p
-    return tuple(t / period for t in total)
+    votes, total = weights.integer_votes
+    sums = [0] * len(votes)  # expected seats summed over the period
+    for _, seats, tie in _exact_houses(method, weights, start, start + period - 1, TiePolicy.average()):
+        sums = [a + s for a, s in zip(sums, seats)]
+        if tie is not None:
+            parties, grants, base = tie
+            share = Fraction(grants, len(parties))
+            for party, b in zip(parties, base):
+                sums[party] += b + share - seats[party]
+    houses = period * start + period * (period - 1) // 2  # sum of the house sizes
+    return tuple((s - Fraction(houses * v, total)) / period for s, v in zip(sums, votes))
 
 
 # -- equidistribution ----------------------------------------------------------
@@ -651,6 +686,8 @@ def mc_ordered_simplex(
     accumulate the excess of the j-th largest party."""
     if m < 2 or trials < 1:
         raise InputError("need m >= 2 and at least one trial")
+    if house_size < 0:
+        raise InputError("house size must be nonnegative")
     rng = np.random.default_rng(seed)
     bounds = None if bin_width is None else [(-float(m), float(m))] * m
     delta_stats = SweepStats.empty(m, bounds, bin_width or 0.01)
@@ -707,6 +744,10 @@ def quota_violation_frequency(
         )
     if m is None or house_size is None or trials is None:
         raise InputError("random mode needs m, house_size, and trials")
+    if trials < 1:
+        raise InputError("need at least one trial")
+    if house_size < 0:
+        raise InputError("house size must be nonnegative")
     rng = np.random.default_rng(seed)
     lower = np.zeros(m)
     upper = np.zeros(m)

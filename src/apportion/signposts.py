@@ -245,15 +245,27 @@ class SignpostSequence:
             return float(v) * float(v) / (n * (n - 1))
         if isinstance(v, Fraction) and isinstance(d, Fraction):
             return v / d
-        return float(v) / float(d)
+        try:
+            return float(v) / float(d)
+        except OverflowError:  # an exact d(n) beyond the float range
+            raise InputError(f"signpost d({n}) exceeds the float range; use exact votes") from None
 
-    def figure_of_divisor(self, divisor):
-        """Map a divisor value into figure space."""
-        if divisor == INF:
-            return INF
+    def exact_pair(self, n: int) -> tuple[int, int]:
+        """Integers (a, b) with d(n) = a / b in figure space; exact signposts only.
+
+        Figure space squares d(n) for the sqrt pair product, as ``figure``
+        does, so its pair is (n(n-1), 1).  A figure is v*b / a (v*v*b / a for
+        the sqrt pair product): d(n) = 0 gives (0, 1), an infinite figure,
+        and past a capped table the pair is (1, 0), a figure of 0.
+        """
         if self.kind == SQRT_PAIR:
-            return divisor * divisor
-        return divisor
+            return n * (n - 1), 1
+        d = self.value(n)
+        if isinstance(d, Fraction):
+            return d.numerator, d.denominator
+        if d == INF:
+            return 1, 0
+        raise InputError("integer signpost pairs need exact signposts")
 
     def divisor_of_figure(self, fig):
         """Map a figure back to a divisor value (float for squared space)."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Sequence
 
@@ -76,14 +76,30 @@ class PartyWeights:
             return tuple(v / t for v in self.votes)
         return tuple(float(v) / t for v in self.votes)
 
+    @cached_property
+    def integer_votes(self) -> tuple[tuple[int, ...], int]:
+        """Coprime integer votes V_i and their total T with p_i = V_i / T.
+
+        The votes are multiplied by the lcm of their denominators and divided
+        by the gcd of the results; requires exact votes.
+        """
+        if not self.exact:
+            raise NonRationalWeightsError("integer votes need exact rational votes")
+        scale = lcm(*(v.denominator for v in self.votes))
+        ints = [v.numerator * (scale // v.denominator) for v in self.votes]
+        g = gcd(*ints)
+        ints = tuple(x // g for x in ints)
+        return ints, sum(ints)
+
     def shares_float(self) -> tuple[float, ...]:
         return tuple(float(p) for p in self.shares)
 
     def share_denominator(self) -> int:
-        """Least common denominator L of the shares; requires exact votes."""
-        if not self.exact:
-            raise NonRationalWeightsError("share denominator needs exact rational votes")
-        return lcm(*(p.denominator for p in self.shares))
+        """Least common denominator L of the shares; requires exact votes.
+
+        L is the total T of the coprime integer votes.
+        """
+        return self.integer_votes[1]
 
     def scaled(self, factor) -> "PartyWeights":
         """Multiply every vote count by a positive constant."""

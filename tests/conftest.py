@@ -5,18 +5,24 @@ comparative figures satisfy max_i v_i/d(s_i+1) <= min_i v_i/d(s_i); the
 quota oracle enumerates rounding offsets directly.  Both are deliberately
 independent of the production allocators.  ``heap_divisor`` is the
 sequential highest-averages heap, one pop per seat, kept as the reference
-that the jump-and-step ``allocate_divisor`` must reproduce.
+that the jump-and-step ``allocate_divisor`` must reproduce.  The
+``fraction_*`` helpers are the exact sweep in ``Fraction`` arithmetic, one
+heap pop and one ``record_batch`` per house, kept as the reference that the
+integer kernel of ``apportion.harness`` must reproduce.
 """
 
 import heapq
 import random
 from fractions import Fraction
-from math import inf
+from math import comb, floor, inf
 
+import numpy as np
 import pytest
 
-from apportion import CapExceededError, PartyWeights, SignpostSequence
+from apportion import CapExceededError, DivisorMethod, PartyWeights, SignpostSequence
+from apportion.stats import SweepStats
 from apportion.allocation import _divisor_validate, _finalize_divisor
+from apportion.errors import InputError
 from apportion.methods import DEFAULT_TIES
 
 
@@ -73,6 +79,148 @@ def quota_orbit(weights: PartyWeights, gamma, house: int) -> set:
         if lo <= hi:
             out.add(seats)
     return out
+
+
+def fraction_divisor_scan(weights, sp, n_to):
+    """(house, seats, tie_class) for houses z*m..n_to from a heap of
+    ``Fraction`` figures; tie_class is (parties, grants, base_seats) or None."""
+    votes = weights.votes
+    m = len(votes)
+    z = sp.zero_count()
+    seats = [z] * m
+    heap = [(-sp.figure(votes[i], z + 1), i) for i in range(m)]
+    heapq.heapify(heap)
+    yield z * m, tuple(seats), None
+    for house in range(z * m + 1, n_to + 1):
+        negfig, i = heapq.heappop(heap)
+        if negfig == 0:
+            raise InputError("house size unreachable under the table cap")
+        f = -negfig
+        seats[i] += 1
+        heapq.heappush(heap, (-sp.figure(votes[i], seats[i] + 1), i))
+        tie = None
+        if -heap[0][0] == f:
+            parties, base, grants = [], [], 0
+            for idx in range(m):
+                holds = sp.figure(votes[idx], seats[idx]) == f
+                takes = sp.figure(votes[idx], seats[idx] + 1) == f
+                if holds:
+                    parties.append(idx)
+                    base.append(seats[idx] - 1)
+                    grants += 1
+                elif takes:
+                    parties.append(idx)
+                    base.append(seats[idx])
+            tie = (tuple(parties), grants, tuple(base))
+        yield house, tuple(seats), tie
+
+
+def fraction_quota(weights, gamma, house, policy):
+    """(seats, tie_class) of the largest-remainder rule on ``Fraction`` ideals;
+    a tie grants the lowest indices, or a seeded random choice."""
+    gamma = Fraction(gamma)
+    m = len(weights)
+    ideal = [(house + gamma) * p for p in weights.shares]
+    base = [floor(f) for f in ideal]
+    fracs = [f - b for f, b in zip(ideal, base)]
+    q, t = divmod(house - sum(base), m)
+    seats = [b + q for b in base]
+    tie = None
+    if t > 0:
+        order = sorted(range(m), key=lambda i: (-fracs[i], i))
+        cut = fracs[order[t - 1]]
+        tied = [i for i in range(m) if fracs[i] == cut]
+        k = t - sum(1 for i in range(m) if fracs[i] > cut)
+        if len(tied) > k:
+            tie = (tuple(tied), k, tuple(seats[i] for i in tied))
+            if policy.kind == "random":
+                grant = tuple(sorted(random.Random(policy.seed).sample(tied, k)))
+            else:
+                grant = tuple(tied[:k])
+            for i in range(m):
+                seats[i] += fracs[i] > cut or i in grant
+        else:
+            for i in order[:t]:
+                seats[i] += 1
+    return tuple(seats), tie
+
+
+def fraction_houses(method, weights, n_from, n_to, policy):
+    """(house, seats, tie_class) for every house in [n_from, n_to]."""
+    if isinstance(method, DivisorMethod):
+        return [r for r in fraction_divisor_scan(weights, method.signposts, n_to) if r[0] >= n_from]
+    return [(h, *fraction_quota(weights, method.gamma, h, policy)) for h in range(n_from, n_to + 1)]
+
+
+def fraction_rows(method, weights, n_from, n_to, policy):
+    """(house, tie_class, delta, lower, upper, any_violation) per house."""
+    average = policy.kind == "average"
+    for house, seats, tie in fraction_houses(method, weights, n_from, n_to, policy):
+        if average and tie is not None:
+            parties, grants, base = tie
+            expected = list(map(Fraction, seats))
+            for party, b in zip(parties, base):
+                expected[party] = b + Fraction(grants, len(parties))
+        else:
+            expected = seats
+        delta = [float(s - house * p) for s, p in zip(expected, weights.shares)]
+        lower, upper, any_v = fraction_indicators(weights, house, seats, tie if average else None)
+        yield house, tie, delta, lower, upper, any_v
+
+
+def fraction_indicators(weights, house, seats, tie):
+    """Per-party expected quota-violation indicators, exact over tie orbits."""
+    m = len(weights)
+    lo_cut = [floor(house * p) for p in weights.shares]
+    hi_cut = [-floor(-(house * p)) for p in weights.shares]
+    if tie is None:
+        lower = [s < c for s, c in zip(seats, lo_cut)]
+        upper = [s > c for s, c in zip(seats, hi_cut)]
+        return [float(x) for x in lower], [float(x) for x in upper], float(any(lower) or any(upper))
+    parties, k, base_seats = tie
+    base = dict(zip(parties, base_seats))
+    tsize = len(parties)
+    p_grant = Fraction(k, tsize)
+    lower, upper = [], []
+    viol_if_granted, viol_if_not = set(), set()
+    fixed_violation = False
+    for i in range(m):
+        if i in base:
+            lo_g = base[i] + 1 < lo_cut[i]
+            lo_n = base[i] < lo_cut[i]
+            hi_g = base[i] + 1 > hi_cut[i]
+            hi_n = base[i] > hi_cut[i]
+            lower.append(float(p_grant * lo_g + (1 - p_grant) * lo_n))
+            upper.append(float(p_grant * hi_g + (1 - p_grant) * hi_n))
+            if (lo_g or hi_g) and (lo_n or hi_n):
+                fixed_violation = True
+            elif lo_g or hi_g:
+                viol_if_granted.add(i)
+            elif lo_n or hi_n:
+                viol_if_not.add(i)
+        else:
+            lo = seats[i] < lo_cut[i]
+            hi = seats[i] > hi_cut[i]
+            lower.append(float(lo))
+            upper.append(float(hi))
+            fixed_violation = fixed_violation or lo or hi
+    if fixed_violation:
+        return lower, upper, 1.0
+    free = tsize - len(viol_if_granted) - len(viol_if_not)
+    need = k - len(viol_if_not)
+    good = comb(free, need) if 0 <= need <= free else 0
+    return lower, upper, 1.0 - good / comb(tsize, k)
+
+
+def fraction_sweep(method, weights, n_from, n_to, policy, bounds):
+    """SweepStats of the exact sweep over [n_from, n_to], one row per record_batch."""
+    stats = SweepStats.empty(len(weights), bounds)
+    for _, tie, delta, lower, upper, any_v in fraction_rows(method, weights, n_from, n_to, policy):
+        stats.record_batch(np.array([delta]), lower=np.array([lower]), upper=np.array([upper]), any_violation=any_v)
+        if tie is not None:
+            stats.ties += 1
+    stats.n_from, stats.n_to = n_from, n_to
+    return stats
 
 
 def random_weights(rng: random.Random, m: int, lo: int = 1, hi: int = 9) -> PartyWeights:

@@ -182,3 +182,36 @@ def test_seed_from_environment_not_an_integer():
     err = json.loads(proc.stderr)["error"]
     assert err["kind"] == "InputError"
     assert "APPORTION_SEED" in err["message"]
+
+
+def _input_error(proc):
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)["error"]
+    assert err["kind"] == "InputError"
+    return err["message"]
+
+
+def test_macau_past_the_float_range():
+    proc = cli("allocate", "--method", "macau", "--shares", "sqrt:4", "--seats", "5000")
+    assert "float range" in _input_error(proc)
+
+
+def test_random_violations_need_a_trial():
+    proc = cli("violations", "--method", "dhondt", "--random-simplex", "3", "--trials", "0", "--house", "10")
+    assert "trial" in _input_error(proc)
+
+
+def test_random_drivers_reject_a_negative_house():
+    proc = cli("violations", "--method", "dhondt", "--random-simplex", "3", "--trials", "10", "--house", "-4")
+    assert "house size" in _input_error(proc)
+    proc = cli("mc-simplex", "--method", "dhondt", "--parties", "3", "--trials", "10", "--house", "-4")
+    assert "house size" in _input_error(proc)
+
+
+def test_tolerance_must_be_finite_and_nonnegative():
+    for value in ("nan", "inf", "-0.5"):
+        proc = cli("verify", "--method", "webster", "--shares", "sqrt:3", "--seats-max", "100", "--tolerance", value)
+        assert "--tolerance" in _input_error(proc)
+    proc = cli("mc-simplex", "--method", "dhondt", "--parties", "3", "--trials", "10", "--house", "10",
+               "--tolerance", "nan")
+    assert "--tolerance" in _input_error(proc)

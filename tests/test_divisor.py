@@ -6,11 +6,13 @@ import pytest
 from apportion import (
     CapExceededError,
     InfeasibleHouseSizeError,
+    InputError,
     PartyWeights,
     SignpostSequence,
     TiePolicy,
     allocate_divisor,
 )
+from apportion.harness import sqrt_shares
 from conftest import divd_orbit, heap_divisor, random_weights
 
 W21 = PartyWeights.of([2, 1])
@@ -140,3 +142,10 @@ def test_by_search_handles_exact_tie_point():
     assert orbit(b) == {(2, 0), (1, 1)}
     lo, hi = b.support_interval
     assert lo == hi == 1
+
+
+def test_float_votes_past_the_float_range_of_exact_signposts():
+    # Macau: d(n) = 2**(n-1) is an exact Fraction that float() cannot hold
+    w = PartyWeights.of(sqrt_shares(4))
+    with pytest.raises(InputError, match="float range"):
+        allocate_divisor(w, SignpostSequence.geometric(2), 5000)

@@ -1,0 +1,242 @@
+"""The integer kernel of exact sweeps against the ``Fraction`` oracle.
+
+``harness._exact_rows`` computes each house's seats, tie class, seat excess
+and quota-violation indicators from integer votes V_i with total T.  The
+``fraction_*`` helpers of conftest compute the same in ``Fraction``
+arithmetic, one heap pop and one ``record_batch`` per house.  Rows must be
+equal (``==``); whole sweeps must agree in count, ties, histogram counts and
+violation totals, and in the moments to 1e-12.
+
+The corpora: few small votes (many exact ties), ``Fraction`` votes with large
+denominators (a large T), and int votes near 10**12, whose products pass
+2**63, so an int64 overflow anywhere would show.
+"""
+
+import random
+import time
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from apportion import (
+    DivisorMethod,
+    InputError,
+    NonRationalWeightsError,
+    PartyWeights,
+    SignpostSequence,
+    TiePolicy,
+    UnsupportedMethodError,
+    allocate,
+    linear_divisor,
+    quota_method,
+)
+from apportion.harness import (
+    _EXACT_BLOCK,
+    _exact_divisor_scan,
+    _exact_houses,
+    _exact_rows,
+    _histogram_bounds,
+    period_average_bias,
+    sweep,
+)
+from apportion.methods import small_n_guard
+
+from conftest import fraction_divisor_scan, fraction_houses, fraction_rows, fraction_sweep
+
+CAP = 8
+FAMILIES = {
+    "webster": linear_divisor(Fraction(1, 2)),
+    "dhondt": linear_divisor(1),
+    "adams": linear_divisor(0),
+    "danish": linear_divisor(Fraction(1, 3)),
+    "imperiali": linear_divisor(2),
+    "cambridge": linear_divisor(-5),
+    "adjusted-sainte-lague": DivisorMethod(SignpostSequence.table([Fraction(7, 10)], tail_beta=Fraction(1, 2))),
+    "huntington": DivisorMethod(SignpostSequence.sqrt_pair_product()),
+    "dean": DivisorMethod(SignpostSequence.harmonic_pair()),
+    "geometric-3/2": DivisorMethod(SignpostSequence.geometric(Fraction(3, 2))),
+    "capped-table": DivisorMethod(
+        SignpostSequence.table([0, 1, Fraction(5, 2), 4, Fraction(11, 2), 7, 9, 12], cap=CAP)
+    ),
+    "hamilton": quota_method(0),
+    "droop": quota_method(1),
+    "imperiali-quota": quota_method(2),
+    "quota-1/3": quota_method(Fraction(1, 3)),
+}
+
+CORPORA = {
+    "tie-heavy": lambda rng, m: [rng.randint(1, 4) for _ in range(m)],
+    "fraction": lambda rng, m: [Fraction(rng.randint(1, 10**6), rng.randint(1, 10**9)) for _ in range(m)],
+    "big-int": lambda rng, m: [rng.randint(10**12, 2 * 10**12) for _ in range(m)],
+}
+
+POLICIES = (TiePolicy.average(), TiePolicy.enumerate_all(), TiePolicy.seeded(3))
+
+
+def _house_range(name, method, weights, rng, span):
+    n_from = small_n_guard(method, weights)
+    n_to = n_from + span(rng)
+    if name == "capped-table":
+        n_to = min(n_to, CAP * len(weights))
+    return n_from, n_to
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_rows_equal_fraction_oracle(name, corpus):
+    method = FAMILIES[name]
+    rng = random.Random(f"{name}/{corpus}")
+    ties = 0
+    for _ in range(6):
+        w = PartyWeights.of(CORPORA[corpus](rng, rng.randint(1, 5)))
+        n_from, n_to = _house_range(name, method, w, rng, lambda r: r.randint(0, 40))
+        for policy in POLICIES:
+            houses = list(_exact_houses(method, w, n_from, n_to, policy))
+            assert houses == fraction_houses(method, w, n_from, n_to, policy)
+            assert list(_exact_rows(method, w, n_from, n_to, policy)) == list(
+                fraction_rows(method, w, n_from, n_to, policy)
+            )
+            ties += sum(tie is not None for _, _, tie in houses)
+    if corpus == "tie-heavy":
+        assert ties > 0
+
+
+def _assert_same_stats(stats, ref, exact_totals=True):
+    assert stats.count == ref.count
+    assert stats.ties == ref.ties
+    assert (stats.n_from, stats.n_to) == (ref.n_from, ref.n_to)
+    assert np.array_equal(stats.histogram.counts, ref.histogram.counts)
+    if exact_totals:
+        assert np.array_equal(stats.lower_violations, ref.lower_violations)
+        assert np.array_equal(stats.upper_violations, ref.upper_violations)
+        assert stats.any_violation == ref.any_violation
+    else:
+        # block partial sums change the float association of the totals
+        np.testing.assert_allclose(stats.lower_violations, ref.lower_violations, rtol=1e-12)
+        np.testing.assert_allclose(stats.upper_violations, ref.upper_violations, rtol=1e-12)
+        assert stats.any_violation == pytest.approx(ref.any_violation, rel=1e-12)
+    np.testing.assert_allclose(stats.mean, ref.mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(stats.covariance, ref.covariance, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_whole_sweep_equals_fraction_oracle(name):
+    method = FAMILIES[name]
+    rng = random.Random(name)
+    for corpus in sorted(CORPORA):
+        w = PartyWeights.of(CORPORA[corpus](rng, rng.randint(2, 5)))
+        n_from, n_to = _house_range(name, method, w, rng, lambda r: r.randint(100, 300))
+        for policy in (TiePolicy.average(), TiePolicy.enumerate_all()):
+            stats = sweep(method, w, n_from, n_to, policy, force_exact=True)
+            ref = fraction_sweep(method, w, n_from, n_to, policy, _histogram_bounds(method, w))
+            _assert_same_stats(stats, ref)
+
+
+@pytest.mark.parametrize("name", ["webster", "dhondt", "droop"])
+def test_sweep_over_several_blocks(name):
+    method = FAMILIES[name]
+    w = PartyWeights.of([1, 1, 4, 3, 2])
+    n_to = 2 * _EXACT_BLOCK + 100
+    stats = sweep(method, w, 1, n_to, TiePolicy.average(), force_exact=True)
+    ref = fraction_sweep(method, w, 1, n_to, TiePolicy.average(), _histogram_bounds(method, w))
+    _assert_same_stats(stats, ref, exact_totals=False)
+    # the first block alone is summed in the oracle's order
+    first = sweep(method, w, 1, _EXACT_BLOCK, TiePolicy.average(), force_exact=True)
+    _assert_same_stats(first, fraction_sweep(method, w, 1, _EXACT_BLOCK, TiePolicy.average(),
+                                             _histogram_bounds(method, w)))
+
+
+def test_fifty_parties_scan_matches_and_is_no_slower():
+    rng = random.Random(50)
+    w = PartyWeights.of([rng.randint(10**3, 10**6) for _ in range(50)])
+    sp = FAMILIES["webster"].signposts
+    started = time.perf_counter()
+    rows = list(_exact_divisor_scan(w, sp, 20_000))
+    kernel_s = time.perf_counter() - started
+    started = time.perf_counter()
+    ref = list(fraction_divisor_scan(w, sp, 20_000))
+    heap_s = time.perf_counter() - started
+    assert rows == ref
+    assert kernel_s <= heap_s
+
+
+def test_capped_table_past_the_cap():
+    method = FAMILIES["capped-table"]
+    w = PartyWeights.of([3, 2])
+    with pytest.raises(InputError, match="unreachable"):
+        list(_exact_divisor_scan(w, method.signposts, CAP * 2 + 1))
+    with pytest.raises(InputError, match="unreachable"):
+        list(fraction_divisor_scan(w, method.signposts, CAP * 2 + 1))
+
+
+def test_scan_needs_exact_inputs():
+    with pytest.raises(InputError):
+        list(_exact_divisor_scan(PartyWeights.of([3, 2]), SignpostSequence.linear(0.5), 5))
+    with pytest.raises(InputError):
+        list(_exact_divisor_scan(PartyWeights.of([3.0, 2.0]), FAMILIES["webster"].signposts, 5))
+
+
+def test_integer_votes():
+    w = PartyWeights.of([Fraction(1, 2), Fraction(1, 3), 1])
+    assert w.integer_votes == ((3, 2, 6), 11)
+    assert PartyWeights.of([4, 6, 10]).integer_votes == ((2, 3, 5), 10)
+    with pytest.raises(NonRationalWeightsError):
+        PartyWeights.of([1.0, 2.0]).integer_votes
+
+
+def test_exact_pair():
+    assert FAMILIES["webster"].signposts.exact_pair(3) == (5, 2)
+    assert FAMILIES["adams"].signposts.exact_pair(1) == (0, 1)  # d = 0: an infinite figure
+    assert FAMILIES["cambridge"].signposts.exact_pair(2) == (0, 1)
+    assert FAMILIES["huntington"].signposts.exact_pair(4) == (12, 1)  # d(4)**2
+    assert FAMILIES["dean"].signposts.exact_pair(2) == (4, 3)
+    assert FAMILIES["geometric-3/2"].signposts.exact_pair(3) == (9, 4)
+    assert FAMILIES["capped-table"].signposts.exact_pair(CAP + 1) == (1, 0)  # a figure of 0
+    with pytest.raises(InputError):
+        SignpostSequence.power(0.9).exact_pair(2)
+
+
+# -- period averages --------------------------------------------------------------
+
+
+def _period_by_allocate(method, w):
+    """The exact period average from ``allocate`` at every house."""
+    period = w.share_denominator()
+    start = max(small_n_guard(method, w), 1)
+    total = [Fraction(0)] * len(w)
+    for house in range(start, start + period):
+        seats = allocate(method, w, house, TiePolicy.average()).expected_seats()
+        for i, (s, p) in enumerate(zip(seats, w.shares)):
+            total[i] += s - house * p
+    return tuple(t / period for t in total)
+
+
+PERIOD_FAMILIES = [n for n in sorted(FAMILIES) if n not in ("geometric-3/2", "capped-table")]
+
+
+@pytest.mark.parametrize("name", PERIOD_FAMILIES)
+def test_period_average_equals_allocate_path(name):
+    method = FAMILIES[name]
+    rng = random.Random(name)
+    for _ in range(6):
+        w = PartyWeights.of([rng.randint(1, 12) for _ in range(rng.randint(1, 4))])
+        avg = period_average_bias(method, w)
+        assert avg == _period_by_allocate(method, w)
+        assert all(isinstance(x, Fraction) for x in avg)
+    w = PartyWeights.of([Fraction(7, 3), Fraction(5, 4), 2])
+    assert period_average_bias(method, w) == _period_by_allocate(method, w)
+
+
+def test_period_average_input_errors():
+    w = PartyWeights.of([3, 2])
+    with pytest.raises(InputError):
+        period_average_bias(FAMILIES["webster"], PartyWeights.of([3.0, 2.0]))
+    with pytest.raises(InputError):
+        period_average_bias(linear_divisor(0.5), w)
+    with pytest.raises(InputError):
+        period_average_bias(quota_method(1.0), w)
+    with pytest.raises(UnsupportedMethodError):
+        period_average_bias(FAMILIES["geometric-3/2"], w)
+    with pytest.raises(UnsupportedMethodError):
+        period_average_bias(FAMILIES["capped-table"], w)
