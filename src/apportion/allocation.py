@@ -4,10 +4,11 @@ Divisor allocation returns the seats of awarding each seat in turn to the
 largest comparative figure v_i / d(s_i + 1).  It computes them by
 jump-and-step: a float estimate of the seat vector, then exact steps through
 the quotient table, so the cost does not grow with the house size for the
-linear-like families.  Quota allocation floors the ideal shares
-(house + gamma) * p_i and hands remaining seats to the largest fractional
-parts, generalized so any real gamma works even when the raw remainder is
-negative or exceeds the party count.
+linear-like families; ``allocate_divisor_rows`` takes the same steps for
+every row of a float share matrix at once.  Quota allocation floors the
+ideal shares (house + gamma) * p_i and hands remaining seats to the largest
+fractional parts, generalized so any real gamma works even when the raw
+remainder is negative or exceeds the party count.
 
 Ties are detected exactly for rational arithmetic classes and reported as a
 single tied rank class: ``grants`` of the ``parties`` in the class receive
@@ -24,6 +25,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, floor
 from numbers import Rational
+
+import numpy as np
 
 from .errors import (
     CapExceededError,
@@ -209,7 +212,11 @@ def _resolve_orbit(ti: TieInfo, policy: TiePolicy, seats: list[int]):
 # -- divisor allocation -----------------------------------------------------
 
 
-def _divisor_validate(weights: PartyWeights, sp: SignpostSequence, house_size: int) -> int:
+def _divisor_validate(weights, sp: SignpostSequence, house_size: int) -> int:
+    """Check the house against the mandatory seats and the cap; return z.
+
+    ``weights`` is anything with one entry per party.
+    """
     if house_size < 0:
         raise InfeasibleHouseSizeError("house size must be nonnegative")
     z = sp.zero_count()
@@ -356,17 +363,121 @@ def allocate_divisor(
     return _finalize_divisor(weights, signposts, seats, house_size, tie_policy)
 
 
+def allocate_divisor_rows(shares, signposts: SignpostSequence, house_size: int) -> np.ndarray:
+    """``allocate_divisor``'s canonical seats for every row of a float share matrix.
+
+    Row r gets the seats of allocate_divisor(PartyWeights.of(shares[r]),
+    signposts, house_size), bit for bit, ties included: the same steps,
+    taken for all rows at once.  Families with an asymptotic beta start
+    from ``_jump_starts`` of the row itself (which should sum to 1); the
+    others, which ``allocate_divisor`` steps from z, start from
+    ``_count_starts``.  Each round, every row short of the house size adds
+    its best next entry (figure descending, lower index first), every row
+    over it drops its worst held entry (figure ascending, higher index
+    first), and every other row swaps the two while the best next entry
+    beats the worst held one; the swaps reach the canonical seats from any
+    start.  Figures come from ``SignpostSequence.figures``.  Rows that are
+    not finite, or whose jump start misses the house size by more than a
+    bracket of 2m(1 + |beta|) + 2 + m*z seats, raise InvariantError; the
+    bracket (N - m*z without a beta) bounds the rounds.
+    """
+    shares = np.asarray(shares, dtype=float)
+    k, m = shares.shape
+    z = _divisor_validate(shares.T, signposts, house_size)  # one entry per party
+    if not np.isfinite(shares).all():
+        raise InvariantError("jump-and-step bracket needs finite share rows")
+    beta = signposts.asymptotic_beta()
+    if beta is None:
+        seats = _count_starts(shares, signposts, house_size, z)
+        bracket = house_size - z * m
+    else:
+        seats = _jump_starts(shares, signposts, house_size, z).astype(np.int64)
+        bracket = 2 * m * (1 + abs(float(beta))) + 2 + m * z
+        if (np.abs(seats.sum(axis=1) - house_size) > bracket).any():
+            raise InvariantError(
+                "jump start misses the house size by more than the bracket; "
+                "share rows must be finite and sum to 1"
+            )
+    rows = np.arange(k)  # rows that may still need a step
+    rounds = 0
+    while rows.size:
+        rounds += 1
+        if rounds > 2 * bracket + 2:
+            raise InvariantError("jump-and-step steps overran the bracket")
+        s, v = np.take(seats, rows, axis=0), np.take(shares, rows, axis=0)
+        nxt = signposts.figures(v, s + 1)
+        held = np.where(s > z, signposts.figures(v, s), INF)
+        best = nxt.argmax(axis=1)
+        worst = m - 1 - held[:, ::-1].argmin(axis=1)
+        r = np.arange(rows.size)
+        f_best, f_worst = nxt[r, best], held[r, worst]
+        short = np.einsum("ij->i", s) - house_size  # a faster row sum than s.sum(axis=1)
+        over = short > 0
+        short = short < 0
+        if (f_best[short] == 0).any():  # all remaining signposts are infinite
+            raise CapExceededError("house size unreachable under the table cap")
+        swap = ~(short | over) & ((f_best > f_worst) | ((f_best == f_worst) & (best < worst)))
+        add, drop = short | swap, over | swap
+        seats[rows[add], best[add]] += 1
+        seats[rows[drop], worst[drop]] -= 1
+        rows = rows[add | drop]
+    return seats
+
+
 def _jump_start(votes, sp: SignpostSequence, house_size: int, z: int) -> list[int]:
-    """Float estimate of the seat vector; z for families without a beta."""
-    m = len(votes)
+    """``_jump_starts`` for one vote vector."""
+    total = float(sum(votes))
+    start = _jump_starts(np.array([[float(v) / total for v in votes]]), sp, house_size, z)[0]
+    return [int(s) for s in start.tolist()]  # Python ints: the house may pass int64
+
+
+def _jump_starts(shares: np.ndarray, sp: SignpostSequence, house_size: int, z: int) -> np.ndarray:
+    """Float estimate of the seat vector of every row of a (k, m) share matrix.
+
+    floor(p_i (N + m(beta - 1/2)) + 1 - beta), clamped to [z, min(cap, N)],
+    for families with an asymptotic beta; z for the others.  The seats are
+    integral floats.
+    """
+    k, m = shares.shape
     beta = sp.asymptotic_beta()
     if beta is None:
-        return [z] * m
+        return np.full((k, m), float(z))
+    beta = float(beta)
     cap = sp.max_seats()
     top = house_size if cap is None else min(cap, house_size)
-    beta = float(beta)
-    scale = (house_size + m * (beta - 0.5)) / float(sum(votes))
-    return [min(max(floor(float(v) * scale + 1.0 - beta), z), top) for v in votes]
+    start = np.floor(shares * (house_size + m * (beta - 0.5)) + (1.0 - beta))
+    return np.minimum(np.maximum(start, z), top)  # np.clip costs more on one row
+
+
+def _count_starts(shares: np.ndarray, sp: SignpostSequence, house_size: int, z: int) -> np.ndarray:
+    """Seat estimate of every row for the families without an asymptotic beta.
+
+    Party i of a row gets z plus its count of signposts d(n), z < n <=
+    min(cap, N), with log2 d(n) <= log2 p_i + x: the seats whose figures
+    p_i / d(n) reach 2**-x.  The counts grow with x, and x is bisected per
+    row over [-2200, 2200], keeping the counts of the largest x found whose
+    counts sum to at most N, until every row is within m seats of N (or the
+    bisection is down to 2e-11); the steps then add the seats left.
+    """
+    k, m = shares.shape
+    cap = sp.max_seats()
+    top = house_size if cap is None else min(cap, house_size)
+    d = sp._float_table(top)[z + 1 : top + 1]  # nondecreasing and positive
+    log_d = np.log2(np.where(np.isnan(d), INF, d))  # past the float range: never counted
+    with np.errstate(divide="ignore"):
+        log_p = np.log2(shares)
+    lo, hi = np.full(k, -2200.0), np.full(k, 2200.0)
+    seats = np.full((k, m), z, dtype=np.int64)
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        counts = z + np.searchsorted(log_d, log_p + mid[:, None], side="right")
+        fits = counts.sum(axis=1) <= house_size
+        seats[fits] = counts[fits]
+        lo = np.where(fits, mid, lo)
+        hi = np.where(fits, hi, mid)
+        if (np.einsum("ij->i", seats) >= house_size - m).all():
+            break
+    return seats
 
 
 # -- quota allocation -------------------------------------------------------

@@ -46,6 +46,6 @@ class InstanceTooLargeError(ApportionError):
 
 class InvariantError(ApportionError):
     """A runtime invariant is broken (a seat vector that misses the house
-    size, a bisection bracket that misses it, a pooled seat count too small
+    size, a jump start outside its bracket, a pooled seat count too small
     to sub-apportion, an unknown signpost kind); raised instead of returning
     a wrong result."""

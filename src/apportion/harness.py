@@ -16,6 +16,13 @@ integers, a divisor scan adds one seat per house size and compares figures
 by integer cross-multiplication, quota houses floor integer ideal seats, and
 ties are found exactly and averaged over their orbits; the rows of an exact
 sweep are recorded in blocks.
+
+Monte Carlo runs one loop for ordered-party statistics and random-mode
+violation frequencies: batches of shares drawn uniformly on the simplex,
+allocated by ``allocate_many`` and recorded in ``SweepStats``.  For divisor
+methods of every signpost family ``allocate_many`` is the row-vectorized
+jump-and-step of ``allocation.allocate_divisor_rows``, so each row gets
+``allocate``'s canonical seat vector, ties included.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from .allocation import (
     NEAR_TIE_RTOL,
     _is_exact,
     _largest_remainder,
-    allocate_divisor,
+    allocate_divisor_rows,
 )
 from .asymptotics import excess_bounds, moment_prediction
 from .errors import InputError, InvariantError, NegativeSeatError, UnsupportedMethodError
@@ -617,50 +624,20 @@ def equidistribution_ks(p, gamma: float = 0.0, n_from: int = 1, n_to: int = 10_0
 # -- Monte Carlo over random party sizes ---------------------------------------
 
 
-def _allocate_linear_many(shares: np.ndarray, beta: float, house: int) -> np.ndarray:
-    """Vectorized linear-divisor allocation at one house size; rows = trials."""
-    shares = np.asarray(shares, dtype=float)
-    k, m = shares.shape
-    slack = 2.0 * m * (1.0 + abs(beta)) + 2.0
-    lo = np.full(k, house - slack)
-    hi = np.full(k, house + slack)
-
-    def total(t):
-        s = np.floor(shares * t[:, None] - beta + 1.0)
-        return np.maximum(s, 0.0).sum(axis=1)
-
-    if not ((total(lo) <= house).all() and (total(hi) >= house).all()):
-        raise InvariantError("bisection bracket misses the house size; share rows must be finite and sum to 1")
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        ge = total(mid) >= house
-        hi = np.where(ge, mid, hi)
-        lo = np.where(ge, lo, mid)
-    seats = np.maximum(np.floor(shares * hi[:, None] - beta + 1.0), 0.0)
-    excess = np.rint(seats.sum(axis=1) - house).astype(np.int64)
-    for row in np.nonzero(excess != 0)[0]:
-        # float tie straddles the bracket; shed surplus at the boundary figures
-        frac = shares[row] * hi[row] - beta + 1.0 - seats[row]
-        order = np.argsort(frac)
-        for i in order[: excess[row]]:
-            seats[row, i] -= 1.0
-    return seats
-
-
 def allocate_many(method: Method, shares: np.ndarray, house: int) -> np.ndarray:
-    """Allocate one house size across many share rows (float, fast paths)."""
+    """Allocate one house size across many float share rows; rows = trials.
+
+    Divisor methods of every signpost family give ``allocate``'s canonical
+    seat vector per row, ties included, through the row-vectorized
+    jump-and-step of ``allocation.allocate_divisor_rows``; houses outside
+    [z*m, cap*m] raise as ``allocate`` does.  Quota methods run the
+    vectorized largest-remainder rule.  Seats are returned as floats.
+    """
     shares = np.asarray(shares, dtype=float)
     if isinstance(method, QuotaMethod):
         seats, _ = _allocate_quota_many(shares, float(method.gamma), np.full(shares.shape[0], float(house)))
         return seats
-    sp = method.signposts
-    if sp.kind in (LINEAR, CLIPPED_LINEAR):
-        return _allocate_linear_many(shares, float(sp.beta), house)
-    out = np.empty_like(shares)
-    for row in range(shares.shape[0]):
-        w = PartyWeights.of([float(x) for x in shares[row]])
-        out[row] = allocate_divisor(w, sp, house).seats
-    return out
+    return allocate_divisor_rows(shares, method.signposts, house).astype(float)
 
 
 @dataclass
@@ -671,6 +648,26 @@ class McSimplexResult:
     shares: RunningMoments
     house_size: int
     trials: int
+
+
+def _simplex_trials(method: Method, m: int, house_size: int, trials: int, seed: int, batch: int, ordered: bool):
+    """The one Monte Carlo loop: yield (shares, deltas) per batch of shares
+    drawn uniformly on the simplex (sorted descending when ``ordered``) and
+    allocated at one house size."""
+    if trials < 1:
+        raise InputError("need at least one trial")
+    if house_size < 0:
+        raise InputError("house size must be nonnegative")
+    rng = np.random.default_rng(seed)
+    done = 0
+    while done < trials:
+        k = min(batch, trials - done)
+        p = sample_uniform_simplex(m, k, rng)
+        if ordered:
+            p = -np.sort(-p, axis=1)
+        seats = allocate_many(method, p, house_size)
+        yield p, seats - house_size * p
+        done += k
 
 
 def mc_ordered_simplex(
@@ -684,24 +681,14 @@ def mc_ordered_simplex(
 ) -> McSimplexResult:
     """Sample shares uniformly on the simplex, sort descending, allocate, and
     accumulate the excess of the j-th largest party."""
-    if m < 2 or trials < 1:
-        raise InputError("need m >= 2 and at least one trial")
-    if house_size < 0:
-        raise InputError("house size must be nonnegative")
-    rng = np.random.default_rng(seed)
+    if m < 2:
+        raise InputError("need at least two parties")
     bounds = None if bin_width is None else [(-float(m), float(m))] * m
     delta_stats = SweepStats.empty(m, bounds, bin_width or 0.01)
     share_moms = RunningMoments(m)
-    done = 0
-    while done < trials:
-        k = min(batch, trials - done)
-        p = sample_uniform_simplex(m, k, rng)
-        p = -np.sort(-p, axis=1)
-        seats = allocate_many(method, p, house_size)
-        deltas = seats - house_size * p
+    for p, deltas in _simplex_trials(method, m, house_size, trials, seed, batch, ordered=True):
         delta_stats.record_batch(deltas)
         share_moms.push_batch(p)
-        done += k
     return McSimplexResult(delta_stats, share_moms, house_size, trials)
 
 
@@ -731,40 +718,23 @@ def quota_violation_frequency(
 
     Fixed-share mode sweeps house sizes (pass weights + range); random mode
     samples shares uniformly on the simplex at one house size (pass m,
-    house_size, trials).
+    house_size, trials).  Both count violations in ``SweepStats``.
     """
     if weights is not None:
         if n_from is None or n_to is None:
             raise InputError("fixed mode needs a house-size range")
         stats = sweep(method, weights, n_from, n_to, TiePolicy.average(), bin_width=None)
-        freq = stats.violation_frequency()
-        return ViolationFrequency(
-            freq["lower"], freq["upper"], freq["total"], freq["any"],
-            int(stats.count), stats.n_from, stats.n_to,
-        )
-    if m is None or house_size is None or trials is None:
+    elif m is None or house_size is None or trials is None:
         raise InputError("random mode needs m, house_size, and trials")
-    if trials < 1:
-        raise InputError("need at least one trial")
-    if house_size < 0:
-        raise InputError("house size must be nonnegative")
-    rng = np.random.default_rng(seed)
-    lower = np.zeros(m)
-    upper = np.zeros(m)
-    any_count = 0.0
-    done = 0
-    while done < trials:
-        k = min(batch, trials - done)
-        p = sample_uniform_simplex(m, k, rng)
-        seats = allocate_many(method, p, house_size)
-        deltas = seats - house_size * p
-        lo = deltas <= -1.0
-        up = deltas >= 1.0
-        lower += lo.sum(axis=0)
-        upper += up.sum(axis=0)
-        any_count += float(np.logical_or(lo, up).any(axis=1).sum())
-        done += k
-    return ViolationFrequency(lower / trials, upper / trials, (lower + upper) / trials, any_count / trials, trials)
+    else:
+        stats = SweepStats.empty(m)
+        for _, deltas in _simplex_trials(method, m, house_size, trials, seed, batch, ordered=False):
+            stats.record_batch(deltas)
+    freq = stats.violation_frequency()
+    return ViolationFrequency(
+        freq["lower"], freq["upper"], freq["total"], freq["any"],
+        int(stats.count), stats.n_from, stats.n_to,
+    )
 
 
 # -- apparentements -------------------------------------------------------------

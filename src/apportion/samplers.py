@@ -43,7 +43,7 @@ def sample_excess_joint_divisor(p, beta, seed, size: int | None = None):
     n = 1 if size is None else int(size)
     j = rng.choice(m, size=n, p=p)
     u = rng.uniform(size=(n, m))
-    v = u.copy()
+    v = u.copy() if size is None else u  # only a single draw reports u intact
     v[np.arange(n), j] = 0.0
     x = p * v.sum(axis=1, keepdims=True) - v + (beta - 1.0) * (m * p - 1.0)
     if size is None:

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
+import numpy as np
+
 from .errors import CapExceededError, InputError, InvariantError
 
 INF = math.inf
@@ -249,6 +251,86 @@ class SignpostSequence:
             return float(v) / float(d)
         except OverflowError:  # an exact d(n) beyond the float range
             raise InputError(f"signpost d({n}) exceeds the float range; use exact votes") from None
+
+    def figures(self, v, ns) -> np.ndarray:
+        """Array form of ``figure`` for float votes v and seat indices ns >= 0.
+
+        Each entry is the float ``figure(v, n)`` gives, bit for bit.  The
+        closed forms of ``_closed_divisors`` round as the scalar ``Fraction``
+        and float expressions do while their integers stay exact; past that,
+        and for the other families, the divisors are the floats of the exact
+        scalars (``_float_divisor``).
+        """
+        v = np.asarray(v, dtype=float)
+        ns = np.asarray(ns, dtype=np.int64)
+        if self.kind == SQRT_PAIR:
+            v = v * v
+        n_max = int(ns.max(initial=0))
+        d = self._closed_divisors(ns, n_max)
+        if d is None and self.kind in (POWER, GEOMETRIC, TABLE):
+            d = self._float_table(n_max)[ns]
+        elif d is None:  # a closed form past its exact range: few distinct n
+            distinct, where = np.unique(ns, return_inverse=True)
+            d = np.array([self._float_divisor(int(n)) for n in distinct])[where].reshape(ns.shape)
+        if np.isnan(d).any():
+            raise InputError("a signpost exceeds the float range; use exact votes")
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 is set below
+            fig = v / d
+        fig[d == 0] = INF
+        fig[d == INF] = 0.0
+        return fig
+
+    def _closed_divisors(self, ns: np.ndarray, n_max: int) -> np.ndarray | None:
+        """Float divisors of ``figure`` by int64 arithmetic, or None.
+
+        None for the families without a closed form, and where the integers
+        involved reach 2**53 (for the sqrt pair, n(n - 1) reaching 2**63):
+        below that every integer converts to a float exactly (the sqrt pair's
+        int64 converts with the rounding of ``float(int)``), so one float
+        division rounds as ``float(Fraction)`` and Python's ``int / int`` do.
+        """
+        if self.kind == SQRT_PAIR:  # figure space: d(n)**2 = n(n - 1)
+            return (ns * (ns - 1)).astype(float) if n_max * (n_max - 1) < 2**63 else None
+        if self.kind == HARMONIC_PAIR:
+            return (2 * ns * (ns - 1)) / (2 * ns - 1) if 2 * n_max * n_max < 2**53 else None
+        if self.kind not in (LINEAR, CLIPPED_LINEAR):
+            return None
+        if isinstance(self.beta, Fraction):  # float(Fraction) is the rounded quotient
+            num, den = self.beta.numerator, self.beta.denominator
+            if den * max(n_max, 1) + abs(num) >= 2**53:
+                return None
+            d = (den * (ns - 1) + num) / den
+        else:
+            d = (ns - 1) + self.beta
+        if self.kind == CLIPPED_LINEAR:
+            d = np.maximum(d, 0.0)
+        d[ns == 0] = 0.0
+        return d
+
+    def _float_divisor(self, n: int) -> float:
+        """The float ``figure(v, n)`` divides by, nan past the float range.
+
+        float(d(n)), or float(n(n - 1)) for the sqrt pair, whose figure is
+        v * v / (n(n - 1)).
+        """
+        try:
+            return float(n * (n - 1) if self.kind == SQRT_PAIR else self.value(n))
+        except OverflowError:
+            return math.nan
+
+    def _float_table(self, n_max: int) -> np.ndarray:
+        """``_float_divisor(n)`` for n = 0 .. at least n_max.
+
+        The table lives in the instance dict, as ``cached_property`` values
+        do, and doubles whenever a longer one is asked for.
+        """
+        table = self.__dict__.get("_d_table", np.empty(0))
+        if table.size <= n_max:
+            values = np.empty(max(n_max + 1, 2 * table.size, 64))
+            values[: table.size] = table
+            values[table.size :] = [self._float_divisor(n) for n in range(table.size, values.size)]
+            table = self.__dict__["_d_table"] = values
+        return table
 
     def exact_pair(self, n: int) -> tuple[int, int]:
         """Integers (a, b) with d(n) = a / b in figure space; exact signposts only.

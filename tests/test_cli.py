@@ -215,3 +215,21 @@ def test_tolerance_must_be_finite_and_nonnegative():
     proc = cli("mc-simplex", "--method", "dhondt", "--parties", "3", "--trials", "10", "--house", "10",
                "--tolerance", "nan")
     assert "--tolerance" in _input_error(proc)
+
+
+def test_random_modes_reject_a_house_below_the_mandatory_seats():
+    # Adams gives every party one seat: three parties need a house of 3
+    for args in (("mc-simplex", "--parties", "3", "--house", "1"), ("violations", "--random-simplex", "3", "--house", "2")):
+        proc = cli(args[0], "--method", "adams", *args[1:], "--trials", "10")
+        assert proc.returncode == 2
+        err = json.loads(proc.stderr)["error"]
+        assert err["kind"] == "InfeasibleHouseSizeError"
+        assert "house size >= 3" in err["message"]
+
+
+def test_random_modes_with_a_many_digit_beta():
+    # "0.3333333333333333" parses to a Fraction with denominator 10**16
+    proc = cli("mc-simplex", "--method", "linear:0.3333333333333333", "--parties", "3", "--house", "3000",
+               "--trials", "200")
+    assert proc.returncode == 0, proc.stderr
+    assert len(results(proc)["ordered_share_means"]) == 3

@@ -241,3 +241,46 @@ def test_float_sweep_nonlinear_families():
             filled = np.nonzero(hist.counts[i])[0]
             assert hist.low[i] + filled.min() * hist.bin_width >= lo - 0.02
             assert hist.low[i] + (filled.max() + 1) * hist.bin_width <= hi + 0.02
+
+
+def _simplex_batches(m, house, trials, seed, batch, ordered):
+    # the draws of both Monte Carlo functions, batch by batch
+    from apportion.samplers import sample_uniform_simplex
+
+    rng = np.random.default_rng(seed)
+    done = 0
+    while done < trials:
+        k = min(batch, trials - done)
+        p = sample_uniform_simplex(m, k, rng)
+        yield -np.sort(-p, axis=1) if ordered else p
+        done += k
+
+
+@pytest.mark.parametrize("name", ["dhondt", "huntington", "hamilton"])
+def test_random_violation_counts_match_a_direct_count(name):
+    # the counter the random mode had before it recorded through SweepStats
+    method = method_by_name(name)
+    lower, upper, any_count = np.zeros(4), np.zeros(4), 0.0
+    for p in _simplex_batches(4, 300, 5_000, 13, 1024, ordered=False):
+        deltas = allocate_many(method, p, 300) - 300 * p
+        lo, up = deltas <= -1.0, deltas >= 1.0
+        lower += lo.sum(axis=0)
+        upper += up.sum(axis=0)
+        any_count += float(np.logical_or(lo, up).any(axis=1).sum())
+    vf = quota_violation_frequency(method, m=4, house_size=300, trials=5_000, seed=13, batch=1024)
+    assert vf.count == 5_000 and vf.n_from is None and vf.n_to is None
+    assert np.array_equal(vf.lower, lower / 5_000)
+    assert np.array_equal(vf.upper, upper / 5_000)
+    assert np.array_equal(vf.total, (lower + upper) / 5_000)
+    assert vf.any == any_count / 5_000
+
+
+def test_mc_ordered_simplex_records_the_sorted_draws():
+    method = method_by_name("webster")
+    res = mc_ordered_simplex(method, 3, 200, 3_000, seed=8, batch=1000)
+    p = np.concatenate(list(_simplex_batches(3, 200, 3_000, 8, 1000, ordered=True)))
+    deltas = allocate_many(method, p, 200) - 200 * p
+    assert res.delta.count == 3_000
+    assert np.allclose(res.delta.mean, deltas.mean(axis=0), rtol=0, atol=1e-12)
+    assert np.allclose(res.shares.mean, p.mean(axis=0), rtol=0, atol=1e-12)
+    assert np.array_equal(res.delta.lower_violations, (deltas <= -1.0).sum(axis=0))

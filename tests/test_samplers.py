@@ -115,3 +115,22 @@ def test_adams_vs_jefferson_three_parties_reported_not_assumed():
     stat = st.ks_2samp(sa, sj).statistic
     print(f"adams-vs-jefferson limit two-sample KS (m=3): {stat:.4f}")
     assert np.isfinite(stat)
+
+
+def test_joint_draws_match_the_copying_construction():
+    # the batch path zeroes the uniforms in place; the draws stay bit-identical
+    def copying(p, beta, seed, n):
+        p = np.asarray(p)
+        rng = np.random.default_rng(seed)
+        j = rng.choice(p.size, size=n, p=p)
+        u = rng.uniform(size=(n, p.size))
+        v = u.copy()
+        v[np.arange(n), j] = 0.0
+        return p * v.sum(axis=1, keepdims=True) - v + (beta - 1.0) * (p.size * p - 1.0), u[0], int(j[0])
+
+    x, _, _ = copying(P3, 0.5, 11, 20_000)
+    assert sample_excess_joint_divisor(P3, 0.5, seed=11, size=20_000).tobytes() == x.tobytes()
+    x, u, j = copying(P3, 0.5, 12, 1)
+    s = sample_excess_joint_divisor(P3, 0.5, seed=12)
+    assert s.values.tobytes() == x[0].tobytes()
+    assert s.auxiliary["category"] == j and s.auxiliary["u"].tobytes() == u.tobytes()
