@@ -3,12 +3,14 @@
 Divisor allocation returns the seats of awarding each seat in turn to the
 largest comparative figure v_i / d(s_i + 1).  It computes them by
 jump-and-step: a float estimate of the seat vector, then exact steps through
-the quotient table, so the cost does not grow with the house size for the
-linear-like families; ``allocate_divisor_rows`` takes the same steps for
-every row of a float share matrix at once.  Quota allocation floors the
-ideal shares (house + gamma) * p_i and hands remaining seats to the largest
-fractional parts, generalized so any real gamma works even when the raw
-remainder is negative or exceeds the party count.
+the quotient table, so the cost does not grow with the house size;
+``allocate_divisor_rows`` takes the same steps for every row of a float
+share matrix at once.  Quota allocation floors the ideal shares
+(house + gamma) * p_i and hands remaining seats to the largest fractional
+parts, generalized so any real gamma works even when the raw remainder is
+negative or exceeds the party count; ``allocate_quota_rows`` is that rule on
+floats for every row of a share matrix, and ``allocate_quota`` runs it on
+one row unless the weights and gamma are exact.
 
 Ties are detected exactly for rational arithmetic classes and reported as a
 single tied rank class: ``grants`` of the ``parties`` in the class receive
@@ -32,6 +34,7 @@ from .errors import (
     CapExceededError,
     DimensionMismatchError,
     InfeasibleHouseSizeError,
+    InputError,
     InvariantError,
     NegativeSeatError,
     NonpositiveQuotaError,
@@ -41,6 +44,7 @@ from .signposts import INF, Exactness, SignpostSequence
 from .weights import PartyWeights
 
 NEAR_TIE_RTOL = 1e-12
+_COUNT_TABLE_MAX = 2**22  # signposts per party in the table of a count start
 
 
 # -- rounding primitives --------------------------------------------------
@@ -298,14 +302,13 @@ def allocate_divisor(
     indices; the tie policy then picks the primary vector and lists the rest
     of the orbit.
 
-    Jump: families with an asymptotic beta start each party at
-    floor(v_i (N + m(beta - 1/2)) / T + 1 - beta), clamped to
-    [z, min(cap, N)]; the others start at z.  Step: add the best next
-    entries or drop the worst held ones until the seats sum to N, then swap
-    while the best next entry beats the worst held one.  Every comparison
-    goes through ``SignpostSequence.figure``, so exact figures stay exact.
-    After a jump the work is O(m) figure steps, not O(N); from z it is the
-    sequential award, one step per seat.
+    Jump: every party starts at ``_jump_start``, a float estimate of its
+    seats from the vote shares v_i / T.  Step: add the best next entries or
+    drop the worst held ones until the seats sum to N, then swap while the
+    best next entry beats the worst held one.  Every comparison goes through
+    ``SignpostSequence.figure``, so exact figures stay exact.  The estimate
+    misses by O(m) seats, so the work is O(m) figure steps, not O(N) (a
+    count start past _COUNT_TABLE_MAX seats per party steps the rest).
     """
     z = _divisor_validate(weights, signposts, house_size)
     votes = weights.votes
@@ -319,10 +322,6 @@ def allocate_divisor(
     held = [(fig(votes[i], seats[i]), -i, seats[i]) for i in range(m) if seats[i] > z]
     heapq.heapify(nxt)
     heapq.heapify(held)
-
-    # From an all-z start the fill below is the sequential award itself, so
-    # the held heap and the swaps are needed only when the jump placed seats.
-    swap = bool(held)
 
     def best_next():
         while nxt[0][2] != seats[nxt[0][1]] + 1:
@@ -342,8 +341,7 @@ def allocate_divisor(
             raise CapExceededError("house size unreachable under the table cap")
         seats[i] = n
         heapq.heapreplace(nxt, (-fig(votes[i], n + 1), i, n + 1))
-        if swap:
-            heapq.heappush(held, (-negfig, -i, n))
+        heapq.heappush(held, (-negfig, -i, n))
 
     def drop():
         f, negi, n = worst_held()
@@ -357,7 +355,7 @@ def allocate_divisor(
         take()
     for _ in range(surplus):
         drop()
-    while swap and (b := worst_held()) is not None and best_next()[:2] < (-b[0], -b[1]):
+    while (b := worst_held()) is not None and best_next()[:2] < (-b[0], -b[1]):
         drop()
         take()
     return _finalize_divisor(weights, signposts, seats, house_size, tie_policy)
@@ -368,12 +366,10 @@ def allocate_divisor_rows(shares, signposts: SignpostSequence, house_size: int) 
 
     Row r gets the seats of allocate_divisor(PartyWeights.of(shares[r]),
     signposts, house_size), bit for bit, ties included: the same steps,
-    taken for all rows at once.  Families with an asymptotic beta start
-    from ``_jump_starts`` of the row itself (which should sum to 1); the
-    others, which ``allocate_divisor`` steps from z, start from
-    ``_count_starts``.  Each round, every row short of the house size adds
-    its best next entry (figure descending, lower index first), every row
-    over it drops its worst held entry (figure ascending, higher index
+    taken for all rows at once, from ``_jump_starts`` of the row itself
+    (which should sum to 1).  Each round, every row short of the house size
+    adds its best next entry (figure descending, lower index first), every
+    row over it drops its worst held entry (figure ascending, higher index
     first), and every other row swaps the two while the best next entry
     beats the worst held one; the swaps reach the canonical seats from any
     start.  Figures come from ``SignpostSequence.figures``.  Rows that are
@@ -386,18 +382,14 @@ def allocate_divisor_rows(shares, signposts: SignpostSequence, house_size: int) 
     z = _divisor_validate(shares.T, signposts, house_size)  # one entry per party
     if not np.isfinite(shares).all():
         raise InvariantError("jump-and-step bracket needs finite share rows")
+    seats = _jump_starts(shares, signposts, house_size, z).astype(np.int64)
     beta = signposts.asymptotic_beta()
-    if beta is None:
-        seats = _count_starts(shares, signposts, house_size, z)
-        bracket = house_size - z * m
-    else:
-        seats = _jump_starts(shares, signposts, house_size, z).astype(np.int64)
-        bracket = 2 * m * (1 + abs(float(beta))) + 2 + m * z
-        if (np.abs(seats.sum(axis=1) - house_size) > bracket).any():
-            raise InvariantError(
-                "jump start misses the house size by more than the bracket; "
-                "share rows must be finite and sum to 1"
-            )
+    bracket = house_size - z * m if beta is None else 2 * m * (1 + abs(float(beta))) + 2 + m * z
+    if (np.abs(seats.sum(axis=1) - house_size) > bracket).any():
+        raise InvariantError(
+            "jump start misses the house size by more than the bracket; "
+            "share rows must be finite and sum to 1"
+        )
     rows = np.arange(k)  # rows that may still need a step
     rounds = 0
     while rows.size:
@@ -435,13 +427,13 @@ def _jump_starts(shares: np.ndarray, sp: SignpostSequence, house_size: int, z: i
     """Float estimate of the seat vector of every row of a (k, m) share matrix.
 
     floor(p_i (N + m(beta - 1/2)) + 1 - beta), clamped to [z, min(cap, N)],
-    for families with an asymptotic beta; z for the others.  The seats are
-    integral floats.
+    as integral floats (the house may pass int64), for families with an
+    asymptotic beta; ``_count_starts``, as int64, for the others.
     """
-    k, m = shares.shape
+    m = shares.shape[1]
     beta = sp.asymptotic_beta()
     if beta is None:
-        return np.full((k, m), float(z))
+        return _count_starts(shares, sp, house_size, z)
     beta = float(beta)
     cap = sp.max_seats()
     top = house_size if cap is None else min(cap, house_size)
@@ -457,11 +449,13 @@ def _count_starts(shares: np.ndarray, sp: SignpostSequence, house_size: int, z: 
     p_i / d(n) reach 2**-x.  The counts grow with x, and x is bisected per
     row over [-2200, 2200], keeping the counts of the largest x found whose
     counts sum to at most N, until every row is within m seats of N (or the
-    bisection is down to 2e-11); the steps then add the seats left.
+    bisection is down to 2e-11); the steps then add the seats left.  The
+    table stops at _COUNT_TABLE_MAX seats, so its memory stays bounded; a
+    party owed more starts at the table's end and the steps add the rest.
     """
     k, m = shares.shape
     cap = sp.max_seats()
-    top = house_size if cap is None else min(cap, house_size)
+    top = min(house_size if cap is None else min(cap, house_size), _COUNT_TABLE_MAX)
     d = sp._float_table(top)[z + 1 : top + 1]  # nondecreasing and positive
     log_d = np.log2(np.where(np.isnan(d), INF, d))  # past the float range: never counted
     with np.errstate(divide="ignore"):
@@ -494,7 +488,9 @@ def allocate_quota(
     Floors the ideal seat counts f_i = (house_size + gamma) p_i and writes the
     remainder as q * m + t with 0 <= t < m, so every real gamma is covered:
     each party gets base + q seats and the t largest fractional parts one
-    more.  Negative seat counts are reported, never clamped.
+    more.  Exact weights with a rational gamma run ``_largest_remainder`` on
+    integers; the others run ``allocate_quota_rows`` on one row.  Negative
+    seat counts are reported, never clamped.
     """
     if house_size < 0:
         raise InfeasibleHouseSizeError("house size must be nonnegative")
@@ -502,7 +498,6 @@ def allocate_quota(
         gamma = Fraction(gamma)
     if not house_size + gamma > 0:
         raise NonpositiveQuotaError(f"need house_size + gamma > 0, got {house_size} + {gamma}")
-    m = len(weights)
     exact = weights.exact and isinstance(gamma, Fraction)
     ideal = [(house_size + gamma) * p for p in (weights.shares if exact else weights.shares_float())]
     ti = None
@@ -515,20 +510,10 @@ def allocate_quota(
         if tie is not None:
             ti = TieInfo(*tie, comb(len(tie[0]), tie[1]))
     else:
-        base = [floor(f) for f in ideal]
-        fracs = [f - b for f, b in zip(ideal, base)]
-        q, t = divmod(house_size - sum(base), m)
-        seats = [b + q for b in base]
-        if t > 0:
-            order = sorted(range(m), key=lambda i: (-fracs[i], i))
-            if fracs[order[t - 1]] - fracs[order[t]] <= NEAR_TIE_RTOL:  # 0 < t < m
-                ti = TieInfo((), 0, (), 1, near=True)
-            for i in order[:t]:
-                seats[i] += 1
-        if min(seats) < 0:
-            raise NegativeSeatError(
-                f"gamma={gamma} yields negative seats {tuple(seats)} at house size {house_size}"
-            )
+        rows, near = allocate_quota_rows([weights.shares_float()], gamma, [house_size])
+        seats = rows[0].tolist()
+        if near[0]:
+            ti = TieInfo((), 0, (), 1, near=True)
 
     if ti is not None and not ti.near:
         vec, alternatives, info = _resolve_orbit(ti, tie_policy, seats)
@@ -539,6 +524,46 @@ def allocate_quota(
     lo = max(f - s for f, s in zip(ideal, seats))
     hi = min(f - s for f, s in zip(ideal, seats)) + 1
     return Allocation(tuple(seats), house_size, alternatives, info, (lo, hi))
+
+
+def allocate_quota_rows(shares, gamma, houses) -> tuple[np.ndarray, np.ndarray]:
+    """``allocate_quota``'s rule on floats at houses[r] for every row r of a
+    (k, m) share matrix (a single row serves every house).
+
+    Equal fractional parts go to the lower index.  A Fraction gamma enters
+    as float(house + gamma), rounded once.  Returns the int64 seats and a
+    per-row near-tie flag: the last granted and first refused fractional
+    parts lie within NEAR_TIE_RTOL.  Raises NonpositiveQuotaError when some
+    house + gamma <= 0, NegativeSeatError on a negative seat, and InputError
+    when house + |gamma| reaches 2**62 (the floors would overflow int64).
+    """
+    shares = np.asarray(shares, dtype=float)
+    houses = np.asarray(houses)
+    if houses.size and not int(houses.max()) + abs(float(gamma)) < 2**62:
+        raise InputError("the float largest-remainder rule needs house + |gamma| below 2**62")
+    houses = houses.astype(np.int64)
+    if isinstance(gamma, Fraction):
+        scale = np.array([float(h + gamma) for h in houses.tolist()])
+    else:
+        scale = houses + gamma
+    if not (scale > 0).all():
+        raise NonpositiveQuotaError(f"need house_size + gamma > 0, got {houses[np.argmin(scale)]} + {gamma}")
+    frac = scale[:, None] * shares  # the ideal seats, then their fractional parts
+    seats = np.floor(frac)
+    frac -= seats
+    seats = seats.astype(np.int64)
+    q, t = np.divmod(houses - seats.sum(axis=1), shares.shape[1])
+    order = np.argsort(-frac, axis=1, kind="stable")
+    seats += q[:, None]
+    seats += np.argsort(order, axis=1, kind="stable") < t[:, None]
+    rows = np.arange(t.size)
+    near = (t > 0) & (frac[rows, order[rows, t - 1]] - frac[rows, order[rows, t]] <= NEAR_TIE_RTOL)
+    if (seats < 0).any():
+        r = np.argmin(seats.min(axis=1))
+        raise NegativeSeatError(
+            f"gamma={gamma} yields negative seats {tuple(seats[r].tolist())} at house size {houses[r]}"
+        )
+    return seats, near
 
 
 def _largest_remainder(ideal: list[int], den: int, house_size: int, gamma, policy: TiePolicy):

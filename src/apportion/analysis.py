@@ -48,11 +48,6 @@ class DivergenceValues:
     adams: Fraction | float
     per_seat: Fraction | float
 
-    def by_name(self, name: str):
-        if name == FOURTH_POWER:
-            raise InputError("fourth_power is oracle-only; use divergence_value")
-        return getattr(self, name)
-
 
 def _delta(seats, weights: PartyWeights, house_size: int):
     return [s - house_size * p for s, p in zip(seats, weights.shares)]

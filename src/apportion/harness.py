@@ -10,19 +10,21 @@ Float sweeps run on vectorized fast paths.  The divisor path builds the
 seat-award sequence once, as a stable sort of every party's table of
 quotients shares[i] / d(n), with each table long enough by a bound on the
 figure of the last award, and reads every house size off cumulative counts;
-chunks run on worker threads all slice that one sequence.  Exact sweeps and
-period averages run one integer kernel: the votes are scaled once to coprime
-integers, a divisor scan adds one seat per house size and compares figures
-by integer cross-multiplication, quota houses floor integer ideal seats, and
-ties are found exactly and averaged over their orbits; the rows of an exact
-sweep are recorded in blocks.
+chunks run on worker threads all slice that one sequence.  The quota path
+runs ``allocation.allocate_quota_rows`` on blocks of houses.  Exact sweeps
+and period averages run one integer kernel: the votes are scaled once to
+coprime integers, a divisor scan adds one seat per house size and compares
+figures by integer cross-multiplication, quota houses floor integer ideal
+seats, and ties are found exactly and averaged over their orbits; the rows
+of an exact sweep are recorded in blocks.
 
 Monte Carlo runs one loop for ordered-party statistics and random-mode
 violation frequencies: batches of shares drawn uniformly on the simplex,
 allocated by ``allocate_many`` and recorded in ``SweepStats``.  For divisor
 methods of every signpost family ``allocate_many`` is the row-vectorized
 jump-and-step of ``allocation.allocate_divisor_rows``, so each row gets
-``allocate``'s canonical seat vector, ties included.
+``allocate``'s canonical seat vector, ties included; quota methods run
+``allocation.allocate_quota_rows``.
 """
 
 from __future__ import annotations
@@ -43,9 +45,10 @@ from .allocation import (
     _is_exact,
     _largest_remainder,
     allocate_divisor_rows,
+    allocate_quota_rows,
 )
 from .asymptotics import excess_bounds, moment_prediction
-from .errors import InputError, InvariantError, NegativeSeatError, UnsupportedMethodError
+from .errors import InputError, InvariantError, UnsupportedMethodError
 from .methods import DivisorMethod, Method, QuotaMethod, TiePolicy, small_n_guard
 from .samplers import sample_uniform_simplex
 from .signposts import (
@@ -181,14 +184,8 @@ def _divisor_sweep_float(
     base = z + np.bincount(winners[: max(consumed, 0)], minlength=m).astype(np.int64)
     for start in range(n_from, n_to + 1, block):
         stop = min(start + block - 1, n_to)
-        rows = stop - start + 1
         # house start+r consumes awards [0, start+r-z*m)
-        w = winners[start - z * m : stop - z * m]
-        seats = np.empty((rows, m), dtype=np.int64)
-        seats[0] = base
-        if rows > 1:
-            onehot = w[None, :] == np.arange(m)[:, None]
-            seats[1:] = base[None, :] + np.cumsum(onehot, axis=1).T
+        seats = _seat_matrix(base, winners[start - z * m : stop - z * m])
         base = seats[-1].copy()
         nxt = stop - z * m  # award consumed by house stop+1
         if nxt < winners.size and stop < n_to:
@@ -205,6 +202,18 @@ def _divisor_sweep_float(
         stats.near_ties += float(tied.sum())
     stats.n_from = n_from if stats.n_from is None else min(stats.n_from, n_from)
     stats.n_to = n_to if stats.n_to is None else max(stats.n_to, n_to)
+
+
+def _seat_matrix(base: np.ndarray, winners: np.ndarray) -> np.ndarray:
+    """Seats after each prefix of an award sequence: row r holds ``base``
+    plus the awards winners[:r], for r = 0 .. len(winners)."""
+    m = base.size
+    seats = np.empty((winners.size + 1, m), dtype=np.int64)
+    seats[0] = 0
+    # the (m, k) one-hot's running sums, written straight into the transpose
+    np.cumsum(winners[None, :] == np.arange(m)[:, None], axis=1, out=seats[1:].T)
+    seats += base
+    return seats
 
 
 def _near_tie_average_divisor(shares, sp, seats, house) -> np.ndarray:
@@ -232,56 +241,34 @@ def _quota_sweep_float(
     average_ties: bool,
     block: int = 65536,
 ) -> None:
-    m = shares.size
     for start in range(n_from, n_to + 1, block):
         stop = min(start + block - 1, n_to)
-        houses = np.arange(start, stop + 1, dtype=float)
-        seats, tied_rows = _allocate_quota_many(shares[None, :], gamma, houses, average_ties)
+        houses = np.arange(start, stop + 1)
+        seats, near = allocate_quota_rows(shares[None, :], gamma, houses)
         deltas = seats - houses[:, None] * shares[None, :]
+        if average_ties:
+            for row in np.flatnonzero(near):
+                deltas[row] = _near_tie_average_quota(shares, gamma, int(houses[row]))
         stats.record_batch(deltas)
-        stats.near_ties += float(len(tied_rows))
+        stats.near_ties += float(near.sum())
     stats.n_from = n_from if stats.n_from is None else min(stats.n_from, n_from)
     stats.n_to = n_to if stats.n_to is None else max(stats.n_to, n_to)
 
 
-def _allocate_quota_many(shares, gamma, houses, average_ties=False):
-    """Vectorized quota allocation; shares (1|k, m), houses scalar array (k,).
-
-    Returns float seat counts (expected values at near-ties when averaging)
-    and the indices of near-tied rows.
-    """
-    shares = np.asarray(shares, dtype=float)
-    houses = np.asarray(houses, dtype=float)
-    m = shares.shape[1]
-    ideal = (houses + gamma)[:, None] * shares
-    base = np.floor(ideal)
-    frac = ideal - base
-    r = np.rint(houses - base.sum(axis=1)).astype(np.int64)
-    q, t = np.divmod(r, m)
-    order = np.argsort(-frac, axis=1, kind="stable")
-    rank = np.argsort(order, axis=1, kind="stable")
-    granted = rank < t[:, None]
-    seats = base + q[:, None] + granted
-    tied_rows = []
-    has_rest = t > 0
-    if has_rest.any():
-        sorted_frac = np.take_along_axis(frac, order, axis=1)
-        idx = np.nonzero(has_rest)[0]
-        cut = sorted_frac[idx, t[idx] - 1]
-        nxt = sorted_frac[idx, np.minimum(t[idx], m - 1)]
-        near = (t[idx] < m) & (cut - nxt <= NEAR_TIE_RTOL)
-        tied_rows = idx[near]
-        if average_ties and len(tied_rows):
-            for row in tied_rows:
-                c = sorted_frac[row, t[row] - 1]
-                tol = NEAR_TIE_RTOL * 4
-                tied = np.abs(frac[row] - c) <= tol
-                above = frac[row] > c + tol
-                kk = t[row] - above.sum()
-                seats[row, tied] = base[row, tied] + q[row] + kk / tied.sum()
-    if seats.min() < 0:
-        raise NegativeSeatError("negative seat count in vectorized quota allocation")
-    return seats, tied_rows
+def _near_tie_average_quota(shares, gamma: float, house: int) -> np.ndarray:
+    """Average the excess over the (float-identified) tied class: the
+    parties whose fractional parts lie near the last granted one."""
+    ideal = (house + gamma) * shares
+    floors = np.floor(ideal)
+    frac = ideal - floors
+    q, t = divmod(house - int(floors.sum()), shares.size)
+    c = np.sort(frac)[-t]  # the last granted fractional part
+    tol = NEAR_TIE_RTOL * 4
+    tied = np.abs(frac - c) <= tol
+    above = frac > c + tol
+    expected = floors + q + above
+    expected[tied] = floors[tied] + q + (t - above.sum()) / tied.sum()
+    return expected - house * shares
 
 
 # -- exact sweeps -------------------------------------------------------------
@@ -631,13 +618,16 @@ def allocate_many(method: Method, shares: np.ndarray, house: int) -> np.ndarray:
     seat vector per row, ties included, through the row-vectorized
     jump-and-step of ``allocation.allocate_divisor_rows``; houses outside
     [z*m, cap*m] raise as ``allocate`` does.  Quota methods run the
-    vectorized largest-remainder rule.  Seats are returned as floats.
+    largest-remainder rule of ``allocation.allocate_quota_rows``, which
+    raises as ``allocate`` does on house + gamma <= 0.  Seats are returned
+    as floats.
     """
     shares = np.asarray(shares, dtype=float)
     if isinstance(method, QuotaMethod):
-        seats, _ = _allocate_quota_many(shares, float(method.gamma), np.full(shares.shape[0], float(house)))
-        return seats
-    return allocate_divisor_rows(shares, method.signposts, house).astype(float)
+        seats, _ = allocate_quota_rows(shares, float(method.gamma), np.full(shares.shape[0], house))
+    else:
+        seats = allocate_divisor_rows(shares, method.signposts, house)
+    return seats.astype(float)
 
 
 @dataclass
@@ -812,15 +802,15 @@ def apparentement_sweep(
         sub_j = sub[s_pool, 1]
     else:
         gamma = float(method.gamma)
-        houses = np.arange(n_from, n_to + 1, dtype=float)
-        s_full, _ = _allocate_quota_many(shares[None, :], gamma, houses)
-        s_pooled, _ = _allocate_quota_many(mshares[None, :], gamma, houses)
+        houses = np.arange(n_from, n_to + 1)
+        s_full, _ = allocate_quota_rows(shares[None, :], gamma, houses)
+        s_pooled, _ = allocate_quota_rows(mshares[None, :], gamma, houses)
         s_i = s_full[:, party_i]
         s_j = s_full[:, party_j]
         s_pool = s_pooled[:, im]
         if not s_pool.min() + gamma > 0:
             raise InvariantError("pooled seat count leaves a nonpositive sub-apportionment quota")
-        sub, _ = _allocate_quota_many(pair_shares[None, :], gamma, s_pool)
+        sub, _ = allocate_quota_rows(pair_shares[None, :], gamma, s_pool)
         sub_i = sub[:, 0]
         sub_j = sub[:, 1]
     joint = s_pool - s_i - s_j
@@ -838,7 +828,5 @@ def _cumulative_seats(shares: np.ndarray, sp, n_to: int) -> np.ndarray:
         raise InputError("house size below the mandatory seats")
     winners, _ = _winner_sequence(shares, sp, steps)
     seats = np.zeros((n_to + 1, m), dtype=np.int64)  # sizes below z*m infeasible
-    seats[z * m] = z
-    onehot = winners[:, None] == np.arange(m)[None, :]
-    seats[z * m + 1 :] = np.cumsum(onehot, axis=0) + z
+    seats[z * m :] = _seat_matrix(np.full(m, z), winners)
     return seats

@@ -28,6 +28,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from numbers import Rational
 
 import numpy as np
@@ -322,13 +323,17 @@ class SignpostSequence:
         """``_float_divisor(n)`` for n = 0 .. at least n_max.
 
         The table lives in the instance dict, as ``cached_property`` values
-        do, and doubles whenever a longer one is asked for.
+        do, and doubles whenever a longer one is asked for.  The divisors
+        never decrease, so the first nan (past the float range) ends the
+        evaluation: every later entry is nan too.
         """
         table = self.__dict__.get("_d_table", np.empty(0))
         if table.size <= n_max:
-            values = np.empty(max(n_max + 1, 2 * table.size, 64))
+            values = np.full(max(n_max + 1, 2 * table.size, 64), math.nan)
             values[: table.size] = table
-            values[table.size :] = [self._float_divisor(n) for n in range(table.size, values.size)]
+            finite = takewhile(lambda d: d == d, map(self._float_divisor, range(table.size, values.size)))
+            fill = np.fromiter(finite, float)
+            values[table.size : table.size + fill.size] = fill
             table = self.__dict__["_d_table"] = values
         return table
 

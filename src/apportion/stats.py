@@ -25,9 +25,6 @@ class RunningMoments:
         self.mean = np.zeros(dim)
         self.comoment = np.zeros((dim, dim))  # sum of outer(x - mean, x - mean)
 
-    def push(self, x) -> None:
-        self.push_batch(np.asarray(x, dtype=float)[None, :])
-
     def push_batch(self, xs) -> None:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
@@ -70,13 +67,6 @@ class RunningMoments:
         if self.count == 0:
             return np.full((self.dim, self.dim), np.nan)
         return self.comoment / self.count
-
-    def copy(self) -> "RunningMoments":
-        out = RunningMoments(self.dim)
-        out.count = self.count
-        out.mean = self.mean.copy()
-        out.comoment = self.comoment.copy()
-        return out
 
 
 class DeltaHistogram:

@@ -51,11 +51,6 @@ class PartyWeights:
         coerced = tuple(_coerce_vote(v) for v in votes)
         return cls(coerced, tuple(names) if names is not None else None)
 
-    @classmethod
-    def from_shares(cls, shares: Iterable, names: Sequence[str] | None = None) -> "PartyWeights":
-        """Build weights directly from (not necessarily normalized) shares."""
-        return cls.of(shares, names)
-
     def __len__(self) -> int:
         return len(self.votes)
 

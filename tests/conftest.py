@@ -9,19 +9,23 @@ that the jump-and-step ``allocate_divisor`` must reproduce.  The
 ``fraction_*`` helpers are the exact sweep in ``Fraction`` arithmetic, one
 heap pop and one ``record_batch`` per house, kept as the reference that the
 integer kernel of ``apportion.harness`` must reproduce.
+``float_largest_remainder`` is the float largest-remainder rule one party at
+a time, kept as the reference that the row kernel
+``apportion.allocation.allocate_quota_rows`` must reproduce.
 """
 
 import heapq
 import random
 from fractions import Fraction
 from math import comb, floor, inf
+from numbers import Rational
 
 import numpy as np
 import pytest
 
-from apportion import CapExceededError, DivisorMethod, PartyWeights, SignpostSequence
+from apportion import CapExceededError, DivisorMethod, NegativeSeatError, PartyWeights, SignpostSequence
 from apportion.stats import SweepStats
-from apportion.allocation import _divisor_validate, _finalize_divisor
+from apportion.allocation import NEAR_TIE_RTOL, _divisor_validate, _finalize_divisor
 from apportion.errors import InputError
 from apportion.methods import DEFAULT_TIES
 
@@ -65,6 +69,32 @@ def heap_divisor(weights: PartyWeights, sp: SignpostSequence, house: int, tie_po
         seats[i] += 1
         heapq.heappush(heap, (-sp.figure(votes[i], seats[i] + 1), i))
     return _finalize_divisor(weights, sp, seats, house, tie_policy)
+
+
+def float_largest_remainder(weights: PartyWeights, gamma, house: int):
+    """(seats, near, support_interval) of the largest-remainder rule on the
+    float ideal seat counts (house + gamma) p_i, party by party; ``near``
+    flags last granted and first refused fractional parts within
+    NEAR_TIE_RTOL."""
+    if isinstance(gamma, Rational):
+        gamma = Fraction(gamma)
+    m = len(weights)
+    ideal = [(house + gamma) * p for p in weights.shares_float()]
+    base = [floor(f) for f in ideal]
+    fracs = [f - b for f, b in zip(ideal, base)]
+    q, t = divmod(house - sum(base), m)
+    seats = [b + q for b in base]
+    near = False
+    if t > 0:
+        order = sorted(range(m), key=lambda i: (-fracs[i], i))
+        near = fracs[order[t - 1]] - fracs[order[t]] <= NEAR_TIE_RTOL  # 0 < t < m
+        for i in order[:t]:
+            seats[i] += 1
+    if min(seats) < 0:
+        raise NegativeSeatError(f"gamma={gamma} yields negative seats {tuple(seats)} at house size {house}")
+    lo = max(f - s for f, s in zip(ideal, seats))
+    hi = min(f - s for f, s in zip(ideal, seats)) + 1
+    return tuple(seats), near, (lo, hi)
 
 
 def quota_orbit(weights: PartyWeights, gamma, house: int) -> set:
