@@ -12,10 +12,14 @@ negative or exceeds the party count; ``allocate_quota_rows`` is that rule on
 floats for every row of a share matrix, and ``allocate_quota`` runs it on
 one row unless the weights and gamma are exact.
 
-Ties are detected exactly for rational arithmetic classes and reported as a
-single tied rank class: ``grants`` of the ``parties`` in the class receive
-one extra seat each, in any combination.  Float arithmetic flags near-ties
-(relative gap below 1e-12) instead of guessing an orbit.
+Every path reports a tie as one class (parties, grants, base_seats), built
+by ``_tie_class``: ``grants`` of the tied parties get one seat over their
+base, in any combination.  It is found exactly on ints and ``Fraction``s and
+within NEAR_TIE_RTOL on floats, where an ideal quota seat count that close to
+an integer counts as that integer.  The exact rules return the canonical
+seats (the lowest indices granted), and ``_policy_seats`` applies the tie
+policy; a seeded draw at house N uses ``random.Random(f"{seed}:{N}")``.
+Float paths flag a near-tie and keep their seats; they never seed one.
 """
 
 from __future__ import annotations
@@ -95,6 +99,9 @@ class TieInfo:
     near: bool = False
 
 
+_NEAR_TIE = TieInfo((), 0, (), 1, near=True)  # a float near-tie: flagged, its class not resolved
+
+
 @dataclass(frozen=True)
 class Allocation:
     """A seat vector plus tie descriptor and feasible parameter interval.
@@ -131,11 +138,7 @@ class Allocation:
         ti = self.tie_info
         if ti is None or ti.near:
             return self.seats
-        share = Fraction(ti.grants, len(ti.parties))
-        expected = list(map(Fraction, self.seats))
-        for party, base in zip(ti.parties, ti.base_seats):
-            expected[party] = base + share
-        return tuple(expected)
+        return tuple(map(Fraction, _orbit_mean(self.seats, (ti.parties, ti.grants, ti.base_seats))))
 
 
 @dataclass(frozen=True)
@@ -178,39 +181,72 @@ def _is_exact(weights: PartyWeights, sp: SignpostSequence) -> bool:
     return weights.exact and sp.exactness is not Exactness.FLOAT
 
 
-def _primary_grant(parties: tuple[int, ...], k: int, policy: TiePolicy) -> tuple[int, ...]:
+def _tie_class(seats, held, nxt, same) -> tuple[tuple, int, tuple]:
+    """The tie class (parties, grants, base_seats) of a seat vector.
+
+    held[i] and nxt[i] are party i's figure at its last held and its next
+    seat (for quota, the remainder of a granted and of a refused party);
+    ``same(x)`` says whether x is the contested figure.  A holder of a seat
+    there is a grant, based one seat lower; a taker keeps its seats as its
+    base.  A holder wins over a taker.
+    """
+    parties, base, grants = [], [], 0
+    for i, s in enumerate(seats):
+        if same(held[i]):
+            parties.append(i)
+            base.append(s - 1)
+            grants += 1
+        elif same(nxt[i]):
+            parties.append(i)
+            base.append(s)
+    return tuple(parties), grants, tuple(base)
+
+
+def _orbit_mean(seats, tie, exact: bool = True) -> list:
+    """The seats averaged uniformly over a tie class's orbit: each tied party
+    holds base + grants/k, in ``Fraction``s when ``exact``, else in floats."""
+    parties, grants, base = tie
+    share = Fraction(grants, len(parties)) if exact else grants / len(parties)
+    mean = list(seats)
+    for party, b in zip(parties, base):
+        mean[party] = b + share
+    return mean
+
+
+def _primary_grant(parties: tuple[int, ...], k: int, policy: TiePolicy, house: int) -> tuple[int, ...]:
     """The tied parties granted the contested seats: the k lowest indices, or
-    a seeded random choice under ``TiePolicy.seeded``."""
+    under ``TiePolicy.seeded`` a draw seeded by (seed, house)."""
     if policy.kind == "random":
-        return tuple(sorted(random.Random(policy.seed).sample(parties, k)))
+        return tuple(random.Random(f"{policy.seed}:{house}").sample(parties, k))
     return tuple(parties[:k])
 
 
-def _resolve_orbit(ti: TieInfo, policy: TiePolicy, seats: list[int]):
-    """Apply the tie policy: pick the primary grant set, list alternatives."""
-    parties, k = ti.parties, ti.grants
-    grant = _primary_grant(parties, k, policy)
-    base = dict(zip(parties, ti.base_seats))
+def _granted(seats, tie, grant) -> tuple[int, ...]:
+    """The orbit member of a tie class that gives the parties in ``grant`` their extra seat."""
     vec = list(seats)
-    for p in parties:
-        vec[p] = base[p] + (1 if p in grant else 0)
+    for party, b in zip(tie[0], tie[2]):
+        vec[party] = b + (party in grant)
+    return tuple(vec)
 
-    alternatives = []
-    truncated = False
-    if ti.orbit_size > 1:
-        limit = policy.max_alternatives
-        for combo in combinations(parties, k):
-            if combo == grant:
-                continue
-            alt = list(seats)
-            for p in parties:
-                alt[p] = base[p] + (1 if p in combo else 0)
-            alternatives.append(tuple(alt))
-            if len(alternatives) >= limit:
-                truncated = True
+
+def _policy_seats(seats, tie, policy: TiePolicy, house: int) -> tuple[int, ...]:
+    """The orbit member the tie policy picks as the primary vector."""
+    return _granted(seats, tie, _primary_grant(tie[0], tie[1], policy, house))
+
+
+def _resolve_orbit(seats, tie, policy: TiePolicy, house: int):
+    """Apply the tie policy to a tie class: the primary vector, the other
+    orbit members (at most ``policy.max_alternatives``) and the TieInfo."""
+    parties, k, base = tie
+    vec = _policy_seats(seats, tie, policy, house)
+    alternatives, truncated = [], False
+    for combo in combinations(parties, k):
+        alt = _granted(seats, tie, combo)
+        if alt != vec:
+            alternatives.append(alt)
+            if truncated := len(alternatives) >= policy.max_alternatives:
                 break
-    info = TieInfo(parties, k, ti.base_seats, ti.orbit_size, truncated, ti.near)
-    return tuple(vec), tuple(alternatives), info
+    return vec, tuple(alternatives), TieInfo(parties, k, base, comb(len(parties), k), truncated)
 
 
 # -- divisor allocation -----------------------------------------------------
@@ -242,47 +278,25 @@ def _finalize_divisor(
     policy: TiePolicy,
 ) -> Allocation:
     """Build the Allocation (ties, support interval) from any valid branch."""
-    votes = weights.votes
-    m = len(votes)
-    cur = [sp.figure(votes[i], seats[i]) for i in range(m)]
-    nxt = [sp.figure(votes[i], seats[i] + 1) for i in range(m)]
+    cur = [sp.figure(v, s) for v, s in zip(weights.votes, seats)]
+    nxt = [sp.figure(v, s + 1) for v, s in zip(weights.votes, seats)]
     d_minus_fig = max(nxt)
     d_plus_fig = min(cur)
     interval = (sp.divisor_of_figure(d_minus_fig), sp.divisor_of_figure(d_plus_fig))
 
-    exact = _is_exact(weights, sp)
-    tie = False
-    near = False
+    alternatives, info = (), None
     if d_minus_fig != INF and d_plus_fig != INF:
-        if exact:
-            tie = d_minus_fig == d_plus_fig
-        else:
+        if not _is_exact(weights, sp):
             gap = float(d_plus_fig) - float(d_minus_fig)
-            near = gap <= NEAR_TIE_RTOL * max(abs(float(d_plus_fig)), abs(float(d_minus_fig)))
-    if not tie and not near:
-        return Allocation(tuple(seats), house_size, (), None, interval)
-    if near:
-        info = TieInfo((), 0, (), 1, near=True)
-        return Allocation(tuple(seats), house_size, (), info, interval)
-
-    f = d_plus_fig
-    parties, base, grants = [], [], 0
-    for i in range(m):
-        holds = cur[i] == f
-        can_take = nxt[i] == f
-        if holds and can_take:  # excluded by strict monotonicity once positive
-            raise InvariantError("signpost sequence not strictly increasing at a tie")
-        if holds:
-            parties.append(i)
-            base.append(seats[i] - 1)
-            grants += 1
-        elif can_take:
-            parties.append(i)
-            base.append(seats[i])
-    orbit = comb(len(parties), grants)
-    ti = TieInfo(tuple(parties), grants, tuple(base), orbit)
-    vec, alternatives, info = _resolve_orbit(ti, policy, seats)
-    return Allocation(vec, house_size, alternatives, info, interval)
+            if gap <= NEAR_TIE_RTOL * max(abs(float(d_plus_fig)), abs(float(d_minus_fig))):
+                info = _NEAR_TIE
+        elif d_minus_fig == d_plus_fig:
+            f = d_plus_fig
+            if any(c == f and n == f for c, n in zip(cur, nxt)):  # excluded by strict monotonicity once positive
+                raise InvariantError("signpost sequence not strictly increasing at a tie")
+            tie = _tie_class(seats, cur, nxt, lambda x: x == f)
+            seats, alternatives, info = _resolve_orbit(seats, tie, policy, house_size)
+    return Allocation(tuple(seats), house_size, alternatives, info, interval)
 
 
 def allocate_divisor(
@@ -489,8 +503,9 @@ def allocate_quota(
     remainder as q * m + t with 0 <= t < m, so every real gamma is covered:
     each party gets base + q seats and the t largest fractional parts one
     more.  Exact weights with a rational gamma run ``_largest_remainder`` on
-    integers; the others run ``allocate_quota_rows`` on one row.  Negative
-    seat counts are reported, never clamped.
+    integers and apply the tie policy to its tie class; the others run
+    ``allocate_quota_rows`` on one row.  Negative seat counts are reported,
+    never clamped.
     """
     if house_size < 0:
         raise InfeasibleHouseSizeError("house size must be nonnegative")
@@ -498,61 +513,67 @@ def allocate_quota(
         gamma = Fraction(gamma)
     if not house_size + gamma > 0:
         raise NonpositiveQuotaError(f"need house_size + gamma > 0, got {house_size} + {gamma}")
-    exact = weights.exact and isinstance(gamma, Fraction)
-    ideal = [(house_size + gamma) * p for p in (weights.shares if exact else weights.shares_float())]
-    ti = None
-    if exact:
-        votes, total = weights.integer_votes
-        scale = house_size * gamma.denominator + gamma.numerator
-        seats, tie = _largest_remainder(
-            [scale * v for v in votes], gamma.denominator * total, house_size, gamma, tie_policy
-        )
+    alternatives, info = (), None
+    if weights.exact and isinstance(gamma, Fraction):
+        ideal = [(house_size + gamma) * p for p in weights.shares]
+        seats, tie = _largest_remainder(*weights.integer_votes, gamma, house_size)
         if tie is not None:
-            ti = TieInfo(*tie, comb(len(tie[0]), tie[1]))
+            seats, alternatives, info = _resolve_orbit(seats, tie, tie_policy, house_size)
     else:
-        rows, near = allocate_quota_rows([weights.shares_float()], gamma, [house_size])
+        shares = [weights.shares_float()]
+        ideal = _quota_ideals(shares, gamma, [house_size])[0].tolist()
+        rows, near = allocate_quota_rows(shares, gamma, [house_size])
         seats = rows[0].tolist()
         if near[0]:
-            ti = TieInfo((), 0, (), 1, near=True)
-
-    if ti is not None and not ti.near:
-        vec, alternatives, info = _resolve_orbit(ti, tie_policy, seats)
-        seats = list(vec)
-    else:
-        alternatives, info = (), ti
-
+            info = _NEAR_TIE
     lo = max(f - s for f, s in zip(ideal, seats))
     hi = min(f - s for f, s in zip(ideal, seats)) + 1
     return Allocation(tuple(seats), house_size, alternatives, info, (lo, hi))
+
+
+def _quota_ideals(shares, gamma, houses) -> np.ndarray:
+    """The ideal seat counts float(house + gamma) * p_i of ``allocate_quota_rows``.
+
+    A Fraction gamma = num/den is rounded once, as the division of exact
+    floats (house*den + num) / den while (house + 1)*den + |num| < 2**53.  An
+    ideal within NEAR_TIE_RTOL of an integer is that integer, so an exact tie
+    whose fractional parts straddle the wrap (1 - eps, eps) is a near-tie.
+    """
+    houses = np.asarray(houses)
+    if houses.size and not int(houses.max()) + abs(float(gamma)) < 2**62:
+        raise InputError("the float largest-remainder rule needs house + |gamma| below 2**62")
+    houses = houses.astype(np.int64)
+    if not isinstance(gamma, Fraction):
+        scale = houses + gamma
+    elif not houses.size or (int(houses.max()) + 1) * gamma.denominator + abs(gamma.numerator) < 2**53:
+        scale = (houses * gamma.denominator + gamma.numerator) / gamma.denominator
+    else:
+        scale = np.array([float(h + gamma) for h in houses.tolist()])
+    if not (scale > 0).all():
+        raise NonpositiveQuotaError(f"need house_size + gamma > 0, got {houses[np.argmin(scale)]} + {gamma}")
+    ideal = scale[:, None] * np.asarray(shares, dtype=float)
+    whole = np.rint(ideal)
+    np.copyto(ideal, whole, where=np.abs(ideal - whole) <= NEAR_TIE_RTOL)
+    return ideal
 
 
 def allocate_quota_rows(shares, gamma, houses) -> tuple[np.ndarray, np.ndarray]:
     """``allocate_quota``'s rule on floats at houses[r] for every row r of a
     (k, m) share matrix (a single row serves every house).
 
-    Equal fractional parts go to the lower index.  A Fraction gamma enters
-    as float(house + gamma), rounded once.  Returns the int64 seats and a
-    per-row near-tie flag: the last granted and first refused fractional
-    parts lie within NEAR_TIE_RTOL.  Raises NonpositiveQuotaError when some
-    house + gamma <= 0, NegativeSeatError on a negative seat, and InputError
-    when house + |gamma| reaches 2**62 (the floors would overflow int64).
+    Floors the ideal seat counts of ``_quota_ideals``; equal fractional
+    parts go to the lower index.  Returns the int64 seats and a per-row
+    near-tie flag: the last granted and first refused fractional parts lie
+    within NEAR_TIE_RTOL.  Raises NonpositiveQuotaError when some house +
+    gamma <= 0, NegativeSeatError on a negative seat, and InputError when
+    house + |gamma| reaches 2**62 (the floors would overflow int64).
     """
-    shares = np.asarray(shares, dtype=float)
-    houses = np.asarray(houses)
-    if houses.size and not int(houses.max()) + abs(float(gamma)) < 2**62:
-        raise InputError("the float largest-remainder rule needs house + |gamma| below 2**62")
-    houses = houses.astype(np.int64)
-    if isinstance(gamma, Fraction):
-        scale = np.array([float(h + gamma) for h in houses.tolist()])
-    else:
-        scale = houses + gamma
-    if not (scale > 0).all():
-        raise NonpositiveQuotaError(f"need house_size + gamma > 0, got {houses[np.argmin(scale)]} + {gamma}")
-    frac = scale[:, None] * shares  # the ideal seats, then their fractional parts
+    frac = _quota_ideals(shares, gamma, houses)  # the ideal seats, then their fractional parts
+    houses = np.asarray(houses, dtype=np.int64)
     seats = np.floor(frac)
     frac -= seats
     seats = seats.astype(np.int64)
-    q, t = np.divmod(houses - seats.sum(axis=1), shares.shape[1])
+    q, t = np.divmod(houses - seats.sum(axis=1), frac.shape[1])
     order = np.argsort(-frac, axis=1, kind="stable")
     seats += q[:, None]
     seats += np.argsort(order, axis=1, kind="stable") < t[:, None]
@@ -566,36 +587,40 @@ def allocate_quota_rows(shares, gamma, houses) -> tuple[np.ndarray, np.ndarray]:
     return seats, near
 
 
-def _largest_remainder(ideal: list[int], den: int, house_size: int, gamma, policy: TiePolicy):
-    """The exact largest-remainder rule on ideal seat counts ideal[i] / den.
+def _largest_remainder(votes, total: int, gamma: Fraction, house_size: int):
+    """The exact largest-remainder rule on the ideal seat counts
+    (house_size + gamma) V_i / T of integer votes V_i with total T.
 
-    Every party gets its floor plus q, and the t largest remainders one seat
-    more, where the seats left over are q * m + t with 0 <= t < m.  Returns
-    the seats, in which the tie policy picks the parties granted among equal
+    The ideals share the integer denominator gamma.denominator * T.  Every
+    party gets its floor plus q, and the t largest remainders one seat more,
+    where the seats left over are q * m + t with 0 <= t < m.  Returns
+    the canonical seats, which grant the lowest indices among equal
     remainders, and the tie class (parties, grants, base_seats), or None
     when the granted and the refused remainders differ.  Raises
     NegativeSeatError when any seat vector of the orbit has a negative count.
     """
-    m = len(ideal)
+    m = len(votes)
+    ideal = [(house_size * gamma.denominator + gamma.numerator) * v for v in votes]
+    den = gamma.denominator * total
     base = [x // den for x in ideal]
     rem = [x % den for x in ideal]
     q, t = divmod(house_size - sum(base), m)
     seats = [b + q for b in base]
     tie = None
     if t > 0:
-        ranked = sorted(rem, reverse=True)
-        cut = ranked[t - 1]
-        k = t - ranked.index(cut)  # seats granted among the remainders equal to cut
-        tied = [i for i, r in enumerate(rem) if r == cut]
-        if len(tied) > k:
-            tie = (tuple(tied), k, tuple(seats[i] for i in tied))
+        order = sorted(range(m), key=rem.__getitem__, reverse=True)  # stable: lower index first
+        granted = set(order[:t])
+        for i in granted:
+            seats[i] += 1
+        cut = rem[order[t - 1]]
+        if rem[order[t]] == cut:
+            held = [r if i in granted else None for i, r in enumerate(rem)]
+            nxt = [None if i in granted else r for i, r in enumerate(rem)]
+            tie = _tie_class(seats, held, nxt, lambda r: r == cut)
             if min(tie[2]) < 0:
                 raise NegativeSeatError(
                     f"gamma={gamma} yields negative seats in the tie orbit at house size {house_size}"
                 )
-        seats = [s + (r > cut) for s, r in zip(seats, rem)]
-        for i in _primary_grant(tuple(tied), k, policy):
-            seats[i] += 1
     if min(seats) < 0:
         raise NegativeSeatError(
             f"gamma={gamma} yields negative seats {tuple(seats)} at house size {house_size}"

@@ -18,6 +18,12 @@ figures by integer cross-multiplication, quota houses floor integer ideal
 seats, and ties are found exactly and averaged over their orbits; the rows
 of an exact sweep are recorded in blocks.
 
+Ties follow ``allocation``'s contract: one class from ``_tie_class`` and
+one orbit mean, base + grants/k (exact rows divide it out in integers).  A
+seeded exact sweep draws each tied house from (seed, house), as ``allocate``
+does.  Float sweeps find the class within NEAR_TIE_RTOL, count a near-tie,
+record the orbit mean under the averaging policy, and never seed a tie.
+
 Monte Carlo runs one loop for ordered-party statistics and random-mode
 violation frequencies: batches of shares drawn uniformly on the simplex,
 allocated by ``allocate_many`` and recorded in ``SweepStats``.  For divisor
@@ -44,6 +50,10 @@ from .allocation import (
     NEAR_TIE_RTOL,
     _is_exact,
     _largest_remainder,
+    _orbit_mean,
+    _policy_seats,
+    _quota_ideals,
+    _tie_class,
     allocate_divisor_rows,
     allocate_quota_rows,
 )
@@ -193,15 +203,11 @@ def _divisor_sweep_float(
         houses = np.arange(start, stop + 1, dtype=float)
         deltas = seats - houses[:, None] * shares[None, :]
         tied = house_tied[start - n_from : stop - n_from + 1]
-        if average_ties and tied.any():
-            for row in np.nonzero(tied)[0]:
-                deltas[row] = _near_tie_average_divisor(
-                    shares, sp, seats[row], int(houses[row])
-                )
+        if average_ties:
+            for row in np.flatnonzero(tied):
+                deltas[row] = _near_tie_average_divisor(shares, sp, seats[row], int(houses[row]))
         stats.record_batch(deltas)
         stats.near_ties += float(tied.sum())
-    stats.n_from = n_from if stats.n_from is None else min(stats.n_from, n_from)
-    stats.n_to = n_to if stats.n_to is None else max(stats.n_to, n_to)
 
 
 def _seat_matrix(base: np.ndarray, winners: np.ndarray) -> np.ndarray:
@@ -217,24 +223,19 @@ def _seat_matrix(base: np.ndarray, winners: np.ndarray) -> np.ndarray:
 
 
 def _near_tie_average_divisor(shares, sp, seats, house) -> np.ndarray:
-    """Average the excess over the (float-identified) tied class."""
-    m = shares.size
-    cur = np.array([float(sp.figure(shares[i], int(seats[i]))) for i in range(m)])
-    nxt = np.array([float(sp.figure(shares[i], int(seats[i]) + 1)) for i in range(m)])
+    """Average the excess over the tie class found within 4*NEAR_TIE_RTOL of
+    the worst held figure."""
+    cur = np.array([float(sp.figure(p, int(s))) for p, s in zip(shares, seats)])
+    nxt = np.array([float(sp.figure(p, int(s) + 1)) for p, s in zip(shares, seats)])
     f = cur[np.isfinite(cur)].min()
     tol = NEAR_TIE_RTOL * abs(f) * 4
-    holds = np.isfinite(cur) & (np.abs(cur - f) <= tol)
-    takes = np.isfinite(nxt) & (np.abs(nxt - f) <= tol)
-    tied = holds | takes
-    k = int(holds.sum())
-    expected = seats.astype(float)
-    expected[tied] = seats[tied] - holds[tied] + k / tied.sum()
-    return expected - house * shares
+    tie = _tie_class(seats, cur, nxt, lambda x: abs(x - f) <= tol)  # an infinite figure is never near f
+    return np.array(_orbit_mean(seats, tie, exact=False), dtype=float) - house * shares
 
 
 def _quota_sweep_float(
     shares: np.ndarray,
-    gamma: float,
+    gamma,
     n_from: int,
     n_to: int,
     stats: SweepStats,
@@ -248,27 +249,23 @@ def _quota_sweep_float(
         deltas = seats - houses[:, None] * shares[None, :]
         if average_ties:
             for row in np.flatnonzero(near):
-                deltas[row] = _near_tie_average_quota(shares, gamma, int(houses[row]))
+                deltas[row] = _near_tie_average_quota(shares, gamma, int(houses[row]), seats[row])
         stats.record_batch(deltas)
         stats.near_ties += float(near.sum())
-    stats.n_from = n_from if stats.n_from is None else min(stats.n_from, n_from)
-    stats.n_to = n_to if stats.n_to is None else max(stats.n_to, n_to)
 
 
-def _near_tie_average_quota(shares, gamma: float, house: int) -> np.ndarray:
-    """Average the excess over the (float-identified) tied class: the
-    parties whose fractional parts lie near the last granted one."""
-    ideal = (house + gamma) * shares
+def _near_tie_average_quota(shares, gamma, house: int, seats) -> np.ndarray:
+    """Average the excess over the tie class found within 4*NEAR_TIE_RTOL of
+    the last granted fractional part of ``_quota_ideals``."""
+    ideal = _quota_ideals(shares[None, :], gamma, [house])[0]
     floors = np.floor(ideal)
     frac = ideal - floors
-    q, t = divmod(house - int(floors.sum()), shares.size)
-    c = np.sort(frac)[-t]  # the last granted fractional part
+    granted = seats > floors + (house - int(floors.sum())) // shares.size
+    c = frac[granted].min()
     tol = NEAR_TIE_RTOL * 4
-    tied = np.abs(frac - c) <= tol
-    above = frac > c + tol
-    expected = floors + q + above
-    expected[tied] = floors[tied] + q + (t - above.sum()) / tied.sum()
-    return expected - house * shares
+    held, nxt = np.where(granted, frac, np.nan), np.where(granted, np.nan, frac)
+    tie = _tie_class(seats, held, nxt, lambda x: abs(x - c) <= tol)
+    return np.array(_orbit_mean(seats, tie, exact=False), dtype=float) - house * shares
 
 
 # -- exact sweeps -------------------------------------------------------------
@@ -323,40 +320,23 @@ def _exact_divisor_scan(weights, sp, n_to: int):
         best, b_num, b_den = top()
         tie = None
         if b_num * f_den == f_num * b_den:
-            parties, base, grants = [], [], 0
-            for j in range(m):
-                a, b = pairs[seats[j]]
-                if w[j] * b * f_den == f_num * a:  # party j holds a seat at figure f
-                    parties.append(j)
-                    base.append(seats[j] - 1)
-                    grants += 1
-                elif num[j] * f_den == f_num * den[j]:  # party j could take one at f
-                    parties.append(j)
-                    base.append(seats[j])
-            tie = (tuple(parties), grants, tuple(base))
+            held = [(w[j] * pairs[seats[j]][1], pairs[seats[j]][0]) for j in range(m)]
+            tie = _tie_class(seats, held, list(zip(num, den)), lambda x: x[0] * f_den == f_num * x[1])
         yield house, tuple(seats), tie
         i, f_num, f_den = best, b_num, b_den
 
 
 def _exact_houses(method, weights, n_from: int, n_to: int, tie_policy):
-    """Yield (house, seats, tie_class) for every house in [n_from, n_to].
-
-    Quota houses share the integer denominator gamma.denominator * T of
-    their ideal seats (house + gamma) V_i / T.
-    """
+    """Yield (house, seats, tie_class) for every house in [n_from, n_to];
+    the seats of a tied house are the tie policy's pick from its class."""
     if isinstance(method, DivisorMethod):
-        for row in _exact_divisor_scan(weights, method.signposts, n_to):
-            if row[0] >= n_from:
-                yield row
-        return
-    votes, total = weights.integer_votes
-    gamma = Fraction(method.gamma)
-    for house in range(n_from, n_to + 1):
-        scale = house * gamma.denominator + gamma.numerator
-        seats, tie = _largest_remainder(
-            [scale * v for v in votes], gamma.denominator * total, house, gamma, tie_policy
-        )
-        yield house, tuple(seats), tie
+        rows = (row for row in _exact_divisor_scan(weights, method.signposts, n_to) if row[0] >= n_from)
+    else:
+        votes, total = weights.integer_votes
+        gamma = Fraction(method.gamma)  # a float gamma with exact weights is taken exactly
+        rows = ((h, *_largest_remainder(votes, total, gamma, h)) for h in range(n_from, n_to + 1))
+    for house, seats, tie in rows:
+        yield house, tuple(seats) if tie is None else _policy_seats(seats, tie, tie_policy, house), tie
 
 
 def _exact_rows(method, weights, n_from: int, n_to: int, tie_policy):
@@ -374,7 +354,7 @@ def _exact_rows(method, weights, n_from: int, n_to: int, tie_policy):
     votes, total = weights.integer_votes
     for house, seats, tie in _exact_houses(method, weights, n_from, n_to, tie_policy):
         parties, grants, base_seats = tie if average and tie is not None else ((), 0, ())
-        k = len(parties)
+        k = len(parties) or 1  # an untied house is an orbit of one member
         base = dict(zip(parties, base_seats))
         delta, lower, upper = [], [], []
         viol_if_granted = viol_if_not = 0
@@ -383,16 +363,10 @@ def _exact_rows(method, weights, n_from: int, n_to: int, tie_policy):
             x = house * v
             lo_cut, r = divmod(x, total)  # lower quota violated iff s < floor(house*p)
             hi_cut = lo_cut + (r > 0)  # upper violated iff s > ceil(house*p)
-            if i not in base:
-                delta.append((s * total - x) / total)
-                lo, hi = s < lo_cut, s > hi_cut
-                lower.append(float(lo))
-                upper.append(float(hi))
-                fixed_violation = fixed_violation or lo or hi
-                continue
-            b = base[i]
-            delta.append(((b * k + grants) * total - x * k) / (k * total))
-            lo_g, lo_n, hi_g, hi_n = b + 1 < lo_cut, b < lo_cut, b + 1 > hi_cut, b > hi_cut
+            # a tied party holds b + 1 seats in ``grants`` of the k members, else b
+            b, up = (base[i], 1) if i in base else (s, 0)
+            delta.append(((b * k + grants * up) * total - x * k) / (k * total))
+            lo_g, lo_n, hi_g, hi_n = b + up < lo_cut, b < lo_cut, b + up > hi_cut, b > hi_cut
             lower.append((grants * lo_g + (k - grants) * lo_n) / k)
             upper.append((grants * hi_g + (k - grants) * hi_n) / k)
             if (lo_g or hi_g) and (lo_n or hi_n):
@@ -422,8 +396,6 @@ def _exact_sweep(method, weights, n_from, n_to, tie_policy, stats) -> None:
         block = np.frombuffer(buf).reshape(-1, 3, m)
         stats.record_batch(block[:, 0], lower=block[:, 1], upper=block[:, 2], any_violation=any_v)
         stats.ties += ties
-    stats.n_from = n_from if stats.n_from is None else min(stats.n_from, n_from)
-    stats.n_to = n_to if stats.n_to is None else max(stats.n_to, n_to)
 
 
 # -- public sweep -------------------------------------------------------------
@@ -461,10 +433,8 @@ def sweep(
         raise InputError(f"sweep range lies entirely below the small-house guard {guard}")
     m = len(weights)
     bounds = _histogram_bounds(method, weights)
-    exact = weights.exact and (
-        not isinstance(method, DivisorMethod)
-        or method.signposts.exactness is not Exactness.FLOAT
-    )
+    divisor = isinstance(method, DivisorMethod)
+    exact = _is_exact(weights, method.signposts) if divisor else weights.exact
     if force_exact is None:
         use_exact = exact and (n_to - n_from + 1) <= EXACT_SWEEP_LIMIT
     else:
@@ -472,27 +442,28 @@ def sweep(
         if use_exact and not exact:
             raise InputError("exact sweep requires exact weights and signposts")
 
-    def make_stats():
-        return SweepStats.empty(m, bounds, bin_width) if bin_width else SweepStats.empty(m)
+    def make_stats(a: int, b: int) -> SweepStats:
+        stats = SweepStats.empty(m, bounds, bin_width) if bin_width else SweepStats.empty(m)
+        stats.n_from, stats.n_to = a, b
+        return stats
 
     if use_exact:
-        stats = make_stats()
+        stats = make_stats(n_from, n_to)
         _exact_sweep(method, weights, n_from, n_to, tie_policy, stats)
         return stats
 
     shares = np.asarray(weights.shares_float())
     average = tie_policy.kind == "average"
-    divisor = isinstance(method, DivisorMethod)
     if divisor:
         winners, near = _award_sequence(shares, method.signposts, n_to)  # every chunk slices it
 
     def run_chunk(ab: tuple[int, int]) -> SweepStats:
         a, b = ab
-        chunk = make_stats()
+        chunk = make_stats(a, b)
         if divisor:
             _divisor_sweep_float(shares, method.signposts, winners, near, a, b, chunk, average)
         else:
-            _quota_sweep_float(shares, float(method.gamma), a, b, chunk, average)
+            _quota_sweep_float(shares, method.gamma, a, b, chunk, average)
         return chunk
 
     workers = min(workers, os.cpu_count() or 1, n_to - n_from + 1)
@@ -580,12 +551,7 @@ def period_average_bias(method: Method, weights: PartyWeights) -> tuple[Fraction
     votes, total = weights.integer_votes
     sums = [0] * len(votes)  # expected seats summed over the period
     for _, seats, tie in _exact_houses(method, weights, start, start + period - 1, TiePolicy.average()):
-        sums = [a + s for a, s in zip(sums, seats)]
-        if tie is not None:
-            parties, grants, base = tie
-            share = Fraction(grants, len(parties))
-            for party, b in zip(parties, base):
-                sums[party] += b + share - seats[party]
+        sums = [a + s for a, s in zip(sums, seats if tie is None else _orbit_mean(seats, tie))]
     houses = period * start + period * (period - 1) // 2  # sum of the house sizes
     return tuple((s - Fraction(houses * v, total)) / period for s, v in zip(sums, votes))
 
@@ -624,7 +590,7 @@ def allocate_many(method: Method, shares: np.ndarray, house: int) -> np.ndarray:
     """
     shares = np.asarray(shares, dtype=float)
     if isinstance(method, QuotaMethod):
-        seats, _ = allocate_quota_rows(shares, float(method.gamma), np.full(shares.shape[0], house))
+        seats, _ = allocate_quota_rows(shares, method.gamma, np.full(shares.shape[0], house))
     else:
         seats = allocate_divisor_rows(shares, method.signposts, house)
     return seats.astype(float)
@@ -801,7 +767,7 @@ def apparentement_sweep(
         sub_i = sub[s_pool, 0]
         sub_j = sub[s_pool, 1]
     else:
-        gamma = float(method.gamma)
+        gamma = method.gamma
         houses = np.arange(n_from, n_to + 1)
         s_full, _ = allocate_quota_rows(shares[None, :], gamma, houses)
         s_pooled, _ = allocate_quota_rows(mshares[None, :], gamma, houses)

@@ -59,10 +59,18 @@ def quota_method(gamma) -> QuotaMethod:
 class TiePolicy:
     """How tied seat vectors are resolved and reported.
 
-    * ``seeded(seed)``   pick one orbit member reproducibly at random
-    * ``enumerate_all()``pick the canonical member, list the alternatives
-    * ``average()``      canonical member; statistics use the exact average
-                         over the full tie orbit
+    A tie is one class (parties, grants, base_seats) whose orbit gives
+    ``grants`` of the k tied parties one seat over their base.  Exact input
+    finds it exactly; float input within NEAR_TIE_RTOL (an ideal quota seat
+    count that close to an integer counts as the integer), and then flags a
+    near-tie and keeps the float seats under every policy.
+
+    * ``seeded(seed)``   the member drawn by ``random.Random(f"{seed}:{N}")``
+                         at house N, in ``allocate`` and exact sweeps alike
+    * ``enumerate_all()``pick the canonical member (lowest indices granted),
+                         list the alternatives
+    * ``average()``      canonical member; statistics use the exact orbit
+                         average, base + grants/k per tied party
     """
 
     kind: str  # "random" | "enumerate" | "average"

@@ -75,11 +75,13 @@ def float_largest_remainder(weights: PartyWeights, gamma, house: int):
     """(seats, near, support_interval) of the largest-remainder rule on the
     float ideal seat counts (house + gamma) p_i, party by party; ``near``
     flags last granted and first refused fractional parts within
-    NEAR_TIE_RTOL."""
+    NEAR_TIE_RTOL.  An ideal seat count within NEAR_TIE_RTOL of an integer
+    counts as that integer."""
     if isinstance(gamma, Rational):
         gamma = Fraction(gamma)
     m = len(weights)
     ideal = [(house + gamma) * p for p in weights.shares_float()]
+    ideal = [float(round(f)) if abs(f - round(f)) <= NEAR_TIE_RTOL else f for f in ideal]
     base = [floor(f) for f in ideal]
     fracs = [f - b for f, b in zip(ideal, base)]
     q, t = divmod(house - sum(base), m)
@@ -111,9 +113,18 @@ def quota_orbit(weights: PartyWeights, gamma, house: int) -> set:
     return out
 
 
-def fraction_divisor_scan(weights, sp, n_to):
+def policy_grant(tied, k, policy, house):
+    """The k of the tied parties granted a contested seat: the lowest
+    indices, or under a seeded policy a draw seeded by (seed, house)."""
+    if policy.kind == "random":
+        return set(random.Random(f"{policy.seed}:{house}").sample(tied, k))
+    return set(tied[:k])
+
+
+def fraction_divisor_scan(weights, sp, n_to, policy=DEFAULT_TIES):
     """(house, seats, tie_class) for houses z*m..n_to from a heap of
-    ``Fraction`` figures; tie_class is (parties, grants, base_seats) or None."""
+    ``Fraction`` figures; tie_class is (parties, grants, base_seats) or None.
+    The seats of a tied house grant the parties of ``policy_grant``."""
     votes = weights.votes
     m = len(votes)
     z = sp.zero_count()
@@ -128,7 +139,7 @@ def fraction_divisor_scan(weights, sp, n_to):
         f = -negfig
         seats[i] += 1
         heapq.heappush(heap, (-sp.figure(votes[i], seats[i] + 1), i))
-        tie = None
+        tie, picked = None, list(seats)
         if -heap[0][0] == f:
             parties, base, grants = [], [], 0
             for idx in range(m):
@@ -142,7 +153,10 @@ def fraction_divisor_scan(weights, sp, n_to):
                     parties.append(idx)
                     base.append(seats[idx])
             tie = (tuple(parties), grants, tuple(base))
-        yield house, tuple(seats), tie
+            grant = policy_grant(tie[0], grants, policy, house)
+            for p, b in zip(parties, base):
+                picked[p] = b + (p in grant)
+        yield house, tuple(picked), tie
 
 
 def fraction_quota(weights, gamma, house, policy):
@@ -163,10 +177,7 @@ def fraction_quota(weights, gamma, house, policy):
         k = t - sum(1 for i in range(m) if fracs[i] > cut)
         if len(tied) > k:
             tie = (tuple(tied), k, tuple(seats[i] for i in tied))
-            if policy.kind == "random":
-                grant = tuple(sorted(random.Random(policy.seed).sample(tied, k)))
-            else:
-                grant = tuple(tied[:k])
+            grant = policy_grant(tuple(tied), k, policy, house)
             for i in range(m):
                 seats[i] += fracs[i] > cut or i in grant
         else:
@@ -178,7 +189,7 @@ def fraction_quota(weights, gamma, house, policy):
 def fraction_houses(method, weights, n_from, n_to, policy):
     """(house, seats, tie_class) for every house in [n_from, n_to]."""
     if isinstance(method, DivisorMethod):
-        return [r for r in fraction_divisor_scan(weights, method.signposts, n_to) if r[0] >= n_from]
+        return [r for r in fraction_divisor_scan(weights, method.signposts, n_to, policy) if r[0] >= n_from]
     return [(h, *fraction_quota(weights, method.gamma, h, policy)) for h in range(n_from, n_to + 1)]
 
 

@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +13,6 @@ from apportion.analysis import (
     SAINTE_LAGUE,
     SUM_SQUARES,
     brute_force_min,
-    divergence_value,
     divergences,
     method_orbit,
     verify_minimizer_identity,

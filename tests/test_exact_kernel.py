@@ -147,6 +147,21 @@ def test_sweep_over_several_blocks(name):
                                              _histogram_bounds(method, w)))
 
 
+@pytest.mark.parametrize("name", ["webster", "adams", "huntington", "hamilton", "droop"])
+def test_seeded_sweep_picks_the_orbit_member_of_allocate(name):
+    # each tied house draws from (seed, house), as allocate does at that house
+    method = FAMILIES[name]
+    w = PartyWeights.of([2, 2, 1])
+    n_from = small_n_guard(method, w)
+    means = set()
+    for seed in range(4):
+        policy = TiePolicy.seeded(seed)
+        rows = list(_exact_houses(method, w, n_from, 60, policy))
+        assert [seats for _, seats, _ in rows] == [allocate(method, w, h, policy).seats for h, _, _ in rows]
+        means.add(tuple(sweep(method, w, n_from, 60, policy, force_exact=True).mean))
+    assert len(means) == 4
+
+
 def test_fifty_parties_scan_matches_and_is_no_slower():
     rng = random.Random(50)
     w = PartyWeights.of([rng.randint(10**3, 10**6) for _ in range(50)])

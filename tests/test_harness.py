@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -80,12 +81,22 @@ def test_sweep_clamps_to_guard():
     assert stats.n_from == small_n_guard(quota_method(2.0), PartyWeights.of(sqrt_shares(3)))
 
 
-def test_float_sweep_agrees_with_exact():
-    exact = sweep(linear_divisor(Fraction(1, 2)), PartyWeights.of([5, 3, 2]), 3, 60, TiePolicy.average())
-    fl = sweep(linear_divisor(0.5), PartyWeights.of([5.0, 3.0, 2.0]), 3, 60, TiePolicy.average())
-    assert np.allclose(exact.mean, fl.mean, atol=1e-12)
-    assert np.allclose(exact.covariance, fl.covariance, atol=1e-12)
-    assert exact.ties + exact.near_ties == fl.ties + fl.near_ties
+@pytest.mark.parametrize("name", ["webster", "dhondt", "adams", "dean", "huntington", "hamilton", "droop"])
+def test_float_sweep_agrees_with_exact(name):
+    # tie-heavy votes: the float near-ties must be the exact ties, averaged alike
+    method = method_by_name(name)
+    rng = random.Random(name)
+    cases = [[5, 3, 2], [3, 1, 4, 3]] + [[rng.randint(1, 4) for _ in range(rng.randint(2, 5))] for _ in range(6)]
+    ties = 0
+    for votes in cases:
+        exact = sweep(method, PartyWeights.of(votes), 1, 300, TiePolicy.average())
+        fl = sweep(method, PartyWeights.of([float(v) for v in votes]), 1, 300, TiePolicy.average())
+        assert (fl.n_from, fl.n_to) == (exact.n_from, exact.n_to)
+        np.testing.assert_allclose(fl.mean, exact.mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fl.covariance, exact.covariance, rtol=0, atol=1e-12)
+        assert fl.near_ties == exact.ties
+        ties += exact.ties
+    assert ties > 0
 
 
 def test_float_quota_sweep_agrees_with_exact():

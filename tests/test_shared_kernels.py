@@ -73,6 +73,38 @@ def test_float_quota_matches_the_party_by_party_rule(gamma, corpus):
     assert seen_near >= 10
 
 
+def test_float_quota_flags_exact_ties_at_integral_ideal_seats():
+    # Droop on (3, 8) at house 54: ideal seats 15 and 40 come out as 15 - eps
+    # and 40 + eps in floats, fractional parts that straddle the wrap
+    a = allocate(quota_method(1.0), PartyWeights.of([3.0, 8.0]), 54)
+    assert a.seats == allocate(quota_method(1), PartyWeights.of([3, 8]), 54).seats == (15, 39)
+    assert a.tie_info.near
+    rng = random.Random(1)
+    ties = 0
+    for _ in range(3000):
+        gamma = rng.choice((0, 1, 2))
+        votes = [rng.randint(1, 12) for _ in range(rng.randint(2, 4))]
+        house = rng.randint(1, 59)
+        try:
+            exact = allocate(quota_method(gamma), PartyWeights.of(votes), house)
+        except NegativeSeatError:
+            continue
+        fl = allocate(quota_method(float(gamma)), PartyWeights.of([float(v) for v in votes]), house)
+        assert fl.tied == exact.tied
+        assert fl.seats in {exact.seats, *exact.ties}  # a near-tie may grant another member
+        ties += exact.tied
+    assert ties > 100
+
+
+def test_fraction_gamma_is_rounded_once():
+    houses = np.arange(1, 5000)
+    for gamma in (Fraction(2, 3), Fraction(-1, 7), Fraction(1, 3**40)):  # the last one past 2**53
+        ideal = allocation._quota_ideals([[1.0]], gamma, houses)[:, 0]
+        want = [float(h + gamma) for h in houses.tolist()]
+        want = [round(x) if abs(x - round(x)) <= allocation.NEAR_TIE_RTOL else x for x in want]
+        assert ideal.tolist() == want
+
+
 def test_allocate_many_refuses_a_nonpositive_quota():
     rows = np.random.default_rng(0).dirichlet(np.ones(3), size=5)
     with pytest.raises(NonpositiveQuotaError):
