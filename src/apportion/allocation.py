@@ -14,12 +14,13 @@ one row unless the weights and gamma are exact.
 
 Every path reports a tie as one class (parties, grants, base_seats), built
 by ``_tie_class``: ``grants`` of the tied parties get one seat over their
-base, in any combination.  It is found exactly on ints and ``Fraction``s and
-within NEAR_TIE_RTOL on floats, where an ideal quota seat count that close to
-an integer counts as that integer.  The exact rules return the canonical
-seats (the lowest indices granted), and ``_policy_seats`` applies the tie
-policy; a seeded draw at house N uses ``random.Random(f"{seed}:{N}")``.
-Float paths flag a near-tie and keep their seats; they never seed one.
+base, in any combination.  It is found exactly on ints and ``Fraction``s
+and within a relative NEAR_TIE_RTOL on floats, where an ideal quota seat
+count that close to an integer counts as that integer.  The exact rules
+return the canonical seats (the lowest indices granted), and
+``_policy_seats`` applies the tie policy; a seeded draw at house N uses
+``random.Random(f"{seed}:{N}")``.  Float paths flag a near-tie and keep
+their seats; they never seed one.
 """
 
 from __future__ import annotations
@@ -520,9 +521,9 @@ def allocate_quota(
         if tie is not None:
             seats, alternatives, info = _resolve_orbit(seats, tie, tie_policy, house_size)
     else:
-        shares = [weights.shares_float()]
-        ideal = _quota_ideals(shares, gamma, [house_size])[0].tolist()
-        rows, near = allocate_quota_rows(shares, gamma, [house_size])
+        ideals = _quota_ideals([weights.shares_float()], gamma, [house_size])
+        ideal = ideals[0].tolist()
+        rows, near = _remainder_rows(ideals, gamma, [house_size])
         seats = rows[0].tolist()
         if near[0]:
             info = _NEAR_TIE
@@ -536,8 +537,9 @@ def _quota_ideals(shares, gamma, houses) -> np.ndarray:
 
     A Fraction gamma = num/den is rounded once, as the division of exact
     floats (house*den + num) / den while (house + 1)*den + |num| < 2**53.  An
-    ideal within NEAR_TIE_RTOL of an integer is that integer, so an exact tie
-    whose fractional parts straddle the wrap (1 - eps, eps) is a near-tie.
+    ideal within NEAR_TIE_RTOL*max(1, |k|) of an integer k is that integer,
+    so an exact tie whose fractional parts straddle the wrap (1 - eps, eps)
+    is a near-tie at every house size.
     """
     houses = np.asarray(houses)
     if houses.size and not int(houses.max()) + abs(float(gamma)) < 2**62:
@@ -553,7 +555,9 @@ def _quota_ideals(shares, gamma, houses) -> np.ndarray:
         raise NonpositiveQuotaError(f"need house_size + gamma > 0, got {houses[np.argmin(scale)]} + {gamma}")
     ideal = scale[:, None] * np.asarray(shares, dtype=float)
     whole = np.rint(ideal)
-    np.copyto(ideal, whole, where=np.abs(ideal - whole) <= NEAR_TIE_RTOL)
+    tol = np.maximum(whole, 1.0)  # the ideals are nonnegative
+    tol *= NEAR_TIE_RTOL
+    np.copyto(ideal, whole, where=np.abs(ideal - whole) <= tol)
     return ideal
 
 
@@ -564,11 +568,16 @@ def allocate_quota_rows(shares, gamma, houses) -> tuple[np.ndarray, np.ndarray]:
     Floors the ideal seat counts of ``_quota_ideals``; equal fractional
     parts go to the lower index.  Returns the int64 seats and a per-row
     near-tie flag: the last granted and first refused fractional parts lie
-    within NEAR_TIE_RTOL.  Raises NonpositiveQuotaError when some house +
-    gamma <= 0, NegativeSeatError on a negative seat, and InputError when
-    house + |gamma| reaches 2**62 (the floors would overflow int64).
+    within NEAR_TIE_RTOL*max(1, house + gamma), the float error of ideals
+    that large.  Raises NonpositiveQuotaError when some house + gamma <= 0,
+    NegativeSeatError on a negative seat, and InputError when house +
+    |gamma| reaches 2**62 (the floors would overflow int64).
     """
-    frac = _quota_ideals(shares, gamma, houses)  # the ideal seats, then their fractional parts
+    return _remainder_rows(_quota_ideals(shares, gamma, houses), gamma, houses)
+
+
+def _remainder_rows(frac, gamma, houses):
+    """``allocate_quota_rows`` on the ideals ``frac``, which it overwrites."""
     houses = np.asarray(houses, dtype=np.int64)
     seats = np.floor(frac)
     frac -= seats
@@ -578,7 +587,8 @@ def allocate_quota_rows(shares, gamma, houses) -> tuple[np.ndarray, np.ndarray]:
     seats += q[:, None]
     seats += np.argsort(order, axis=1, kind="stable") < t[:, None]
     rows = np.arange(t.size)
-    near = (t > 0) & (frac[rows, order[rows, t - 1]] - frac[rows, order[rows, t]] <= NEAR_TIE_RTOL)
+    gap = frac[rows, order[rows, t - 1]] - frac[rows, order[rows, t]]
+    near = (t > 0) & (gap <= NEAR_TIE_RTOL * np.maximum(1.0, houses + float(gamma)))
     if (seats < 0).any():
         r = np.argmin(seats.min(axis=1))
         raise NegativeSeatError(

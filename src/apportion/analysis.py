@@ -57,25 +57,17 @@ def divergences(weights: PartyWeights, allocation: Allocation) -> DivergenceValu
     """All misfit functionals of the allocation's primary seat vector."""
     if len(weights) != allocation.m:
         raise DimensionMismatchError("allocation and weights disagree on party count")
-    delta = _delta(allocation.seats, weights, allocation.house_size)
-    shares = weights.shares
+    seats, house = allocation.seats, allocation.house_size
     per_seat = Fraction(0) if weights.exact else 0.0
-    for d, s in zip(delta, allocation.seats):
+    for d, s in zip(_delta(seats, weights, house), seats):
         if s == 0:
             if d != 0:
                 per_seat = inf
                 break
             continue
         per_seat += d * d / s
-    return DivergenceValues(
-        sainte_lague=sum(d * d / p for d, p in zip(delta, shares)),
-        sum_squares=sum(d * d for d in delta),
-        max_abs=max(abs(d) for d in delta),
-        max_pos=max(delta),
-        jefferson=max(d / p for d, p in zip(delta, shares)),
-        adams=-min(d / p for d, p in zip(delta, shares)),
-        per_seat=per_seat,
-    )
+    values = {name: divergence_value(name, seats, weights, house) for name in FUNCTIONALS if name != FOURTH_POWER}
+    return DivergenceValues(**values, per_seat=per_seat)
 
 
 def divergence_value(name: str, seats, weights: PartyWeights, house_size: int):

@@ -8,9 +8,11 @@ house size, so their exact bias is the average over one period.
 
 Float sweeps run on vectorized fast paths.  The divisor path builds the
 seat-award sequence once, as a stable sort of every party's table of
-quotients shares[i] / d(n), with each table long enough by a bound on the
-figure of the last award, and reads every house size off cumulative counts;
-chunks run on worker threads all slice that one sequence.  The quota path
+figures, taken in figure space from ``SignpostSequence.figures`` as
+``allocate`` takes them, with each table long enough by a bound on the
+figure of the last award and no longer than the float range; it reads every
+house size off cumulative counts, and chunks on worker threads all slice
+that one sequence.  The quota path
 runs ``allocation.allocate_quota_rows`` on blocks of houses.  Exact sweeps
 and period averages run one integer kernel: the votes are scaled once to
 coprime integers, a divisor scan adds one seat per house size and compares
@@ -61,17 +63,7 @@ from .asymptotics import excess_bounds, moment_prediction
 from .errors import InputError, InvariantError, UnsupportedMethodError
 from .methods import DivisorMethod, Method, QuotaMethod, TiePolicy, small_n_guard
 from .samplers import sample_uniform_simplex
-from .signposts import (
-    CLIPPED_LINEAR,
-    Exactness,
-    GEOMETRIC,
-    HARMONIC_PAIR,
-    LINEAR,
-    POWER,
-    SQRT_PAIR,
-    TABLE,
-    SignpostSequence,
-)
+from .signposts import _FLOAT_RANGE, Exactness, SignpostSequence
 from .stats import ComparisonReport, ComparisonRow, SweepStats, RunningMoments, Tolerances
 from .violation import violation_probability
 from .weights import PartyWeights
@@ -90,69 +82,51 @@ def sqrt_shares(m: int) -> tuple[float, ...]:
     return tuple(x / total for x in raw)
 
 
-# -- signpost arrays for the fast path ---------------------------------------
-
-
-def _signpost_array(sp: SignpostSequence, n_max: int) -> np.ndarray:
-    """d(1..n_max) as floats; +inf past a capped table."""
-    n = np.arange(1, n_max + 1, dtype=float)
-    if sp.kind == LINEAR:
-        return n - 1.0 + float(sp.beta)
-    if sp.kind == CLIPPED_LINEAR:
-        return np.maximum(n - 1.0 + float(sp.beta), 0.0)
-    if sp.kind == SQRT_PAIR:
-        return np.sqrt(n * (n - 1.0))
-    if sp.kind == HARMONIC_PAIR:
-        return 2.0 * n * (n - 1.0) / (2.0 * n - 1.0)
-    if sp.kind == POWER:
-        return n**sp.exponent
-    if sp.kind == GEOMETRIC:
-        with np.errstate(over="ignore"):
-            return float(sp.ratio) ** (n - 1.0)
-    if sp.kind == TABLE:
-        vals = np.array([float(sp.value(k)) for k in range(1, n_max + 1)])
-        return vals
-    raise InvariantError(f"unknown signpost kind {sp.kind!r}")
-
-
 def _winner_sequence(shares: np.ndarray, sp: SignpostSequence, steps: int):
     """Award ``steps`` seats past the mandatory ones; return winners and figures.
 
-    winners[k] is the party taking award k, figures[k] its comparative figure;
-    figures are nonincreasing.
+    winners[k] is the party taking award k, figures[k] its figure as
+    ``SignpostSequence.figures`` gives it; figures are nonincreasing.
 
     This is the table-of-quotients reading of highest averages.  Party i's
-    table holds its figures shares[i] / d(n) for n = z+1 .. budget[i]; the
-    tables are concatenated in party order and sorted stably by descending
-    figure, so equal figures go to the lower party index, then the lower seat.
-    The budgets come from a bound, not a guess: let ``cut`` be the figure of
-    the last award.  A table whose last entry lies strictly below ``cut``
-    holds every entry of that party that can reach the first ``steps``
-    awards, since later entries are smaller still.  A table ending in 0 (past
-    a capped table, or after underflow) is complete too; then ``cut`` is 0
-    only when too few positive figures exist, and the house size is
-    unreachable.  Each other table has its budget doubled and the sort runs
-    again.
+    table holds its figures for n = z+1 .. budget[i], all from one
+    ``figures`` call; the tables are concatenated in party order and sorted
+    stably by descending figure, so equal figures go to the lower party
+    index, then the lower seat.  The budgets come from a bound, not a guess:
+    let ``cut`` be the figure of the last award.  A table whose last entry
+    lies strictly below ``cut`` holds every entry of that party that can
+    reach the first ``steps`` awards, since later entries are smaller still.
+    A table ending in 0 (past a capped table, or after underflow) is complete
+    too; then ``cut`` is 0 only when too few positive figures exist, and the
+    house size is unreachable.  Each other table has its budget doubled, up
+    to the last signpost within the float range (``float_limit``), and the
+    sort runs again; once every short table sits at that limit, the
+    float-range InputError of ``figure`` is raised.
     """
     m = shares.size
     z = sp.zero_count()
     if steps <= 0:
         return np.empty(0, dtype=np.int32), np.empty(0)
-    budget = np.maximum((shares * (steps + z * m)).astype(np.int64) + m + 8, z + 2)
+    want = np.maximum((shares * (steps + z * m)).astype(np.int64) + m + 8, z + 2)
     while True:
-        d = _signpost_array(sp, int(budget.max()))[z:]
-        figs = np.concatenate([shares[i] / d[: budget[i] - z] for i in range(m)])
-        ends = np.cumsum(budget - z)
+        limit = sp.float_limit(int(want.max()))
+        lengths = np.minimum(want, max(limit, z + 1)) - z  # the table sizes, clamped at the limit
+        ends = np.cumsum(lengths)
+        # entry k of the concatenated tables is seat k - (ends - lengths - z - 1) of its party
+        figs = sp.figures(np.repeat(shares, lengths), np.arange(ends[-1]) - np.repeat(ends - lengths - z - 1, lengths))
         order = np.argsort(-figs, kind="stable")[:steps]
         cut = figs[order[-1]] if order.size == steps else 0.0
         last = figs[ends - 1]
         short = (last >= cut) & (last > 0)
         if not short.any():
             break
-        budget[short] *= 2
+        grow = short & (lengths == want - z)  # the short tables below the float limit
+        if not grow.any():
+            raise InputError(_FLOAT_RANGE.format(limit + 1))
+        want[grow] *= 2
     if cut == 0:
         raise InputError("house size unreachable under the table cap")
-    winners = np.repeat(np.arange(m, dtype=np.int32), budget - z)[order]
+    winners = np.repeat(np.arange(m, dtype=np.int32), lengths)[order]
     return winners, figs[order]
 
 
@@ -160,12 +134,15 @@ def _award_sequence(shares: np.ndarray, sp: SignpostSequence, n_to: int):
     """Winners of every award up to house n_to, and per-award near-tie flags.
 
     near[a] flags award a as tied with award a+1, i.e. house z*m+a+1 as
-    near-tied; one extra award is computed for the flag at n_to.
+    near-tied; one extra award gives the flag at n_to, unless n_to fills a
+    capped table.
     """
-    steps = n_to - sp.zero_count() * shares.size + 1
-    winners, figures = _winner_sequence(shares, sp, steps)
+    cap = sp.max_seats()
+    full = cap is not None and n_to == cap * shares.size
+    steps = n_to - sp.zero_count() * shares.size
+    winners, figures = _winner_sequence(shares, sp, steps + (not full))
     near = figures[:-1] - figures[1:] <= NEAR_TIE_RTOL * np.abs(figures[:-1])
-    return winners, near
+    return winners, np.append(near, False) if full else near
 
 
 def _divisor_sweep_float(
@@ -225,8 +202,7 @@ def _seat_matrix(base: np.ndarray, winners: np.ndarray) -> np.ndarray:
 def _near_tie_average_divisor(shares, sp, seats, house) -> np.ndarray:
     """Average the excess over the tie class found within 4*NEAR_TIE_RTOL of
     the worst held figure."""
-    cur = np.array([float(sp.figure(p, int(s))) for p, s in zip(shares, seats)])
-    nxt = np.array([float(sp.figure(p, int(s) + 1)) for p, s in zip(shares, seats)])
+    cur, nxt = sp.figures(shares, seats), sp.figures(shares, seats + 1)
     f = cur[np.isfinite(cur)].min()
     tol = NEAR_TIE_RTOL * abs(f) * 4
     tie = _tie_class(seats, cur, nxt, lambda x: abs(x - f) <= tol)  # an infinite figure is never near f
@@ -255,14 +231,14 @@ def _quota_sweep_float(
 
 
 def _near_tie_average_quota(shares, gamma, house: int, seats) -> np.ndarray:
-    """Average the excess over the tie class found within 4*NEAR_TIE_RTOL of
-    the last granted fractional part of ``_quota_ideals``."""
+    """Average the excess over the tie class within 4*NEAR_TIE_RTOL*max(1,
+    house + gamma) of the last granted fractional part of ``_quota_ideals``."""
     ideal = _quota_ideals(shares[None, :], gamma, [house])[0]
     floors = np.floor(ideal)
     frac = ideal - floors
     granted = seats > floors + (house - int(floors.sum())) // shares.size
     c = frac[granted].min()
-    tol = NEAR_TIE_RTOL * 4
+    tol = NEAR_TIE_RTOL * 4 * max(1.0, house + float(gamma))
     held, nxt = np.where(granted, frac, np.nan), np.where(granted, np.nan, frac)
     tie = _tie_class(seats, held, nxt, lambda x: abs(x - c) <= tol)
     return np.array(_orbit_mean(seats, tie, exact=False), dtype=float) - house * shares
@@ -282,14 +258,14 @@ def _exact_divisor_scan(weights, sp, n_to: int):
 
     The arithmetic is integer: with integer votes V_i and d(n) = a/b in
     figure space (``SignpostSequence.exact_pair``), party i's figure is
-    w_i*b/a with w_i = V_i (V_i**2 for the sqrt pair product), and figures
-    compare by cross-multiplication.  Each house awards one seat to the
-    largest next figure, the lower index first among equal figures.
+    w_i*b/a with w_i = ``figure_weight(V_i)``, and figures compare by
+    cross-multiplication.  Each house awards one seat to the largest next
+    figure, the lower index first among equal figures.
     """
     if not _is_exact(weights, sp):
         raise InputError("exact scan requires exact weights and signposts")
     votes, _ = weights.integer_votes
-    w = [v * v for v in votes] if sp.kind == SQRT_PAIR else list(votes)
+    w = [sp.figure_weight(v) for v in votes]
     m = len(w)
     z = sp.zero_count()
     pairs = [sp.exact_pair(n) for n in range(z + 2)]  # pairs[n] for d(n), grown on demand
@@ -754,10 +730,10 @@ def apparentement_sweep(
         raise InputError("range lies below the feasible coalition sweep start")
 
     moments = RunningMoments(3)
+    houses = np.arange(n_from, n_to + 1)
     if isinstance(method, DivisorMethod):
         full = _cumulative_seats(shares, method.signposts, n_to)
         pooled = _cumulative_seats(mshares, method.signposts, n_to)
-        houses = np.arange(n_from, n_to + 1)
         s_i = full[houses, party_i]
         s_j = full[houses, party_j]
         s_pool = pooled[houses, im]
@@ -768,7 +744,6 @@ def apparentement_sweep(
         sub_j = sub[s_pool, 1]
     else:
         gamma = method.gamma
-        houses = np.arange(n_from, n_to + 1)
         s_full, _ = allocate_quota_rows(shares[None, :], gamma, houses)
         s_pooled, _ = allocate_quota_rows(mshares[None, :], gamma, houses)
         s_i = s_full[:, party_i]

@@ -61,9 +61,10 @@ class TiePolicy:
 
     A tie is one class (parties, grants, base_seats) whose orbit gives
     ``grants`` of the k tied parties one seat over their base.  Exact input
-    finds it exactly; float input within NEAR_TIE_RTOL (an ideal quota seat
-    count that close to an integer counts as the integer), and then flags a
-    near-tie and keeps the float seats under every policy.
+    finds it exactly; float input within NEAR_TIE_RTOL relative to the
+    figures, or for quota to max(1, house + gamma) (an ideal seat count
+    within NEAR_TIE_RTOL*max(1, |k|) of an integer k counts as k), and then
+    flags a near-tie and keeps the float seats under every policy.
 
     * ``seeded(seed)``   the member drawn by ``random.Random(f"{seed}:{N}")``
                          at house N, in ``allocate`` and exact sweeps alike

@@ -45,6 +45,8 @@ SQRT_PAIR = "sqrt_pair_product"
 HARMONIC_PAIR = "harmonic_pair"
 TABLE = "table"
 
+_FLOAT_RANGE = "signpost d({}) exceeds the float range; use exact votes"
+
 
 class Exactness(enum.Enum):
     RATIONAL = "rational"
@@ -236,86 +238,95 @@ class SignpostSequence:
     # one allocation: the plain quotient (RATIONAL/FLOAT) or its square
     # (SQUARED_RATIONAL).  d(n) = 0 maps to +inf, d(n) = +inf maps to 0.
 
+    def figure_weight(self, v):
+        """The numerator of v's figures: v, or v * v for the sqrt pair."""
+        return v * v if self.kind == SQRT_PAIR else v
+
     def figure(self, v, n: int):
-        d = self.value(n)
-        if d == INF:
-            return 0
-        if d == 0:
-            return INF
-        if self.kind == SQRT_PAIR:
-            if isinstance(v, Fraction):
-                return v * v / (n * (n - 1))
-            return float(v) * float(v) / (n * (n - 1))
-        if isinstance(v, Fraction) and isinstance(d, Fraction):
-            return v / d
         try:
-            return float(v) / float(d)
-        except OverflowError:  # an exact d(n) beyond the float range
-            raise InputError(f"signpost d({n}) exceeds the float range; use exact votes") from None
+            d = self._figure_divisor(n)
+            if d == INF:
+                return 0
+            if d == 0:
+                return INF
+            w = self.figure_weight(v)
+            if isinstance(w, Fraction) and isinstance(d, Rational):
+                return w / d
+            return float(w) / float(d)
+        except OverflowError:  # d(n) beyond the float range
+            raise InputError(_FLOAT_RANGE.format(n)) from None
 
     def figures(self, v, ns) -> np.ndarray:
-        """Array form of ``figure`` for float votes v and seat indices ns >= 0.
+        """Array form of ``figure`` for float votes v (broadcast to the shape
+        of ns) and seat indices ns >= 0.
 
-        Each entry is the float ``figure(v, n)`` gives, bit for bit.  The
-        closed forms of ``_closed_divisors`` round as the scalar ``Fraction``
-        and float expressions do while their integers stay exact; past that,
-        and for the other families, the divisors are the floats of the exact
-        scalars (``_float_divisor``).
+        Each entry is the float ``figure(v, n)`` gives, bit for bit, and a
+        divisor past the float range raises as ``figure`` does.  The divisors
+        are the closed forms of ``_closed_divisors`` while those are exact,
+        else the floats of the exact scalars (``_float_divisor``).
         """
-        v = np.asarray(v, dtype=float)
+        v = self.figure_weight(np.asarray(v, dtype=float))
         ns = np.asarray(ns, dtype=np.int64)
-        if self.kind == SQRT_PAIR:
-            v = v * v
         n_max = int(ns.max(initial=0))
-        d = self._closed_divisors(ns, n_max)
-        if d is None and self.kind in (POWER, GEOMETRIC, TABLE):
-            d = self._float_table(n_max)[ns]
-        elif d is None:  # a closed form past its exact range: few distinct n
-            distinct, where = np.unique(ns, return_inverse=True)
-            d = np.array([self._float_divisor(int(n)) for n in distinct])[where].reshape(ns.shape)
-        if np.isnan(d).any():
-            raise InputError("a signpost exceeds the float range; use exact votes")
+        d = self._closed_divisors(ns, n_max)  # a fresh array, which becomes the figures
+        if d is None:
+            if self.kind in (POWER, GEOMETRIC, TABLE):
+                d = self._float_table(n_max)[ns]
+            else:  # a closed form past its exact range: few distinct n
+                distinct, where = np.unique(ns, return_inverse=True)
+                d = np.array([self._float_divisor(int(n)) for n in distinct])[where].reshape(ns.shape)
+            if np.isnan(d).any():
+                raise InputError(_FLOAT_RANGE.format(ns[np.isnan(d)].min()))
+        zero, inf = d == 0, d == INF
         with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 is set below
-            fig = v / d
-        fig[d == 0] = INF
-        fig[d == INF] = 0.0
+            fig = np.divide(v, d, out=d)
+        fig[zero] = INF
+        fig[inf] = 0.0
         return fig
 
+    def float_limit(self, n_max: int) -> int:
+        """The last n <= n_max whose d(n) ``figures`` takes (within the float range)."""
+        if self.kind not in (POWER, GEOMETRIC, TABLE):
+            return n_max
+        return int(np.count_nonzero(~np.isnan(self._float_table(n_max)[: n_max + 1]))) - 1
+
     def _closed_divisors(self, ns: np.ndarray, n_max: int) -> np.ndarray | None:
-        """Float divisors of ``figure`` by int64 arithmetic, or None.
+        """Float divisors of ``figure``, computed in place on one array, or None.
 
         None for the families without a closed form, and where the integers
         involved reach 2**53 (for the sqrt pair, n(n - 1) reaching 2**63):
-        below that every integer converts to a float exactly (the sqrt pair's
-        int64 converts with the rounding of ``float(int)``), so one float
-        division rounds as ``float(Fraction)`` and Python's ``int / int`` do.
+        below that every step but the last is exact, and the last rounds as
+        ``float(int)``, ``float(Fraction)`` and Python's ``int / int`` do.
         """
-        if self.kind == SQRT_PAIR:  # figure space: d(n)**2 = n(n - 1)
-            return (ns * (ns - 1)).astype(float) if n_max * (n_max - 1) < 2**63 else None
         if self.kind == HARMONIC_PAIR:
             return (2 * ns * (ns - 1)) / (2 * ns - 1) if 2 * n_max * n_max < 2**53 else None
-        if self.kind not in (LINEAR, CLIPPED_LINEAR):
+        if self.kind not in (LINEAR, CLIPPED_LINEAR, SQRT_PAIR):
             return None
+        d = ns - 1.0
+        if self.kind == SQRT_PAIR:  # figure space: d(n)**2 = n(n - 1)
+            return np.multiply(d, ns, out=d) if n_max * (n_max - 1) < 2**63 else None
         if isinstance(self.beta, Fraction):  # float(Fraction) is the rounded quotient
             num, den = self.beta.numerator, self.beta.denominator
             if den * max(n_max, 1) + abs(num) >= 2**53:
                 return None
-            d = (den * (ns - 1) + num) / den
+            d *= den
+            d += num
+            d /= den
         else:
-            d = (ns - 1) + self.beta
+            d += self.beta
         if self.kind == CLIPPED_LINEAR:
-            d = np.maximum(d, 0.0)
+            np.maximum(d, 0.0, out=d)
         d[ns == 0] = 0.0
         return d
 
-    def _float_divisor(self, n: int) -> float:
-        """The float ``figure(v, n)`` divides by, nan past the float range.
+    def _figure_divisor(self, n: int):
+        """The divisor of n's figures: d(n), or n(n - 1) for the squared sqrt pair."""
+        return n * (n - 1) if self.kind == SQRT_PAIR else self.value(n)
 
-        float(d(n)), or float(n(n - 1)) for the sqrt pair, whose figure is
-        v * v / (n(n - 1)).
-        """
+    def _float_divisor(self, n: int) -> float:
+        """The float ``figure(v, n)`` divides by, nan past the float range."""
         try:
-            return float(n * (n - 1) if self.kind == SQRT_PAIR else self.value(n))
+            return float(self._figure_divisor(n))
         except OverflowError:
             return math.nan
 
@@ -341,14 +352,12 @@ class SignpostSequence:
         """Integers (a, b) with d(n) = a / b in figure space; exact signposts only.
 
         Figure space squares d(n) for the sqrt pair product, as ``figure``
-        does, so its pair is (n(n-1), 1).  A figure is v*b / a (v*v*b / a for
-        the sqrt pair product): d(n) = 0 gives (0, 1), an infinite figure,
-        and past a capped table the pair is (1, 0), a figure of 0.
+        does, so its pair is (n(n-1), 1).  A figure is w*b / a with w =
+        ``figure_weight(v)``: d(n) = 0 gives (0, 1), an infinite figure, and
+        past a capped table the pair is (1, 0), a figure of 0.
         """
-        if self.kind == SQRT_PAIR:
-            return n * (n - 1), 1
-        d = self.value(n)
-        if isinstance(d, Fraction):
+        d = self._figure_divisor(n)
+        if isinstance(d, Rational):
             return d.numerator, d.denominator
         if d == INF:
             return 1, 0
@@ -370,22 +379,14 @@ class SignpostSequence:
         """
         if not x > 0:
             raise InputError("quotient must be positive")
-        if self.kind == SQRT_PAIR and isinstance(x, Fraction):
-            # compare in squared space to stay exact
-            xx = x * x
+        # an exact x compares in figure space, which stays exact for the sqrt pair
+        y, div = (self.figure_weight(x), self._figure_divisor) if isinstance(x, Fraction) else (x, self.value)
 
-            def le(n):  # d(n) <= x
-                return n * (n - 1) <= xx
+        def le(n):  # d(n) <= x
+            return div(n) <= y
 
-            def eq(n):
-                return n * (n - 1) == xx
-        else:
-
-            def le(n):
-                return self.value(n) <= x
-
-            def eq(n):
-                return self.value(n) == x
+        def eq(n):
+            return div(n) == y
 
         cap = self.max_seats()
         if cap is not None and self.value(cap) < x:

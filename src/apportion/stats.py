@@ -96,14 +96,6 @@ class DeltaHistogram:
             raise DimensionMismatchError("histogram configurations differ")
         self.counts += other.counts
 
-    def copy(self) -> "DeltaHistogram":
-        out = object.__new__(DeltaHistogram)
-        out.bin_width = self.bin_width
-        out.low = self.low.copy()
-        out.n_bins = self.n_bins
-        out.counts = self.counts.copy()
-        return out
-
 
 @dataclass
 class SweepStats:

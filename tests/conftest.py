@@ -75,13 +75,13 @@ def float_largest_remainder(weights: PartyWeights, gamma, house: int):
     """(seats, near, support_interval) of the largest-remainder rule on the
     float ideal seat counts (house + gamma) p_i, party by party; ``near``
     flags last granted and first refused fractional parts within
-    NEAR_TIE_RTOL.  An ideal seat count within NEAR_TIE_RTOL of an integer
-    counts as that integer."""
+    NEAR_TIE_RTOL*max(1, house + gamma).  An ideal seat count within
+    NEAR_TIE_RTOL*max(1, |k|) of an integer k counts as that integer."""
     if isinstance(gamma, Rational):
         gamma = Fraction(gamma)
     m = len(weights)
     ideal = [(house + gamma) * p for p in weights.shares_float()]
-    ideal = [float(round(f)) if abs(f - round(f)) <= NEAR_TIE_RTOL else f for f in ideal]
+    ideal = [float(round(f)) if abs(f - round(f)) <= NEAR_TIE_RTOL * max(1, abs(round(f))) else f for f in ideal]
     base = [floor(f) for f in ideal]
     fracs = [f - b for f, b in zip(ideal, base)]
     q, t = divmod(house - sum(base), m)
@@ -89,7 +89,7 @@ def float_largest_remainder(weights: PartyWeights, gamma, house: int):
     near = False
     if t > 0:
         order = sorted(range(m), key=lambda i: (-fracs[i], i))
-        near = fracs[order[t - 1]] - fracs[order[t]] <= NEAR_TIE_RTOL  # 0 < t < m
+        near = fracs[order[t - 1]] - fracs[order[t]] <= NEAR_TIE_RTOL * max(1, house + float(gamma))  # 0 < t < m
         for i in order[:t]:
             seats[i] += 1
     if min(seats) < 0:

@@ -96,6 +96,36 @@ def test_float_quota_flags_exact_ties_at_integral_ideal_seats():
     assert ties > 100
 
 
+def test_float_quota_flags_exact_ties_at_large_houses():
+    # an ideal seat count near 10**6 carries a float error near 10**-10, so
+    # the near-tie tolerances scale with the house: Droop on (3, 8) ties
+    # exactly at every house 54 + 10967k
+    houses = 54 + 10_967 * np.arange(2000)
+    _, near = allocation.allocate_quota_rows([PartyWeights.of([3.0, 8.0]).shares_float()], 1, houses)
+    assert near.all()
+    assert all(allocate(quota_method(1), PartyWeights.of([3, 8]), int(h)).tied for h in houses[::97])
+    rng = random.Random(2)
+    ties = 0
+    for _ in range(600):
+        gamma = rng.choice((0, 1))
+        votes = [rng.randint(1, 12) for _ in range(rng.randint(2, 4))]
+        house = rng.randint(10**6, 10**7)
+        exact = allocate(quota_method(gamma), PartyWeights.of(votes), house)
+        fl = allocate(quota_method(float(gamma)), PartyWeights.of([float(v) for v in votes]), house)
+        assert fl.tied == exact.tied, (votes, gamma, house)
+        ties += exact.tied
+    assert ties > 50
+
+
+def test_float_quota_computes_the_ideals_once(monkeypatch):
+    calls = []
+    ideals = allocation._quota_ideals
+    monkeypatch.setattr(allocation, "_quota_ideals", lambda *args: calls.append(args) or ideals(*args))
+    a = allocate(quota_method(1.0), PartyWeights.of([3.0, 8.0]), 54)
+    assert len(calls) == 1
+    assert a.support_interval == float_largest_remainder(PartyWeights.of([3.0, 8.0]), 1.0, 54)[2]
+
+
 def test_fraction_gamma_is_rounded_once():
     houses = np.arange(1, 5000)
     for gamma in (Fraction(2, 3), Fraction(-1, 7), Fraction(1, 3**40)):  # the last one past 2**53

@@ -47,9 +47,9 @@ def test_merge_associativity():
 
 
 def test_histogram_counts_and_merge():
-    h1 = DeltaHistogram([(-1.0, 1.0)], bin_width=0.5)
-    h1.push_batch(np.array([[-0.9], [-0.2], [0.3], [0.9], [5.0]]))  # last clipped
-    h2 = h1.copy()
+    h1, h2 = (DeltaHistogram([(-1.0, 1.0)], bin_width=0.5) for _ in range(2))
+    for h in (h1, h2):
+        h.push_batch(np.array([[-0.9], [-0.2], [0.3], [0.9], [5.0]]))  # last clipped
     h2.merge(h1)
     assert h2.counts.sum() == 10
     assert h1.counts.sum() == 5

@@ -1,9 +1,9 @@
 """The sorted quotient table behind float divisor sweeps, against a heap oracle.
 
 ``heap_winner_sequence`` is the per-seat heap that ``harness._winner_sequence``
-replaced: it pops the largest comparative figure once per award, breaking ties
-by the lower party index, and grows a party's quotient table on demand.  The
-sort-based sequence must reproduce its winners and figures bit for bit.
+replaced: it pops the largest comparative figure ``float(sp.figure(share, n))``
+once per award, breaking ties by the lower party index.  The sort-based
+sequence must reproduce its winners and figures bit for bit.
 """
 
 import heapq
@@ -14,22 +14,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from apportion import InputError, InvariantError, PartyWeights, SignpostSequence, TiePolicy
-from apportion.harness import _signpost_array, _winner_sequence, allocate_many, sqrt_shares, sweep
-from apportion.methods import linear_divisor, method_by_name
+from apportion import InputError, InvariantError, PartyWeights, SignpostSequence, TiePolicy, allocate
+from apportion.harness import _cumulative_seats, _winner_sequence, allocate_many, sqrt_shares, sweep
+from apportion.methods import DivisorMethod, linear_divisor, method_by_name
 
 
 def heap_winner_sequence(shares: np.ndarray, sp: SignpostSequence, steps: int):
     m = shares.size
-    z = sp.zero_count()
-    budget = np.maximum((shares * (steps + z * m)).astype(int) + m + 8, z + 2)
-    with np.errstate(divide="ignore"):
-        tables = [shares[i] / _signpost_array(sp, int(budget[i])) for i in range(m)]
+    seats = [sp.zero_count()] * m
+    heap = [(-float(sp.figure(shares[i], seats[i] + 1)), i) for i in range(m)]
+    heapq.heapify(heap)
     winners = np.empty(steps, dtype=np.int32)
     figures = np.empty(steps, dtype=float)
-    seats = [z] * m
-    heap = [(-tables[i][seats[i]] if seats[i] < budget[i] else 0.0, i) for i in range(m)]
-    heapq.heapify(heap)
     for k in range(steps):
         negfig, i = heapq.heappop(heap)
         if negfig == 0.0:
@@ -37,11 +33,7 @@ def heap_winner_sequence(shares: np.ndarray, sp: SignpostSequence, steps: int):
         winners[k] = i
         figures[k] = -negfig
         seats[i] += 1
-        if seats[i] >= budget[i]:
-            budget[i] = budget[i] * 2
-            with np.errstate(divide="ignore"):
-                tables[i] = shares[i] / _signpost_array(sp, int(budget[i]))
-        heapq.heappush(heap, (-tables[i][seats[i]], i))
+        heapq.heappush(heap, (-float(sp.figure(shares[i], seats[i] + 1)), i))
     return winners, figures
 
 
@@ -111,6 +103,46 @@ def test_capped_table_unreachable_on_both_sides():
         assert np.array_equal(fn(shares, sp, 9)[0], heap_winner_sequence(shares, sp, 9)[0])
         with pytest.raises(InputError, match="unreachable under the table cap"):
             fn(shares, sp, 10)
+
+
+def test_budgets_stop_at_the_float_range():
+    # Macau's d(n) = 2**(n - 1) leaves the float range at n = 1025: 3000
+    # awards need no table past it, 5000 do, and both sides raise alike
+    shares = np.asarray(sqrt_shares(4))
+    assert_same(shares, FAMILIES["macau"], 3000)
+    assert_same(shares, FAMILIES["macau"], 5000)
+    with pytest.raises(InputError, match=r"d\(1025\) exceeds the float range"):
+        _winner_sequence(shares, FAMILIES["macau"], 5000)
+
+
+def test_figure_and_figures_raise_alike_past_the_float_range():
+    sp = SignpostSequence.geometric(1.1)  # d(n) = 1.1**(n - 1) overflows a float from n = 7449
+    want = "signpost d(8000) exceeds the float range; use exact votes"
+    for evaluate in (lambda: sp.figure(1.0, 8000), lambda: sp.figures(np.ones(2), np.array([7448, 8000]))):
+        with pytest.raises(InputError) as err:
+            evaluate()
+        assert str(err.value) == want
+
+
+def test_sweep_reaches_a_full_capped_house():
+    # the near-tie flag of house cap*m would need an award past the last one
+    method = DivisorMethod(SignpostSequence.table([0.5, 1.5, 2.5], cap=3))
+    w = PartyWeights.of(sqrt_shares(3))
+    assert sweep(method, w, 1, 9).count == 9
+    full = sweep(method, w, 9, 9)
+    assert allocate(method, w, 9).seats == (3, 3, 3)
+    assert full.count == 1 and full.near_ties == 0
+    assert np.array_equal(full.mean, 3 - 9 * np.asarray(sqrt_shares(3)))
+
+
+@pytest.mark.parametrize("m", [4, 8, 12])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_float_sweep_seats_equal_allocate(family, m):
+    sp, shares = FAMILIES[family], sqrt_shares(m)
+    seats = _cumulative_seats(np.asarray(shares), sp, 600)
+    method, w = DivisorMethod(sp), PartyWeights.of(shares)
+    for h in range(sp.zero_count() * m, 601):
+        assert tuple(seats[h].tolist()) == allocate(method, w, h).seats, h
 
 
 def test_budget_grows_past_a_proportional_guess():
