@@ -2,15 +2,21 @@
 
 Divisor allocation returns the seats of awarding each seat in turn to the
 largest comparative figure v_i / d(s_i + 1).  It computes them by
-jump-and-step: a float estimate of the seat vector, then exact steps through
-the quotient table, so the cost does not grow with the house size;
-``allocate_divisor_rows`` takes the same steps for every row of a float
-share matrix at once.  Quota allocation floors the ideal shares
-(house + gamma) * p_i and hands remaining seats to the largest fractional
-parts, generalized so any real gamma works even when the raw remainder is
-negative or exceeds the party count; ``allocate_quota_rows`` is that rule on
-floats for every row of a share matrix, and ``allocate_quota`` runs it on
-one row unless the weights and gamma are exact.
+jump-and-step: a float estimate of the seat vector, then steps through the
+quotient table ranked by float keys, so the cost does not grow with the
+house size; ``allocate_divisor_rows`` takes the same steps for every row of
+a float share matrix at once.  On exact weights and signposts the figures
+are integer pairs over coprime integer votes, and an integer
+certify-and-repair step after the float-ranked steps makes the seats, the
+tie class and the support interval exact.  Quota allocation floors the
+ideal shares (house + gamma) * p_i and hands remaining seats to the largest
+fractional parts, generalized so any real gamma works even when the raw
+remainder is negative or exceeds the party count; ``allocate_quota_rows``
+is that rule on floats for every row of a share matrix, and
+``allocate_quota`` runs it on one row unless the weights and gamma are
+exact, when ``_largest_remainder`` runs it on integer ideals.  The exact
+paths compare integers only; ``Fraction``s appear in their results alone
+(the support interval and the orbit mean).
 
 Every path reports a tie as one class (parties, grants, base_seats), built
 by ``_tie_class``: ``grants`` of the tied parties get one seat over their
@@ -271,34 +277,6 @@ def _divisor_validate(weights, sp: SignpostSequence, house_size: int) -> int:
         raise CapExceededError(f"capped table allows at most {cap * m} seats")
     return z
 
-def _finalize_divisor(
-    weights: PartyWeights,
-    sp: SignpostSequence,
-    seats: list[int],
-    house_size: int,
-    policy: TiePolicy,
-) -> Allocation:
-    """Build the Allocation (ties, support interval) from any valid branch."""
-    cur = [sp.figure(v, s) for v, s in zip(weights.votes, seats)]
-    nxt = [sp.figure(v, s + 1) for v, s in zip(weights.votes, seats)]
-    d_minus_fig = max(nxt)
-    d_plus_fig = min(cur)
-    interval = (sp.divisor_of_figure(d_minus_fig), sp.divisor_of_figure(d_plus_fig))
-
-    alternatives, info = (), None
-    if d_minus_fig != INF and d_plus_fig != INF:
-        if not _is_exact(weights, sp):
-            gap = float(d_plus_fig) - float(d_minus_fig)
-            if gap <= NEAR_TIE_RTOL * max(abs(float(d_plus_fig)), abs(float(d_minus_fig))):
-                info = _NEAR_TIE
-        elif d_minus_fig == d_plus_fig:
-            f = d_plus_fig
-            if any(c == f and n == f for c, n in zip(cur, nxt)):  # excluded by strict monotonicity once positive
-                raise InvariantError("signpost sequence not strictly increasing at a tie")
-            tie = _tie_class(seats, cur, nxt, lambda x: x == f)
-            seats, alternatives, info = _resolve_orbit(seats, tie, policy, house_size)
-    return Allocation(tuple(seats), house_size, alternatives, info, interval)
-
 
 def allocate_divisor(
     weights: PartyWeights,
@@ -318,23 +296,46 @@ def allocate_divisor(
     of the orbit.
 
     Jump: every party starts at ``_jump_start``, a float estimate of its
-    seats from the vote shares v_i / T.  Step: add the best next entries or
-    drop the worst held ones until the seats sum to N, then swap while the
-    best next entry beats the worst held one.  Every comparison goes through
-    ``SignpostSequence.figure``, so exact figures stay exact.  The estimate
-    misses by O(m) seats, so the work is O(m) figure steps, not O(N) (a
-    count start past _COUNT_TABLE_MAX seats per party steps the rest).
+    seats from the vote shares.  Step: ``_step`` adds the best next entries
+    or drops the worst held ones until the seats sum to N, then swaps while
+    the best next entry beats the worst held one.  The estimate misses by
+    O(m) seats, so the work is O(m) steps, not O(N) (a count start past
+    _COUNT_TABLE_MAX seats per party steps the rest).  Float weights or
+    signposts rank the entries by ``SignpostSequence.figure`` and flag a
+    near-tie; exact ones go through ``_exact_divisor``, which ranks them by
+    float keys and then certifies the seats in integers.
     """
     z = _divisor_validate(weights, signposts, house_size)
+    if _is_exact(weights, signposts):
+        return _exact_divisor(weights, signposts, house_size, z, tie_policy)
     votes = weights.votes
-    m = len(votes)
     fig = signposts.figure
-    seats = _jump_start(votes, signposts, house_size, z)
-    # nxt: best next entry on top (figure descending, party ascending);
-    # held: worst held entry on top (figure ascending, party descending).
-    # Entries carry their seat index n and go stale when the party moves.
-    nxt = [(-fig(votes[i], seats[i] + 1), i, seats[i] + 1) for i in range(m)]
-    held = [(fig(votes[i], seats[i]), -i, seats[i]) for i in range(m) if seats[i] > z]
+    # a float figure of 0 (past a cap, or underflowed) ranks below every other one
+    seats = _step(_jump_start(votes, signposts, house_size, z), lambda i, n: fig(votes[i], n) or -INF, house_size, z)
+    d_minus = max(fig(v, s + 1) for v, s in zip(votes, seats))
+    d_plus = min(fig(v, s) for v, s in zip(votes, seats))
+    info = None
+    if d_minus != INF and d_plus != INF and d_plus - d_minus <= NEAR_TIE_RTOL * max(abs(d_plus), abs(d_minus)):
+        info = _NEAR_TIE
+    interval = (signposts.divisor_of_figure(d_minus), signposts.divisor_of_figure(d_plus))
+    return Allocation(tuple(seats), house_size, (), info, interval)
+
+
+def _step(seats: list[int], key, house_size: int, z: int) -> list[int]:
+    """Step ``seats`` to the top ``house_size - z*m`` entries under ``key``.
+
+    key(i, n) ranks party i's entry for its n-th seat, n > z, and is -inf
+    past a capped table.  Adds the best next entries (key descending, party
+    ascending) or drops the worst held ones until the seats sum to
+    ``house_size``, then swaps while the best next entry beats the worst
+    held one.  Raises CapExceededError when only capped entries are left.
+    """
+    m = len(seats)
+    # nxt: best next entry on top; held: worst held entry on top (key
+    # ascending, party descending).  Entries carry their seat index n and
+    # go stale when the party moves.
+    nxt = [(-key(i, seats[i] + 1), i, seats[i] + 1) for i in range(m)]
+    held = [(key(i, seats[i]), -i, seats[i]) for i in range(m) if seats[i] > z]
     heapq.heapify(nxt)
     heapq.heapify(held)
 
@@ -351,19 +352,19 @@ def allocate_divisor(
     def take():
         # the top of nxt is valid here: no drop precedes the fill, and a swap
         # checks best_next() and then drops an entry that ranks below it
-        negfig, i, n = nxt[0]
-        if negfig == 0:  # all remaining signposts are infinite
+        negkey, i, n = nxt[0]
+        if negkey == INF:  # all remaining signposts are infinite
             raise CapExceededError("house size unreachable under the table cap")
         seats[i] = n
-        heapq.heapreplace(nxt, (-fig(votes[i], n + 1), i, n + 1))
-        heapq.heappush(held, (-negfig, -i, n))
+        heapq.heapreplace(nxt, (-key(i, n + 1), i, n + 1))
+        heapq.heappush(held, (-negkey, -i, n))
 
     def drop():
-        f, negi, n = worst_held()
+        k, negi, n = worst_held()
         seats[-negi] = n - 1
-        heapq.heappush(nxt, (-f, -negi, n))
+        heapq.heappush(nxt, (-k, -negi, n))
         if n - 1 > z:
-            heapq.heappush(held, (fig(votes[-negi], n - 1), negi, n - 1))
+            heapq.heappush(held, (key(-negi, n - 1), negi, n - 1))
 
     surplus = sum(seats) - house_size
     for _ in range(-surplus):
@@ -373,7 +374,89 @@ def allocate_divisor(
     while (b := worst_held()) is not None and best_next()[:2] < (-b[0], -b[1]):
         drop()
         take()
-    return _finalize_divisor(weights, signposts, seats, house_size, tie_policy)
+    return seats
+
+
+def _exact_divisor(weights: PartyWeights, sp: SignpostSequence, house_size: int, z: int, policy: TiePolicy):
+    """``allocate_divisor`` on exact weights and signposts, in integers.
+
+    With coprime integer votes V_i and d(n) = a/b in figure space
+    (``SignpostSequence.exact_pair``), party i's figure is w_i*b / a with
+    w_i = ``figure_weight(V_i)``.  ``_step`` ranks the entries by the float
+    w_i*b / a, which rounds equal figures alike but may misorder figures
+    within a rounding error of each other or outside the float range.  The
+    repair then compares the pairs (w_i*b, a) by cross-multiplication and
+    swaps while the best next entry beats the worst held one, so the seats
+    are exact; the tie class and the support interval come from the same
+    pairs.  Only the two interval endpoints become ``Fraction``s, in the
+    units of the caller's votes.
+    """
+    votes, _ = weights.integer_votes
+    w = [sp.figure_weight(v) for v in votes]
+    m = len(w)
+    pair = sp.exact_pair
+
+    def key(i, n):
+        a, b = pair(n)
+        if not b:  # past a capped table
+            return -INF
+        try:
+            return w[i] * b / a
+        except OverflowError:
+            return INF
+
+    seats = _step(_jump_start(votes, sp, house_size, z), key, house_size, z)
+    held = [None] * m  # (num, den) of party i's figure at its last held seat
+    nxt = [None] * m  # and at its next seat; den 0 is an infinite figure
+
+    def load(i):
+        a, b = pair(seats[i])
+        held[i] = (w[i] * b, a)
+        a, b = pair(seats[i] + 1)
+        nxt[i] = (w[i] * b, a)
+
+    for i in range(m):
+        load(i)
+    while True:
+        i = 0  # best next: largest figure, lowest index
+        for j in range(1, m):
+            if nxt[j][0] * nxt[i][1] > nxt[i][0] * nxt[j][1]:
+                i = j
+        k = -1  # worst held: smallest finite figure, highest index
+        for j in range(m - 1, -1, -1):
+            if seats[j] > z and (k < 0 or held[j][0] * held[k][1] < held[k][0] * held[j][1]):
+                k = j
+        xn, xd = nxt[i]
+        if k < 0:
+            break
+        hn, hd = held[k]
+        gap = hn * xd - xn * hd
+        if gap > 0 or (gap == 0 and i >= k):
+            break
+        seats[i] += 1
+        seats[k] -= 1
+        load(i)
+        load(k)
+
+    # V_i = c * v_i for the caller's votes v_i: integer figures are theirs times figure_weight(c)
+    v0 = weights.votes[0]
+    c_num, c_den = sp.figure_weight(votes[0] * v0.denominator), sp.figure_weight(v0.numerator)
+
+    def divisor(num, den):
+        return sp.divisor_of_figure(Fraction(num * c_den, den * c_num) if num else 0)
+
+    alternatives, info = (), None
+    interval = (divisor(xn, xd), INF if k < 0 else divisor(hn, hd))
+    if k >= 0 and gap == 0:
+
+        def same(f):
+            return f[0] * xd == xn * f[1]
+
+        if any(same(h) and same(x) for h, x in zip(held, nxt)):  # excluded by strict monotonicity
+            raise InvariantError("signpost sequence not strictly increasing at a tie")
+        tie = _tie_class(seats, held, nxt, same)
+        seats, alternatives, info = _resolve_orbit(seats, tie, policy, house_size)
+    return Allocation(tuple(seats), house_size, alternatives, info, interval)
 
 
 def allocate_divisor_rows(shares, signposts: SignpostSequence, house_size: int) -> np.ndarray:
@@ -433,8 +516,8 @@ def allocate_divisor_rows(shares, signposts: SignpostSequence, house_size: int) 
 
 def _jump_start(votes, sp: SignpostSequence, house_size: int, z: int) -> list[int]:
     """``_jump_starts`` for one vote vector."""
-    total = float(sum(votes))
-    start = _jump_starts(np.array([[float(v) / total for v in votes]]), sp, house_size, z)[0]
+    total = sum(votes)
+    start = _jump_starts(np.array([[float(v / total) for v in votes]]), sp, house_size, z)[0]
     return [int(s) for s in start.tolist()]  # Python ints: the house may pass int64
 
 
@@ -516,20 +599,21 @@ def allocate_quota(
         raise NonpositiveQuotaError(f"need house_size + gamma > 0, got {house_size} + {gamma}")
     alternatives, info = (), None
     if weights.exact and isinstance(gamma, Fraction):
-        ideal = [(house_size + gamma) * p for p in weights.shares]
-        seats, tie = _largest_remainder(*weights.integer_votes, gamma, house_size)
+        votes, total = weights.integer_votes
+        seats, tie = _largest_remainder(votes, total, gamma, house_size)
         if tie is not None:
             seats, alternatives, info = _resolve_orbit(seats, tie, tie_policy, house_size)
-    else:
-        ideals = _quota_ideals([weights.shares_float()], gamma, [house_size])
-        ideal = ideals[0].tolist()
-        rows, near = _remainder_rows(ideals, gamma, [house_size])
-        seats = rows[0].tolist()
-        if near[0]:
-            info = _NEAR_TIE
-    lo = max(f - s for f, s in zip(ideal, seats))
-    hi = min(f - s for f, s in zip(ideal, seats)) + 1
-    return Allocation(tuple(seats), house_size, alternatives, info, (lo, hi))
+        # ideal_i - s_i = slack_i / den, the integers of _largest_remainder
+        scale, den = house_size * gamma.denominator + gamma.numerator, gamma.denominator * total
+        slack = [scale * v - s * den for v, s in zip(votes, seats)]
+        interval = (Fraction(max(slack), den), Fraction(min(slack) + den, den))
+        return Allocation(tuple(seats), house_size, alternatives, info, interval)
+    ideals = _quota_ideals([weights.shares_float()], gamma, [house_size])
+    ideal = ideals[0].tolist()
+    rows, near = _remainder_rows(ideals, gamma, [house_size])
+    seats = rows[0].tolist()
+    slack = [f - s for f, s in zip(ideal, seats)]
+    return Allocation(tuple(seats), house_size, (), _NEAR_TIE if near[0] else None, (max(slack), min(slack) + 1))
 
 
 def _quota_ideals(shares, gamma, houses) -> np.ndarray:

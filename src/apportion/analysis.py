@@ -6,13 +6,18 @@ sum(excess^2 / p), Hamilton the plain sum of squares as well as max |excess|
 (and any convex per-party penalty), Jefferson max(excess / p), Adams
 -min(excess / p).  The oracle enumerates every seat vector and returns the
 exact argmin set so those identities can be checked instance by instance.
+On exact weights it ranks the vectors by integers: with coprime integer
+votes V_i and total T, each functional is a positive multiple of one built
+from the integer excesses e_i = s_i*T - N*V_i (``_integer_terms``), so no
+``Fraction`` is formed per seat vector.  Float weights rank by
+``divergence_value``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, inf
+from math import comb, inf, lcm
 
 from .allocation import Allocation, allocate
 from .errors import DimensionMismatchError, InputError, InstanceTooLargeError
@@ -107,7 +112,11 @@ def brute_force_min(
     house_size: int,
     limit: int = 10_000_000,
 ) -> set[tuple[int, ...]]:
-    """Exact argmin set of a functional over every seat vector."""
+    """Exact argmin set of a functional over every seat vector.
+
+    Exact weights rank the vectors by ``_integer_terms``; float weights by
+    ``divergence_value``.
+    """
     m = len(weights)
     if house_size < 0:
         raise InputError("house size must be nonnegative")
@@ -116,16 +125,55 @@ def brute_force_min(
         raise InstanceTooLargeError(
             f"{n_vectors} seat vectors exceed the enumeration limit {limit}"
         )
+    if weights.exact:
+        terms, combine = _integer_terms(functional, weights, house_size)
+
+        def score(seats):
+            return combine(map(list.__getitem__, terms, seats))
+
+    else:
+
+        def score(seats):
+            return divergence_value(functional, seats, weights, house_size)
+
     best = None
     argmin: set[tuple[int, ...]] = set()
     for seats in _compositions(house_size, m):
-        val = divergence_value(functional, seats, weights, house_size)
+        val = score(seats)
         if best is None or val < best:
             best = val
             argmin = {seats}
         elif val == best:
             argmin.add(seats)
     return argmin
+
+
+def _integer_terms(functional: str, weights: PartyWeights, house_size: int):
+    """Per-party integer terms and their combination (sum or max) ranking
+    seat vectors as ``functional`` does, on exact weights.
+
+    With coprime integer votes V_i, total T and L = lcm(V), the excess
+    e_i = s_i*T - N*V_i is T times s_i - N*p_i, so every functional is a
+    positive multiple of one built from integers: sum e_i**2 * (L/V_i)
+    (Sainte-Lague), sum e_i**2, max |e_i|, max e_i, max e_i * (L/V_i)
+    (Jefferson), max -e_i * (L/V_i) (Adams) and sum e_i**4.  terms[i][s]
+    is party i's term at s seats.
+    """
+    votes, total = weights.integer_votes
+    scale = lcm(*votes)
+    forms = {
+        SAINTE_LAGUE: (sum, lambda e, v: e * e * (scale // v)),
+        SUM_SQUARES: (sum, lambda e, v: e * e),
+        MAX_ABS: (max, lambda e, v: abs(e)),
+        MAX_POS: (max, lambda e, v: e),
+        JEFFERSON: (max, lambda e, v: e * (scale // v)),
+        ADAMS: (max, lambda e, v: -e * (scale // v)),
+        FOURTH_POWER: (sum, lambda e, v: e**4),
+    }
+    if functional not in forms:
+        raise InputError(f"unknown divergence functional {functional!r}")
+    combine, term = forms[functional]
+    return [[term(s * total - house_size * v, v) for s in range(house_size + 1)] for v in votes], combine
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ and period averages run one integer kernel: the votes are scaled once to
 coprime integers, a divisor scan adds one seat per house size and compares
 figures by integer cross-multiplication, quota houses floor integer ideal
 seats, and ties are found exactly and averaged over their orbits; the rows
-of an exact sweep are recorded in blocks.
+of an exact sweep are recorded in blocks, and its violation totals are
+exact sums, converted to float once.
 
 Ties follow ``allocation``'s contract: one class from ``_tie_class`` and
 one orbit mean, base + grants/k (exact rows divide it out in integers).  A
@@ -45,6 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb
+from operator import add
 
 import numpy as np
 
@@ -316,21 +318,25 @@ def _exact_houses(method, weights, n_from: int, n_to: int, tie_policy):
 
 
 def _exact_rows(method, weights, n_from: int, n_to: int, tie_policy):
-    """Yield (house, tie_class, delta, lower, upper, any_violation) per house.
+    """Yield (house, tie_class, delta, lower, upper, violating, orbit) per house.
 
-    delta holds the seat excesses s_i - house*p_i, lower and upper the
-    quota-violation indicators, any_violation whether some party violates
-    its quota.  Under the averaging policy a tied house gives their averages
-    over the tie orbit, in which ``grants`` of the k tied parties get one
-    seat over their base.  With integer votes V_i and total T every float is
-    one int division, which Python rounds correctly, so it equals float() of
-    the exact rational.
+    delta holds the seat excesses s_i - house*p_i as floats.  The rest are
+    integer counts over the house's ``orbit`` of equally likely seat
+    vectors: lower[i] and upper[i] count the members in which party i
+    violates its lower or upper quota, ``violating`` those in which some
+    party does.  Under the averaging policy the orbit of a tied house has
+    comb(k, grants) members, in which ``grants`` of the k tied parties get
+    one seat over their base; otherwise it is the one seat vector.  With
+    integer votes V_i and total T every delta is one int division, which
+    Python rounds correctly, so it equals float() of the exact rational.
     """
     average = tie_policy.kind == "average"
     votes, total = weights.integer_votes
     for house, seats, tie in _exact_houses(method, weights, n_from, n_to, tie_policy):
         parties, grants, base_seats = tie if average and tie is not None else ((), 0, ())
         k = len(parties) or 1  # an untied house is an orbit of one member
+        orbit = comb(k, grants)
+        granted = comb(k - 1, grants - 1) if grants else 0  # members granting a given tied party
         base = dict(zip(parties, base_seats))
         delta, lower, upper = [], [], []
         viol_if_granted = viol_if_not = 0
@@ -339,12 +345,12 @@ def _exact_rows(method, weights, n_from: int, n_to: int, tie_policy):
             x = house * v
             lo_cut, r = divmod(x, total)  # lower quota violated iff s < floor(house*p)
             hi_cut = lo_cut + (r > 0)  # upper violated iff s > ceil(house*p)
-            # a tied party holds b + 1 seats in ``grants`` of the k members, else b
+            # a tied party holds b + 1 seats in ``granted`` of the members, else b
             b, up = (base[i], 1) if i in base else (s, 0)
             delta.append(((b * k + grants * up) * total - x * k) / (k * total))
             lo_g, lo_n, hi_g, hi_n = b + up < lo_cut, b < lo_cut, b + up > hi_cut, b > hi_cut
-            lower.append((grants * lo_g + (k - grants) * lo_n) / k)
-            upper.append((grants * hi_g + (k - grants) * hi_n) / k)
+            lower.append(granted * lo_g + (orbit - granted) * lo_n)
+            upper.append(granted * hi_g + (orbit - granted) * hi_n)
             if (lo_g or hi_g) and (lo_n or hi_n):
                 fixed_violation = True
             elif lo_g or hi_g:
@@ -355,23 +361,45 @@ def _exact_rows(method, weights, n_from: int, n_to: int, tie_policy):
         # and none of viol_if_granted
         free, need = k - viol_if_granted - viol_if_not, grants - viol_if_not
         good = comb(free, need) if 0 <= need <= free and not fixed_violation else 0
-        yield house, tie, delta, lower, upper, 1.0 - good / comb(k, grants)
+        yield house, tie, delta, lower, upper, orbit - good, orbit
 
 
 def _exact_sweep(method, weights, n_from, n_to, tie_policy, stats) -> None:
+    """Record ``_exact_rows`` in ``stats``, _EXACT_BLOCK houses per
+    ``record_batch``.
+
+    The violation totals are exact sums, converted to float once, so they
+    do not depend on the block size: the houses of one-member orbits add
+    integer counts through ``record_batch``, and the others add their
+    counts, divided by their orbit size, as one rational per orbit size.
+    """
     m = len(weights)
     rows = _exact_rows(method, weights, n_from, n_to, tie_policy)
+    shared = {}  # orbit size -> summed (lower..., upper..., violating) counts
+    none = [0] * (2 * m)
     while True:
-        buf, any_v, ties = array("d"), 0.0, 0
-        for _, tie, delta, lower, upper, a in islice(rows, _EXACT_BLOCK):
-            buf.extend(delta + lower + upper)
-            any_v += a
+        buf, any_v, ties = array("d"), 0, 0
+        for _, tie, delta, lower, upper, violating, orbit in islice(rows, _EXACT_BLOCK):
             ties += tie is not None
+            if orbit == 1:
+                buf.extend(delta + lower + upper)
+                any_v += violating
+            else:
+                buf.extend(delta + none)
+                counts = shared.setdefault(orbit, [0] * (2 * m + 1))
+                counts[:] = map(add, counts, lower + upper + [violating])
         if not buf:
             break
         block = np.frombuffer(buf).reshape(-1, 3, m)
-        stats.record_batch(block[:, 0], lower=block[:, 1], upper=block[:, 2], any_violation=any_v)
+        stats.record_batch(block[:, 0], lower=block[:, 1], upper=block[:, 2], any_violation=float(any_v))
         stats.ties += ties
+    if shared:
+        # stats started empty, so its float totals so far are exact integer sums
+        totals = [*stats.lower_violations.tolist(), *stats.upper_violations.tolist(), stats.any_violation]
+        for j, x in enumerate(totals):
+            totals[j] = float(int(x) + sum(Fraction(c[j], size) for size, c in shared.items()))
+        stats.lower_violations, stats.upper_violations = np.array(totals[:m]), np.array(totals[m : 2 * m])
+        stats.any_violation = totals[-1]
 
 
 # -- public sweep -------------------------------------------------------------

@@ -354,8 +354,20 @@ class SignpostSequence:
         Figure space squares d(n) for the sqrt pair product, as ``figure``
         does, so its pair is (n(n-1), 1).  A figure is w*b / a with w =
         ``figure_weight(v)``: d(n) = 0 gives (0, 1), an infinite figure, and
-        past a capped table the pair is (1, 0), a figure of 0.
+        past a capped table the pair is (1, 0), a figure of 0.  The linear
+        families and the pairs need no ``Fraction``: with beta = num/den in
+        lowest terms, ((n-1)*den + num, den) and (2n(n-1), 2n-1) are in
+        lowest terms already.
         """
+        kind = self.kind
+        if kind in (LINEAR, CLIPPED_LINEAR) and isinstance(self.beta, Fraction):
+            den = self.beta.denominator
+            a = (n - 1) * den + self.beta.numerator
+            return (a, den) if n and a > 0 else (0, 1)
+        if kind == SQRT_PAIR:
+            return n * (n - 1), 1
+        if kind == HARMONIC_PAIR:
+            return (2 * n * (n - 1), 2 * n - 1) if n else (0, 1)
         d = self._figure_divisor(n)
         if isinstance(d, Rational):
             return d.numerator, d.denominator

@@ -12,6 +12,11 @@ integer kernel of ``apportion.harness`` must reproduce.
 ``float_largest_remainder`` is the float largest-remainder rule one party at
 a time, kept as the reference that the row kernel
 ``apportion.allocation.allocate_quota_rows`` must reproduce.
+``fraction_finalize_divisor`` builds ``heap_divisor``'s tie class and
+support interval from ``Fraction`` figures, and ``fraction_brute_force_min``
+enumerates ``divergence_value`` in ``Fraction``s: the references of the
+integer certify step of ``allocate_divisor`` and of the integer functionals
+of ``apportion.analysis.brute_force_min``.
 """
 
 import heapq
@@ -25,7 +30,16 @@ import pytest
 
 from apportion import CapExceededError, DivisorMethod, NegativeSeatError, PartyWeights, SignpostSequence
 from apportion.stats import SweepStats
-from apportion.allocation import NEAR_TIE_RTOL, _divisor_validate, _finalize_divisor
+from apportion.analysis import divergence_value
+from apportion.allocation import (
+    _NEAR_TIE,
+    NEAR_TIE_RTOL,
+    Allocation,
+    _divisor_validate,
+    _is_exact,
+    _resolve_orbit,
+    _tie_class,
+)
 from apportion.errors import InputError
 from apportion.methods import DEFAULT_TIES
 
@@ -68,7 +82,29 @@ def heap_divisor(weights: PartyWeights, sp: SignpostSequence, house: int, tie_po
             raise CapExceededError("house size unreachable under the table cap")
         seats[i] += 1
         heapq.heappush(heap, (-sp.figure(votes[i], seats[i] + 1), i))
-    return _finalize_divisor(weights, sp, seats, house, tie_policy)
+    return fraction_finalize_divisor(weights, sp, seats, house, tie_policy)
+
+
+def fraction_finalize_divisor(weights: PartyWeights, sp: SignpostSequence, seats, house: int, tie_policy):
+    """The Allocation of a canonical divisor seat vector, from ``sp.figure``:
+    ``Fraction`` figures on exact input (an exact tie class and interval),
+    float figures otherwise (a near-tie flag)."""
+    cur = [sp.figure(v, s) for v, s in zip(weights.votes, seats)]
+    nxt = [sp.figure(v, s + 1) for v, s in zip(weights.votes, seats)]
+    d_minus_fig = max(nxt)
+    d_plus_fig = min(cur)
+    interval = (sp.divisor_of_figure(d_minus_fig), sp.divisor_of_figure(d_plus_fig))
+    alternatives, info = (), None
+    if d_minus_fig != inf and d_plus_fig != inf:
+        if not _is_exact(weights, sp):
+            gap = float(d_plus_fig) - float(d_minus_fig)
+            if gap <= NEAR_TIE_RTOL * max(abs(float(d_plus_fig)), abs(float(d_minus_fig))):
+                info = _NEAR_TIE
+        elif d_minus_fig == d_plus_fig:
+            f = d_plus_fig
+            tie = _tie_class(seats, cur, nxt, lambda x: x == f)
+            seats, alternatives, info = _resolve_orbit(seats, tie, tie_policy, house)
+    return Allocation(tuple(seats), house, alternatives, info, interval)
 
 
 def float_largest_remainder(weights: PartyWeights, gamma, house: int):
@@ -194,30 +230,32 @@ def fraction_houses(method, weights, n_from, n_to, policy):
 
 
 def fraction_rows(method, weights, n_from, n_to, policy):
-    """(house, tie_class, delta, lower, upper, any_violation) per house."""
+    """(house, tie_class, delta, lower, upper, violating, orbit) per house:
+    the indicators are counts over the ``orbit`` equally likely members."""
     average = policy.kind == "average"
     for house, seats, tie in fraction_houses(method, weights, n_from, n_to, policy):
         if average and tie is not None:
             parties, grants, base = tie
+            orbit = comb(len(parties), grants)
             expected = list(map(Fraction, seats))
             for party, b in zip(parties, base):
                 expected[party] = b + Fraction(grants, len(parties))
         else:
-            expected = seats
+            expected, orbit = seats, 1
         delta = [float(s - house * p) for s, p in zip(expected, weights.shares)]
         lower, upper, any_v = fraction_indicators(weights, house, seats, tie if average else None)
-        yield house, tie, delta, lower, upper, any_v
+        yield house, tie, delta, [x * orbit for x in lower], [x * orbit for x in upper], any_v * orbit, orbit
 
 
 def fraction_indicators(weights, house, seats, tie):
-    """Per-party expected quota-violation indicators, exact over tie orbits."""
+    """Per-party expected quota-violation indicators, as ``Fraction``s over tie orbits."""
     m = len(weights)
     lo_cut = [floor(house * p) for p in weights.shares]
     hi_cut = [-floor(-(house * p)) for p in weights.shares]
     if tie is None:
         lower = [s < c for s, c in zip(seats, lo_cut)]
         upper = [s > c for s, c in zip(seats, hi_cut)]
-        return [float(x) for x in lower], [float(x) for x in upper], float(any(lower) or any(upper))
+        return [Fraction(x) for x in lower], [Fraction(x) for x in upper], Fraction(any(lower) or any(upper))
     parties, k, base_seats = tie
     base = dict(zip(parties, base_seats))
     tsize = len(parties)
@@ -231,8 +269,8 @@ def fraction_indicators(weights, house, seats, tie):
             lo_n = base[i] < lo_cut[i]
             hi_g = base[i] + 1 > hi_cut[i]
             hi_n = base[i] > hi_cut[i]
-            lower.append(float(p_grant * lo_g + (1 - p_grant) * lo_n))
-            upper.append(float(p_grant * hi_g + (1 - p_grant) * hi_n))
+            lower.append(p_grant * lo_g + (1 - p_grant) * lo_n)
+            upper.append(p_grant * hi_g + (1 - p_grant) * hi_n)
             if (lo_g or hi_g) and (lo_n or hi_n):
                 fixed_violation = True
             elif lo_g or hi_g:
@@ -242,26 +280,49 @@ def fraction_indicators(weights, house, seats, tie):
         else:
             lo = seats[i] < lo_cut[i]
             hi = seats[i] > hi_cut[i]
-            lower.append(float(lo))
-            upper.append(float(hi))
+            lower.append(Fraction(lo))
+            upper.append(Fraction(hi))
             fixed_violation = fixed_violation or lo or hi
     if fixed_violation:
-        return lower, upper, 1.0
+        return lower, upper, Fraction(1)
     free = tsize - len(viol_if_granted) - len(viol_if_not)
     need = k - len(viol_if_not)
     good = comb(free, need) if 0 <= need <= free else 0
-    return lower, upper, 1.0 - good / comb(tsize, k)
+    return lower, upper, 1 - Fraction(good, comb(tsize, k))
 
 
 def fraction_sweep(method, weights, n_from, n_to, policy, bounds):
-    """SweepStats of the exact sweep over [n_from, n_to], one row per record_batch."""
-    stats = SweepStats.empty(len(weights), bounds)
-    for _, tie, delta, lower, upper, any_v in fraction_rows(method, weights, n_from, n_to, policy):
-        stats.record_batch(np.array([delta]), lower=np.array([lower]), upper=np.array([upper]), any_violation=any_v)
+    """SweepStats of the exact sweep over [n_from, n_to], one row per
+    record_batch; the violation totals are summed in ``Fraction``s and
+    converted to float at the end."""
+    m = len(weights)
+    stats = SweepStats.empty(m, bounds)
+    lower_total, upper_total, any_total = [Fraction(0)] * m, [Fraction(0)] * m, Fraction(0)
+    for _, tie, delta, lower, upper, any_v, orbit in fraction_rows(method, weights, n_from, n_to, policy):
+        stats.record_batch(np.array([delta]), lower=np.zeros((1, m)), upper=np.zeros((1, m)), any_violation=0.0)
+        lower_total = [t + Fraction(x, orbit) for t, x in zip(lower_total, lower)]
+        upper_total = [t + Fraction(x, orbit) for t, x in zip(upper_total, upper)]
+        any_total += Fraction(any_v, orbit)
         if tie is not None:
             stats.ties += 1
+    stats.lower_violations = np.array([float(x) for x in lower_total])
+    stats.upper_violations = np.array([float(x) for x in upper_total])
+    stats.any_violation = float(any_total)
     stats.n_from, stats.n_to = n_from, n_to
     return stats
+
+
+def fraction_brute_force_min(functional, weights: PartyWeights, house: int) -> set:
+    """Argmin set of ``divergence_value`` over every seat vector, in the
+    weights' own arithmetic: ``Fraction``s for exact weights."""
+    best, argmin = None, set()
+    for seats in compositions(house, len(weights)):
+        val = divergence_value(functional, seats, weights, house)
+        if best is None or val < best:
+            best, argmin = val, {seats}
+        elif val == best:
+            argmin.add(seats)
+    return argmin
 
 
 def random_weights(rng: random.Random, m: int, lo: int = 1, hi: int = 9) -> PartyWeights:

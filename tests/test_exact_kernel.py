@@ -15,6 +15,7 @@ denominators (a large T), and int votes near 10**12, whose products pass
 import random
 import time
 from fractions import Fraction
+from math import inf
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from apportion import (
     linear_divisor,
     quota_method,
 )
+import apportion.harness as harness
 from apportion.harness import (
     _EXACT_BLOCK,
     _exact_divisor_scan,
@@ -210,6 +212,56 @@ def test_exact_pair():
     assert FAMILIES["capped-table"].signposts.exact_pair(CAP + 1) == (1, 0)  # a figure of 0
     with pytest.raises(InputError):
         SignpostSequence.power(0.9).exact_pair(2)
+
+
+def _fraction_pair(sp, n):
+    """(a, b) of d(n) in figure space from the ``Fraction`` signpost value."""
+    d = n * (n - 1) if sp.kind == "sqrt_pair_product" else sp.value(n)
+    if d == inf:
+        return 1, 0
+    d = Fraction(d)
+    return d.numerator, d.denominator
+
+
+@pytest.mark.parametrize("name", sorted(n for n, m in FAMILIES.items() if isinstance(m, DivisorMethod)))
+def test_exact_pair_equals_fraction_pair(name):
+    sp = FAMILIES[name].signposts
+    assert [sp.exact_pair(n) for n in range(2001)] == [_fraction_pair(sp, n) for n in range(2001)]
+    for beta in (Fraction(7, 3), Fraction(-7, 3), Fraction(3)):  # d(0) = 0 while (0-1)*den + num > 0
+        sp = SignpostSequence.linear(beta) if beta > 0 else SignpostSequence.clipped_linear(beta)
+        assert [sp.exact_pair(n) for n in range(50)] == [_fraction_pair(sp, n) for n in range(50)]
+
+
+def _exact_totals(method, w, n_from, n_to, policy):
+    """float() of the exact violation totals, summed from the rows' counts."""
+    lower, upper, any_v = [Fraction(0)] * len(w), [Fraction(0)] * len(w), Fraction(0)
+    for _, _, _, lo, up, violating, orbit in _exact_rows(method, w, n_from, n_to, policy):
+        lower = [t + Fraction(x, orbit) for t, x in zip(lower, lo)]
+        upper = [t + Fraction(x, orbit) for t, x in zip(upper, up)]
+        any_v += Fraction(violating, orbit)
+    return [float(x) for x in lower], [float(x) for x in upper], float(any_v)
+
+
+def _block_cases():
+    yield FAMILIES["adams"], PartyWeights.of([1, 1, 1, 1, 1, 1, 9]), 1, 20_000
+    rng = random.Random(1)
+    for k in range(9):
+        method = FAMILIES[("dhondt", "adams", "webster")[k % 3]]
+        w = PartyWeights.of([rng.randint(1, 6) for _ in range(rng.randint(3, 7))])
+        yield method, w, small_n_guard(method, w), 3000
+    yield FAMILIES["droop"], PartyWeights.of([1, 1, 1, 2, 2]), 1, 3000
+
+
+@pytest.mark.parametrize("case", range(11))
+def test_violation_totals_do_not_depend_on_the_block(case, monkeypatch):
+    method, w, n_from, n_to = list(_block_cases())[case]
+    lower, upper, any_v = _exact_totals(method, w, n_from, n_to, TiePolicy.average())
+    for block in (7, 1000, 4096):
+        monkeypatch.setattr(harness, "_EXACT_BLOCK", block)
+        stats = sweep(method, w, n_from, n_to, TiePolicy.average(), force_exact=True)
+        assert stats.lower_violations.tolist() == lower
+        assert stats.upper_violations.tolist() == upper
+        assert stats.any_violation == any_v
 
 
 # -- period averages --------------------------------------------------------------
