@@ -14,18 +14,24 @@ figure of the last award and no longer than the float range; it reads every
 house size off cumulative counts, and chunks on worker threads all slice
 that one sequence.  The quota path
 runs ``allocation.allocate_quota_rows`` on blocks of houses.  Exact sweeps
-and period averages run one integer kernel: the votes are scaled once to
-coprime integers, a divisor scan adds one seat per house size and compares
-figures by integer cross-multiplication, quota houses floor integer ideal
-seats, and ties are found exactly and averaged over their orbits; the rows
-of an exact sweep are recorded in blocks, and its violation totals are
-exact sums, converted to float once.
+and period averages run array kernels on the votes scaled once to coprime
+integers.  A divisor sweep takes the float award sequence of the shares
+and certifies it in integers (``_exact_awards``): adjacent awards are
+compared by cross-multiplication, and only runs of float figures within
+their rounding bound may be re-ordered.  Quota houses floor and rank integer
+ideal seats for a block of houses at once.  The rows of a block (seat
+excess, violation counts) are array operations on int64 while the integers
+fit a float64 exactly and on Python ints beyond; the rows are recorded in
+blocks, and the violation totals are exact sums, converted to float once.
 
-Ties follow ``allocation``'s contract: one class from ``_tie_class`` and
-one orbit mean, base + grants/k (exact rows divide it out in integers).  A
-seeded exact sweep draws each tied house from (seed, house), as ``allocate``
-does.  Float sweeps find the class within NEAR_TIE_RTOL, count a near-tie,
-record the orbit mean under the averaging policy, and never seed a tie.
+Ties follow ``allocation``'s contract: one class (parties, grants,
+base_seats) and one orbit mean, base + grants/k (exact rows divide it out
+in integers).  Exact sweeps read the class off a run of equal exact figures
+or of equal remainders at the cut; only tied rows take a per-row step, for
+their orbit sizes and, under ``TiePolicy.seeded``, for the draw from (seed,
+house) that ``allocate`` makes.  Float sweeps find the class with
+``_tie_class`` within NEAR_TIE_RTOL, count a near-tie, record the orbit mean
+under the averaging policy, and never seed a tie.
 
 Monte Carlo runs one loop for ordered-party statistics and random-mode
 violation frequencies: batches of shares drawn uniformly on the simplex,
@@ -40,20 +46,16 @@ from __future__ import annotations
 
 import math
 import os
-from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import comb
-from operator import add
 
 import numpy as np
 
 from .allocation import (
     NEAR_TIE_RTOL,
     _is_exact,
-    _largest_remainder,
     _orbit_mean,
     _policy_seats,
     _quota_ideals,
@@ -62,7 +64,7 @@ from .allocation import (
     allocate_quota_rows,
 )
 from .asymptotics import excess_bounds, moment_prediction
-from .errors import InputError, InvariantError, UnsupportedMethodError
+from .errors import InputError, InvariantError, NegativeSeatError, UnsupportedMethodError
 from .methods import DivisorMethod, Method, QuotaMethod, TiePolicy, small_n_guard
 from .samplers import sample_uniform_simplex
 from .signposts import _FLOAT_RANGE, Exactness, SignpostSequence
@@ -249,150 +251,318 @@ def _near_tie_average_quota(shares, gamma, house: int, seats) -> np.ndarray:
 # -- exact sweeps -------------------------------------------------------------
 
 _EXACT_BLOCK = 4096  # houses per record_batch call of an exact sweep
+_CERTIFY_RTOL = 8 * 2.0**-52  # adjacent float figures closer than this, relatively, may be misordered
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
-def _exact_divisor_scan(weights, sp, n_to: int):
-    """Yield (house, seats, tie_class) incrementally for every feasible house.
+def _exact_awards(votes, total: int, sp: SignpostSequence, count: int):
+    """The first ``count`` awards past the mandatory seats of integer votes
+    V_i with total T, in exact order: figure descending, then party
+    ascending.  Returns the winner of each award and, for each pair of
+    adjacent awards, whether their figures are equal; the awards go on past
+    ``count`` to the end of the run of equal figures that holds award
+    ``count - 1``.
 
-    tie_class is (parties, grants, base_seats) when the allocation at that
-    house is tied, else None; ``seats`` is one branch of the orbit, the one
-    that grants the contested seats to the lowest indices.
+    Award k's figure is num/den = w_i*b / a for d(n) = a/b in figure space
+    (``SignpostSequence.exact_pairs``) and w_i = ``figure_weight(V_i)``.
 
-    The arithmetic is integer: with integer votes V_i and d(n) = a/b in
-    figure space (``SignpostSequence.exact_pair``), party i's figure is
-    w_i*b/a with w_i = ``figure_weight(V_i)``, and figures compare by
-    cross-multiplication.  Each house awards one seat to the largest next
-    figure, the lower index first among equal figures.
+    Filter.  ``_winner_sequence`` sorts the float figures of the shares
+    p_i = V_i/T.  A float figure rounds p_i once (Python's int / int), its
+    square once more for the sqrt pair, the divisor once (a closed form is
+    exact up to its last operation, another signpost is float() of an exact
+    rational) and the quotient once.  While every value is a normal float,
+    it is within a relative e = (1 + u)**4 - 1 < 4.01u of the exact figure,
+    u = 2**-53.  So two adjacent float figures f >= g with f - g > 2e*f,
+    which _CERTIFY_RTOL = 16u ensures, bound a certified gap: every award
+    before it has a larger exact figure than every award after it, and than
+    every entry missing from the float tables, which lies below its table's
+    last entry and so below the cut.  Every adjacent pair is then compared
+    by cross-multiplication, in int64 while w*b*a stays below 2**63 and in
+    Python ints otherwise; a misordered pair can only lie in a run of
+    uncertified gaps, and an odd-even transposition sort swaps misordered
+    pairs until every pair is in exact order.  The float sequence is
+    extended until a certified gap closes the run that holds award
+    ``count - 1``.
+
+    Fallback.  Where a figure leaves the normal float range (an exact
+    geometric ratio at large n: d(n) past 1.8e308, or figures that
+    underflow), the awards come from the integer scan ``_scan_awards``,
+    O(m) cross-multiplications per award.  Raises InputError when
+    ``count`` passes the finite entries of a capped table.
     """
-    if not _is_exact(weights, sp):
-        raise InputError("exact scan requires exact weights and signposts")
-    votes, _ = weights.integer_votes
+    m, z = len(votes), sp.zero_count()
+    cap = sp.max_seats()
+    finite = None if cap is None else (cap - z) * m
+    if finite is not None and count > finite:
+        raise InputError("house size unreachable under the table cap")
+    if count <= 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
     w = [sp.figure_weight(v) for v in votes]
-    m = len(w)
-    z = sp.zero_count()
-    pairs = [sp.exact_pair(n) for n in range(z + 2)]  # pairs[n] for d(n), grown on demand
-    seats = [z] * m
-    a, b = pairs[z + 1]
-    num = [x * b for x in w]  # party i's next figure is num[i] / den[i]
-    den = [a] * m
-
-    def top():
-        best, b_num, b_den = 0, num[0], den[0]
-        for j in range(1, m):
-            if num[j] * b_den > b_num * den[j]:
-                best, b_num, b_den = j, num[j], den[j]
-        return best, b_num, b_den
-
-    i, f_num, f_den = top()
-    yield z * m, tuple(seats), None
-    for house in range(z * m + 1, n_to + 1):
-        if f_num == 0:  # all remaining signposts are infinite
-            raise InputError("house size unreachable under the table cap")
-        seats[i] += 1
-        n = seats[i] + 1
-        if n == len(pairs):
-            pairs.append(sp.exact_pair(n))
-        a, b = pairs[n]
-        num[i] = w[i] * b
-        den[i] = a
-        best, b_num, b_den = top()
-        tie = None
-        if b_num * f_den == f_num * b_den:
-            held = [(w[j] * pairs[seats[j]][1], pairs[seats[j]][0]) for j in range(m)]
-            tie = _tie_class(seats, held, list(zip(num, den)), lambda x: x[0] * f_den == f_num * x[1])
-        yield house, tuple(seats), tie
-        i, f_num, f_den = best, b_num, b_den
-
-
-def _exact_houses(method, weights, n_from: int, n_to: int, tie_policy):
-    """Yield (house, seats, tie_class) for every house in [n_from, n_to];
-    the seats of a tied house are the tie policy's pick from its class."""
-    if isinstance(method, DivisorMethod):
-        rows = (row for row in _exact_divisor_scan(weights, method.signposts, n_to) if row[0] >= n_from)
+    shares = np.array([v / total for v in votes])
+    close = None
+    if sp.figure_weight(shares).min() >= _TINY and float(sp.value(z + 1)) >= _TINY:
+        extra = 2  # awards past ``count``, doubled until a certified gap closes the last run
+        while True:
+            want = count + extra if finite is None else min(count + extra, finite)
+            try:
+                winners, figs = _winner_sequence(shares, sp, want)
+            except InputError:  # a table reached the float range
+                break
+            if figs[-1] < _TINY:
+                break
+            gaps = figs[:-1] - figs[1:] <= _CERTIFY_RTOL * figs[:-1]
+            closing = np.flatnonzero(~gaps[count - 1 :])
+            if closing.size or want == finite:
+                keep = count + int(closing[0]) if closing.size else want
+                winners, close = winners[:keep].astype(np.int64), gaps[: keep - 1]
+                break
+            extra *= 2
+    if close is None:
+        winners = _scan_awards(w, sp, z, count)
+        close = np.zeros(winners.size - 1, dtype=bool)  # the scan's order is exact: no pair may swap
+    keep = winners.size
+    # award k is seat n[k] of its party: the party's earlier awards counted from z + 1
+    per_party = np.bincount(winners, minlength=m)
+    n = np.empty(keep, dtype=np.int64)
+    n[np.argsort(winners, kind="stable")] = np.arange(keep) - np.repeat(np.cumsum(per_party) - per_party, per_party)
+    a, b = sp.exact_pairs(n + z + 1)
+    if a.dtype == object or max(w) * int(b.max()) * int(a.max()) >= 2**63:
+        a, b, weight = a.astype(object), b.astype(object), np.array(w, dtype=object)
     else:
-        votes, total = weights.integer_votes
-        gamma = Fraction(method.gamma)  # a float gamma with exact weights is taken exactly
-        rows = ((h, *_largest_remainder(votes, total, gamma, h)) for h in range(n_from, n_to + 1))
-    for house, seats, tie in rows:
-        yield house, tuple(seats) if tie is None else _policy_seats(seats, tie, tie_policy, house), tie
+        weight = np.array(w, dtype=np.int64)
+    num, den = weight[winners] * b, a
+
+    def compare():
+        lhs, rhs = num[:-1] * den[1:], num[1:] * den[:-1]
+        equal = lhs == rhs
+        return (lhs < rhs) | (equal & (winners[:-1] > winners[1:])), equal
+
+    bad, equal = compare()
+    if (bad & ~close).any():
+        raise InvariantError("a float figure left its error bound")
+    # odd-even transposition sort: swap the misordered adjacent pairs of one
+    # parity, then of the other; only pairs inside uncertified runs ever swap
+    parity = 0
+    while bad.any():
+        k = 2 * np.flatnonzero(bad[parity::2]) + parity
+        for x in (winners, num, den):
+            x[k], x[k + 1] = x[k + 1], x[k]
+        bad, equal = compare()
+        parity ^= 1
+    return winners, equal
 
 
-def _exact_rows(method, weights, n_from: int, n_to: int, tie_policy):
-    """Yield (house, tie_class, delta, lower, upper, violating, orbit) per house.
+def _scan_awards(w, sp: SignpostSequence, z: int, count: int) -> np.ndarray:
+    """The winners of ``_exact_awards`` from the integer scan: each award
+    goes to the largest next figure w_i*b / a by cross-multiplication, the
+    lower index first, until award ``count - 1`` and the awards of equal
+    figure after it."""
+    pairs = [sp.exact_pair(n) for n in range(z + 2)]  # pairs[n] for d(n), grown on demand
+    a, b = pairs[z + 1]
+    nxt = [(x * b, a) for x in w]  # each party's next figure, as (num, den)
+    seats = [z + 1] * len(w)  # the seat each next figure is for
+    winners, last = [], None
+    while True:
+        i = 0
+        for j in range(1, len(w)):
+            if nxt[j][0] * nxt[i][1] > nxt[i][0] * nxt[j][1]:
+                i = j
+        num, den = nxt[i]
+        if len(winners) >= count and num * last[1] != last[0] * den:
+            return np.array(winners, dtype=np.int64)
+        winners.append(i)
+        last = nxt[i]
+        seats[i] += 1
+        if seats[i] == len(pairs):
+            pairs.append(sp.exact_pair(seats[i]))
+        a, b = pairs[seats[i]]
+        nxt[i] = (w[i] * b, a)
 
-    delta holds the seat excesses s_i - house*p_i as floats.  The rest are
-    integer counts over the house's ``orbit`` of equally likely seat
-    vectors: lower[i] and upper[i] count the members in which party i
-    violates its lower or upper quota, ``violating`` those in which some
-    party does.  Under the averaging policy the orbit of a tied house has
-    comb(k, grants) members, in which ``grants`` of the k tied parties get
-    one seat over their base; otherwise it is the one seat vector.  With
-    integer votes V_i and total T every delta is one int division, which
-    Python rounds correctly, so it equals float() of the exact rational.
+
+def _exact_seat_blocks(method, weights, n_from: int, n_to: int):
+    """Yield (houses, seats, tied, tie, held) per _EXACT_BLOCK houses of
+    [n_from, n_to] on exact weights (and signposts); a divisor sweep starts
+    at its first feasible house z*m at the earliest.
+
+    ``seats`` (k, m) holds each house's canonical seats, which grant the
+    contested seats of a tie to the lowest indices; ``tied`` indexes the
+    tied rows, and the (len(tied), m) masks ``tie`` and ``held`` mark the
+    parties of each tie class and those of them holding a contested seat.
+
+    Divisor houses read their seats off the exact award sequence of
+    ``_exact_awards``: a house is tied when its last award and the next one
+    have equal figures, and its class is that run of equal figures, the
+    awards up to the house holding and the later ones taking.  Quota houses
+    floor and rank the integer ideals (house*g_den + g_num)*V_i over
+    g_den*T for a whole block in numpy, int64 while they fit and Python
+    ints beyond; a stable argsort on the negated remainders grants equal
+    remainders to the lower index, and a house is tied when the last
+    granted and the first refused remainders are equal.
     """
-    average = tie_policy.kind == "average"
+    if not (_is_exact(weights, method.signposts) if isinstance(method, DivisorMethod) else weights.exact):
+        raise InputError("exact sweep requires exact weights and signposts")
     votes, total = weights.integer_votes
-    for house, seats, tie in _exact_houses(method, weights, n_from, n_to, tie_policy):
-        parties, grants, base_seats = tie if average and tie is not None else ((), 0, ())
-        k = len(parties) or 1  # an untied house is an orbit of one member
-        orbit = comb(k, grants)
-        granted = comb(k - 1, grants - 1) if grants else 0  # members granting a given tied party
-        base = dict(zip(parties, base_seats))
-        delta, lower, upper = [], [], []
-        viol_if_granted = viol_if_not = 0
-        fixed_violation = False
-        for i, (s, v) in enumerate(zip(seats, votes)):
-            x = house * v
-            lo_cut, r = divmod(x, total)  # lower quota violated iff s < floor(house*p)
-            hi_cut = lo_cut + (r > 0)  # upper violated iff s > ceil(house*p)
-            # a tied party holds b + 1 seats in ``granted`` of the members, else b
-            b, up = (base[i], 1) if i in base else (s, 0)
-            delta.append(((b * k + grants * up) * total - x * k) / (k * total))
-            lo_g, lo_n, hi_g, hi_n = b + up < lo_cut, b < lo_cut, b + up > hi_cut, b > hi_cut
-            lower.append(granted * lo_g + (orbit - granted) * lo_n)
-            upper.append(granted * hi_g + (orbit - granted) * hi_n)
-            if (lo_g or hi_g) and (lo_n or hi_n):
-                fixed_violation = True
-            elif lo_g or hi_g:
-                viol_if_granted += 1
-            elif lo_n or hi_n:
-                viol_if_not += 1
-        # orbit members avoiding every violation grant all of viol_if_not
-        # and none of viol_if_granted
-        free, need = k - viol_if_granted - viol_if_not, grants - viol_if_not
-        good = comb(free, need) if 0 <= need <= free and not fixed_violation else 0
-        yield house, tie, delta, lower, upper, orbit - good, orbit
+    m = len(votes)
+    if isinstance(method, DivisorMethod):
+        sp = method.signposts
+        z = sp.zero_count()
+        n_from = max(n_from, z * m)  # the first feasible house
+        cap = sp.max_seats()
+        winners, equal = _exact_awards(votes, total, sp, n_to - z * m + (cap is None or n_to < cap * m))
+        run = np.concatenate(([0], np.cumsum(~equal)))  # run of equal figures of each award
+        first = np.flatnonzero(np.diff(run, prepend=-1))  # each run's first award
+        length = np.diff(np.append(first, run.size))  # and its number of awards
+    else:
+        gamma = Fraction(method.gamma)  # a float gamma with exact weights is taken exactly
+        den = gamma.denominator * total
+    for start in range(n_from, n_to + 1, _EXACT_BLOCK):
+        houses = np.arange(start, min(start + _EXACT_BLOCK - 1, n_to) + 1)
+        if isinstance(method, DivisorMethod):
+            done = start - z * m  # awards taken at house ``start``
+            seats = _seat_matrix(z + np.bincount(winners[:done], minlength=m), winners[done : done + houses.size - 1])
+            award = houses - z * m - 1  # each house's last award
+            ok = (award >= 0) & (award < equal.size)
+            tied = np.flatnonzero(ok)[equal[award[ok]]]
+            at = award[tied]
+            lo, size = first[run[at]], length[run[at]]
+            row = np.repeat(np.arange(tied.size), size)
+            entry = np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
+            tie = np.zeros((tied.size, m), dtype=bool)
+            held = np.zeros((tied.size, m), dtype=bool)
+            tie[row, winners[entry]] = True
+            holds = entry <= np.repeat(at, size)
+            held[row[holds], winners[entry[holds]]] = True
+        else:
+            top = (int(houses[-1]) * gamma.denominator + abs(gamma.numerator)) * max(votes)
+            dt = np.int64 if top < 2**63 and den < 2**63 else object
+            ideal = (houses.astype(dt) * gamma.denominator + gamma.numerator)[:, None] * np.array(votes, dtype=dt)
+            base = ideal // den
+            rem = ideal - base * den
+            q, t = np.divmod(houses - base.sum(axis=1).astype(np.int64), m)
+            order = np.argsort(-rem, axis=1, kind="stable")
+            granted = np.argsort(order, axis=1, kind="stable") < t[:, None]
+            seats = base.astype(np.int64) + q[:, None] + granted
+            rows = np.arange(houses.size)
+            cut = rem[rows, order[rows, t - 1]]
+            tied = np.flatnonzero((t > 0) & (cut == rem[rows, order[rows, t]]))
+            tie = rem[tied] == cut[tied][:, None]
+            held = tie & granted[tied]
+            orbit_low = np.zeros(houses.size, dtype=bool)  # a tie orbit member with a negative seat
+            orbit_low[tied] = (seats[tied] - held < 0).any(axis=1)
+            low = orbit_low | (seats < 0).any(axis=1)
+            if low.any():
+                r = int(np.argmax(low))
+                what = "in the tie orbit" if orbit_low[r] else str(tuple(seats[r].tolist()))
+                raise NegativeSeatError(f"gamma={gamma} yields negative seats {what} at house size {houses[r]}")
+        yield houses, seats, tied, tie, held
+
+
+def _tie_tuple(seats, tie, held) -> tuple[tuple, int, tuple]:
+    """The tie class (parties, grants, base_seats) of one row's masks."""
+    parties = np.flatnonzero(tie)
+    return tuple(parties.tolist()), int(held.sum()), tuple((seats[parties] - held[parties]).tolist())
+
+
+def _policy_rows(houses, seats, tied, tie, held, policy: TiePolicy) -> np.ndarray:
+    """The seats the tie policy picks: the canonical ones, but under
+    ``TiePolicy.seeded`` each tied row draws from (seed, house)."""
+    if policy.kind != "random" or not tied.size:
+        return seats
+    seats = seats.copy()
+    for j, r in enumerate(tied.tolist()):
+        seats[r] = _policy_seats(seats[r].tolist(), _tie_tuple(seats[r], tie[j], held[j]), policy, int(houses[r]))
+    return seats
+
+
+def _excess_rows(houses, seats, tied, tie, held, votes, total: int, average: bool):
+    """(delta, lower, upper, violating, orbit) of a block of exact rows.
+
+    delta (k, m) holds the seat excesses s_i - house*p_i as floats.  The
+    rest are integer counts over each row's ``orbit`` of equally likely seat
+    vectors: lower[r, i] and upper[r, i] count the members in which party i
+    violates its lower or upper quota, violating[r] those in which some
+    party does.  Under the averaging policy the orbit of a tied row has
+    comb(k, grants) members, in which ``grants`` of its k tied parties get
+    one seat over their base, and the orbit mean seats are (base*k +
+    grants)/k; otherwise a row is the one seat vector ``seats``, k = 1.
+
+    Each excess is one division (S*T - house*V_i*k) / (k*T) of integers,
+    S the mean seats times k.  While house*T*m < 2**53 both sides are exact
+    float64s, so numpy's quotient is correctly rounded, as Python's int /
+    int is; past that the same code runs on object arrays of Python ints.
+    The quota cuts floor(house*p_i) and ceil(house*p_i) come from the same
+    integers.  Only the tied rows take a per-row step, for their orbit
+    sizes.
+    """
+    k_rows, m = seats.shape
+    dt = np.int64 if int(houses[-1]) * total * m < 2**53 else object
+    s = seats.astype(dt)
+    x = houses.astype(dt)[:, None] * np.array(votes, dtype=dt)
+    lo_cut = x // total  # lower quota violated iff s < floor(house*p)
+    hi_cut = lo_cut + (x - lo_cut * total > 0).astype(dt)  # upper violated iff s > ceil(house*p)
+    lower, upper = s < lo_cut, s > hi_cut
+    violating = (lower | upper).any(axis=1)
+    scaled, k = s, np.ones((k_rows, 1), dtype=dt)  # the mean seats times k, and k
+    orbit = np.ones(k_rows, dtype=np.int64)
+    if average and tied.size:
+        ka, ga = tie.sum(axis=1), held.sum(axis=1)  # k and grants per tied row
+        pairs = list(zip(ka.tolist(), ga.tolist()))
+        orbits = [comb(a, g) for a, g in pairs]
+        ct = np.int64 if max(orbits) < 2**62 else object
+        big = np.array(orbits, dtype=ct)[:, None]
+        granted = np.array([comb(a - 1, g - 1) for a, g in pairs], dtype=ct)[:, None]  # members granting a party
+        tm = tie.astype(dt)
+        base = s[tied] - held.astype(dt)  # a tied party holds base or base + 1 seats
+        scaled = s.copy()
+        scaled[tied] = base * ka[:, None] + tm * ga[:, None]
+        k[tied, 0] = ka
+        lo_t, hi_t = lo_cut[tied], hi_cut[tied]
+        lo_g, lo_n = base + tm < lo_t, base < lo_t  # the violations with and without the grant
+        hi_g, hi_n = base + tm > hi_t, base > hi_t
+        orbit, lower, upper, violating = (y.astype(ct) for y in (orbit, lower, upper, violating))
+        orbit[tied] = big[:, 0]
+        lower[tied] = granted * lo_g + (big - granted) * lo_n
+        upper[tied] = granted * hi_g + (big - granted) * hi_n
+        with_grant, without = lo_g | hi_g, lo_n | hi_n
+        fixed = (with_grant & without).any(axis=1)
+        only_without = (without & ~with_grant).sum(axis=1)
+        free = (ka - (with_grant & ~without).sum(axis=1) - only_without).tolist()
+        # the members avoiding every violation grant all of ``without`` and none of ``with_grant``
+        good = [comb(f, d) if 0 <= d <= f and not x else 0 for f, d, x in zip(free, (ga - only_without).tolist(), fixed)]
+        violating[tied] = big[:, 0] - np.array(good, dtype=ct)
+    delta = ((scaled * total - x * k) / (k * total)).astype(float)
+    return delta, lower, upper, violating, orbit
 
 
 def _exact_sweep(method, weights, n_from, n_to, tie_policy, stats) -> None:
-    """Record ``_exact_rows`` in ``stats``, _EXACT_BLOCK houses per
-    ``record_batch``.
+    """Record the rows of ``_exact_seat_blocks`` in ``stats``, one
+    ``record_batch`` per block.
 
     The violation totals are exact sums, converted to float once, so they
-    do not depend on the block size: the houses of one-member orbits add
+    do not depend on the block size: the rows of one-member orbits add
     integer counts through ``record_batch``, and the others add their
     counts, divided by their orbit size, as one rational per orbit size.
     """
-    m = len(weights)
-    rows = _exact_rows(method, weights, n_from, n_to, tie_policy)
+    votes, total = weights.integer_votes
+    m = len(votes)
+    average = tie_policy.kind == "average"
     shared = {}  # orbit size -> summed (lower..., upper..., violating) counts
-    none = [0] * (2 * m)
-    while True:
-        buf, any_v, ties = array("d"), 0, 0
-        for _, tie, delta, lower, upper, violating, orbit in islice(rows, _EXACT_BLOCK):
-            ties += tie is not None
-            if orbit == 1:
-                buf.extend(delta + lower + upper)
-                any_v += violating
-            else:
-                buf.extend(delta + none)
-                counts = shared.setdefault(orbit, [0] * (2 * m + 1))
-                counts[:] = map(add, counts, lower + upper + [violating])
-        if not buf:
-            break
-        block = np.frombuffer(buf).reshape(-1, 3, m)
-        stats.record_batch(block[:, 0], lower=block[:, 1], upper=block[:, 2], any_violation=float(any_v))
-        stats.ties += ties
+    for houses, seats, tied, tie, held in _exact_seat_blocks(method, weights, n_from, n_to):
+        if not average:
+            seats = _policy_rows(houses, seats, tied, tie, held, tie_policy)
+        delta, lower, upper, violating, orbit = _excess_rows(houses, seats, tied, tie, held, votes, total, average)
+        one = orbit == 1
+        if not one.all():
+            lower, upper = lower.copy(), upper.copy()
+            for size in set(orbit[~one].tolist()):
+                pick = orbit == size
+                counts = shared.setdefault(size, [0] * (2 * m + 1))
+                add = [*lower[pick].sum(axis=0).tolist(), *upper[pick].sum(axis=0).tolist(), violating[pick].sum()]
+                counts[:] = [int(c) + int(a) for c, a in zip(counts, add)]
+            lower[~one] = 0
+            upper[~one] = 0
+        stats.record_batch(delta, lower=lower, upper=upper, any_violation=float(violating[one].sum()))
+        stats.ties += tied.size
     if shared:
         # stats started empty, so its float totals so far are exact integer sums
         totals = [*stats.lower_violations.tolist(), *stats.upper_violations.tolist(), stats.any_violation]
@@ -419,7 +589,7 @@ def sweep(
 
     The range is clamped below at the method's small-house guard; the stats
     record the effective range.  Exact weights on a desk-scale range run the
-    exact per-house path (honoring the tie policy); longer ranges and float
+    exact path (exact ties, honoring the tie policy); longer ranges and float
     weights use the vectorized float path, where near-ties are counted and,
     under the averaging policy, contribute the class average.
 
@@ -554,8 +724,11 @@ def period_average_bias(method: Method, weights: PartyWeights) -> tuple[Fraction
     start = max(small_n_guard(method, weights), 1)
     votes, total = weights.integer_votes
     sums = [0] * len(votes)  # expected seats summed over the period
-    for _, seats, tie in _exact_houses(method, weights, start, start + period - 1, TiePolicy.average()):
-        sums = [a + s for a, s in zip(sums, seats if tie is None else _orbit_mean(seats, tie))]
+    for _, seats, tied, tie, held in _exact_seat_blocks(method, weights, start, start + period - 1):
+        sums = [a + s for a, s in zip(sums, seats.sum(axis=0).tolist())]
+        for j, r in enumerate(tied.tolist()):  # a tied house holds its orbit mean
+            row = seats[r].tolist()
+            sums = [a + x - s for a, x, s in zip(sums, _orbit_mean(row, _tie_tuple(seats[r], tie[j], held[j])), row)]
     houses = period * start + period * (period - 1) // 2  # sum of the house sizes
     return tuple((s - Fraction(houses * v, total)) / period for s, v in zip(sums, votes))
 

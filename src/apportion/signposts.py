@@ -375,6 +375,32 @@ class SignpostSequence:
             return 1, 0
         raise InputError("integer signpost pairs need exact signposts")
 
+    def exact_pairs(self, ns) -> tuple[np.ndarray, np.ndarray]:
+        """Array form of ``exact_pair``: arrays a, b with d(n) = a / b entry by entry.
+
+        The linear families with a ``Fraction`` beta and the two pair
+        products use their closed forms in int64 while n*den + |num| (2n**2
+        for the pairs) stays below 2**63; every other case is an object array
+        of the ``exact_pair`` integers, one call per distinct n.
+        """
+        ns = np.asarray(ns, dtype=np.int64)
+        n_max = int(ns.max(initial=0))
+        kind = self.kind
+        if kind in (LINEAR, CLIPPED_LINEAR) and isinstance(self.beta, Fraction):
+            num, den = self.beta.numerator, self.beta.denominator
+            if n_max * den + abs(num) < 2**63:
+                a = (ns - 1) * den + num
+                zero = (ns == 0) | (a <= 0)
+                return np.where(zero, 0, a), np.where(zero, 1, den)
+        elif kind in (SQRT_PAIR, HARMONIC_PAIR) and 2 * n_max * n_max < 2**63:
+            a = ns * (ns - 1)
+            if kind == SQRT_PAIR:
+                return a, np.ones_like(ns)
+            return 2 * a, np.where(ns == 0, 1, 2 * ns - 1)
+        distinct, where = np.unique(ns, return_inverse=True)
+        pairs = np.array([self.exact_pair(int(n)) for n in distinct] or np.empty((0, 2)), dtype=object)
+        return pairs[where, 0].reshape(ns.shape), pairs[where, 1].reshape(ns.shape)
+
     def divisor_of_figure(self, fig):
         """Map a figure back to a divisor value (float for squared space)."""
         if fig == INF:

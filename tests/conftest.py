@@ -9,6 +9,9 @@ that the jump-and-step ``allocate_divisor`` must reproduce.  The
 ``fraction_*`` helpers are the exact sweep in ``Fraction`` arithmetic, one
 heap pop and one ``record_batch`` per house, kept as the reference that the
 integer kernel of ``apportion.harness`` must reproduce.
+``exact_houses``, ``exact_divisor_scan`` and ``exact_rows`` flatten the
+array kernels of exact sweeps, ``harness._exact_seat_blocks`` and
+``harness._excess_rows``, into the oracles' per-house tuples.
 ``float_largest_remainder`` is the float largest-remainder rule one party at
 a time, kept as the reference that the row kernel
 ``apportion.allocation.allocate_quota_rows`` must reproduce.
@@ -41,6 +44,7 @@ from apportion.allocation import (
     _tie_class,
 )
 from apportion.errors import InputError
+from apportion.harness import _excess_rows, _exact_seat_blocks, _policy_rows, _tie_tuple
 from apportion.methods import DEFAULT_TIES
 
 
@@ -193,6 +197,42 @@ def fraction_divisor_scan(weights, sp, n_to, policy=DEFAULT_TIES):
             for p, b in zip(parties, base):
                 picked[p] = b + (p in grant)
         yield house, tuple(picked), tie
+
+
+def _exact_blocks(method, weights, n_from, n_to, policy):
+    """The blocks of ``_exact_seat_blocks`` with the policy's seats and each
+    row's tie class (or None)."""
+    for houses, seats, tied, tie, held in _exact_seat_blocks(method, weights, n_from, n_to):
+        ties = [None] * houses.size
+        for j, r in enumerate(tied.tolist()):
+            ties[r] = _tie_tuple(seats[r], tie[j], held[j])
+        picked = _policy_rows(houses, seats, tied, tie, held, policy)
+        yield houses, seats, picked, tied, tie, held, ties
+
+
+def exact_houses(method, weights, n_from, n_to, policy=DEFAULT_TIES):
+    """(house, seats, tie_class) per house of the exact sweep kernel; the
+    seats of a tied house are the tie policy's pick from its class."""
+    out = []
+    for houses, _, picked, _, _, _, ties in _exact_blocks(method, weights, n_from, n_to, policy):
+        out += [(h, tuple(s), t) for h, s, t in zip(houses.tolist(), picked.tolist(), ties)]
+    return out
+
+
+def exact_divisor_scan(weights, sp, n_to, policy=DEFAULT_TIES):
+    """``exact_houses`` of a divisor method from its first feasible house z*m."""
+    return exact_houses(DivisorMethod(sp), weights, sp.zero_count() * len(weights), n_to, policy)
+
+
+def exact_rows(method, weights, n_from, n_to, policy):
+    """(house, tie_class, delta, lower, upper, violating, orbit) per house of
+    ``_excess_rows``, in the layout of ``fraction_rows``."""
+    votes, total = weights.integer_votes
+    average = policy.kind == "average"
+    for houses, seats, picked, tied, tie, held, ties in _exact_blocks(method, weights, n_from, n_to, policy):
+        rows = _excess_rows(houses, seats if average else picked, tied, tie, held, votes, total, average)
+        delta, lower, upper, violating, orbit = (x.tolist() for x in rows)
+        yield from zip(houses.tolist(), ties, delta, lower, upper, violating, orbit)
 
 
 def fraction_quota(weights, gamma, house, policy):

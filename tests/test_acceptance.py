@@ -305,7 +305,7 @@ def test_criterion_07g_zero_sum():
 
 
 def test_criterion_07h_house_monotonicity():
-    from apportion.harness import _exact_divisor_scan
+    from conftest import exact_divisor_scan
 
     rng = random.Random(78)
     cases = 0
@@ -314,7 +314,7 @@ def test_criterion_07h_house_monotonicity():
         sp = SignpostSequence.linear(rng.choice(BETAS))
         n_to = rng.randint(len(w) * sp.zero_count() + 1, 30)
         prev = None
-        for house, seats, _tie in _exact_divisor_scan(w, sp, n_to):
+        for house, seats, _tie in exact_divisor_scan(w, sp, n_to):
             if prev is not None:
                 assert all(a >= b for a, b in zip(seats, prev)), (w.votes, sp.beta, house)
             prev = seats

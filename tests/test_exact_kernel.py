@@ -1,7 +1,9 @@
 """The integer kernel of exact sweeps against the ``Fraction`` oracle.
 
-``harness._exact_rows`` computes each house's seats, tie class, seat excess
-and quota-violation indicators from integer votes V_i with total T.  The
+``harness._exact_seat_blocks`` and ``harness._excess_rows`` compute each
+house's seats, tie class, seat excess and quota-violation indicators from
+integer votes V_i with total T; conftest's ``exact_houses``, ``exact_rows``
+and ``exact_divisor_scan`` read them house by house.  The
 ``fraction_*`` helpers of conftest compute the same in ``Fraction``
 arithmetic, one heap pop and one ``record_batch`` per house.  Rows must be
 equal (``==``); whole sweeps must agree in count, ties, histogram counts and
@@ -33,18 +35,18 @@ from apportion import (
     quota_method,
 )
 import apportion.harness as harness
-from apportion.harness import (
-    _EXACT_BLOCK,
-    _exact_divisor_scan,
-    _exact_houses,
-    _exact_rows,
-    _histogram_bounds,
-    period_average_bias,
-    sweep,
-)
+from apportion.harness import _EXACT_BLOCK, _histogram_bounds, period_average_bias, sweep
 from apportion.methods import small_n_guard
 
-from conftest import fraction_divisor_scan, fraction_houses, fraction_rows, fraction_sweep
+from conftest import (
+    exact_divisor_scan,
+    exact_houses,
+    exact_rows,
+    fraction_divisor_scan,
+    fraction_houses,
+    fraction_rows,
+    fraction_sweep,
+)
 
 CAP = 8
 FAMILIES = {
@@ -94,9 +96,9 @@ def test_rows_equal_fraction_oracle(name, corpus):
         w = PartyWeights.of(CORPORA[corpus](rng, rng.randint(1, 5)))
         n_from, n_to = _house_range(name, method, w, rng, lambda r: r.randint(0, 40))
         for policy in POLICIES:
-            houses = list(_exact_houses(method, w, n_from, n_to, policy))
+            houses = list(exact_houses(method, w, n_from, n_to, policy))
             assert houses == fraction_houses(method, w, n_from, n_to, policy)
-            assert list(_exact_rows(method, w, n_from, n_to, policy)) == list(
+            assert list(exact_rows(method, w, n_from, n_to, policy)) == list(
                 fraction_rows(method, w, n_from, n_to, policy)
             )
             ties += sum(tie is not None for _, _, tie in houses)
@@ -158,7 +160,7 @@ def test_seeded_sweep_picks_the_orbit_member_of_allocate(name):
     means = set()
     for seed in range(4):
         policy = TiePolicy.seeded(seed)
-        rows = list(_exact_houses(method, w, n_from, 60, policy))
+        rows = list(exact_houses(method, w, n_from, 60, policy))
         assert [seats for _, seats, _ in rows] == [allocate(method, w, h, policy).seats for h, _, _ in rows]
         means.add(tuple(sweep(method, w, n_from, 60, policy, force_exact=True).mean))
     assert len(means) == 4
@@ -169,7 +171,7 @@ def test_fifty_parties_scan_matches_and_is_no_slower():
     w = PartyWeights.of([rng.randint(10**3, 10**6) for _ in range(50)])
     sp = FAMILIES["webster"].signposts
     started = time.perf_counter()
-    rows = list(_exact_divisor_scan(w, sp, 20_000))
+    rows = list(exact_divisor_scan(w, sp, 20_000))
     kernel_s = time.perf_counter() - started
     started = time.perf_counter()
     ref = list(fraction_divisor_scan(w, sp, 20_000))
@@ -182,16 +184,16 @@ def test_capped_table_past_the_cap():
     method = FAMILIES["capped-table"]
     w = PartyWeights.of([3, 2])
     with pytest.raises(InputError, match="unreachable"):
-        list(_exact_divisor_scan(w, method.signposts, CAP * 2 + 1))
+        list(exact_divisor_scan(w, method.signposts, CAP * 2 + 1))
     with pytest.raises(InputError, match="unreachable"):
         list(fraction_divisor_scan(w, method.signposts, CAP * 2 + 1))
 
 
 def test_scan_needs_exact_inputs():
     with pytest.raises(InputError):
-        list(_exact_divisor_scan(PartyWeights.of([3, 2]), SignpostSequence.linear(0.5), 5))
+        list(exact_divisor_scan(PartyWeights.of([3, 2]), SignpostSequence.linear(0.5), 5))
     with pytest.raises(InputError):
-        list(_exact_divisor_scan(PartyWeights.of([3.0, 2.0]), FAMILIES["webster"].signposts, 5))
+        list(exact_divisor_scan(PartyWeights.of([3.0, 2.0]), FAMILIES["webster"].signposts, 5))
 
 
 def test_integer_votes():
@@ -235,7 +237,7 @@ def test_exact_pair_equals_fraction_pair(name):
 def _exact_totals(method, w, n_from, n_to, policy):
     """float() of the exact violation totals, summed from the rows' counts."""
     lower, upper, any_v = [Fraction(0)] * len(w), [Fraction(0)] * len(w), Fraction(0)
-    for _, _, _, lo, up, violating, orbit in _exact_rows(method, w, n_from, n_to, policy):
+    for _, _, _, lo, up, violating, orbit in exact_rows(method, w, n_from, n_to, policy):
         lower = [t + Fraction(x, orbit) for t, x in zip(lower, lo)]
         upper = [t + Fraction(x, orbit) for t, x in zip(upper, up)]
         any_v += Fraction(violating, orbit)

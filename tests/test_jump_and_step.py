@@ -21,7 +21,7 @@ from apportion import (
     TiePolicy,
     allocate_divisor,
 )
-from apportion.allocation import _jump_start
+from apportion.allocation import _jump_start, _jump_starts
 from apportion.harness import allocate_many
 from apportion.methods import DivisorMethod, method_by_name
 from conftest import heap_divisor
@@ -91,6 +91,31 @@ def test_overshooting_and_undershooting_starts():
             sides[(start > house) - (start < house)] += 1
             assert_same(allocate_divisor(w, sp, house), heap_divisor(w, sp, house))
     assert min(sides.values()) >= 50, sides
+
+
+def _array_start(votes, sp, house, z):
+    """The one-row ``_jump_starts`` the scalar ``_jump_start`` stands for."""
+    total = sum(votes)
+    return [int(s) for s in _jump_starts(np.array([[float(v / total) for v in votes]]), sp, house, z)[0].tolist()]
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_scalar_start_equals_array_start(name):
+    # the corpora and houses of test_matches_heap
+    sp = FAMILIES[name]
+    z = sp.zero_count()
+    for corpus in (tie_heavy, near_ties):
+        rng = random.Random(f"{name}-{corpus.__name__}")
+        for case in range(150):
+            w = corpus(rng)
+            house = rng.randint(z * len(w), z * len(w) + rng.choice((6, 30, 300)))
+            assert _jump_start(w.votes, sp, house, z) == _array_start(w.votes, sp, house, z)
+    if sp.asymptotic_beta() is not None:
+        w = PartyWeights.of([7, 5, 3, 2])
+        house = 2**64 + 12345
+        start = _jump_start(w.votes, sp, house, z)
+        assert start == _array_start(w.votes, sp, house, z)
+        assert all(isinstance(s, int) for s in start) and abs(sum(start) - house) < 2**13
 
 
 def test_overshoot_drains_a_tie():

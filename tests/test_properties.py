@@ -18,7 +18,7 @@ from apportion import (
     seat_excess,
 )
 from apportion.methods import linear_divisor, quota_method, small_n_guard
-from apportion.harness import _exact_divisor_scan
+from conftest import exact_divisor_scan
 from conftest import heap_divisor
 
 votes_lists = st.lists(st.integers(1, 9), min_size=1, max_size=4)
@@ -132,7 +132,7 @@ def test_house_monotonicity_along_scan(votes, beta, n_to):
     w = PartyWeights.of(votes)
     sp = SignpostSequence.linear(beta)
     prev = None
-    for house, seats, _tie in _exact_divisor_scan(w, sp, n_to):
+    for house, seats, _tie in exact_divisor_scan(w, sp, n_to):
         if prev is not None:
             assert all(a >= b for a, b in zip(seats, prev))
         prev = seats
