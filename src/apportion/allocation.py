@@ -14,7 +14,10 @@ fractional parts, generalized so any real gamma works even when the raw
 remainder is negative or exceeds the party count; ``allocate_quota_rows``
 is that rule on floats for every row of a share matrix, and
 ``allocate_quota`` runs it on one row unless the weights and gamma are
-exact, when ``_largest_remainder`` runs it on integer ideals.  The exact
+exact, when ``_largest_remainder`` runs it on integer ideals.  The float
+rows and ``_exact_remainder_rows``, the integer rows of exact quota sweeps,
+share one row kernel, ``_remainder_rows``, and differ only in what they
+call a tie.  The exact
 paths compare integers only; ``Fraction``s appear in their results alone
 (the support interval and the orbit mean).
 
@@ -625,7 +628,7 @@ def allocate_quota(
         return Allocation(tuple(seats), house_size, alternatives, info, interval)
     ideals = _quota_ideals([weights.shares_float()], gamma, [house_size])
     ideal = ideals[0].tolist()
-    rows, near = _remainder_rows(ideals, gamma, [house_size])
+    rows, near = _float_remainder_rows(ideals, gamma, [house_size])
     seats = rows[0].tolist()
     slack = [f - s for f, s in zip(ideal, seats)]
     return Allocation(tuple(seats), house_size, (), _NEAR_TIE if near[0] else None, (max(slack), min(slack) + 1))
@@ -672,28 +675,83 @@ def allocate_quota_rows(shares, gamma, houses) -> tuple[np.ndarray, np.ndarray]:
     NegativeSeatError on a negative seat, and InputError when house +
     |gamma| reaches 2**62 (the floors would overflow int64).
     """
-    return _remainder_rows(_quota_ideals(shares, gamma, houses), gamma, houses)
+    return _float_remainder_rows(_quota_ideals(shares, gamma, houses), gamma, houses)
 
 
-def _remainder_rows(frac, gamma, houses):
+def _float_remainder_rows(frac, gamma, houses):
     """``allocate_quota_rows`` on the ideals ``frac``, which it overwrites."""
     houses = np.asarray(houses, dtype=np.int64)
-    seats = np.floor(frac)
-    frac -= seats
-    seats = seats.astype(np.int64)
-    q, t = np.divmod(houses - seats.sum(axis=1), frac.shape[1])
-    order = np.argsort(-frac, axis=1, kind="stable")
-    seats += q[:, None]
-    seats += np.argsort(order, axis=1, kind="stable") < t[:, None]
-    rows = np.arange(t.size)
-    gap = frac[rows, order[rows, t - 1]] - frac[rows, order[rows, t]]
-    near = (t > 0) & (gap <= NEAR_TIE_RTOL * np.maximum(1.0, houses + float(gamma)))
-    if (seats < 0).any():
-        r = np.argmin(seats.min(axis=1))
-        raise NegativeSeatError(
-            f"gamma={gamma} yields negative seats {tuple(seats[r].tolist())} at house size {houses[r]}"
-        )
+    base = np.floor(frac)
+    frac -= base
+    base = base.astype(np.int64)
+    seats, _, t, cut, refused = _remainder_rows(base, frac, houses)
+    near = (t > 0) & (cut - refused <= NEAR_TIE_RTOL * np.maximum(1.0, houses + float(gamma)))
+    _check_nonnegative(seats, gamma, houses)
     return seats, near
+
+
+def _exact_remainder_rows(votes, total: int, gamma: Fraction, houses):
+    """``_largest_remainder`` at every house of an ascending int64 array:
+    returns (seats, tied, tie, held).
+
+    The ideals (house*g_den + g_num)*V_i over g_den*T, gamma = g_num/g_den,
+    are int64 while they fit and Python ints in object arrays beyond.
+    ``seats`` holds the canonical seats, ``tied`` indexes the rows whose
+    last granted and first refused remainders are equal, and the
+    (len(tied), m) masks ``tie`` and ``held`` mark the parties with that
+    remainder and those of them granted a seat.  Raises NegativeSeatError
+    at the first house where some seat vector of the orbit has a negative
+    count.
+    """
+    den = gamma.denominator * total
+    top = (int(houses[-1]) * gamma.denominator + abs(gamma.numerator)) * max(votes)
+    dt = np.int64 if top < 2**63 and den < 2**63 else object
+    ideal = (houses.astype(dt) * gamma.denominator + gamma.numerator)[:, None] * np.array(votes, dtype=dt)
+    base = ideal // den
+    rem = ideal - base * den
+    seats, granted, t, cut, refused = _remainder_rows(base.astype(np.int64), rem, houses)
+    tied = np.flatnonzero((t > 0) & (cut == refused))
+    tie = rem[tied] == cut[tied][:, None]
+    held = tie & granted[tied]
+    orbit_low = np.zeros(houses.size, dtype=bool)
+    orbit_low[tied] = (seats[tied] - held < 0).any(axis=1)
+    _check_nonnegative(seats, gamma, houses, orbit_low)
+    return seats, tied, tie, held
+
+
+def _remainder_rows(base, rem, houses):
+    """The largest-remainder rule on rows of int64 floors ``base`` and
+    remainders ``rem`` (floats, or integers over a common denominator) at
+    houses[r].
+
+    Every party gets its floor plus q, and the t largest remainders one
+    seat more, where the seats left over are q*m + t with 0 <= t < m; a
+    stable argsort of the negated remainders grants equal remainders to the
+    lower index.  Returns the seats (``base``, overwritten), the mask of
+    granted parties, t, and each row's last granted and first refused
+    remainders, from which the caller decides what a tie is (they mean
+    nothing where t = 0).
+    """
+    q, t = np.divmod(houses - base.sum(axis=1), base.shape[1])
+    order = np.argsort(-rem, axis=1, kind="stable")
+    granted = np.argsort(order, axis=1, kind="stable") < t[:, None]
+    seats = base
+    seats += q[:, None]
+    seats += granted
+    rows = np.arange(t.size)
+    return seats, granted, t, rem[rows, order[rows, t - 1]], rem[rows, order[rows, t]]
+
+
+def _check_nonnegative(seats, gamma, houses, orbit_low=None) -> None:
+    """Raise NegativeSeatError at the first row of ``seats`` with a negative
+    count, or flagged in ``orbit_low`` (a member of its tie orbit has one)."""
+    low = (seats < 0).any(axis=1)
+    if orbit_low is not None:
+        low |= orbit_low
+    if low.any():
+        r = int(np.argmax(low))
+        what = "in the tie orbit" if orbit_low is not None and orbit_low[r] else tuple(seats[r].tolist())
+        raise NegativeSeatError(f"gamma={gamma} yields negative seats {what} at house size {houses[r]}")
 
 
 def _largest_remainder(votes, total: int, gamma: Fraction, house_size: int):
@@ -726,14 +784,9 @@ def _largest_remainder(votes, total: int, gamma: Fraction, house_size: int):
             held = [r if i in granted else None for i, r in enumerate(rem)]
             nxt = [None if i in granted else r for i, r in enumerate(rem)]
             tie = _tie_class(seats, held, nxt, lambda r: r == cut)
-            if min(tie[2]) < 0:
-                raise NegativeSeatError(
-                    f"gamma={gamma} yields negative seats in the tie orbit at house size {house_size}"
-                )
-    if min(seats) < 0:
-        raise NegativeSeatError(
-            f"gamma={gamma} yields negative seats {tuple(seats)} at house size {house_size}"
-        )
+    orbit_low = tie is not None and min(tie[2]) < 0
+    if orbit_low or min(seats) < 0:
+        _check_nonnegative(np.array([seats]), gamma, [house_size], np.array([orbit_low]))
     return seats, tie
 
 

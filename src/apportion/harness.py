@@ -18,8 +18,9 @@ and period averages run array kernels on the votes scaled once to coprime
 integers.  A divisor sweep takes the float award sequence of the shares
 and certifies it in integers (``_exact_awards``): adjacent awards are
 compared by cross-multiplication, and only runs of float figures within
-their rounding bound may be re-ordered.  Quota houses floor and rank integer
-ideal seats for a block of houses at once.  The rows of a block (seat
+their rounding bound may be re-ordered.  Quota houses run the exact
+largest-remainder rule of ``allocation._exact_remainder_rows`` on a block
+of houses at once.  The rows of a block (seat
 excess, violation counts) are array operations on int64 while the integers
 fit a float64 exactly and on Python ints beyond; the rows are recorded in
 blocks, and the violation totals are exact sums, converted to float once.
@@ -55,6 +56,7 @@ import numpy as np
 
 from .allocation import (
     NEAR_TIE_RTOL,
+    _exact_remainder_rows,
     _is_exact,
     _orbit_mean,
     _policy_seats,
@@ -64,7 +66,7 @@ from .allocation import (
     allocate_quota_rows,
 )
 from .asymptotics import excess_bounds, moment_prediction
-from .errors import InputError, InvariantError, NegativeSeatError, UnsupportedMethodError
+from .errors import InputError, InvariantError, UnsupportedMethodError
 from .methods import DivisorMethod, Method, QuotaMethod, TiePolicy, small_n_guard
 from .samplers import sample_uniform_simplex
 from .signposts import _FLOAT_RANGE, Exactness, SignpostSequence
@@ -267,16 +269,19 @@ def _exact_awards(votes, total: int, sp: SignpostSequence, count: int):
     (``SignpostSequence.exact_pairs``) and w_i = ``figure_weight(V_i)``.
 
     Filter.  ``_winner_sequence`` sorts the float figures of the shares
-    p_i = V_i/T.  A float figure rounds p_i once (Python's int / int), its
-    square once more for the sqrt pair, the divisor once (a closed form is
-    exact up to its last operation, another signpost is float() of an exact
-    rational) and the quotient once.  While every value is a normal float,
-    it is within a relative e = (1 + u)**4 - 1 < 4.01u of the exact figure,
-    u = 2**-53.  So two adjacent float figures f >= g with f - g > 2e*f,
-    which _CERTIFY_RTOL = 16u ensures, bound a certified gap: every award
-    before it has a larger exact figure than every award after it, and than
-    every entry missing from the float tables, which lies below its table's
-    last entry and so below the cut.  Every adjacent pair is then compared
+    p_i = V_i/T.  With u = 2**-53 and every value a normal float, each
+    rounding multiplies by some 1 + d, |d| <= u.  A float figure rounds p_i
+    once (Python's int / int), the divisor once (a closed form is exact up
+    to its last operation, another signpost is float() of an exact
+    rational) and the quotient once: within (1 + u)**2 / (1 - u), a
+    relative e < 3.01u, of the exact figure.  The sqrt pair squares the
+    rounded p_i and rounds the square, so its figures carry (1 + u)**4 /
+    (1 - u), e < 5.01u.  Two adjacent float figures f >= g with
+    f - g > 2e*f >= e*(f + g) have exact figures in the same order, and
+    _CERTIFY_RTOL = 16u > 2 * 5.01u ensures it for every family.  Such a
+    gap is certified: every award before it has a larger exact figure than
+    every award after it, and than every entry missing from the float
+    tables, which lies below its table's last entry and so below the cut.  Every adjacent pair is then compared
     by cross-multiplication, in int64 while w*b*a stays below 2**63 and in
     Python ints otherwise; a misordered pair can only lie in a run of
     uncertified gaps, and an odd-even transposition sort swaps misordered
@@ -393,11 +398,7 @@ def _exact_seat_blocks(method, weights, n_from: int, n_to: int):
     ``_exact_awards``: a house is tied when its last award and the next one
     have equal figures, and its class is that run of equal figures, the
     awards up to the house holding and the later ones taking.  Quota houses
-    floor and rank the integer ideals (house*g_den + g_num)*V_i over
-    g_den*T for a whole block in numpy, int64 while they fit and Python
-    ints beyond; a stable argsort on the negated remainders grants equal
-    remainders to the lower index, and a house is tied when the last
-    granted and the first refused remainders are equal.
+    run ``allocation._exact_remainder_rows`` on the whole block.
     """
     if not (_is_exact(weights, method.signposts) if isinstance(method, DivisorMethod) else weights.exact):
         raise InputError("exact sweep requires exact weights and signposts")
@@ -414,7 +415,6 @@ def _exact_seat_blocks(method, weights, n_from: int, n_to: int):
         length = np.diff(np.append(first, run.size))  # and its number of awards
     else:
         gamma = Fraction(method.gamma)  # a float gamma with exact weights is taken exactly
-        den = gamma.denominator * total
     for start in range(n_from, n_to + 1, _EXACT_BLOCK):
         houses = np.arange(start, min(start + _EXACT_BLOCK - 1, n_to) + 1)
         if isinstance(method, DivisorMethod):
@@ -433,27 +433,7 @@ def _exact_seat_blocks(method, weights, n_from: int, n_to: int):
             holds = entry <= np.repeat(at, size)
             held[row[holds], winners[entry[holds]]] = True
         else:
-            top = (int(houses[-1]) * gamma.denominator + abs(gamma.numerator)) * max(votes)
-            dt = np.int64 if top < 2**63 and den < 2**63 else object
-            ideal = (houses.astype(dt) * gamma.denominator + gamma.numerator)[:, None] * np.array(votes, dtype=dt)
-            base = ideal // den
-            rem = ideal - base * den
-            q, t = np.divmod(houses - base.sum(axis=1).astype(np.int64), m)
-            order = np.argsort(-rem, axis=1, kind="stable")
-            granted = np.argsort(order, axis=1, kind="stable") < t[:, None]
-            seats = base.astype(np.int64) + q[:, None] + granted
-            rows = np.arange(houses.size)
-            cut = rem[rows, order[rows, t - 1]]
-            tied = np.flatnonzero((t > 0) & (cut == rem[rows, order[rows, t]]))
-            tie = rem[tied] == cut[tied][:, None]
-            held = tie & granted[tied]
-            orbit_low = np.zeros(houses.size, dtype=bool)  # a tie orbit member with a negative seat
-            orbit_low[tied] = (seats[tied] - held < 0).any(axis=1)
-            low = orbit_low | (seats < 0).any(axis=1)
-            if low.any():
-                r = int(np.argmax(low))
-                what = "in the tie orbit" if orbit_low[r] else str(tuple(seats[r].tolist()))
-                raise NegativeSeatError(f"gamma={gamma} yields negative seats {what} at house size {houses[r]}")
+            seats, tied, tie, held = _exact_remainder_rows(votes, total, gamma, houses)
         yield houses, seats, tied, tie, held
 
 
@@ -546,21 +526,19 @@ def _exact_sweep(method, weights, n_from, n_to, tie_policy, stats) -> None:
     votes, total = weights.integer_votes
     m = len(votes)
     average = tie_policy.kind == "average"
-    shared = {}  # orbit size -> summed (lower..., upper..., violating) counts
+    shared = {}  # orbit size -> summed (lower..., upper..., violating) counts, as Python ints
     for houses, seats, tied, tie, held in _exact_seat_blocks(method, weights, n_from, n_to):
         if not average:
             seats = _policy_rows(houses, seats, tied, tie, held, tie_policy)
         delta, lower, upper, violating, orbit = _excess_rows(houses, seats, tied, tie, held, votes, total, average)
         one = orbit == 1
         if not one.all():
-            lower, upper = lower.copy(), upper.copy()
-            for size in set(orbit[~one].tolist()):
-                pick = orbit == size
-                counts = shared.setdefault(size, [0] * (2 * m + 1))
-                add = [*lower[pick].sum(axis=0).tolist(), *upper[pick].sum(axis=0).tolist(), violating[pick].sum()]
-                counts[:] = [int(c) + int(a) for c, a in zip(counts, add)]
-            lower[~one] = 0
-            upper[~one] = 0
+            # counts near the orbit sizes (up to 2**62 in int64) overflow an int64 sum
+            counts = np.column_stack((lower[~one], upper[~one], violating[~one])).astype(object)
+            sizes = orbit[~one]
+            for size in set(sizes.tolist()):
+                shared[size] = shared.get(size, 0) + counts[sizes == size].sum(axis=0)
+            lower, upper = (np.where(one[:, None], y, 0).astype(np.int64) for y in (lower, upper))
         stats.record_batch(delta, lower=lower, upper=upper, any_violation=float(violating[one].sum()))
         stats.ties += tied.size
     if shared:

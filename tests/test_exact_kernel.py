@@ -15,6 +15,7 @@ denominators (a large T), and int votes near 10**12, whose products pass
 """
 
 import random
+import re
 import time
 from fractions import Fraction
 from math import inf
@@ -25,6 +26,7 @@ import pytest
 from apportion import (
     DivisorMethod,
     InputError,
+    NegativeSeatError,
     NonRationalWeightsError,
     PartyWeights,
     SignpostSequence,
@@ -264,6 +266,40 @@ def test_violation_totals_do_not_depend_on_the_block(case, monkeypatch):
         assert stats.lower_violations.tolist() == lower
         assert stats.upper_violations.tolist() == upper
         assert stats.any_violation == any_v
+
+
+def test_orbit_sizes_past_int64(monkeypatch):
+    # a 66-way tie with 33 grants has comb(66, 33) > 2**62 members: object counts
+    method, w = FAMILIES["webster"], PartyWeights.of([1] * 66)
+    ref = fraction_sweep(method, w, 1, 140, TiePolicy.average(), _histogram_bounds(method, w))
+    _assert_same_stats(sweep(method, w, 1, 140, TiePolicy.average(), force_exact=True), ref)
+    # Adams ties all 65 parties once a round, and the large party then misses
+    # its lower quota in comb(65, g) < 2**62 members per row: int64 counts
+    # whose sums over a block pass 2**63
+    method, w = FAMILIES["adams"], PartyWeights.of([1] * 64 + [100])
+    n_from = small_n_guard(method, w)
+    ref = fraction_sweep(method, w, n_from, 600, TiePolicy.average(), _histogram_bounds(method, w))
+    assert ref.any_violation > 0
+    for block in (7, 4096):
+        monkeypatch.setattr(harness, "_EXACT_BLOCK", block)
+        stats = sweep(method, w, n_from, 600, TiePolicy.average(), force_exact=True)
+        _assert_same_stats(stats, ref)
+
+
+
+@pytest.mark.parametrize("votes", [(1, 1, 4), (1, 3, 3), (52, 47, 1)])
+def test_negative_seats_raised_as_allocate_raises(votes):
+    # (1, 1, 4) has a negative seat only in its tie orbit at house 1
+    method, w = quota_method(3), PartyWeights.of(list(votes))
+    raised = 0
+    for house in range(1, 12):
+        try:
+            allocate(method, w, house)
+        except NegativeSeatError as e:
+            raised += 1
+            with pytest.raises(NegativeSeatError, match=re.escape(str(e))):
+                exact_houses(method, w, house, house + 5)
+    assert raised
 
 
 # -- period averages --------------------------------------------------------------
