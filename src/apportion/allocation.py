@@ -21,9 +21,11 @@ call a tie.  The exact
 paths compare integers only; ``Fraction``s appear in their results alone
 (the support interval and the orbit mean).
 
-Every path reports a tie as one class (parties, grants, base_seats), built
-by ``_tie_class``: ``grants`` of the tied parties get one seat over their
-base, in any combination.  It is found exactly on ints and ``Fraction``s
+Every path reports a tie as one class (parties, grants, base_seats):
+``grants`` of the tied parties get one seat over their base, in any
+combination.  The scalar paths build it with ``_tie_class``; the row
+kernel ``_remainder_rows`` gives it as masks over the tied rows, as the
+sweeps' award runs do.  It is found exactly on ints and ``Fraction``s
 and within a relative NEAR_TIE_RTOL on floats, where an ideal quota seat
 count that close to an integer counts as that integer.  The exact rules
 return the canonical seats (the lowest indices granted), and
@@ -148,7 +150,10 @@ class Allocation:
         ti = self.tie_info
         if ti is None or ti.near:
             return self.seats
-        return tuple(map(Fraction, _orbit_mean(self.seats, (ti.parties, ti.grants, ti.base_seats))))
+        mean = list(map(Fraction, self.seats))
+        for party, b in zip(ti.parties, ti.base_seats):
+            mean[party] = b + Fraction(ti.grants, len(ti.parties))
+        return tuple(mean)
 
 
 @dataclass(frozen=True)
@@ -210,17 +215,6 @@ def _tie_class(seats, held, nxt, same) -> tuple[tuple, int, tuple]:
             parties.append(i)
             base.append(s)
     return tuple(parties), grants, tuple(base)
-
-
-def _orbit_mean(seats, tie, exact: bool = True) -> list:
-    """The seats averaged uniformly over a tie class's orbit: each tied party
-    holds base + grants/k, in ``Fraction``s when ``exact``, else in floats."""
-    parties, grants, base = tie
-    share = Fraction(grants, len(parties)) if exact else grants / len(parties)
-    mean = list(seats)
-    for party, b in zip(parties, base):
-        mean[party] = b + share
-    return mean
 
 
 def _primary_grant(parties: tuple[int, ...], k: int, policy: TiePolicy, house: int) -> tuple[int, ...]:
@@ -628,10 +622,10 @@ def allocate_quota(
         return Allocation(tuple(seats), house_size, alternatives, info, interval)
     ideals = _quota_ideals([weights.shares_float()], gamma, [house_size])
     ideal = ideals[0].tolist()
-    rows, near = _float_remainder_rows(ideals, gamma, [house_size])
+    rows, tied, _, _ = _float_remainder_rows(ideals, gamma, [house_size])
     seats = rows[0].tolist()
     slack = [f - s for f, s in zip(ideal, seats)]
-    return Allocation(tuple(seats), house_size, (), _NEAR_TIE if near[0] else None, (max(slack), min(slack) + 1))
+    return Allocation(tuple(seats), house_size, (), _NEAR_TIE if tied.size else None, (max(slack), min(slack) + 1))
 
 
 def _quota_ideals(shares, gamma, houses) -> np.ndarray:
@@ -675,51 +669,52 @@ def allocate_quota_rows(shares, gamma, houses) -> tuple[np.ndarray, np.ndarray]:
     NegativeSeatError on a negative seat, and InputError when house +
     |gamma| reaches 2**62 (the floors would overflow int64).
     """
+    seats, tied, _, _ = _float_quota_rows(shares, gamma, houses)
+    near = np.zeros(seats.shape[0], dtype=bool)
+    near[tied] = True
+    return seats, near
+
+
+def _float_quota_rows(shares, gamma, houses):
+    """``allocate_quota_rows`` with the tie masks of ``_remainder_rows``:
+    returns (seats, tied, tie, held)."""
     return _float_remainder_rows(_quota_ideals(shares, gamma, houses), gamma, houses)
 
 
 def _float_remainder_rows(frac, gamma, houses):
-    """``allocate_quota_rows`` on the ideals ``frac``, which it overwrites."""
+    """``_float_quota_rows`` on the ideals ``frac``, which it overwrites."""
     houses = np.asarray(houses, dtype=np.int64)
     base = np.floor(frac)
     frac -= base
-    base = base.astype(np.int64)
-    seats, _, t, cut, refused = _remainder_rows(base, frac, houses)
-    near = (t > 0) & (cut - refused <= NEAR_TIE_RTOL * np.maximum(1.0, houses + float(gamma)))
+    tol = NEAR_TIE_RTOL * np.maximum(1.0, houses + float(gamma))
+    seats, tied, tie, held = _remainder_rows(base.astype(np.int64), frac, houses, tol)
     _check_nonnegative(seats, gamma, houses)
-    return seats, near
+    return seats, tied, tie, held
 
 
 def _exact_remainder_rows(votes, total: int, gamma: Fraction, houses):
     """``_largest_remainder`` at every house of an ascending int64 array:
-    returns (seats, tied, tie, held).
+    returns the (seats, tied, tie, held) of ``_remainder_rows`` with the
+    remainders equal to the cut as the tie class.
 
     The ideals (house*g_den + g_num)*V_i over g_den*T, gamma = g_num/g_den,
     are int64 while they fit and Python ints in object arrays beyond.
-    ``seats`` holds the canonical seats, ``tied`` indexes the rows whose
-    last granted and first refused remainders are equal, and the
-    (len(tied), m) masks ``tie`` and ``held`` mark the parties with that
-    remainder and those of them granted a seat.  Raises NegativeSeatError
-    at the first house where some seat vector of the orbit has a negative
-    count.
+    Raises NegativeSeatError at the first house where some seat vector of
+    the orbit has a negative count.
     """
     den = gamma.denominator * total
     top = (int(houses[-1]) * gamma.denominator + abs(gamma.numerator)) * max(votes)
     dt = np.int64 if top < 2**63 and den < 2**63 else object
     ideal = (houses.astype(dt) * gamma.denominator + gamma.numerator)[:, None] * np.array(votes, dtype=dt)
     base = ideal // den
-    rem = ideal - base * den
-    seats, granted, t, cut, refused = _remainder_rows(base.astype(np.int64), rem, houses)
-    tied = np.flatnonzero((t > 0) & (cut == refused))
-    tie = rem[tied] == cut[tied][:, None]
-    held = tie & granted[tied]
+    seats, tied, tie, held = _remainder_rows(base.astype(np.int64), ideal - base * den, houses, 0)
     orbit_low = np.zeros(houses.size, dtype=bool)
     orbit_low[tied] = (seats[tied] - held < 0).any(axis=1)
     _check_nonnegative(seats, gamma, houses, orbit_low)
     return seats, tied, tie, held
 
 
-def _remainder_rows(base, rem, houses):
+def _remainder_rows(base, rem, houses, tol):
     """The largest-remainder rule on rows of int64 floors ``base`` and
     remainders ``rem`` (floats, or integers over a common denominator) at
     houses[r].
@@ -727,10 +722,12 @@ def _remainder_rows(base, rem, houses):
     Every party gets its floor plus q, and the t largest remainders one
     seat more, where the seats left over are q*m + t with 0 <= t < m; a
     stable argsort of the negated remainders grants equal remainders to the
-    lower index.  Returns the seats (``base``, overwritten), the mask of
-    granted parties, t, and each row's last granted and first refused
-    remainders, from which the caller decides what a tie is (they mean
-    nothing where t = 0).
+    lower index.  A row is tied when t > 0 and its last granted remainder,
+    the cut, lies within ``tol`` (0, or one bound per row) of its first
+    refused one; its class is the remainders within ``tol`` of the cut.
+    Returns the seats (``base``, overwritten), the indices ``tied`` of the
+    tied rows, and the (len(tied), m) masks ``tie`` and ``held`` of the
+    parties in each class and of those of them granted a seat.
     """
     q, t = np.divmod(houses - base.sum(axis=1), base.shape[1])
     order = np.argsort(-rem, axis=1, kind="stable")
@@ -739,7 +736,11 @@ def _remainder_rows(base, rem, houses):
     seats += q[:, None]
     seats += granted
     rows = np.arange(t.size)
-    return seats, granted, t, rem[rows, order[rows, t - 1]], rem[rows, order[rows, t]]
+    cut = rem[rows, order[rows, t - 1]]
+    tol = np.broadcast_to(tol, t.shape)
+    tied = np.flatnonzero((t > 0) & (cut - rem[rows, order[rows, t]] <= tol))
+    tie = abs(rem[tied] - cut[tied, None]) <= tol[tied, None]
+    return seats, tied, tie, tie & granted[tied]
 
 
 def _check_nonnegative(seats, gamma, houses, orbit_low=None) -> None:

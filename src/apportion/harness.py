@@ -6,32 +6,34 @@ statistics; averaged over a long range this realizes the uniform-random-house
 model the asymptotic formulas describe.  Rational shares are periodic in the
 house size, so their exact bias is the average over one period.
 
-Float sweeps run on vectorized fast paths.  The divisor path builds the
-seat-award sequence once, as a stable sort of every party's table of
+Float and exact sweeps share their block kernels.  A divisor sweep builds
+the seat-award sequence once, as a stable sort of every party's table of
 figures, taken in figure space from ``SignpostSequence.figures`` as
 ``allocate`` takes them, with each table long enough by a bound on the
-figure of the last award and no longer than the float range; it reads every
-house size off cumulative counts, and chunks on worker threads all slice
-that one sequence.  The quota path
-runs ``allocation.allocate_quota_rows`` on blocks of houses.  Exact sweeps
-and period averages run array kernels on the votes scaled once to coprime
-integers.  A divisor sweep takes the float award sequence of the shares
-and certifies it in integers (``_exact_awards``): adjacent awards are
-compared by cross-multiplication, and only runs of float figures within
-their rounding bound may be re-ordered.  Quota houses run the exact
-largest-remainder rule of ``allocation._exact_remainder_rows`` on a block
-of houses at once.  The rows of a block (seat
+figure of the last award and no longer than the float range
+(``_award_sequence``), and ``_divisor_blocks`` reads every house size off
+cumulative counts; chunks on worker threads all slice that one sequence.
+Exact sweeps and period averages run on the votes scaled once to coprime
+integers, and certify the float award sequence of the shares in integers
+(``_exact_awards``): adjacent awards are compared by cross-multiplication,
+and only runs of float figures within their rounding bound may be
+re-ordered.  Quota houses run the largest-remainder rule of
+``allocation._remainder_rows`` on a block of houses at once, on float
+ideals or, exactly, on integer ones.  The exact rows of a block (seat
 excess, violation counts) are array operations on int64 while the integers
-fit a float64 exactly and on Python ints beyond; the rows are recorded in
-blocks, and the violation totals are exact sums, converted to float once.
+fit and on Python ints beyond; the rows are recorded in blocks, and the
+violation totals are exact sums, converted to float once.
 
 Ties follow ``allocation``'s contract: one class (parties, grants,
-base_seats) and one orbit mean, base + grants/k (exact rows divide it out
-in integers).  Exact sweeps read the class off a run of equal exact figures
-or of equal remainders at the cut; only tied rows take a per-row step, for
-their orbit sizes and, under ``TiePolicy.seeded``, for the draw from (seed,
-house) that ``allocate`` makes.  Float sweeps find the class with
-``_tie_class`` within NEAR_TIE_RTOL, count a near-tie, record the orbit mean
+base_seats) and one orbit mean, base + grants/k (``_orbit_parts``; exact
+rows divide it out in integers).  Every sweep reads the class off the
+masks of its block kernel: a divisor class is a run of adjacent awards
+whose figures are equal (exact) or within NEAR_TIE_RTOL of each other,
+relatively (float); a quota class is the remainders equal to the cut
+(exact) or within NEAR_TIE_RTOL*max(1, house + gamma) of it (float).
+Exact sweeps take a per-row step only for tied rows, for their orbit sizes
+and, under ``TiePolicy.seeded``, for the draw from (seed, house) that
+``allocate`` makes.  Float sweeps count a near-tie, record the orbit mean
 under the averaging policy, and never seed a tie.
 
 Monte Carlo runs one loop for ordered-party statistics and random-mode
@@ -57,11 +59,9 @@ import numpy as np
 from .allocation import (
     NEAR_TIE_RTOL,
     _exact_remainder_rows,
+    _float_quota_rows,
     _is_exact,
-    _orbit_mean,
     _policy_seats,
-    _quota_ideals,
-    _tie_class,
     allocate_divisor_rows,
     allocate_quota_rows,
 )
@@ -75,6 +75,7 @@ from .violation import violation_probability
 from .weights import PartyWeights
 
 EXACT_SWEEP_LIMIT = 20_000
+_FLOAT_BLOCK = 65536  # houses per record_batch call of a float sweep
 
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -136,61 +137,72 @@ def _winner_sequence(shares: np.ndarray, sp: SignpostSequence, steps: int):
     return winners, figs[order]
 
 
-def _award_sequence(shares: np.ndarray, sp: SignpostSequence, n_to: int):
-    """Winners of every award up to house n_to, and per-award near-tie flags.
+def _award_sequence(shares: np.ndarray, sp: SignpostSequence, count: int, rtol: float):
+    """The first ``count`` awards past the mandatory seats, from
+    ``_winner_sequence``: returns the winners, the flags ``close`` of the
+    adjacent awards whose figures lie within ``rtol`` of each other,
+    relatively, and the smallest figure sorted.
 
-    near[a] flags award a as tied with award a+1, i.e. house z*m+a+1 as
-    near-tied; one extra award gives the flag at n_to, unless n_to fills a
-    capped table.
+    The awards go on past ``count`` to the end of the run of close awards
+    that holds award ``count - 1``, or to the last award of a capped table:
+    the float sequence is extended, 2, 4, 8, ... awards past ``count``,
+    until a wider gap closes that run.
     """
+    if count <= 0:
+        return np.empty(0, dtype=np.int32), np.empty(0, dtype=bool), np.inf
     cap = sp.max_seats()
-    full = cap is not None and n_to == cap * shares.size
-    steps = n_to - sp.zero_count() * shares.size
-    winners, figures = _winner_sequence(shares, sp, steps + (not full))
-    near = figures[:-1] - figures[1:] <= NEAR_TIE_RTOL * np.abs(figures[:-1])
-    return winners, np.append(near, False) if full else near
+    finite = None if cap is None else (cap - sp.zero_count()) * shares.size  # the awards of a full house
+    if finite is not None and count > finite:
+        raise InputError("house size unreachable under the table cap")
+    extra = 2
+    while True:
+        want = count + extra if finite is None else min(count + extra, finite)
+        winners, figs = _winner_sequence(shares, sp, want)
+        close = figs[:-1] - figs[1:] <= rtol * figs[:-1]
+        closing = np.flatnonzero(~close[count - 1 :])
+        if closing.size or want == finite:
+            keep = count + int(closing[0]) if closing.size else want
+            return winners[:keep], close[: keep - 1], figs[-1]
+        extra *= 2
 
 
-def _divisor_sweep_float(
-    shares: np.ndarray,
-    sp: SignpostSequence,
-    winners: np.ndarray,
-    near: np.ndarray,
-    n_from: int,
-    n_to: int,
-    stats: SweepStats,
-    average_ties: bool,
-    block: int = 65536,
-) -> None:
-    """Sweep [n_from, n_to] off an award sequence from ``_award_sequence``
-    computed for any house size >= n_to."""
-    m = shares.size
-    z = sp.zero_count()
+def _divisor_blocks(winners, close, m: int, z: int, n_from: int, n_to: int, block: int):
+    """Yield (houses, seats, tied, tie, held) per ``block`` houses of
+    [n_from, n_to], n_from >= z*m, off an award sequence: winners[k] takes
+    award k, the last award of house z*m + k + 1, and close[k] ties awards k
+    and k + 1.
 
-    # tie flag per house in [n_from, n_to]
-    award_of = np.arange(n_from, n_to + 1) - z * m - 1
-    house_tied = np.zeros(n_to - n_from + 1, dtype=bool)
-    ok = award_of >= 0
-    house_tied[ok] = near[award_of[ok]]
-
-    consumed = n_from - z * m  # awards already counted at house n_from
-    base = z + np.bincount(winners[: max(consumed, 0)], minlength=m).astype(np.int64)
-    for start in range(n_from, n_to + 1, block):
-        stop = min(start + block - 1, n_to)
-        # house start+r consumes awards [0, start+r-z*m)
-        seats = _seat_matrix(base, winners[start - z * m : stop - z * m])
+    ``seats`` (k, m) holds each house's seats, carried from block to block;
+    ``tied`` indexes the tied rows, and the (len(tied), m) masks ``tie`` and
+    ``held`` mark the parties of each tie class and those of them holding a
+    contested seat.  A house is tied when its last award is close to the
+    next one, and its class is that run of close awards, the awards up to
+    the house holding and the later ones taking.
+    """
+    flagged = np.flatnonzero(close)
+    first = flagged[np.diff(flagged, prepend=-2) != 1]  # the first award of each run
+    last = flagged[np.diff(flagged, append=-2) != 1] + 1  # and its last award
+    base = z + np.bincount(winners[: n_from - z * m], minlength=m)  # the seats at house n_from
+    for houses in _house_blocks(n_from, n_to, block):
+        done = int(houses[0]) - z * m  # awards taken at the block's first house
+        seats = _seat_matrix(base, winners[done : done + houses.size - 1])
         base = seats[-1].copy()
-        nxt = stop - z * m  # award consumed by house stop+1
-        if nxt < winners.size and stop < n_to:
-            base[winners[nxt]] += 1
-        houses = np.arange(start, stop + 1, dtype=float)
-        deltas = seats - houses[:, None] * shares[None, :]
-        tied = house_tied[start - n_from : stop - n_from + 1]
-        if average_ties:
-            for row in np.flatnonzero(tied):
-                deltas[row] = _near_tie_average_divisor(shares, sp, seats[row], int(houses[row]))
-        stats.record_batch(deltas)
-        stats.near_ties += float(tied.sum())
+        if houses[-1] < n_to:
+            base[winners[done + houses.size - 1]] += 1
+        award = houses - z * m - 1  # each house's last award
+        ok = (award >= 0) & (award < close.size)
+        tied = np.flatnonzero(ok)[close[award[ok]]]
+        at = award[tied]
+        run = np.searchsorted(first, at, side="right") - 1
+        lo, size = first[run], last[run] - first[run] + 1
+        row = np.repeat(np.arange(tied.size), size)
+        entry = np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
+        tie = np.zeros((tied.size, m), dtype=bool)
+        held = np.zeros((tied.size, m), dtype=bool)
+        tie[row, winners[entry]] = True
+        holds = entry <= np.repeat(at, size)
+        held[row[holds], winners[entry[holds]]] = True
+        yield houses, seats, tied, tie, held
 
 
 def _seat_matrix(base: np.ndarray, winners: np.ndarray) -> np.ndarray:
@@ -205,49 +217,31 @@ def _seat_matrix(base: np.ndarray, winners: np.ndarray) -> np.ndarray:
     return seats
 
 
-def _near_tie_average_divisor(shares, sp, seats, house) -> np.ndarray:
-    """Average the excess over the tie class found within 4*NEAR_TIE_RTOL of
-    the worst held figure."""
-    cur, nxt = sp.figures(shares, seats), sp.figures(shares, seats + 1)
-    f = cur[np.isfinite(cur)].min()
-    tol = NEAR_TIE_RTOL * abs(f) * 4
-    tie = _tie_class(seats, cur, nxt, lambda x: abs(x - f) <= tol)  # an infinite figure is never near f
-    return np.array(_orbit_mean(seats, tie, exact=False), dtype=float) - house * shares
+def _orbit_parts(seats, tie, held):
+    """(base, k, grants) of tied rows with the masks of a block generator:
+    the seats less the held grants, and per row, as a column, the number k
+    of tied parties and the number of grants.  The orbit mean gives each
+    tied party base + grants/k."""
+    return seats - held.astype(seats.dtype), tie.sum(axis=1)[:, None], held.sum(axis=1)[:, None]
 
 
-def _quota_sweep_float(
-    shares: np.ndarray,
-    gamma,
-    n_from: int,
-    n_to: int,
-    stats: SweepStats,
-    average_ties: bool,
-    block: int = 65536,
-) -> None:
-    for start in range(n_from, n_to + 1, block):
-        stop = min(start + block - 1, n_to)
-        houses = np.arange(start, stop + 1)
-        seats, near = allocate_quota_rows(shares[None, :], gamma, houses)
-        deltas = seats - houses[:, None] * shares[None, :]
-        if average_ties:
-            for row in np.flatnonzero(near):
-                deltas[row] = _near_tie_average_quota(shares, gamma, int(houses[row]), seats[row])
+def _float_sweep(blocks, shares: np.ndarray, stats: SweepStats, average_ties: bool) -> None:
+    """Record float blocks (houses, seats, tied, tie, held) in ``stats``:
+    each tied row counts a near-tie and, under the averaging policy, holds
+    its orbit mean."""
+    for houses, seats, tied, tie, held in blocks:
+        deltas = seats - houses[:, None] * shares
+        if average_ties and tied.size:
+            base, k, grants = _orbit_parts(seats[tied], tie, held)
+            deltas[tied] = base + tie * (grants / k) - houses[tied, None] * shares
         stats.record_batch(deltas)
-        stats.near_ties += float(near.sum())
+        stats.near_ties += float(tied.size)
 
 
-def _near_tie_average_quota(shares, gamma, house: int, seats) -> np.ndarray:
-    """Average the excess over the tie class within 4*NEAR_TIE_RTOL*max(1,
-    house + gamma) of the last granted fractional part of ``_quota_ideals``."""
-    ideal = _quota_ideals(shares[None, :], gamma, [house])[0]
-    floors = np.floor(ideal)
-    frac = ideal - floors
-    granted = seats > floors + (house - int(floors.sum())) // shares.size
-    c = frac[granted].min()
-    tol = NEAR_TIE_RTOL * 4 * max(1.0, house + float(gamma))
-    held, nxt = np.where(granted, frac, np.nan), np.where(granted, np.nan, frac)
-    tie = _tie_class(seats, held, nxt, lambda x: abs(x - c) <= tol)
-    return np.array(_orbit_mean(seats, tie, exact=False), dtype=float) - house * shares
+def _house_blocks(n_from: int, n_to: int, block: int):
+    """The houses of [n_from, n_to] as int64 arrays of ``block`` houses."""
+    for start in range(n_from, n_to + 1, block):
+        yield np.arange(start, min(start + block - 1, n_to) + 1)
 
 
 # -- exact sweeps -------------------------------------------------------------
@@ -268,7 +262,7 @@ def _exact_awards(votes, total: int, sp: SignpostSequence, count: int):
     Award k's figure is num/den = w_i*b / a for d(n) = a/b in figure space
     (``SignpostSequence.exact_pairs``) and w_i = ``figure_weight(V_i)``.
 
-    Filter.  ``_winner_sequence`` sorts the float figures of the shares
+    Filter.  ``_award_sequence`` sorts the float figures of the shares
     p_i = V_i/T.  With u = 2**-53 and every value a normal float, each
     rounding multiplies by some 1 + d, |d| <= u.  A float figure rounds p_i
     once (Python's int / int), the divisor once (a closed form is exact up
@@ -281,13 +275,13 @@ def _exact_awards(votes, total: int, sp: SignpostSequence, count: int):
     _CERTIFY_RTOL = 16u > 2 * 5.01u ensures it for every family.  Such a
     gap is certified: every award before it has a larger exact figure than
     every award after it, and than every entry missing from the float
-    tables, which lies below its table's last entry and so below the cut.  Every adjacent pair is then compared
-    by cross-multiplication, in int64 while w*b*a stays below 2**63 and in
-    Python ints otherwise; a misordered pair can only lie in a run of
-    uncertified gaps, and an odd-even transposition sort swaps misordered
-    pairs until every pair is in exact order.  The float sequence is
-    extended until a certified gap closes the run that holds award
-    ``count - 1``.
+    tables, which lies below its table's last entry and so below the cut.
+    ``_award_sequence`` extends the float sequence until a certified gap
+    closes the run that holds award ``count - 1``.  Every adjacent pair is
+    then compared by cross-multiplication, in int64 while w*b*a stays below
+    2**63 and in Python ints otherwise; a misordered pair can only lie in a
+    run of uncertified gaps, and an odd-even transposition sort swaps
+    misordered pairs until every pair is in exact order.
 
     Fallback.  Where a figure leaves the normal float range (an exact
     geometric ratio at large n: d(n) past 1.8e308, or figures that
@@ -296,32 +290,20 @@ def _exact_awards(votes, total: int, sp: SignpostSequence, count: int):
     ``count`` passes the finite entries of a capped table.
     """
     m, z = len(votes), sp.zero_count()
-    cap = sp.max_seats()
-    finite = None if cap is None else (cap - z) * m
-    if finite is not None and count > finite:
-        raise InputError("house size unreachable under the table cap")
     if count <= 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
     w = [sp.figure_weight(v) for v in votes]
     shares = np.array([v / total for v in votes])
     close = None
     if sp.figure_weight(shares).min() >= _TINY and float(sp.value(z + 1)) >= _TINY:
-        extra = 2  # awards past ``count``, doubled until a certified gap closes the last run
-        while True:
-            want = count + extra if finite is None else min(count + extra, finite)
-            try:
-                winners, figs = _winner_sequence(shares, sp, want)
-            except InputError:  # a table reached the float range
-                break
-            if figs[-1] < _TINY:
-                break
-            gaps = figs[:-1] - figs[1:] <= _CERTIFY_RTOL * figs[:-1]
-            closing = np.flatnonzero(~gaps[count - 1 :])
-            if closing.size or want == finite:
-                keep = count + int(closing[0]) if closing.size else want
-                winners, close = winners[:keep].astype(np.int64), gaps[: keep - 1]
-                break
-            extra *= 2
+        try:
+            winners, close, smallest = _award_sequence(shares, sp, count, _CERTIFY_RTOL)
+        except InputError:  # a table reached the float range, or figures underflowed to 0
+            pass
+        else:
+            winners = winners.astype(np.int64)
+            if smallest < _TINY:
+                close = None
     if close is None:
         winners = _scan_awards(w, sp, z, count)
         close = np.zeros(winners.size - 1, dtype=bool)  # the scan's order is exact: no pair may swap
@@ -375,6 +357,8 @@ def _scan_awards(w, sp: SignpostSequence, z: int, count: int) -> np.ndarray:
         num, den = nxt[i]
         if len(winners) >= count and num * last[1] != last[0] * den:
             return np.array(winners, dtype=np.int64)
+        if not num:  # only figures past a capped table are left
+            raise InputError("house size unreachable under the table cap")
         winners.append(i)
         last = nxt[i]
         seats[i] += 1
@@ -394,47 +378,24 @@ def _exact_seat_blocks(method, weights, n_from: int, n_to: int):
     tied rows, and the (len(tied), m) masks ``tie`` and ``held`` mark the
     parties of each tie class and those of them holding a contested seat.
 
-    Divisor houses read their seats off the exact award sequence of
-    ``_exact_awards``: a house is tied when its last award and the next one
-    have equal figures, and its class is that run of equal figures, the
-    awards up to the house holding and the later ones taking.  Quota houses
-    run ``allocation._exact_remainder_rows`` on the whole block.
+    Divisor houses read their seats and tie classes off the exact award
+    sequence of ``_exact_awards`` with ``_divisor_blocks``: a tie is a run
+    of equal figures.  Quota houses run
+    ``allocation._exact_remainder_rows`` on each block.
     """
     if not (_is_exact(weights, method.signposts) if isinstance(method, DivisorMethod) else weights.exact):
         raise InputError("exact sweep requires exact weights and signposts")
     votes, total = weights.integer_votes
-    m = len(votes)
     if isinstance(method, DivisorMethod):
         sp = method.signposts
-        z = sp.zero_count()
-        n_from = max(n_from, z * m)  # the first feasible house
+        z, m = sp.zero_count(), len(votes)
         cap = sp.max_seats()
         winners, equal = _exact_awards(votes, total, sp, n_to - z * m + (cap is None or n_to < cap * m))
-        run = np.concatenate(([0], np.cumsum(~equal)))  # run of equal figures of each award
-        first = np.flatnonzero(np.diff(run, prepend=-1))  # each run's first award
-        length = np.diff(np.append(first, run.size))  # and its number of awards
+        yield from _divisor_blocks(winners, equal, m, z, max(n_from, z * m), n_to, _EXACT_BLOCK)
     else:
         gamma = Fraction(method.gamma)  # a float gamma with exact weights is taken exactly
-    for start in range(n_from, n_to + 1, _EXACT_BLOCK):
-        houses = np.arange(start, min(start + _EXACT_BLOCK - 1, n_to) + 1)
-        if isinstance(method, DivisorMethod):
-            done = start - z * m  # awards taken at house ``start``
-            seats = _seat_matrix(z + np.bincount(winners[:done], minlength=m), winners[done : done + houses.size - 1])
-            award = houses - z * m - 1  # each house's last award
-            ok = (award >= 0) & (award < equal.size)
-            tied = np.flatnonzero(ok)[equal[award[ok]]]
-            at = award[tied]
-            lo, size = first[run[at]], length[run[at]]
-            row = np.repeat(np.arange(tied.size), size)
-            entry = np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
-            tie = np.zeros((tied.size, m), dtype=bool)
-            held = np.zeros((tied.size, m), dtype=bool)
-            tie[row, winners[entry]] = True
-            holds = entry <= np.repeat(at, size)
-            held[row[holds], winners[entry[holds]]] = True
-        else:
-            seats, tied, tie, held = _exact_remainder_rows(votes, total, gamma, houses)
-        yield houses, seats, tied, tie, held
+        for houses in _house_blocks(n_from, n_to, _EXACT_BLOCK):
+            yield houses, *_exact_remainder_rows(votes, total, gamma, houses)
 
 
 def _tie_tuple(seats, tie, held) -> tuple[tuple, int, tuple]:
@@ -464,18 +425,20 @@ def _excess_rows(houses, seats, tied, tie, held, votes, total: int, average: boo
     party does.  Under the averaging policy the orbit of a tied row has
     comb(k, grants) members, in which ``grants`` of its k tied parties get
     one seat over their base, and the orbit mean seats are (base*k +
-    grants)/k; otherwise a row is the one seat vector ``seats``, k = 1.
+    grants)/k (``_orbit_parts``); otherwise a row is the one seat vector
+    ``seats``, k = 1.
 
     Each excess is one division (S*T - house*V_i*k) / (k*T) of integers,
-    S the mean seats times k.  While house*T*m < 2**53 both sides are exact
-    float64s, so numpy's quotient is correctly rounded, as Python's int /
-    int is; past that the same code runs on object arrays of Python ints.
-    The quota cuts floor(house*p_i) and ceil(house*p_i) come from the same
-    integers.  Only the tied rows take a per-row step, for their orbit
-    sizes.
+    S the mean seats times k.  While house*T*m < 2**63 the integers are
+    int64; numpy divides them as float64s, so a row whose numerator or k*T
+    reaches 2**53 is divided again as Python ints, whose int / int is
+    correctly rounded.  Past 2**63 the same code runs on object arrays of
+    Python ints.  The quota cuts floor(house*p_i) and ceil(house*p_i) come
+    from the same integers.  Only the tied rows take a per-row step, for
+    their orbit sizes.
     """
     k_rows, m = seats.shape
-    dt = np.int64 if int(houses[-1]) * total * m < 2**53 else object
+    dt = np.int64 if int(houses[-1]) * total * m < 2**63 else object
     s = seats.astype(dt)
     x = houses.astype(dt)[:, None] * np.array(votes, dtype=dt)
     lo_cut = x // total  # lower quota violated iff s < floor(house*p)
@@ -485,17 +448,17 @@ def _excess_rows(houses, seats, tied, tie, held, votes, total: int, average: boo
     scaled, k = s, np.ones((k_rows, 1), dtype=dt)  # the mean seats times k, and k
     orbit = np.ones(k_rows, dtype=np.int64)
     if average and tied.size:
-        ka, ga = tie.sum(axis=1), held.sum(axis=1)  # k and grants per tied row
+        base, kt, gt = _orbit_parts(s[tied], tie, held)  # a tied party holds base or base + 1 seats
+        ka, ga = kt[:, 0], gt[:, 0]
         pairs = list(zip(ka.tolist(), ga.tolist()))
         orbits = [comb(a, g) for a, g in pairs]
         ct = np.int64 if max(orbits) < 2**62 else object
         big = np.array(orbits, dtype=ct)[:, None]
         granted = np.array([comb(a - 1, g - 1) for a, g in pairs], dtype=ct)[:, None]  # members granting a party
         tm = tie.astype(dt)
-        base = s[tied] - held.astype(dt)  # a tied party holds base or base + 1 seats
         scaled = s.copy()
-        scaled[tied] = base * ka[:, None] + tm * ga[:, None]
-        k[tied, 0] = ka
+        scaled[tied] = base * kt + tm * gt
+        k[tied] = kt
         lo_t, hi_t = lo_cut[tied], hi_cut[tied]
         lo_g, lo_n = base + tm < lo_t, base < lo_t  # the violations with and without the grant
         hi_g, hi_n = base + tm > hi_t, base > hi_t
@@ -510,7 +473,12 @@ def _excess_rows(houses, seats, tied, tie, held, votes, total: int, average: boo
         # the members avoiding every violation grant all of ``without`` and none of ``with_grant``
         good = [comb(f, d) if 0 <= d <= f and not x else 0 for f, d, x in zip(free, (ga - only_without).tolist(), fixed)]
         violating[tied] = big[:, 0] - np.array(good, dtype=ct)
-    delta = ((scaled * total - x * k) / (k * total)).astype(float)
+    num, den = scaled * total - x * k, k * total
+    delta = (num / den).astype(float)
+    if dt is np.int64:
+        wide = (np.abs(num) >= 2**53).any(axis=1) | (den[:, 0] >= 2**53)  # not exact as float64s
+        if wide.any():
+            delta[wide] = (num[wide].astype(object) / den[wide].astype(object)).astype(float)
     return delta, lower, upper, violating, orbit
 
 
@@ -605,17 +573,20 @@ def sweep(
         return stats
 
     shares = np.asarray(weights.shares_float())
-    average = tie_policy.kind == "average"
     if divisor:
-        winners, near = _award_sequence(shares, method.signposts, n_to)  # every chunk slices it
+        z = method.signposts.zero_count()
+        # every chunk slices one award sequence, with its runs of near-tied awards
+        winners, close, _ = _award_sequence(shares, method.signposts, n_to - z * m, NEAR_TIE_RTOL)
 
     def run_chunk(ab: tuple[int, int]) -> SweepStats:
         a, b = ab
         chunk = make_stats(a, b)
         if divisor:
-            _divisor_sweep_float(shares, method.signposts, winners, near, a, b, chunk, average)
+            blocks = _divisor_blocks(winners, close, m, z, a, b, _FLOAT_BLOCK)
         else:
-            _quota_sweep_float(shares, method.gamma, a, b, chunk, average)
+            houses = _house_blocks(a, b, _FLOAT_BLOCK)
+            blocks = ((h, *_float_quota_rows(shares[None, :], method.gamma, h)) for h in houses)
+        _float_sweep(blocks, shares, chunk, tie_policy.kind == "average")
         return chunk
 
     workers = min(workers, os.cpu_count() or 1, n_to - n_from + 1)
@@ -701,14 +672,18 @@ def period_average_bias(method: Method, weights: PartyWeights) -> tuple[Fraction
     period = detect_period(weights)
     start = max(small_n_guard(method, weights), 1)
     votes, total = weights.integer_votes
-    sums = [0] * len(votes)  # expected seats summed over the period
+    sums = [0] * len(votes)  # seats summed over the period
+    shift = {}  # k -> grants*tie - held*k summed over the tied rows of k parties
     for _, seats, tied, tie, held in _exact_seat_blocks(method, weights, start, start + period - 1):
         sums = [a + s for a, s in zip(sums, seats.sum(axis=0).tolist())]
-        for j, r in enumerate(tied.tolist()):  # a tied house holds its orbit mean
-            row = seats[r].tolist()
-            sums = [a + x - s for a, x, s in zip(sums, _orbit_mean(row, _tie_tuple(seats[r], tie[j], held[j])), row)]
+        # a tied house holds its orbit mean: its seats plus (grants*tie - held*k)/k
+        _, k, grants = _orbit_parts(seats[tied], tie, held)
+        terms = tie * grants - held * k
+        for size in set(k[:, 0].tolist()):
+            shift[size] = shift.get(size, 0) + terms[k[:, 0] == size].sum(axis=0)
+    mean = [s + sum(Fraction(int(c[i]), size) for size, c in shift.items()) for i, s in enumerate(sums)]
     houses = period * start + period * (period - 1) // 2  # sum of the house sizes
-    return tuple((s - Fraction(houses * v, total)) / period for s, v in zip(sums, votes))
+    return tuple((s - Fraction(houses * v, total)) / period for s, v in zip(mean, votes))
 
 
 # -- equidistribution ----------------------------------------------------------

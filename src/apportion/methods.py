@@ -64,7 +64,10 @@ class TiePolicy:
     finds it exactly; float input within NEAR_TIE_RTOL relative to the
     figures, or for quota to max(1, house + gamma) (an ideal seat count
     within NEAR_TIE_RTOL*max(1, |k|) of an integer k counts as k), and then
-    flags a near-tie and keeps the float seats under every policy.
+    flags a near-tie and keeps the float seats under every policy.  A sweep
+    takes as the class a run of adjacent awards whose figures lie that
+    close to each other (equal on exact input), or the remainders that
+    close to the cut.
 
     * ``seeded(seed)``   the member drawn by ``random.Random(f"{seed}:{N}")``
                          at house N, in ``allocate`` and exact sweeps alike

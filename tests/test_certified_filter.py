@@ -2,10 +2,11 @@
 exact row kernel, against the ``Fraction`` oracles of conftest.
 
 ``harness._exact_awards`` sorts float figures and certifies the order in
-integers; ``harness._excess_rows`` runs on float64 while house*T*m < 2**53
-and on Python ints beyond.  The corpora here sit where those shortcuts
-would go wrong: float figures a few ulps apart without an exact tie, rows
-on both sides of 2**53, award cross-products on both sides of 2**63, and
+integers; ``harness._excess_rows`` runs on int64 while house*T*m < 2**63
+and on Python ints beyond, and divides as float64 only below 2**53.  The
+corpora here sit where those shortcuts would go wrong: float figures a few
+ulps apart without an exact tie, rows on both sides of 2**53 and of 2**63,
+award cross-products on both sides of 2**63, and
 figures past the float range, where the awards come from the integer scan
 fallback.
 """
@@ -79,12 +80,17 @@ def test_rows_on_both_sides_of_2_53(block, monkeypatch):
     w = PartyWeights.of([10**12 + 1, 10**12, 3 * 10**11 + 7])
     ints, total = w.integer_votes
     m = len(ints)
-    # the kernel leaves float64 where house*T*m reaches 2**53, and s*T and
-    # house*V_i themselves reach 2**53 near house 9007
+    # house*T*m reaches 2**53 here, and s*T and house*V_i themselves reach
+    # 2**53 near house 9007
     for (n_from, n_to), bound in (((1250, 1350), total * m), ((8950, 9050), max(ints))):
         assert n_from * bound < 2**53 <= n_to * bound
         for name in ("webster", "droop"):
             _assert_rows(method_by_name(name), w, n_from, n_to, POLICIES[::2])
+    # the kernel leaves int64 where house*T*m reaches 2**63, near house
+    # 1.34e6 (Droop only: the Webster oracle would scan every house below)
+    n = 2**63 // (total * m)
+    assert (n - 50) * total * m < 2**63 <= (n + 50) * total * m
+    _assert_rows(method_by_name("droop"), w, n - 50, n + 50, POLICIES[::2])
 
 
 def test_quota_ideals_on_both_sides_of_2_63(monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from apportion import InputError, PartyWeights, TiePolicy
+from apportion import InputError, PartyWeights, TiePolicy, allocate
 from apportion.asymptotics import excess_bounds
 from apportion.harness import (
     allocate_many,
@@ -21,6 +21,8 @@ from apportion.harness import (
 )
 from apportion.methods import linear_divisor, method_by_name, quota_method, small_n_guard
 from apportion.stats import Tolerances
+
+from conftest import exact_rows, fraction_rows
 
 W21 = PartyWeights.of([2, 1])
 W221 = PartyWeights.of([2, 2, 1])
@@ -81,29 +83,56 @@ def test_sweep_clamps_to_guard():
     assert stats.n_from == small_n_guard(quota_method(2.0), PartyWeights.of(sqrt_shares(3)))
 
 
+def _assert_float_agrees_with_exact(method, votes, n_to, workers=1):
+    """A float sweep of ``votes`` as floats over [1, n_to] against the exact
+    sweep (forced past EXACT_SWEEP_LIMIT); returns the exact tie count."""
+    exact = sweep(method, PartyWeights.of(votes), 1, n_to, TiePolicy.average(), force_exact=True)
+    fl = sweep(method, PartyWeights.of([float(v) for v in votes]), 1, n_to, TiePolicy.average(), workers=workers)
+    assert (fl.n_from, fl.n_to) == (exact.n_from, exact.n_to)
+    np.testing.assert_allclose(fl.mean, exact.mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fl.covariance, exact.covariance, rtol=0, atol=1e-12)
+    assert fl.near_ties == exact.ties
+    return exact.ties
+
+
 @pytest.mark.parametrize("name", ["webster", "dhondt", "adams", "dean", "huntington", "hamilton", "droop"])
 def test_float_sweep_agrees_with_exact(name):
     # tie-heavy votes: the float near-ties must be the exact ties, averaged alike
     method = method_by_name(name)
     rng = random.Random(name)
     cases = [[5, 3, 2], [3, 1, 4, 3]] + [[rng.randint(1, 4) for _ in range(rng.randint(2, 5))] for _ in range(6)]
+    cases = [(votes, 300, 1) for votes in cases]
+    # m equal votes: house 4m + 1 takes the first award of a class of m, so
+    # its run goes on past n_to (the float twin of
+    # test_a_tie_class_past_the_first_awards_is_read_whole)
+    cases += [([1] * m, 4 * m + 1, 1) for m in (3, 6)]
+    # tied runs across the 65 536-house block and, with two workers, across
+    # the chunk edge between houses 35 002 and 35 003
+    assert allocate(method, PartyWeights.of([2, 1, 1]), 35_002).tied
+    cases += [([2, 1, 1], 70_004, 1), ([2, 1, 1], 70_004, 2)]
     ties = 0
-    for votes in cases:
-        exact = sweep(method, PartyWeights.of(votes), 1, 300, TiePolicy.average())
-        fl = sweep(method, PartyWeights.of([float(v) for v in votes]), 1, 300, TiePolicy.average())
-        assert (fl.n_from, fl.n_to) == (exact.n_from, exact.n_to)
-        np.testing.assert_allclose(fl.mean, exact.mean, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(fl.covariance, exact.covariance, rtol=0, atol=1e-12)
-        assert fl.near_ties == exact.ties
-        ties += exact.ties
+    for votes, n_to, workers in cases:
+        ties += _assert_float_agrees_with_exact(method, votes, n_to, workers)
     assert ties > 0
 
 
 def test_float_quota_sweep_agrees_with_exact():
-    exact = sweep(quota_method(1), PartyWeights.of([5, 3, 2]), 1, 60, TiePolicy.average())
-    fl = sweep(quota_method(1.0), PartyWeights.of([5.0, 3.0, 2.0]), 1, 60, TiePolicy.average())
-    assert np.allclose(exact.mean, fl.mean, atol=1e-12)
-    assert np.allclose(exact.covariance, fl.covariance, atol=1e-12)
+    assert _assert_float_agrees_with_exact(quota_method(1), [5, 3, 2], 60) > 0
+    # Droop on (3, 8) ties at every house 11k - 1, where both ideals are whole
+    assert _assert_float_agrees_with_exact(method_by_name("droop"), [3, 8], 70_000) > 6000
+
+
+def test_int64_rows_divide_wide_integers_exactly():
+    # votes near 1e16: house*T*m stays below 2**63 up to house 354, so the
+    # rows are int64, but T and the excess numerators pass 2**53, where a
+    # float64 division would round both sides first
+    w = PartyWeights.of([8102650219695173, 4891809806296154])
+    _, total = w.integer_votes
+    assert 300 * total * 2 < 2**63 and total >= 2**53
+    for name in ("webster", "droop"):
+        for policy in (TiePolicy.average(), TiePolicy.enumerate_all()):
+            method = method_by_name(name)
+            assert list(exact_rows(method, w, 1, 300, policy)) == list(fraction_rows(method, w, 1, 300, policy))
 
 
 def test_sweep_merge_and_workers():
