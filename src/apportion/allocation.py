@@ -720,27 +720,34 @@ def _remainder_rows(base, rem, houses, tol):
     houses[r].
 
     Every party gets its floor plus q, and the t largest remainders one
-    seat more, where the seats left over are q*m + t with 0 <= t < m; a
-    stable argsort of the negated remainders grants equal remainders to the
-    lower index.  A row is tied when t > 0 and its last granted remainder,
-    the cut, lies within ``tol`` (0, or one bound per row) of its first
-    refused one; its class is the remainders within ``tol`` of the cut.
-    Returns the seats (``base``, overwritten), the indices ``tied`` of the
-    tied rows, and the (len(tied), m) masks ``tie`` and ``held`` of the
-    parties in each class and of those of them granted a seat.
+    seat more, where the seats left over are q*m + t with 0 <= t < m.  A
+    sort of each row's values gives the cut, its t-th largest remainder;
+    the remainders above it get a seat, then the lowest indices among those
+    equal to it.  A row is tied when t > 0 and the cut lies within ``tol``
+    (0, or one bound per row) of the next remainder down; its class is the
+    remainders within ``tol`` of the cut.  Returns the seats (``base``,
+    overwritten), the indices ``tied`` of the tied rows, and the masks
+    ``tie`` and ``held`` (len(tied), m) of the parties in each class and of
+    those of them granted a seat.
     """
-    q, t = np.divmod(houses - base.sum(axis=1), base.shape[1])
-    order = np.argsort(-rem, axis=1, kind="stable")
-    granted = np.argsort(order, axis=1, kind="stable") < t[:, None]
+    m = base.shape[1]
+    q, t = np.divmod(houses - np.einsum("ij->i", base), m)
+    rows = np.arange(t.size)
+    ranked = np.sort(rem, axis=1)
+    cut, refused = ranked[rows, np.minimum(m - t, m - 1)], ranked[rows, m - 1 - t]  # t = 0: the largest, none above
+    by_party = np.ascontiguousarray(rem.T)
+    granted, equal = by_party > cut, by_party == cut
+    count = equal.astype(np.int64)
+    for i in range(1, m):  # the remainders equal to the cut up to each party
+        count[i] += count[i - 1]
+    granted |= equal & (count <= t - granted.sum(axis=0))
     seats = base
     seats += q[:, None]
-    seats += granted
-    rows = np.arange(t.size)
-    cut = rem[rows, order[rows, t - 1]]
+    seats += granted.T
     tol = np.broadcast_to(tol, t.shape)
-    tied = np.flatnonzero((t > 0) & (cut - rem[rows, order[rows, t]] <= tol))
+    tied = np.flatnonzero((t > 0) & (cut - refused <= tol))
     tie = abs(rem[tied] - cut[tied, None]) <= tol[tied, None]
-    return seats, tied, tie, tie & granted[tied]
+    return seats, tied, tie, tie & granted.T[tied]
 
 
 def _check_nonnegative(seats, gamma, houses, orbit_low=None) -> None:

@@ -883,33 +883,27 @@ def apparentement_sweep(
     if n_to < n_from:
         raise InputError("range lies below the feasible coalition sweep start")
 
-    moments = RunningMoments(3)
-    houses = np.arange(n_from, n_to + 1)
-    if isinstance(method, DivisorMethod):
-        full = _cumulative_seats(shares, method.signposts, n_to)
-        pooled = _cumulative_seats(mshares, method.signposts, n_to)
-        s_i = full[houses, party_i]
-        s_j = full[houses, party_j]
-        s_pool = pooled[houses, im]
-        if s_pool.min() < sub_min:
-            raise InvariantError("pooled seat count below the sub-apportionment minimum")
-        sub = _cumulative_seats(pair_shares, method.signposts, int(s_pool.max()))
-        sub_i = sub[s_pool, 0]
-        sub_j = sub[s_pool, 1]
+    # the seats of the full and the pooled party lists, one block of houses at a time
+    divisor = isinstance(method, DivisorMethod)
+    if divisor:
+        sp, close = method.signposts, np.zeros(0, dtype=bool)  # no award is close: no tie masks
+        full, _ = _winner_sequence(shares, sp, n_to - z * m)
+        pooled, _ = _winner_sequence(mshares, sp, n_to - z * (m - 1))
+        sub = _cumulative_seats(pair_shares, sp, z + int(np.count_nonzero(pooled == im)))
+        full = _divisor_blocks(full, close, m, z, n_from, n_to, _FLOAT_BLOCK)
+        pooled = _divisor_blocks(pooled, close, m - 1, z, n_from, n_to, _FLOAT_BLOCK)
     else:
-        gamma = method.gamma
-        s_full, _ = allocate_quota_rows(shares[None, :], gamma, houses)
-        s_pooled, _ = allocate_quota_rows(mshares[None, :], gamma, houses)
-        s_i = s_full[:, party_i]
-        s_j = s_full[:, party_j]
-        s_pool = s_pooled[:, im]
-        if not s_pool.min() + gamma > 0:
-            raise InvariantError("pooled seat count leaves a nonpositive sub-apportionment quota")
-        sub, _ = allocate_quota_rows(pair_shares[None, :], gamma, s_pool)
-        sub_i = sub[:, 0]
-        sub_j = sub[:, 1]
-    joint = s_pool - s_i - s_j
-    gains = np.stack([joint, sub_i - s_i, sub_j - s_j], axis=1)
+        gamma, span = method.gamma, (n_from, n_to, _FLOAT_BLOCK)
+        full = ((h, allocate_quota_rows(shares[None, :], gamma, h)[0]) for h in _house_blocks(*span))
+        pooled = ((h, allocate_quota_rows(mshares[None, :], gamma, h)[0]) for h in _house_blocks(*span))
+    gains = np.empty((n_to - n_from + 1, 3))
+    for (houses, s_full, *_), (_, s_pooled, *_) in zip(full, pooled):
+        s_i, s_j, s_pool = s_full[:, party_i], s_full[:, party_j], s_pooled[:, im]
+        if s_pool.min() < sub_min:  # so that the quota sub-apportionment has house + gamma > 0
+            raise InvariantError("pooled seat count below the sub-apportionment minimum")
+        s_sub = sub[s_pool] if divisor else allocate_quota_rows(pair_shares[None, :], gamma, s_pool)[0]
+        gains[houses - n_from] = np.stack([s_pool - s_i - s_j, s_sub[:, 0] - s_i, s_sub[:, 1] - s_j], axis=1)
+    moments = RunningMoments(3)
     moments.push_batch(gains)
     return ApparentementStats(moments, party_i, party_j, n_from, n_to)
 

@@ -28,7 +28,6 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import takewhile
 from numbers import Rational
 
 import numpy as np
@@ -342,11 +341,30 @@ class SignpostSequence:
         if table.size <= n_max:
             values = np.full(max(n_max + 1, 2 * table.size, 64), math.nan)
             values[: table.size] = table
-            finite = takewhile(lambda d: d == d, map(self._float_divisor, range(table.size, values.size)))
-            fill = np.fromiter(finite, float)
+            fill = np.fromiter(self._float_divisors(table.size, values.size), float)
+            fill = fill[: np.logical_and.accumulate(fill == fill).sum()]  # up to the first nan
             values[table.size : table.size + fill.size] = fill
             table = self.__dict__["_d_table"] = values
         return table
+
+    def _float_divisors(self, start: int, stop: int):
+        """``_float_divisor(n)`` for n in range(start, stop) of a power,
+        geometric or table family, each from its closed form without the
+        dispatch of ``value``; the first n past the float range ends them."""
+        ns, r, e, tb = range(max(start, 1), stop), self.ratio, self.exponent, self.tail_beta
+        last = self.cap or len(self.values or ())  # a table's last entry, then +inf or its linear tail
+        if self.kind == POWER:
+            closed = (float(n) ** e for n in ns)
+        elif self.kind == GEOMETRIC:
+            closed = (r ** (n - 1) for n in ns)
+        else:
+            closed = (self.values[n - 1] if n <= last else INF if tb is None else n - 1 + tb for n in ns)
+        if start == 0:
+            yield 0.0
+        try:
+            yield from map(float, closed)
+        except OverflowError:
+            return
 
     def exact_pair(self, n: int) -> tuple[int, int]:
         """Integers (a, b) with d(n) = a / b in figure space; exact signposts only.

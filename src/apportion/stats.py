@@ -3,8 +3,8 @@
 ``RunningMoments`` keeps vector means and the full comoment matrix with a
 numerically stable pairwise (Chan) merge, so a sweep can be split into
 chunks, processed independently, and recombined associatively.
-``SweepStats`` bundles the moments with per-party histograms, quota
-violation counters, and tie counts.
+``SweepStats`` adds per-party histograms, one ``bincount`` per batch, quota
+violation counts, one ``flatnonzero`` per batch, and tie counts.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ class DeltaHistogram:
     def push_batch(self, xs) -> None:
         xs = np.asarray(xs, dtype=float)
         idx = np.clip(((xs - self.low) / self.bin_width).astype(int), 0, self.n_bins - 1)
-        for i in range(self.counts.shape[0]):
-            self.counts[i] += np.bincount(idx[:, i], minlength=self.n_bins)
+        idx += np.arange(0, self.counts.size, self.n_bins)  # party i's bins follow party i - 1's
+        self.counts += np.bincount(idx.ravel(), minlength=self.counts.size).reshape(self.counts.shape)
 
     def merge(self, other: "DeltaHistogram") -> None:
         if (
@@ -130,21 +130,21 @@ class SweepStats:
         return self.moments.dim
 
     def record_batch(self, deltas, lower=None, upper=None, any_violation=None) -> None:
-        """Record a batch of excess rows and optional violation indicators."""
+        """Record excess rows with (k, dim) violation masks ``lower``, ``upper`` and
+        the count ``any_violation`` of violating rows: all three, or none for |delta| >= 1."""
         deltas = np.asarray(deltas, dtype=float)
         self.moments.push_batch(deltas)
         if self.histogram is not None:
             self.histogram.push_batch(deltas)
-        if lower is None:
-            lower = deltas <= -1.0
-        if upper is None:
-            upper = deltas >= 1.0
-        lower = np.asarray(lower)
-        upper = np.asarray(upper)
-        self.lower_violations += lower.sum(axis=0)
-        self.upper_violations += upper.sum(axis=0)
-        if any_violation is None:
-            any_violation = float(np.logical_or(lower, upper).any(axis=1).sum())
+        if lower is None:  # row-major flat indices: the sign picks the bound, and a row counts once
+            flat = np.flatnonzero(np.abs(deltas) >= 1.0)
+            party, low = flat % self.dim, deltas.ravel()[flat] < 0
+            lower, upper = np.bincount(party[low], minlength=self.dim), np.bincount(party[~low], minlength=self.dim)
+            any_violation = float(np.count_nonzero(np.diff(flat // self.dim)) + (flat.size > 0))
+        else:
+            lower, upper = np.asarray(lower).sum(axis=0), np.asarray(upper).sum(axis=0)
+        self.lower_violations += lower
+        self.upper_violations += upper
         self.any_violation += any_violation
 
     def merge(self, other: "SweepStats") -> None:

@@ -14,7 +14,9 @@ array kernels of exact sweeps, ``harness._exact_seat_blocks`` and
 ``harness._excess_rows``, into the oracles' per-house tuples.
 ``float_largest_remainder`` is the float largest-remainder rule one party at
 a time, kept as the reference that the row kernel
-``apportion.allocation.allocate_quota_rows`` must reproduce.
+``apportion.allocation.allocate_quota_rows`` must reproduce, and
+``argsort_remainder_rows`` is the block rule by two stable argsorts, the
+reference of its kernel ``apportion.allocation._remainder_rows``.
 ``fraction_finalize_divisor`` builds ``heap_divisor``'s tie class and
 support interval from ``Fraction`` figures, and ``fraction_brute_force_min``
 enumerates ``divergence_value`` in ``Fraction``s: the references of the
@@ -137,6 +139,25 @@ def float_largest_remainder(weights: PartyWeights, gamma, house: int):
     lo = max(f - s for f, s in zip(ideal, seats))
     hi = min(f - s for f, s in zip(ideal, seats)) + 1
     return tuple(seats), near, (lo, hi)
+
+
+def argsort_remainder_rows(base, rem, houses, tol):
+    """The largest-remainder row rule by two stable argsorts, the reference
+    of ``apportion.allocation._remainder_rows``: the ranks of the negated
+    remainders grant equal remainders to the lower index.  Returns (seats,
+    tied, tie, held) as the kernel does, with ``base`` overwritten."""
+    q, t = np.divmod(houses - base.sum(axis=1), base.shape[1])
+    order = np.argsort(-rem, axis=1, kind="stable")
+    granted = np.argsort(order, axis=1, kind="stable") < t[:, None]
+    seats = base
+    seats += q[:, None]
+    seats += granted
+    rows = np.arange(t.size)
+    cut = rem[rows, order[rows, t - 1]]
+    tol = np.broadcast_to(tol, t.shape)
+    tied = np.flatnonzero((t > 0) & (cut - rem[rows, order[rows, t]] <= tol))
+    tie = abs(rem[tied] - cut[tied, None]) <= tol[tied, None]
+    return seats, tied, tie, tie & granted[tied]
 
 
 def quota_orbit(weights: PartyWeights, gamma, house: int) -> set:
