@@ -41,7 +41,7 @@ from .asymptotics import (
     predict_ordered_bias,
     predict_ordered_variance,
 )
-from .methods import TiePolicy, method_by_name, small_n_guard
+from .methods import TiePolicy, method_by_name
 from .stats import SweepStats, Tolerances
 from .weights import PartyWeights
 
@@ -223,19 +223,18 @@ def _cmd_allocate(args) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-def _sweep_range(args, method, weights):
+def _sweep_range(args):
     n_from = args.seats_from if args.seats_from is not None else 1
     n_to = args.seats_to
     if n_to is None:
         raise InputError("--seats-to (or --seats-max) is required")
-    guard = small_n_guard(method, weights)
-    return max(n_from, guard), n_to
+    return n_from, n_to
 
 
 def _cmd_sweep(args) -> tuple[dict, int]:
     weights = _weights_from_args(args)
     method = method_by_name(args.method)
-    n_from, n_to = _sweep_range(args, method, weights)
+    n_from, n_to = _sweep_range(args)
     stats = sweep(method, weights, n_from, n_to, _tie_policy(args), workers=args.threads)
     return {"stats": _stats_payload(stats)}, EXIT_OK
 
@@ -243,7 +242,7 @@ def _cmd_sweep(args) -> tuple[dict, int]:
 def _cmd_verify(args) -> tuple[dict, int]:
     weights = _weights_from_args(args)
     method = method_by_name(args.method)
-    n_from, n_to = _sweep_range(args, method, weights)
+    n_from, n_to = _sweep_range(args)
     stats = sweep(method, weights, n_from, n_to, TiePolicy.average(), workers=args.threads)
     tol = Tolerances(args.tolerance, args.tolerance, args.tolerance)
     report = compare(stats, method, weights.shares_float(), tol)
@@ -290,7 +289,7 @@ def _cmd_violations(args) -> tuple[dict, int]:
         )
     else:
         weights = _weights_from_args(args)
-        n_from, n_to = _sweep_range(args, method, weights)
+        n_from, n_to = _sweep_range(args)
         vf = quota_violation_frequency(method, weights=weights, n_from=n_from, n_to=n_to)
     payload = {
         "lower": vf.lower,
@@ -407,7 +406,7 @@ def _add_common(sub, votes=True, method=True):
     sub.add_argument("--ties", choices=("random", "enumerate", "average"), default="enumerate")
     sub.add_argument("--output", help="write the JSON report here instead of stdout")
     sub.add_argument("--table", action="store_true", help="print a human-readable table to stderr")
-    sub.add_argument("--threads", type=int, default=1, help="worker cap for sweeps")
+    sub.add_argument("--threads", type=int, default=1, help="at least 1; every sweep runs in one pass")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,12 +12,13 @@ figures, taken in figure space from ``SignpostSequence.figures`` as
 ``allocate`` takes them, with each table long enough by a bound on the
 figure of the last award and no longer than the float range
 (``_award_sequence``), and ``_divisor_blocks`` reads every house size off
-cumulative counts; chunks on worker threads all slice that one sequence.
-Exact sweeps and period averages run on the votes scaled once to coprime
-integers, and certify the float award sequence of the shares in integers
-(``_exact_awards``): adjacent awards are compared by cross-multiplication,
-and only runs of float figures within their rounding bound may be
-re-ordered.  Quota houses run the largest-remainder rule of
+cumulative counts, in one pass over the range.  The input picks the path:
+exact weights and signposts always take the exact kernels, float input the
+float ones.  Exact sweeps and period averages run on the votes scaled once
+to coprime integers, and certify the float award sequence of the shares in
+integers (``_exact_awards``): adjacent awards are compared by
+cross-multiplication, and only runs of float figures within their rounding
+bound may be re-ordered.  Quota houses run the largest-remainder rule of
 ``allocation._remainder_rows`` on a block of houses at once, on float
 ideals or, exactly, on integer ones.  The exact rows of a block (seat
 excess, violation counts) are array operations on int64 while the integers
@@ -31,10 +32,10 @@ masks of its block kernel: a divisor class is a run of adjacent awards
 whose figures are equal (exact) or within NEAR_TIE_RTOL of each other,
 relatively (float); a quota class is the remainders equal to the cut
 (exact) or within NEAR_TIE_RTOL*max(1, house + gamma) of it (float).
-Exact sweeps take a per-row step only for tied rows, for their orbit sizes
-and, under ``TiePolicy.seeded``, for the draw from (seed, house) that
-``allocate`` makes.  Float sweeps count a near-tie, record the orbit mean
-under the averaging policy, and never seed a tie.
+Exact sweeps take a per-row step only for tied rows under
+``TiePolicy.seeded``, for the draw from (seed, house) that ``allocate``
+makes.  Float sweeps count a near-tie, record the orbit mean under the
+averaging policy, and never seed a tie.
 
 Monte Carlo runs one loop for ordered-party statistics and random-mode
 violation frequencies: batches of shares drawn uniformly on the simplex,
@@ -48,8 +49,6 @@ jump-and-step of ``allocation.allocate_divisor_rows``, so each row gets
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -74,7 +73,6 @@ from .stats import ComparisonReport, ComparisonRow, SweepStats, RunningMoments, 
 from .violation import violation_probability
 from .weights import PartyWeights
 
-EXACT_SWEEP_LIMIT = 20_000
 _FLOAT_BLOCK = 65536  # houses per record_batch call of a float sweep
 
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -415,6 +413,18 @@ def _policy_rows(houses, seats, tied, tie, held, policy: TiePolicy) -> np.ndarra
     return seats
 
 
+def _combs(n: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """comb(n, k) entry by entry for small 0 <= k <= n, one ``comb`` call per
+    distinct pair: int64 while every value stays below 2**62, else Python ints."""
+    width = int(n.max(initial=0)) + 1
+    key = n * width + k
+    keys = np.flatnonzero(np.bincount(key))
+    values = [comb(*divmod(x, width)) for x in keys.tolist()]
+    table = np.zeros(width * width, dtype=np.int64 if max(values, default=0) < 2**62 else object)
+    table[keys] = values
+    return table[key]
+
+
 def _excess_rows(houses, seats, tied, tie, held, votes, total: int, average: bool):
     """(delta, lower, upper, violating, orbit) of a block of exact rows.
 
@@ -434,8 +444,8 @@ def _excess_rows(houses, seats, tied, tie, held, votes, total: int, average: boo
     reaches 2**53 is divided again as Python ints, whose int / int is
     correctly rounded.  Past 2**63 the same code runs on object arrays of
     Python ints.  The quota cuts floor(house*p_i) and ceil(house*p_i) come
-    from the same integers.  Only the tied rows take a per-row step, for
-    their orbit sizes.
+    from the same integers.  The orbit sizes of the tied rows take one
+    ``comb`` per distinct argument pair (``_combs``).
     """
     k_rows, m = seats.shape
     dt = np.int64 if int(houses[-1]) * total * m < 2**63 else object
@@ -450,11 +460,9 @@ def _excess_rows(houses, seats, tied, tie, held, votes, total: int, average: boo
     if average and tied.size:
         base, kt, gt = _orbit_parts(s[tied], tie, held)  # a tied party holds base or base + 1 seats
         ka, ga = kt[:, 0], gt[:, 0]
-        pairs = list(zip(ka.tolist(), ga.tolist()))
-        orbits = [comb(a, g) for a, g in pairs]
-        ct = np.int64 if max(orbits) < 2**62 else object
-        big = np.array(orbits, dtype=ct)[:, None]
-        granted = np.array([comb(a - 1, g - 1) for a, g in pairs], dtype=ct)[:, None]  # members granting a party
+        big = _combs(ka, ga)[:, None]
+        ct = big.dtype
+        granted = _combs(ka - 1, ga - 1).astype(ct)[:, None]  # members granting a party
         tm = tie.astype(dt)
         scaled = s.copy()
         scaled[tied] = base * kt + tm * gt
@@ -469,10 +477,12 @@ def _excess_rows(houses, seats, tied, tie, held, votes, total: int, average: boo
         with_grant, without = lo_g | hi_g, lo_n | hi_n
         fixed = (with_grant & without).any(axis=1)
         only_without = (without & ~with_grant).sum(axis=1)
-        free = (ka - (with_grant & ~without).sum(axis=1) - only_without).tolist()
+        free, short = ka - (with_grant & ~without).sum(axis=1) - only_without, ga - only_without
         # the members avoiding every violation grant all of ``without`` and none of ``with_grant``
-        good = [comb(f, d) if 0 <= d <= f and not x else 0 for f, d, x in zip(free, (ga - only_without).tolist(), fixed)]
-        violating[tied] = big[:, 0] - np.array(good, dtype=ct)
+        good = np.zeros(tied.size, dtype=ct)
+        some = (short >= 0) & (short <= free) & ~fixed
+        good[some] = _combs(free[some], short[some])
+        violating[tied] = big[:, 0] - good
     num, den = scaled * total - x * k, k * total
     delta = (num / den).astype(float)
     if dt is np.int64:
@@ -529,19 +539,20 @@ def sweep(
     tie_policy: TiePolicy = TiePolicy.average(),
     bin_width: float | None = 0.01,
     workers: int = 1,
-    force_exact: bool | None = None,
+    force_exact: bool = False,
 ) -> SweepStats:
     """Allocate at every house size in [n_from, n_to] and accumulate excess stats.
 
     The range is clamped below at the method's small-house guard; the stats
-    record the effective range.  Exact weights on a desk-scale range run the
-    exact path (exact ties, honoring the tie policy); longer ranges and float
-    weights use the vectorized float path, where near-ties are counted and,
-    under the averaging policy, contribute the class average.
+    record the effective range.  The input picks the path: exact weights
+    (and, for divisor methods, exact signposts) run the exact path (exact
+    ties, honoring the tie policy), whatever the range; float input runs the
+    vectorized float path, where near-ties are counted and, under the
+    averaging policy, contribute the class average.  ``force_exact`` raises
+    InputError unless the input is exact.
 
-    ``workers`` (at least 1) splits a float sweep into that many chunks run
-    on threads, clamped to the CPU count and to the number of houses; divisor
-    chunks all read one award sequence computed for ``n_to``.
+    ``workers`` must be at least 1; every sweep runs in one pass over the
+    range, whatever its value.
     """
     if workers < 1:
         raise InputError("workers must be at least 1")
@@ -552,53 +563,24 @@ def sweep(
     if n_to < n_from:
         raise InputError(f"sweep range lies entirely below the small-house guard {guard}")
     m = len(weights)
-    bounds = _histogram_bounds(method, weights)
     divisor = isinstance(method, DivisorMethod)
     exact = _is_exact(weights, method.signposts) if divisor else weights.exact
-    if force_exact is None:
-        use_exact = exact and (n_to - n_from + 1) <= EXACT_SWEEP_LIMIT
-    else:
-        use_exact = force_exact
-        if use_exact and not exact:
-            raise InputError("exact sweep requires exact weights and signposts")
-
-    def make_stats(a: int, b: int) -> SweepStats:
-        stats = SweepStats.empty(m, bounds, bin_width) if bin_width else SweepStats.empty(m)
-        stats.n_from, stats.n_to = a, b
-        return stats
-
-    if use_exact:
-        stats = make_stats(n_from, n_to)
+    if force_exact and not exact:
+        raise InputError("exact sweep requires exact weights and signposts")
+    stats = SweepStats.empty(m, _histogram_bounds(method, weights), bin_width) if bin_width else SweepStats.empty(m)
+    stats.n_from, stats.n_to = n_from, n_to
+    if exact:
         _exact_sweep(method, weights, n_from, n_to, tie_policy, stats)
         return stats
-
     shares = np.asarray(weights.shares_float())
     if divisor:
         z = method.signposts.zero_count()
-        # every chunk slices one award sequence, with its runs of near-tied awards
         winners, close, _ = _award_sequence(shares, method.signposts, n_to - z * m, NEAR_TIE_RTOL)
-
-    def run_chunk(ab: tuple[int, int]) -> SweepStats:
-        a, b = ab
-        chunk = make_stats(a, b)
-        if divisor:
-            blocks = _divisor_blocks(winners, close, m, z, a, b, _FLOAT_BLOCK)
-        else:
-            houses = _house_blocks(a, b, _FLOAT_BLOCK)
-            blocks = ((h, *_float_quota_rows(shares[None, :], method.gamma, h)) for h in houses)
-        _float_sweep(blocks, shares, chunk, tie_policy.kind == "average")
-        return chunk
-
-    workers = min(workers, os.cpu_count() or 1, n_to - n_from + 1)
-    if workers == 1:
-        return run_chunk((n_from, n_to))
-    edges = np.linspace(n_from, n_to + 1, workers + 1).astype(int)
-    spans = [(int(a), int(b - 1)) for a, b in zip(edges, edges[1:]) if b > a]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(run_chunk, spans))
-    stats = chunks[0]
-    for other in chunks[1:]:
-        stats.merge(other)
+        blocks = _divisor_blocks(winners, close, m, z, n_from, n_to, _FLOAT_BLOCK)
+    else:
+        houses = _house_blocks(n_from, n_to, _FLOAT_BLOCK)
+        blocks = ((h, *_float_quota_rows(shares[None, :], method.gamma, h)) for h in houses)
+    _float_sweep(blocks, shares, stats, tie_policy.kind == "average")
     return stats
 
 

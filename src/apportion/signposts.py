@@ -53,6 +53,18 @@ class Exactness(enum.Enum):
     FLOAT = "float"
 
 
+def _geometric_quotients(ratio: Fraction, ns: range):
+    """float(ratio ** (n - 1)) for the n >= 1 of a step-1 range: one exact
+    product per step, then num / den, the correctly rounded quotient that
+    ``Fraction.__float__`` takes.  Past the float range it raises
+    OverflowError."""
+    p, q = ratio.numerator, ratio.denominator
+    num, den = p ** (ns.start - 1), q ** (ns.start - 1)
+    for _ in ns:
+        yield num / den
+        num, den = num * p, den * q
+
+
 def _exact_or_float(x):
     """Keep ints/Fractions exact; leave floats as floats."""
     if isinstance(x, bool):
@@ -335,13 +347,15 @@ class SignpostSequence:
         The table lives in the instance dict, as ``cached_property`` values
         do, and doubles whenever a longer one is asked for.  The divisors
         never decrease, so the first nan (past the float range) ends the
-        evaluation: every later entry is nan too.
+        evaluation: every later entry is nan too, and a table ending in nan
+        grows by nan only.
         """
         table = self.__dict__.get("_d_table", np.empty(0))
         if table.size <= n_max:
             values = np.full(max(n_max + 1, 2 * table.size, 64), math.nan)
             values[: table.size] = table
-            fill = np.fromiter(self._float_divisors(table.size, values.size), float)
+            ended = table.size > 0 and math.isnan(table[-1])
+            fill = np.fromiter(self._float_divisors(table.size, table.size if ended else values.size), float)
             fill = fill[: np.logical_and.accumulate(fill == fill).sum()]  # up to the first nan
             values[table.size : table.size + fill.size] = fill
             table = self.__dict__["_d_table"] = values
@@ -355,6 +369,8 @@ class SignpostSequence:
         last = self.cap or len(self.values or ())  # a table's last entry, then +inf or its linear tail
         if self.kind == POWER:
             closed = (float(n) ** e for n in ns)
+        elif self.kind == GEOMETRIC and isinstance(r, Fraction):
+            closed = _geometric_quotients(r, ns)
         elif self.kind == GEOMETRIC:
             closed = (r ** (n - 1) for n in ns)
         else:

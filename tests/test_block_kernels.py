@@ -6,7 +6,7 @@ violation path of ``SweepStats.record_batch`` must equal per-column counts;
 ``apparentement_sweep`` must give the same moments, bit for bit, whatever
 its block size, and stay within a memory bound; and the one-pass fill of
 ``SignpostSequence._float_table`` must equal ``_float_divisor`` entry by
-entry.
+entry, and end at its first nan however many fills grew it.
 """
 
 import tracemalloc
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import apportion.harness as harness
-from apportion import PartyWeights, SignpostSequence, method_by_name
+from apportion import InputError, PartyWeights, SignpostSequence, method_by_name
 from apportion.allocation import _remainder_rows
 from apportion.harness import apparentement_sweep, sqrt_shares
 from apportion.stats import SweepStats
@@ -142,3 +142,33 @@ def test_float_table_equals_float_divisor(family):
     assert table.tobytes() == want.tobytes()  # bit for bit, nan tail included
     if family in ("power-150", "geometric1.1", "geometric-3/2"):
         assert np.isnan(table[-1]) and not np.isnan(table[1])
+
+
+@pytest.mark.parametrize("fills", [(100,), (21, 100), (21, 64, 100), (63, 64, 127)])
+def test_float_table_ends_at_its_first_nan_across_fills(fills):
+    # d(2) = 10**400 leaves the float range, and the capped table's +inf
+    # after it must not count as within the range
+    sp = SignpostSequence.table([1, Fraction(10**400)], cap=2)
+    for n in fills:
+        sp._float_table(n)
+    assert sp.float_limit(100) == sp.float_limit(2) == 1
+    assert np.isnan(sp._float_table(100)[2:]).all()
+    assert sp.figures(2.0, [0, 1]).tolist() == [np.inf, 2.0]
+    for n in (2, 64, 100):
+        with pytest.raises(InputError, match="float range"):
+            sp.figures(2.0, [1, n])
+
+
+@pytest.mark.parametrize(
+    "ratio, fills", [(Fraction(1001, 1000), (1, 64, 700, 3000)), (Fraction(3, 2), (100, 1751, 9000))]
+)
+def test_geometric_fraction_table_equals_the_per_entry_quotients(ratio, fills):
+    # one exact product per step, against float(ratio ** (n - 1)) afresh;
+    # ratio 3/2 leaves the float range from n = 1752
+    sp = SignpostSequence.geometric(ratio)
+    for n in fills:
+        sp._float_table(n)
+    table = sp._float_table(fills[-1])
+    want = np.array([sp._float_divisor(n) for n in range(table.size)])
+    assert np.array_equal(table, want, equal_nan=True)
+    assert sp.float_limit(fills[-1]) == (1751 if ratio == Fraction(3, 2) else fills[-1])

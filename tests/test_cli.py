@@ -168,6 +168,15 @@ def test_threads_below_one_rejected():
     assert "workers" in err["message"]
 
 
+def test_sweep_below_the_guard_names_the_guard():
+    # Adams gives every party a seat first: houses below 3 are infeasible
+    proc = cli("sweep", "--method", "adams", "--votes", "A=1,B=1,C=1", "--seats-to", "2")
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)["error"]
+    assert err["kind"] == "InputError"
+    assert err["message"] == "sweep range lies entirely below the small-house guard 3"
+
+
 def test_shares_party_count_not_an_integer():
     proc = cli("sweep", "--method", "webster", "--shares", "sqrt:abc", "--seats-max", "100")
     assert proc.returncode == 2

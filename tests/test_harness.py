@@ -85,7 +85,7 @@ def test_sweep_clamps_to_guard():
 
 def _assert_float_agrees_with_exact(method, votes, n_to, workers=1):
     """A float sweep of ``votes`` as floats over [1, n_to] against the exact
-    sweep (forced past EXACT_SWEEP_LIMIT); returns the exact tie count."""
+    sweep of the integer votes; returns the exact tie count."""
     exact = sweep(method, PartyWeights.of(votes), 1, n_to, TiePolicy.average(), force_exact=True)
     fl = sweep(method, PartyWeights.of([float(v) for v in votes]), 1, n_to, TiePolicy.average(), workers=workers)
     assert (fl.n_from, fl.n_to) == (exact.n_from, exact.n_to)
@@ -106,8 +106,8 @@ def test_float_sweep_agrees_with_exact(name):
     # its run goes on past n_to (the float twin of
     # test_a_tie_class_past_the_first_awards_is_read_whole)
     cases += [([1] * m, 4 * m + 1, 1) for m in (3, 6)]
-    # tied runs across the 65 536-house block and, with two workers, across
-    # the chunk edge between houses 35 002 and 35 003
+    # tied runs across the 65 536-house block; two workers run the same one
+    # pass, through the tied house 35 002
     assert allocate(method, PartyWeights.of([2, 1, 1]), 35_002).tied
     cases += [([2, 1, 1], 70_004, 1), ([2, 1, 1], 70_004, 2)]
     ties = 0
@@ -120,6 +120,31 @@ def test_float_quota_sweep_agrees_with_exact():
     assert _assert_float_agrees_with_exact(quota_method(1), [5, 3, 2], 60) > 0
     # Droop on (3, 8) ties at every house 11k - 1, where both ideals are whole
     assert _assert_float_agrees_with_exact(method_by_name("droop"), [3, 8], 70_000) > 6000
+
+
+@pytest.mark.parametrize(
+    "name, votes, n_to",
+    [("webster", (7, 5, 3, 2), 20_001), ("droop", (10**12 + 1, 10**12, 3 * 10**11 + 7), 100_000)],
+)
+def test_exact_input_takes_the_exact_path_at_any_range(name, votes, n_to):
+    # on the float path the 10**12 votes would count 34 783 false near-ties
+    # and shift Droop's means
+    method, w = method_by_name(name), PartyWeights.of(votes)
+    default = sweep(method, w, 1, n_to)
+    forced = sweep(method, w, 1, n_to, force_exact=True)
+    assert default.near_ties == 0 and default.ties == forced.ties
+    assert default.count == forced.count == n_to - default.n_from + 1
+    for a, b in (
+        (default.mean, forced.mean),
+        (default.covariance, forced.covariance),
+        (default.histogram.counts, forced.histogram.counts),
+        (default.lower_violations, forced.lower_violations),
+        (default.upper_violations, forced.upper_violations),
+    ):
+        assert a.tobytes() == b.tobytes()
+    assert default.any_violation == forced.any_violation
+    with pytest.raises(InputError, match="exact sweep"):
+        sweep(method, PartyWeights.of([float(v) for v in votes]), 1, 100, force_exact=True)
 
 
 def test_int64_rows_divide_wide_integers_exactly():

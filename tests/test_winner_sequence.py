@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from apportion import InputError, InvariantError, PartyWeights, SignpostSequence, TiePolicy, allocate
+from apportion import InputError, InvariantError, PartyWeights, SignpostSequence, allocate
 from apportion.harness import _cumulative_seats, _winner_sequence, allocate_many, sqrt_shares, sweep
 from apportion.methods import DivisorMethod, linear_divisor, method_by_name
 
@@ -152,36 +152,47 @@ def test_budget_grows_past_a_proportional_guess():
     assert_same(shares, FAMILIES["estonia"], 200_000)
 
 
-# -- divisor sweeps split over workers ------------------------------------------
+# -- divisor sweeps split into ranges ------------------------------------------
+
+
+def _assert_split_merges(method, w, edges):
+    """Sweeps over the ranges between ``edges``, merged, against one sweep
+    over the whole range; returns the whole sweep."""
+    whole = sweep(method, w, edges[0], edges[-1] - 1)
+    parts = [sweep(method, w, a, b - 1) for a, b in zip(edges, edges[1:])]
+    merged = parts[0]
+    for part in parts[1:]:
+        merged.merge(part)
+    assert (merged.n_from, merged.n_to) == (whole.n_from, whole.n_to)
+    assert merged.count == whole.count
+    assert merged.near_ties == whole.near_ties
+    assert np.array_equal(merged.histogram.counts, whole.histogram.counts)
+    assert np.allclose(merged.mean, whole.mean, atol=1e-12)
+    assert np.allclose(merged.covariance, whole.covariance, atol=1e-10)
+    return whole
 
 
 def test_divisor_sweep_workers_agree_at_a_tied_chunk_edge():
     # under Webster, shares (1/2, 1/4, 1/4) tie parties 1 and 2 at every house
-    # 2 mod 4; with two workers the second chunk starts at house 5002
+    # 2 mod 4, so the second range starts at a tied house, 5002
     w = PartyWeights.of((0.5, 0.25, 0.25))
     method = linear_divisor(0.5)
     assert sweep(method, w, 5002, 5002).near_ties == 1
-    serial = sweep(method, w, 1, 10_002)
+    serial = _assert_split_merges(method, w, (1, 5002, 10_003))
     assert serial.near_ties == 2501
-    for workers in (2, 3):
+    _assert_split_merges(method, w, (1, 3335, 6669, 10_003))
+    for workers in (2, 3):  # every sweep runs in one pass, whatever ``workers`` says
         par = sweep(method, w, 1, 10_002, workers=workers)
-        assert par.count == serial.count
-        assert par.near_ties == serial.near_ties
+        assert np.array_equal(par.mean, serial.mean)
+        assert np.array_equal(par.covariance, serial.covariance)
         assert np.array_equal(par.histogram.counts, serial.histogram.counts)
-        assert np.allclose(par.mean, serial.mean, atol=1e-12)
-        assert np.allclose(par.covariance, serial.covariance, atol=1e-10)
+        assert par.near_ties == serial.near_ties
 
 
 def test_divisor_sweep_workers_agree_nonlinear():
     w = PartyWeights.of(sqrt_shares(4))
     for name in ("huntington", "estonia"):
-        method = method_by_name(name)
-        serial = sweep(method, w, 1, 30_000, TiePolicy.average())
-        par = sweep(method, w, 1, 30_000, TiePolicy.average(), workers=3)
-        assert par.count == serial.count
-        assert par.near_ties == serial.near_ties
-        assert np.array_equal(par.histogram.counts, serial.histogram.counts)
-        assert np.allclose(par.mean, serial.mean, atol=1e-12)
+        _assert_split_merges(method_by_name(name), w, (1, 10_001, 20_001, 30_001))
 
 
 def test_workers_rejected_below_one():
@@ -189,30 +200,6 @@ def test_workers_rejected_below_one():
     for workers in (0, -2):
         with pytest.raises(InputError, match="workers"):
             sweep(linear_divisor(0.5), w, 1, 100, workers=workers)
-
-
-@pytest.mark.parametrize(
-    "cpus, workers, n_to, expected",
-    [(2, 8, 1_000, 2), (64, 5, 3, 3), (None, 4, 1_000, None), (4, 3, 1_000, 3)],
-)
-def test_workers_clamped(monkeypatch, cpus, workers, n_to, expected):
-    import apportion.harness as harness
-
-    started = []
-
-    class RecordingPool(harness.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
-    w = PartyWeights.of(sqrt_shares(3))
-    for method in (linear_divisor(0.5), method_by_name("hamilton")):
-        started.clear()
-        stats = sweep(method, w, 1, n_to, workers=workers)
-        assert stats.count == n_to
-        assert started == ([] if expected is None else [expected])
 
 
 # -- runtime invariants ----------------------------------------------------------
