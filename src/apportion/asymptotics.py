@@ -32,7 +32,7 @@ def _shares_array(p) -> np.ndarray:
     arr = np.asarray([float(x) for x in p], dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise InputError("shares must be a 1-d sequence")
-    if np.any(arr <= 0):
+    if not np.all(arr > 0):  # also refuses nan
         raise InputError("shares must be positive")
     if abs(arr.sum() - 1.0) > 1e-9:
         raise InputError(f"shares must sum to 1, got {arr.sum()!r}")

@@ -74,6 +74,7 @@ from .violation import violation_probability
 from .weights import PartyWeights
 
 _FLOAT_BLOCK = 65536  # houses per record_batch call of a float sweep
+MAX_TRIALS = 10**9  # Monte Carlo trials per run
 
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -500,6 +501,8 @@ def _exact_sweep(method, weights, n_from, n_to, tie_policy, stats) -> None:
     do not depend on the block size: the rows of one-member orbits add
     integer counts through ``record_batch``, and the others add their
     counts, divided by their orbit size, as one rational per orbit size.
+    A block sums those counts per orbit size in int64 while size * rows <
+    2**63 (no count exceeds its orbit size), and as Python ints beyond.
     """
     votes, total = weights.integer_votes
     m = len(votes)
@@ -511,12 +514,18 @@ def _exact_sweep(method, weights, n_from, n_to, tie_policy, stats) -> None:
         delta, lower, upper, violating, orbit = _excess_rows(houses, seats, tied, tie, held, votes, total, average)
         one = orbit == 1
         if not one.all():
-            # counts near the orbit sizes (up to 2**62 in int64) overflow an int64 sum
-            counts = np.column_stack((lower[~one], upper[~one], violating[~one])).astype(object)
-            sizes = orbit[~one]
-            for size in set(sizes.tolist()):
-                shared[size] = shared.get(size, 0) + counts[sizes == size].sum(axis=0)
-            lower, upper = (np.where(one[:, None], y, 0).astype(np.int64) for y in (lower, upper))
+            rows = np.flatnonzero(~one)
+            rows = rows[np.argsort(orbit[rows], kind="stable")]  # grouped by orbit size
+            sizes = orbit[rows]
+            starts = np.flatnonzero(np.r_[True, sizes[1:] != sizes[:-1]])
+            counts = np.column_stack((lower[rows], upper[rows], violating[rows]))
+            if int(sizes[-1]) * rows.size >= 2**63:
+                counts = counts.astype(object)
+            for size, summed in zip(sizes[starts].tolist(), np.add.reduceat(counts, starts).tolist()):
+                old = shared.get(size)
+                shared[size] = summed if old is None else [a + b for a, b in zip(old, summed)]
+            lower[rows] = upper[rows] = 0
+            lower, upper = lower.astype(np.int64, copy=False), upper.astype(np.int64, copy=False)
         stats.record_batch(delta, lower=lower, upper=upper, any_violation=float(violating[one].sum()))
         stats.ties += tied.size
     if shared:
@@ -724,6 +733,8 @@ def _simplex_trials(method: Method, m: int, house_size: int, trials: int, seed: 
     allocated at one house size."""
     if trials < 1:
         raise InputError("need at least one trial")
+    if trials > MAX_TRIALS:
+        raise InputError(f"at most {MAX_TRIALS} trials, got {trials}")
     if house_size < 0:
         raise InputError("house size must be nonnegative")
     rng = np.random.default_rng(seed)

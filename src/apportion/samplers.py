@@ -2,19 +2,32 @@
 
 All samplers take an integer seed and are reproducible; ``size=None`` returns
 a single draw packaged with its auxiliary randomness, an integer size returns
-a vectorized batch as numpy arrays.
+a vectorized batch as numpy arrays.  A batch size must be a nonnegative
+integer.
+
+Each sampler reads one ``Generator`` stream in a fixed order: for the
+samplers built on a drawn category, the n category uniforms first (as
+``Generator.choice`` draws them), then the rows of uniforms.  A batch draws
+its rows ``_CHUNK`` values at a time, straight into the output or into one
+chunk-sized scratch buffer, and runs the row arithmetic in place, so the
+draws do not depend on the chunking and no temporary is the size of the
+output: the joint sampler needs its output plus 8 bytes per draw, the
+divergence samplers 16 bytes per draw, each plus a few chunks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
+from numbers import Integral
 
 import numpy as np
 
 from .errors import InputError
 from .methods import DivisorMethod, Method
 from .asymptotics import _shares_array, effective_beta
+
+_CHUNK = 1 << 16  # values drawn per chunk of a batch
 
 
 @dataclass(frozen=True)
@@ -29,6 +42,52 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _count(size, name: str = "size") -> int:
+    """A batch size, which must be a nonnegative integer."""
+    if isinstance(size, bool) or not isinstance(size, Integral) or size < 0:
+        raise InputError(f"{name} must be a nonnegative integer, got {size!r}")
+    return int(size)
+
+
+def _chunk_rows(m: int) -> int:
+    """Rows of m values per chunk."""
+    return max(1, _CHUNK // m)
+
+
+def _chunks(n: int, m: int):
+    """Slices of n rows of m values, ``_chunk_rows(m)`` rows each."""
+    step = _chunk_rows(m)
+    return (slice(a, min(a + step, n)) for a in range(0, n, step))
+
+
+def _category_rows(p: np.ndarray, rng: np.random.Generator, n: int, out: np.ndarray | None = None):
+    """The zeroed uniform rows of the joint construction, one chunk at a time.
+
+    Draws a category J with P(J = j) = p_j per row and U_i ~ U(0,1), and
+    yields ``(rows, v, j, u_j)`` per chunk: the row slice, the uniforms with
+    U_J zeroed (in ``out[rows]``, or in a reused scratch buffer), the
+    categories and the zeroed values.  The categories take the n uniforms
+    and the inverse-cdf search of ``Generator.choice``, and the uniforms
+    follow them in the stream, so the draws equal ``choice`` then
+    ``uniform(size=(n, m))``.
+    """
+    m = p.size
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    c = rng.random(n)
+    scratch = np.empty((min(n, _chunk_rows(m)), m)) if out is None else None
+    for rows in _chunks(n, m):
+        v = out[rows] if out is not None else scratch[: rows.stop - rows.start]
+        rng.random(out=v)
+        j = cdf.searchsorted(c[rows], side="right")
+        flat = np.arange(0, v.size, m)
+        flat += j
+        cells = v.reshape(-1)
+        u_j = cells[flat]
+        cells[flat] = 0.0
+        yield rows, v, j, u_j
+
+
 def sample_excess_joint_divisor(p, beta, seed, size: int | None = None):
     """Joint limit of the seat excess vector for the beta-linear family.
 
@@ -38,16 +97,20 @@ def sample_excess_joint_divisor(p, beta, seed, size: int | None = None):
     """
     p = _shares_array(p)
     m = p.size
-    beta = float(beta)
-    rng = _rng(seed)
-    n = 1 if size is None else int(size)
-    j = rng.choice(m, size=n, p=p)
-    u = rng.uniform(size=(n, m))
-    v = u.copy() if size is None else u  # only a single draw reports u intact
-    v[np.arange(n), j] = 0.0
-    x = p * v.sum(axis=1, keepdims=True) - v + (beta - 1.0) * (m * p - 1.0)
+    shift = (float(beta) - 1.0) * (m * p - 1.0)
+    n = 1 if size is None else _count(size)
+    x = np.empty((n, m))
+    scratch = np.empty((min(n, _chunk_rows(m)), m))
+    for rows, v, j, u_j in _category_rows(p, _rng(seed), n, x):
+        if size is None:
+            u = v[0].copy()  # a single draw reports the uniforms before zeroing
+            u[j[0]] = u_j[0]
+        t = scratch[: len(v)]
+        np.multiply(p, v.sum(axis=1, keepdims=True), out=t)
+        np.subtract(t, v, out=v)
+        v += shift
     if size is None:
-        return LimitSample(values=x[0], auxiliary={"u": u[0], "category": int(j[0])})
+        return LimitSample(values=x[0], auxiliary={"u": u, "category": int(j[0])})
     return x
 
 
@@ -70,9 +133,15 @@ def sample_excess_marginal(method: Method, p_i: float, m: int, seed, size: int |
         bias = gamma * (p_i - 1.0 / m)
         scale = 1.0 / m
     rng = _rng(seed)
-    n = 1 if size is None else int(size)
-    u = rng.uniform(-0.5, 0.5, size=(n, m - 1))
-    vals = bias + u[:, 0] + scale * u[:, 1:].sum(axis=1)
+    n = 1 if size is None else _count(size)
+    vals = np.empty(n)
+    for rows in _chunks(n, m):
+        u = rng.uniform(-0.5, 0.5, size=(rows.stop - rows.start, m - 1))
+        rest = u[:, 1:].sum(axis=1)
+        rest *= scale
+        out = vals[rows]
+        np.add(bias, u[:, 0], out=out)
+        out += rest
     if size is None:
         return LimitSample(values=vals[:1], auxiliary={"u_centered": u[0]})
     return vals
@@ -86,13 +155,10 @@ def sample_jefferson_divergence(p, seed, size: int | None = None):
     as a sum of m-1 independent U(0,1) regardless of the shares.
     """
     p = _shares_array(p)
-    m = p.size
-    rng = _rng(seed)
-    n = 1 if size is None else int(size)
-    j = rng.choice(m, size=n, p=p)
-    u = rng.uniform(size=(n, m))
-    u[np.arange(n), j] = 0.0
-    vals = u.sum(axis=1)
+    n = 1 if size is None else _count(size)
+    vals = np.empty(n)
+    for rows, u, j, _ in _category_rows(p, _rng(seed), n):
+        u.sum(axis=1, out=vals[rows])
     if size is None:
         return LimitSample(values=vals, auxiliary={"u": u[0], "category": int(j[0])})
     return vals
@@ -106,14 +172,18 @@ def sample_adams_divergence(p, seed, size: int | None = None):
     """
     p = _shares_array(p)
     m = p.size
-    rng = _rng(seed)
-    n = 1 if size is None else int(size)
-    j = rng.choice(m, size=n, p=p)
-    v = rng.uniform(size=(n, m))
-    v[np.arange(n), j] = 0.0
-    vals = m - v.sum(axis=1) - ((1.0 - v) / p).min(axis=1)
+    n = 1 if size is None else _count(size)
+    vals = np.empty(n)
+    for rows, v, j, _ in _category_rows(p, _rng(seed), n):
+        if size is None:
+            aux = {"v": v[0].copy(), "category": int(j[0])}
+        out = vals[rows]
+        np.subtract(m, v.sum(axis=1), out=out)
+        np.subtract(1.0, v, out=v)
+        v /= p
+        out -= v.min(axis=1)
     if size is None:
-        return LimitSample(values=vals, auxiliary={"v": v[0], "category": int(j[0])})
+        return LimitSample(values=vals, auxiliary=aux)
     return vals
 
 
@@ -129,8 +199,17 @@ def sample_divergence_clt(p, beta, n_samples: int, seed, standardize: bool = Tru
     m = p.size
     beta = float(beta)
     rng = _rng(seed)
-    u = rng.uniform(beta - 1.0, beta, size=(int(n_samples), m))
-    draws = (u * u / p).sum(axis=1) - u.sum(axis=1) ** 2
+    n = _count(n_samples, "n_samples")
+    draws = np.empty(n)
+    for rows in _chunks(n, m):
+        u = rng.uniform(beta - 1.0, beta, size=(rows.stop - rows.start, m))
+        total = u.sum(axis=1)
+        total **= 2
+        u *= u
+        u /= p
+        out = draws[rows]
+        u.sum(axis=1, out=out)
+        out -= total
     if not standardize:
         return draws
     b = beta - 0.5
@@ -139,12 +218,15 @@ def sample_divergence_clt(p, beta, n_samples: int, seed, standardize: bool = Tru
     c_m = float(np.sum((1.0 / p - m) ** 2))
     mean = a_m / 12.0 + (a_m - m * m) * b * b
     sd = sqrt(b_m / 180.0 + b * b * c_m / 3.0)
-    return (draws - mean) / sd
+    draws -= mean
+    draws /= sd
+    return draws
 
 
 def sample_uniform_simplex(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform draws from the open simplex via normalized unit exponentials."""
     if m < 1:
         raise InputError("need at least one coordinate")
-    g = rng.standard_exponential(size=(int(n), m))
-    return g / g.sum(axis=1, keepdims=True)
+    g = rng.standard_exponential(size=(_count(n, "n"), m))
+    g /= g.sum(axis=1, keepdims=True)
+    return g

@@ -242,3 +242,21 @@ def test_random_modes_with_a_many_digit_beta():
                "--trials", "200")
     assert proc.returncode == 0, proc.stderr
     assert len(results(proc)["ordered_share_means"]) == 3
+
+
+def test_random_modes_bound_the_trials(monkeypatch, capsys):
+    from apportion import cli as cli_module, harness
+
+    def no_draws(*args):
+        raise AssertionError("the Monte Carlo loop started")
+
+    monkeypatch.setattr(harness, "sample_uniform_simplex", no_draws)
+    too_many = str(harness.MAX_TRIALS + 1)
+    for argv in (
+        ["mc-simplex", "--method", "webster", "--parties", "3", "--house", "100", "--trials", too_many],
+        ["violations", "--method", "dhondt", "--random-simplex", "3", "--trials", too_many, "--house", "100"],
+    ):
+        assert cli_module.run(argv) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "InputError"
+        assert f"at most {harness.MAX_TRIALS} trials" in err["message"]
