@@ -3,23 +3,23 @@
 Divisor allocation returns the seats of awarding each seat in turn to the
 largest comparative figure v_i / d(s_i + 1).  It computes them by
 jump-and-step: a float estimate of the seat vector, then steps through the
-quotient table ranked by float keys, so the cost does not grow with the
-house size; ``allocate_divisor_rows`` takes the same steps for every row of
-a float share matrix at once.  On exact weights and signposts the figures
-are integer pairs over coprime integer votes, and an integer
-certify-and-repair step after the float-ranked steps makes the seats, the
-tie class and the support interval exact.  Quota allocation floors the
-ideal shares (house + gamma) * p_i and hands remaining seats to the largest
-fractional parts, generalized so any real gamma works even when the raw
-remainder is negative or exceeds the party count; ``allocate_quota_rows``
-is that rule on floats for every row of a share matrix, and
-``allocate_quota`` runs it on one row unless the weights and gamma are
-exact, when ``_largest_remainder`` runs it on integer ideals.  The float
-rows and ``_exact_remainder_rows``, the integer rows of exact quota sweeps,
-share one row kernel, ``_remainder_rows``, and differ only in what they
-call a tie.  The exact
-paths compare integers only; ``Fraction``s appear in their results alone
-(the support interval and the orbit mean).
+quotient table, so the cost does not grow with the house size;
+``allocate_divisor_rows`` takes the same steps for every row of a float
+share matrix at once.  The scalar steps are one loop, ``_step``, over
+figures as (num, den) pairs compared by cross-multiplication: (figure, 1.0)
+on floats, and on exact weights and signposts integer pairs over coprime
+integer votes, which make the seats, the tie class and the support interval
+exact.  Quota allocation floors the ideal shares (house + gamma) * p_i and
+hands remaining seats to the largest fractional parts, generalized so any
+real gamma works even when the raw remainder is negative or exceeds the
+party count; ``allocate_quota_rows`` is that rule on floats for every row
+of a share matrix, and ``allocate_quota`` runs it on one row unless the
+weights and gamma are exact, when ``_largest_remainder`` runs it on integer
+ideals.  The float rows and ``_exact_remainder_rows``, the integer rows of
+exact quota sweeps, share one row kernel, ``_remainder_rows``, and differ
+only in what they call a tie.  The exact paths compare integers only;
+``Fraction``s appear in their results alone (the support interval and the
+orbit mean).
 
 Every path reports a tie as one class (parties, grants, base_seats):
 ``grants`` of the tied parties get one seat over their base, in any
@@ -36,7 +36,6 @@ their seats; they never seed one.
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -257,12 +256,14 @@ def _resolve_orbit(seats, tie, policy: TiePolicy, house: int):
 
 
 def _divisor_validate(weights, sp: SignpostSequence, house_size: int) -> int:
-    """Check the house against the mandatory seats and the cap; return z.
+    """Check the house against 2**62, the mandatory seats and the cap; return z.
 
     ``weights`` is anything with one entry per party.
     """
     if house_size < 0:
         raise InfeasibleHouseSizeError("house size must be nonnegative")
+    if house_size >= 2**62:  # the float jump start would miss by about house * 2**-53 seats
+        raise InputError("divisor allocation needs a house size below 2**62")
     z = sp.zero_count()
     m = len(weights)
     if house_size < z * m:
@@ -300,17 +301,17 @@ def allocate_divisor(
     _COUNT_TABLE_MAX seats per party steps the rest).  Float weights or
     signposts rank the entries by ``SignpostSequence.figure`` and flag a
     near-tie; exact ones go through ``_exact_divisor``, which ranks them by
-    float keys and then certifies the seats in integers.
+    integer pairs.  Either way the support interval and the tie class come
+    from the figures ``_step`` returns.
     """
     z = _divisor_validate(weights, signposts, house_size)
     if _is_exact(weights, signposts):
         return _exact_divisor(weights, signposts, house_size, z, tie_policy)
     votes = weights.votes
     fig = signposts.figure
-    # a float figure of 0 (past a cap, or underflowed) ranks below every other one
-    seats = _step(_jump_start(votes, signposts, house_size, z), lambda i, n: fig(votes[i], n) or -INF, house_size, z)
-    d_minus = max(fig(v, s + 1) for v, s in zip(votes, seats))
-    d_plus = min(fig(v, s) for v, s in zip(votes, seats))
+    start = _jump_start(votes, signposts, house_size, z)
+    seats, held, nxt, i, k = _step(start, lambda j, n: (fig(votes[j], n), 1.0), house_size, z)
+    d_minus, d_plus = nxt[i][0], held[k][0] if k >= 0 else INF
     info = None
     if d_minus != INF and d_plus != INF and d_plus - d_minus <= NEAR_TIE_RTOL * max(abs(d_plus), abs(d_minus)):
         info = _NEAR_TIE
@@ -318,60 +319,47 @@ def allocate_divisor(
     return Allocation(tuple(seats), house_size, (), info, interval)
 
 
-def _step(seats: list[int], key, house_size: int, z: int) -> list[int]:
-    """Step ``seats`` to the top ``house_size - z*m`` entries under ``key``.
+def _step(seats: list[int], pair, house_size: int, z: int):
+    """Step ``seats`` to the top ``house_size - z*m`` entries of the quotient table.
 
-    key(i, n) ranks party i's entry for its n-th seat, n > z, and is -inf
-    past a capped table.  Adds the best next entries (key descending, party
-    ascending) or drops the worst held ones until the seats sum to
-    ``house_size``, then swaps while the best next entry beats the worst
-    held one.  Raises CapExceededError when only capped entries are left.
+    pair(i, n) is party i's figure at its n-th seat as (num, den), den >= 0,
+    and figures compare by cross-multiplication: num/0 is infinite, and a
+    numerator of 0 lies past a capped table.  Each pass finds the best next
+    entry (figure descending, party ascending) and the worst held entry
+    among seats > z (figure ascending, party descending).  It adds the one
+    while the seats fall short of ``house_size`` and drops the other while
+    they exceed it, then swaps the two while the best next entry beats the
+    worst held one.  Raises CapExceededError when the entry to add has
+    numerator 0.  Returns (seats, held, nxt, i, k): the seats, every party's
+    pair at its last held and at its next seat, and the best next party i
+    and worst held party k of the last pass (k = -1 when none holds a seat
+    over z).
     """
     m = len(seats)
-    # nxt: best next entry on top; held: worst held entry on top (key
-    # ascending, party descending).  Entries carry their seat index n and
-    # go stale when the party moves.
-    nxt = [(-key(i, seats[i] + 1), i, seats[i] + 1) for i in range(m)]
-    held = [(key(i, seats[i]), -i, seats[i]) for i in range(m) if seats[i] > z]
-    heapq.heapify(nxt)
-    heapq.heapify(held)
-
-    def best_next():
-        while nxt[0][2] != seats[nxt[0][1]] + 1:
-            heapq.heappop(nxt)
-        return nxt[0]
-
-    def worst_held():
-        while held and held[0][2] != seats[-held[0][1]]:
-            heapq.heappop(held)
-        return held[0] if held else None
-
-    def take():
-        # the top of nxt is valid here: no drop precedes the fill, and a swap
-        # checks best_next() and then drops an entry that ranks below it
-        negkey, i, n = nxt[0]
-        if negkey == INF:  # all remaining signposts are infinite
-            raise CapExceededError("house size unreachable under the table cap")
-        seats[i] = n
-        heapq.heapreplace(nxt, (-key(i, n + 1), i, n + 1))
-        heapq.heappush(held, (-negkey, -i, n))
-
-    def drop():
-        k, negi, n = worst_held()
-        seats[-negi] = n - 1
-        heapq.heappush(nxt, (-k, -negi, n))
-        if n - 1 > z:
-            heapq.heappush(held, (key(-negi, n - 1), negi, n - 1))
-
+    held = [pair(j, s) for j, s in enumerate(seats)]
+    nxt = [pair(j, s + 1) for j, s in enumerate(seats)]
     surplus = sum(seats) - house_size
-    for _ in range(-surplus):
-        take()
-    for _ in range(surplus):
-        drop()
-    while (b := worst_held()) is not None and best_next()[:2] < (-b[0], -b[1]):
-        drop()
-        take()
-    return seats
+    while True:
+        i, (xn, xd) = 0, nxt[0]
+        for j in range(1, m):
+            if nxt[j][0] * xd > xn * nxt[j][1]:
+                i, (xn, xd) = j, nxt[j]
+        k = -1
+        for j in range(m - 1, -1, -1):
+            if seats[j] > z and (k < 0 or held[j][0] * hd < hn * held[j][1]):
+                k, (hn, hd) = j, held[j]
+        short, over = surplus < 0, surplus > 0
+        if not (short or over) and (k < 0 or (gap := hn * xd - xn * hd) > 0 or (gap == 0 and i >= k)):
+            return seats, held, nxt, i, k
+        if not over:
+            if not xn:  # all remaining signposts are infinite
+                raise CapExceededError("house size unreachable under the table cap")
+            seats[i] += 1
+            held[i], nxt[i] = nxt[i], pair(i, seats[i] + 1)
+        if not short:
+            seats[k] -= 1
+            held[k], nxt[k] = pair(k, seats[k]), held[k]
+        surplus += short - over
 
 
 def _exact_divisor(weights: PartyWeights, sp: SignpostSequence, house_size: int, z: int, policy: TiePolicy):
@@ -379,61 +367,22 @@ def _exact_divisor(weights: PartyWeights, sp: SignpostSequence, house_size: int,
 
     With coprime integer votes V_i and d(n) = a/b in figure space
     (``SignpostSequence.exact_pair``), party i's figure is w_i*b / a with
-    w_i = ``figure_weight(V_i)``.  ``_step`` ranks the entries by the float
-    w_i*b / a, which rounds equal figures alike but may misorder figures
-    within a rounding error of each other or outside the float range.  The
-    repair then compares the pairs (w_i*b, a) by cross-multiplication and
-    swaps while the best next entry beats the worst held one, so the seats
-    are exact; the tie class and the support interval come from the same
-    pairs.  Only the two interval endpoints become ``Fraction``s, in the
-    units of the caller's votes.
+    w_i = ``figure_weight(V_i)``.  ``_step`` ranks the pairs (w_i*b, a) by
+    cross-multiplication, so the seats are exact, and the tie class and
+    the support interval come from the pairs it returns.  Only the two
+    interval endpoints become ``Fraction``s, in the units of the caller's
+    votes.
     """
     votes, _ = weights.integer_votes
     w = [sp.figure_weight(v) for v in votes]
-    m = len(w)
     pair = sp.exact_pair
 
-    def key(i, n):
+    def entry(i, n):
         a, b = pair(n)
-        if not b:  # past a capped table
-            return -INF
-        try:
-            return w[i] * b / a
-        except OverflowError:
-            return INF
+        return w[i] * b, a
 
-    seats = _step(_jump_start(votes, sp, house_size, z), key, house_size, z)
-    held = [None] * m  # (num, den) of party i's figure at its last held seat
-    nxt = [None] * m  # and at its next seat; den 0 is an infinite figure
-
-    def load(i):
-        a, b = pair(seats[i])
-        held[i] = (w[i] * b, a)
-        a, b = pair(seats[i] + 1)
-        nxt[i] = (w[i] * b, a)
-
-    for i in range(m):
-        load(i)
-    while True:
-        i = 0  # best next: largest figure, lowest index
-        for j in range(1, m):
-            if nxt[j][0] * nxt[i][1] > nxt[i][0] * nxt[j][1]:
-                i = j
-        k = -1  # worst held: smallest finite figure, highest index
-        for j in range(m - 1, -1, -1):
-            if seats[j] > z and (k < 0 or held[j][0] * held[k][1] < held[k][0] * held[j][1]):
-                k = j
-        xn, xd = nxt[i]
-        if k < 0:
-            break
-        hn, hd = held[k]
-        gap = hn * xd - xn * hd
-        if gap > 0 or (gap == 0 and i >= k):
-            break
-        seats[i] += 1
-        seats[k] -= 1
-        load(i)
-        load(k)
+    seats, held, nxt, i, k = _step(_jump_start(votes, sp, house_size, z), entry, house_size, z)
+    xn, xd = nxt[i]
 
     # V_i = c * v_i for the caller's votes v_i: integer figures are theirs times figure_weight(c)
     v0 = weights.votes[0]
@@ -442,13 +391,12 @@ def _exact_divisor(weights: PartyWeights, sp: SignpostSequence, house_size: int,
     def divisor(num, den):
         return sp.divisor_of_figure(Fraction(num * c_den, den * c_num) if num else 0)
 
+    def same(f):
+        return f[0] * xd == xn * f[1]
+
     alternatives, info = (), None
-    interval = (divisor(xn, xd), INF if k < 0 else divisor(hn, hd))
-    if k >= 0 and gap == 0:
-
-        def same(f):
-            return f[0] * xd == xn * f[1]
-
+    interval = (divisor(xn, xd), INF if k < 0 else divisor(*held[k]))
+    if k >= 0 and same(held[k]):
         if any(same(h) and same(x) for h, x in zip(held, nxt)):  # excluded by strict monotonicity
             raise InvariantError("signpost sequence not strictly increasing at a tie")
         tie = _tie_class(seats, held, nxt, same)

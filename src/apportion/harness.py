@@ -737,6 +737,8 @@ def _simplex_trials(method: Method, m: int, house_size: int, trials: int, seed: 
         raise InputError(f"at most {MAX_TRIALS} trials, got {trials}")
     if house_size < 0:
         raise InputError("house size must be nonnegative")
+    if batch < 1:
+        raise InputError(f"batch size must be at least 1, got {batch}")
     rng = np.random.default_rng(seed)
     done = 0
     while done < trials:

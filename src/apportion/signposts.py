@@ -66,12 +66,14 @@ def _geometric_quotients(ratio: Fraction, ns: range):
 
 
 def _exact_or_float(x):
-    """Keep ints/Fractions exact; leave floats as floats."""
+    """Keep ints/Fractions exact; leave finite floats as floats."""
     if isinstance(x, bool):
         raise InputError(f"{x!r} is not a number")
     if isinstance(x, Rational):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise InputError(f"{x!r} is not a finite number")
         return x
     raise InputError(f"{x!r} is not a rational or float")
 
@@ -107,8 +109,8 @@ class SignpostSequence:
     @classmethod
     def power(cls, exponent: float) -> "SignpostSequence":
         e = float(exponent)
-        if e <= 0:
-            raise InputError("power signposts need a positive exponent")
+        if not 0 < e < INF:
+            raise InputError("power signposts need a positive finite exponent")
         return cls(POWER, exponent=e)
 
     @classmethod

@@ -74,6 +74,8 @@ class DeltaHistogram:
 
     def __init__(self, bounds, bin_width: float = 0.01):
         self.bin_width = float(bin_width)
+        if not 0 < self.bin_width < np.inf:
+            raise InputError(f"histogram bin width must be positive and finite, got {bin_width!r}")
         self.low = np.asarray([b[0] for b in bounds], dtype=float)
         high = np.asarray([b[1] for b in bounds], dtype=float)
         if np.any(high <= self.low):

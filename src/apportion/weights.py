@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from numbers import Rational
 from typing import Iterable, Sequence
 
@@ -40,8 +40,8 @@ class PartyWeights:
         if len(self.votes) < 1:
             raise InputError("at least one party is required")
         for v in self.votes:
-            if not v > 0:
-                raise InputError(f"every vote count must be positive, got {v!r}")
+            if not 0 < v < inf:
+                raise InputError(f"every vote count must be positive and finite, got {v!r}")
         if self.names is not None and len(self.names) != len(self.votes):
             raise InputError("names and votes differ in length")
 

@@ -20,7 +20,7 @@ reference of its kernel ``apportion.allocation._remainder_rows``.
 ``fraction_finalize_divisor`` builds ``heap_divisor``'s tie class and
 support interval from ``Fraction`` figures, and ``fraction_brute_force_min``
 enumerates ``divergence_value`` in ``Fraction``s: the references of the
-integer certify step of ``allocate_divisor`` and of the integer functionals
+integer pair ranking of ``allocate_divisor`` and of the integer functionals
 of ``apportion.analysis.brute_force_min``.
 """
 

@@ -2,16 +2,19 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 RUN = [sys.executable, "-m", "apportion.cli"]
 
 
-def cli(*args, env=None):
+def cli(*args, env=None, timeout=120):
+    """Run the CLI; a run past ``timeout`` seconds fails the test with TimeoutExpired."""
     import os
 
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
-    return subprocess.run(RUN + list(args), capture_output=True, text=True, env=full_env)
+    return subprocess.run(RUN + list(args), capture_output=True, text=True, env=full_env, timeout=timeout)
 
 
 def results(proc):
@@ -198,6 +201,28 @@ def _input_error(proc):
     err = json.loads(proc.stderr)["error"]
     assert err["kind"] == "InputError"
     return err["message"]
+
+
+BIG_HOUSE = str(10**23)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("allocate", "--method", "webster", "--votes", "A=1,B=2", "--seats", str(10**26)),
+        ("mc-simplex", "--method", "webster", "--parties", "3", "--house", BIG_HOUSE, "--trials", "10"),
+        ("violations", "--method", "webster", "--random-simplex", "3", "--house", BIG_HOUSE, "--trials", "10"),
+        ("allocate", "--method", "linear:inf", "--votes", "A=1,B=2", "--seats", "5"),
+        ("allocate", "--method", "linear:-inf", "--votes", "A=1,B=2", "--seats", "5"),
+        ("allocate", "--method", "linear:nan", "--votes", "A=1,B=2", "--seats", "5"),
+        ("mc-simplex", "--method", "linear:nan", "--parties", "3", "--house", "10", "--trials", "10"),
+    ],
+)
+def test_out_of_range_input_is_a_json_error(argv):
+    # each of these once hung, or exited 1 with a traceback
+    proc = cli(*argv, timeout=30)
+    assert "Traceback" not in proc.stderr
+    _input_error(proc)
 
 
 def test_macau_past_the_float_range():
