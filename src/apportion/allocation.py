@@ -9,7 +9,8 @@ share matrix at once.  The scalar steps are one loop, ``_step``, over
 figures as (num, den) pairs compared by cross-multiplication: (figure, 1.0)
 on floats, and on exact weights and signposts integer pairs over coprime
 integer votes, which make the seats, the tie class and the support interval
-exact.  Quota allocation floors the ideal shares (house + gamma) * p_i and
+exact.  A step scans the parties, or reads two heaps past _SCAN_MAX of
+them.  Quota allocation floors the ideal shares (house + gamma) * p_i and
 hands remaining seats to the largest fractional parts, generalized so any
 real gamma works even when the raw remainder is negative or exceeds the
 party count; ``allocate_quota_rows`` is that rule on floats for every row
@@ -39,6 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import comb, floor
 from numbers import Rational
@@ -60,6 +62,7 @@ from .weights import PartyWeights
 
 NEAR_TIE_RTOL = 1e-12
 _COUNT_TABLE_MAX = 2**22  # signposts per party in the table of a count start
+_SCAN_MAX = 64  # parties up to which a _step pass scans them all; more use two heaps
 
 
 # -- rounding primitives --------------------------------------------------
@@ -298,7 +301,8 @@ def allocate_divisor(
     or drops the worst held ones until the seats sum to N, then swaps while
     the best next entry beats the worst held one.  The estimate misses by
     O(m) seats, so the work is O(m) steps, not O(N) (a count start past
-    _COUNT_TABLE_MAX seats per party steps the rest).  Float weights or
+    _COUNT_TABLE_MAX seats per party steps the rest), of O(log m) each past
+    _SCAN_MAX parties.  Float weights or
     signposts rank the entries by ``SignpostSequence.figure`` and flag a
     near-tie; exact ones go through ``_exact_divisor``, which ranks them by
     integer pairs.  Either way the support interval and the tie class come
@@ -326,30 +330,27 @@ def _step(seats: list[int], pair, house_size: int, z: int):
     and figures compare by cross-multiplication: num/0 is infinite, and a
     numerator of 0 lies past a capped table.  Each pass finds the best next
     entry (figure descending, party ascending) and the worst held entry
-    among seats > z (figure ascending, party descending).  It adds the one
-    while the seats fall short of ``house_size`` and drops the other while
-    they exceed it, then swaps the two while the best next entry beats the
-    worst held one.  Raises CapExceededError when the entry to add has
-    numerator 0.  Returns (seats, held, nxt, i, k): the seats, every party's
-    pair at its last held and at its next seat, and the best next party i
-    and worst held party k of the last pass (k = -1 when none holds a seat
-    over z).
+    among seats > z (figure ascending, party descending): ``_scan_ends``
+    for up to _SCAN_MAX parties, ``_HeapEnds`` for more, so a pass costs
+    O(log m) there, not O(m).  It adds the one while the seats fall short of
+    ``house_size`` and drops the other while they exceed it, then swaps the
+    two while the best next entry beats the worst held one.  Raises
+    CapExceededError when the entry to add has numerator 0.  Returns (seats,
+    held, nxt, i, k): the seats, every party's pair at its last held and at
+    its next seat, and the best next party i and worst held party k of the
+    last pass (k = -1 when none holds a seat over z).
     """
     m = len(seats)
     held = [pair(j, s) for j, s in enumerate(seats)]
     nxt = [pair(j, s + 1) for j, s in enumerate(seats)]
     surplus = sum(seats) - house_size
+    ends = _scan_ends if m <= _SCAN_MAX else _HeapEnds(seats, held, nxt, z)
     while True:
-        i, (xn, xd) = 0, nxt[0]
-        for j in range(1, m):
-            if nxt[j][0] * xd > xn * nxt[j][1]:
-                i, (xn, xd) = j, nxt[j]
-        k = -1
-        for j in range(m - 1, -1, -1):
-            if seats[j] > z and (k < 0 or held[j][0] * hd < hn * held[j][1]):
-                k, (hn, hd) = j, held[j]
+        i, k = ends(seats, held, nxt, z)
+        (xn, xd), (hn, hd) = nxt[i], held[k]  # held[k] is unused when k = -1
         short, over = surplus < 0, surplus > 0
-        if not (short or over) and (k < 0 or (gap := hn * xd - xn * hd) > 0 or (gap == 0 and i >= k)):
+        # compare, not subtract: two float figures past the range are inf, and inf - inf is nan
+        if not (short or over) and (k < 0 or (a := hn * xd) > (b := xn * hd) or (a == b and i >= k)):
             return seats, held, nxt, i, k
         if not over:
             if not xn:  # all remaining signposts are infinite
@@ -360,6 +361,68 @@ def _step(seats: list[int], pair, house_size: int, z: int):
             seats[k] -= 1
             held[k], nxt[k] = pair(k, seats[k]), held[k]
         surplus += short - over
+
+
+def _scan_ends(seats, held, nxt, z):
+    """(i, k) of a ``_step`` pass, by one scan of the m pairs."""
+    i, (xn, xd) = 0, nxt[0]
+    for j in range(1, len(seats)):
+        if nxt[j][0] * xd > xn * nxt[j][1]:
+            i, (xn, xd) = j, nxt[j]
+    k = -1
+    for j in range(len(seats) - 1, -1, -1):
+        if seats[j] > z and (k < 0 or held[j][0] * hd < hn * held[j][1]):
+            k, (hn, hd) = j, held[j]
+    return i, k
+
+
+class _Entry:
+    """A party's (num, den) pair at a seat count, ordered as seats are awarded.
+
+    An entry comes first when its figure is larger by cross-multiplication,
+    or equal with a lower party index; held entries order the other way.
+    """
+
+    __slots__ = ("num", "den", "party", "seats", "held")
+
+    def __init__(self, pair, party, seats, held):
+        (self.num, self.den), self.party, self.seats, self.held = pair, party, seats, held
+
+    def __lt__(self, other):
+        x, y = (other, self) if self.held else (self, other)
+        a, b = x.num * y.den, y.num * x.den
+        return a > b or (a == b and x.party < y.party)
+
+
+class _HeapEnds:
+    """``_scan_ends`` for many parties, from a heap of next entries and one of held ones.
+
+    An entry is stale once its party's seats move and is popped when it
+    reaches the top.  A pass moves only the previous (i, k), so each call
+    first pushes the current entries of those two.
+    """
+
+    def __init__(self, seats, held, nxt, z):
+        self.at, self.moved = list(seats), ()
+        self.next = [_Entry(x, j, s, False) for j, (x, s) in enumerate(zip(nxt, seats))]
+        self.held = [_Entry(h, j, s, True) for j, (h, s) in enumerate(zip(held, seats)) if s > z]
+        heapify(self.next)
+        heapify(self.held)
+
+    def __call__(self, seats, held, nxt, z):
+        for j in self.moved:
+            if j >= 0 and self.at[j] != (s := seats[j]):
+                self.at[j] = s
+                heappush(self.next, _Entry(nxt[j], j, s, False))
+                if s > z:
+                    heappush(self.held, _Entry(held[j], j, s, True))
+        top, last = self.next, self.held
+        while top[0].seats != seats[top[0].party]:
+            heappop(top)
+        while last and last[0].seats != seats[last[0].party]:
+            heappop(last)
+        self.moved = (top[0].party, last[0].party if last else -1)
+        return self.moved
 
 
 def _exact_divisor(weights: PartyWeights, sp: SignpostSequence, house_size: int, z: int, policy: TiePolicy):

@@ -108,7 +108,10 @@ class SignpostSequence:
 
     @classmethod
     def power(cls, exponent: float) -> "SignpostSequence":
-        e = float(exponent)
+        try:
+            e = float(_exact_or_float(exponent))
+        except OverflowError:  # an exact exponent past the float range
+            e = INF
         if not 0 < e < INF:
             raise InputError("power signposts need a positive finite exponent")
         return cls(POWER, exponent=e)

@@ -52,6 +52,12 @@ def test_non_finite_parameters_rejected(x):
             make()
 
 
+@pytest.mark.parametrize("e", [10**400, Fraction(1, 10**400), True])
+def test_power_exponent_past_the_float_range_rejected(e):
+    with pytest.raises(InputError):
+        SignpostSequence.power(e)
+
+
 @pytest.mark.parametrize("x", NON_FINITE)
 def test_non_finite_votes_rejected(x):
     with pytest.raises(InputError):

@@ -4,7 +4,8 @@
 pairs on exact input and (figure, 1.0) on float input.  From any start
 between the mandatory seats and the house it must reach the canonical seats
 of the sequential heap, and the best next and worst held parties it returns
-must be those of the ``Fraction`` figures.
+must be those of the ``Fraction`` figures, whether a pass scans the parties
+or, past ``_SCAN_MAX`` of them, reads two heaps.
 """
 
 import random
@@ -12,7 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from apportion import CapExceededError, PartyWeights, SignpostSequence
+from apportion import CapExceededError, DivisorMethod, PartyWeights, SignpostSequence, allocate
+from apportion import allocation
 from apportion.allocation import _step
 from apportion.methods import method_by_name
 from conftest import heap_divisor
@@ -45,9 +47,11 @@ def float_pair(weights, sp):
     return pair
 
 
+@pytest.mark.parametrize("scan_max", [64, 0], ids=["scan", "heaps"])
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 @pytest.mark.parametrize("make_pair", [exact_pair, float_pair])
-def test_any_start_reaches_the_heap_seats(name, make_pair):
+def test_any_start_reaches_the_heap_seats(name, make_pair, scan_max, monkeypatch):
+    monkeypatch.setattr(allocation, "_SCAN_MAX", scan_max)
     sp = FAMILIES[name]
     z = sp.zero_count()
     top = sp.max_seats() or 40
@@ -66,6 +70,42 @@ def test_any_start_reaches_the_heap_seats(name, make_pair):
         assert i == figs.index(max(figs))  # figure descending, then party ascending
         owned = [(sp.figure(v, s), -j) for j, (v, s) in enumerate(zip(w.votes, seats)) if s > z]
         assert k == (-min(owned)[1] if owned else -1)  # figure ascending, then party descending
+
+
+@pytest.mark.parametrize("name", ["webster", "huntington", "macau"])
+@pytest.mark.parametrize("exact", [True, False])
+def test_many_parties_step_by_heaps_to_the_heap_seats(name, exact):
+    # 300 parties: past _SCAN_MAX, and a jump start that misses by many seats
+    sp = FAMILIES[name]
+    rng = random.Random(300)
+    votes = [rng.randint(1, 20) for _ in range(300)]  # many equal figures
+    w = PartyWeights.of(votes if exact else [float(v) for v in votes])
+    for house in (300, 600, 3000):
+        assert allocate(DivisorMethod(sp), w, house).seats == heap_divisor(w, sp, house).seats
+
+
+INF = float("inf")
+SIXTH = 1e308 / 1.5  # the Webster figure of 1e308 at its second seat
+
+
+@pytest.mark.parametrize(
+    "house, seats, interval",
+    [
+        (1, (1, 0), (INF, INF)),
+        (2, (1, 1), (SIXTH, INF)),
+        (3, (2, 1), (SIXTH, SIXTH)),
+        (4, (2, 2), (1e308 / 2.5, SIXTH)),
+    ],
+)
+@pytest.mark.parametrize("scan_max", [64, 0], ids=["scan", "heaps"])
+def test_figures_past_the_float_range_tie_as_equal(house, seats, interval, scan_max, monkeypatch):
+    # 1e308 / d(1) = 2e308 overflows to inf for both parties: the step loop
+    # must treat inf against inf as a tie (lower index first), not loop
+    monkeypatch.setattr(allocation, "_SCAN_MAX", scan_max)
+    a = allocate(method_by_name("webster"), PartyWeights.of([1e308, 1e308]), house)
+    assert a.seats == seats
+    assert a.support_interval == interval
+    assert a.tied == (house == 3)  # equal finite figures: a near-tie
 
 
 def test_unreachable_house_raises_on_the_zero_numerator():
