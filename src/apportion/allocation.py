@@ -58,6 +58,7 @@ from .errors import (
 )
 from .methods import DEFAULT_TIES, DivisorMethod, Method, TiePolicy
 from .signposts import INF, Exactness, SignpostSequence
+from .stats import _chunks
 from .weights import PartyWeights
 
 NEAR_TIE_RTOL = 1e-12
@@ -335,7 +336,9 @@ def _step(seats: list[int], pair, house_size: int, z: int):
     O(log m) there, not O(m).  It adds the one while the seats fall short of
     ``house_size`` and drops the other while they exceed it, then swaps the
     two while the best next entry beats the worst held one.  Raises
-    CapExceededError when the entry to add has numerator 0.  Returns (seats,
+    CapExceededError when the entry to add has numerator 0, and
+    InvariantError past |surplus| + house_size - z*m + 1 passes, more than
+    consistent pairs need from a start of at least z seats.  Returns (seats,
     held, nxt, i, k): the seats, every party's pair at its last held and at
     its next seat, and the best next party i and worst held party k of the
     last pass (k = -1 when none holds a seat over z).
@@ -345,7 +348,7 @@ def _step(seats: list[int], pair, house_size: int, z: int):
     nxt = [pair(j, s + 1) for j, s in enumerate(seats)]
     surplus = sum(seats) - house_size
     ends = _scan_ends if m <= _SCAN_MAX else _HeapEnds(seats, held, nxt, z)
-    while True:
+    for _ in range(abs(surplus) + house_size - z * m + 1):
         i, k = ends(seats, held, nxt, z)
         (xn, xd), (hn, hd) = nxt[i], held[k]  # held[k] is unused when k = -1
         short, over = surplus < 0, surplus > 0
@@ -361,6 +364,7 @@ def _step(seats: list[int], pair, house_size: int, z: int):
             seats[k] -= 1
             held[k], nxt[k] = pair(k, seats[k]), held[k]
         surplus += short - over
+    raise InvariantError("step loop overran its pass bound: the figure pairs are inconsistent")
 
 
 def _scan_ends(seats, held, nxt, z):
@@ -633,8 +637,9 @@ def allocate_quota(
         return Allocation(tuple(seats), house_size, alternatives, info, interval)
     ideals = _quota_ideals([weights.shares_float()], gamma, [house_size])
     ideal = ideals[0].tolist()
-    rows, tied, _, _ = _float_remainder_rows(ideals, gamma, [house_size])
-    seats = rows[0].tolist()
+    seats = np.empty(ideals.shape, dtype=np.int64)
+    tied, _, _ = _float_remainder_rows(ideals, gamma, [house_size], seats, False)
+    seats = seats[0].tolist()
     slack = [f - s for f, s in zip(ideal, seats)]
     return Allocation(tuple(seats), house_size, (), _NEAR_TIE if tied.size else None, (max(slack), min(slack) + 1))
 
@@ -680,27 +685,42 @@ def allocate_quota_rows(shares, gamma, houses) -> tuple[np.ndarray, np.ndarray]:
     NegativeSeatError on a negative seat, and InputError when house +
     |gamma| reaches 2**62 (the floors would overflow int64).
     """
-    seats, tied, _, _ = _float_quota_rows(shares, gamma, houses)
+    seats, tied, _, _ = _float_quota_rows(shares, gamma, houses, masks=False)
     near = np.zeros(seats.shape[0], dtype=bool)
     near[tied] = True
     return seats, near
 
 
-def _float_quota_rows(shares, gamma, houses):
-    """``allocate_quota_rows`` with the tie masks of ``_remainder_rows``:
-    returns (seats, tied, tie, held)."""
-    return _float_remainder_rows(_quota_ideals(shares, gamma, houses), gamma, houses)
+def _float_quota_rows(shares, gamma, houses, masks=True):
+    """``allocate_quota_rows`` with the tie masks of ``_remainder_rows``
+    (None unless ``masks``): returns (seats, tied, tie, held).  The rows run
+    in tiles of ``stats._CHUNK`` values, from the ideals to the seats, which
+    every tile writes into one array; its ``tied`` rows are offset by its start.
+    """
+    houses, shares = np.asarray(houses), np.asarray(shares, dtype=float)
+    _quota_ideals(shares[:, :0], gamma, houses)  # check every house before the first tile
+    seats = np.empty((houses.size, shares.shape[1]), dtype=np.int64)
+    none = np.zeros((0, shares.shape[1]), dtype=bool)
+    found = [(np.zeros(0, dtype=np.int64), none, none)]  # what zero rows give
+    for rows in _chunks(*seats.shape):
+        ideal = _quota_ideals(shares if shares.shape[0] == 1 else shares[rows], gamma, houses[rows])
+        tied, tie, held = _float_remainder_rows(ideal, gamma, houses[rows], seats[rows], masks)
+        found.append((tied + rows.start, tie, held))
+    tied, tie, held = zip(*found)
+    return seats, np.concatenate(tied), *((np.concatenate(tie), np.concatenate(held)) if masks else (None, None))
 
 
-def _float_remainder_rows(frac, gamma, houses):
-    """``_float_quota_rows`` on the ideals ``frac``, which it overwrites."""
+def _float_remainder_rows(frac, gamma, houses, seats, masks=True):
+    """``_remainder_rows`` on the float ideals ``frac``, which it overwrites,
+    with the seats written into ``seats``: returns (tied, tie, held)."""
     houses = np.asarray(houses, dtype=np.int64)
     base = np.floor(frac)
     frac -= base
+    seats[...] = base
     tol = NEAR_TIE_RTOL * np.maximum(1.0, houses + float(gamma))
-    seats, tied, tie, held = _remainder_rows(base.astype(np.int64), frac, houses, tol)
+    _, tied, tie, held = _remainder_rows(seats, frac, houses, tol, masks)
     _check_nonnegative(seats, gamma, houses)
-    return seats, tied, tie, held
+    return tied, tie, held
 
 
 def _exact_remainder_rows(votes, total: int, gamma: Fraction, houses):
@@ -725,7 +745,7 @@ def _exact_remainder_rows(votes, total: int, gamma: Fraction, houses):
     return seats, tied, tie, held
 
 
-def _remainder_rows(base, rem, houses, tol):
+def _remainder_rows(base, rem, houses, tol, masks=True):
     """The largest-remainder rule on rows of int64 floors ``base`` and
     remainders ``rem`` (floats, or integers over a common denominator) at
     houses[r].
@@ -739,7 +759,7 @@ def _remainder_rows(base, rem, houses, tol):
     remainders within ``tol`` of the cut.  Returns the seats (``base``,
     overwritten), the indices ``tied`` of the tied rows, and the masks
     ``tie`` and ``held`` (len(tied), m) of the parties in each class and of
-    those of them granted a seat.
+    those of them granted a seat (None unless ``masks``).
     """
     m = base.shape[1]
     q, t = np.divmod(houses - np.einsum("ij->i", base), m)
@@ -757,6 +777,8 @@ def _remainder_rows(base, rem, houses, tol):
     seats += granted.T
     tol = np.broadcast_to(tol, t.shape)
     tied = np.flatnonzero((t > 0) & (cut - refused <= tol))
+    if not masks:
+        return seats, tied, None, None
     tie = abs(rem[tied] - cut[tied, None]) <= tol[tied, None]
     return seats, tied, tie, tie & granted.T[tied]
 

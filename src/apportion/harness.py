@@ -25,6 +25,10 @@ excess, violation counts) are array operations on int64 while the integers
 fit and on Python ints beyond; the rows are recorded in blocks, and the
 violation totals are exact sums, converted to float once.
 
+A float sweep records its moments per ``_FLOAT_BLOCK`` houses and runs the
+quota rows, seat matrix and histogram in cache-sized ``stats._CHUNK``-value
+tiles, which change no bit; the award sequence (21 bytes each) sets its peak.
+
 Ties follow ``allocation``'s contract: one class (parties, grants,
 base_seats) and one orbit mean, base + grants/k (``_orbit_parts``; exact
 rows divide it out in integers).  Every sweep reads the class off the
@@ -69,11 +73,11 @@ from .errors import InputError, InvariantError, UnsupportedMethodError
 from .methods import DivisorMethod, Method, QuotaMethod, TiePolicy, small_n_guard
 from .samplers import sample_uniform_simplex
 from .signposts import _FLOAT_RANGE, Exactness, SignpostSequence
-from .stats import ComparisonReport, ComparisonRow, SweepStats, RunningMoments, Tolerances
+from .stats import ComparisonReport, ComparisonRow, SweepStats, RunningMoments, Tolerances, _chunks
 from .violation import violation_probability
 from .weights import PartyWeights
 
-_FLOAT_BLOCK = 65536  # houses per record_batch call of a float sweep
+_FLOAT_BLOCK = 65536  # houses per record_batch call of a float sweep: its moments merge per block
 MAX_TRIALS = 10**9  # Monte Carlo trials per run
 
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -95,7 +99,7 @@ def _winner_sequence(shares: np.ndarray, sp: SignpostSequence, steps: int):
     ``SignpostSequence.figures`` gives it; figures are nonincreasing.
 
     This is the table-of-quotients reading of highest averages.  Party i's
-    table holds its figures for n = z+1 .. budget[i], all from one
+    table holds its figures for n = z+1 .. budget[i], from its own
     ``figures`` call; the tables are concatenated in party order and sorted
     stably by descending figure, so equal figures go to the lower party
     index, then the lower seat.  The budgets come from a bound, not a guess:
@@ -118,9 +122,11 @@ def _winner_sequence(shares: np.ndarray, sp: SignpostSequence, steps: int):
         limit = sp.float_limit(int(want.max()))
         lengths = np.minimum(want, max(limit, z + 1)) - z  # the table sizes, clamped at the limit
         ends = np.cumsum(lengths)
-        # entry k of the concatenated tables is seat k - (ends - lengths - z - 1) of its party
-        figs = sp.figures(np.repeat(shares, lengths), np.arange(ends[-1]) - np.repeat(ends - lengths - z - 1, lengths))
-        order = np.argsort(-figs, kind="stable")[:steps]
+        figs = np.empty(int(ends[-1]))
+        for i, (a, b) in enumerate(zip((ends - lengths).tolist(), ends.tolist())):
+            figs[a:b] = sp.figures(shares[i], np.arange(z + 1, z + 1 + b - a))
+        order = np.argsort(np.negative(figs, out=figs), kind="stable")[:steps]
+        np.negative(figs, out=figs)
         cut = figs[order[-1]] if order.size == steps else 0.0
         last = figs[ends - 1]
         short = (last >= cut) & (last > 0)
@@ -132,8 +138,11 @@ def _winner_sequence(shares: np.ndarray, sp: SignpostSequence, steps: int):
         want[grow] *= 2
     if cut == 0:
         raise InputError("house size unreachable under the table cap")
-    winners = np.repeat(np.arange(m, dtype=np.int32), lengths)[order]
-    return winners, figs[order]
+    party = np.repeat(np.arange(m, dtype=np.min_scalar_type(m - 1)), lengths)  # one byte per entry
+    winners, sorted_figs = np.empty(order.size, dtype=np.int32), order.view(float)
+    for tile in _chunks(order.size, 1):  # the sorted figures overwrite order, each tile once read
+        winners[tile], sorted_figs[tile] = party[order[tile]], figs[order[tile]]
+    return winners, sorted_figs
 
 
 def _award_sequence(shares: np.ndarray, sp: SignpostSequence, count: int, rtol: float):
@@ -157,7 +166,9 @@ def _award_sequence(shares: np.ndarray, sp: SignpostSequence, count: int, rtol: 
     while True:
         want = count + extra if finite is None else min(count + extra, finite)
         winners, figs = _winner_sequence(shares, sp, want)
-        close = figs[:-1] - figs[1:] <= rtol * figs[:-1]
+        close = np.empty(figs.size - 1, dtype=bool)
+        for t in _chunks(close.size, 1):
+            np.less_equal(figs[t] - figs[t.start + 1 : t.stop + 1], rtol * figs[t], out=close[t])
         closing = np.flatnonzero(~close[count - 1 :])
         if closing.size or want == finite:
             keep = count + int(closing[0]) if closing.size else want
@@ -165,7 +176,7 @@ def _award_sequence(shares: np.ndarray, sp: SignpostSequence, count: int, rtol: 
         extra *= 2
 
 
-def _divisor_blocks(winners, close, m: int, z: int, n_from: int, n_to: int, block: int):
+def _divisor_blocks(winners, close, m: int, z: int, n_from: int, n_to: int, block: int, masks: bool = True):
     """Yield (houses, seats, tied, tie, held) per ``block`` houses of
     [n_from, n_to], n_from >= z*m, off an award sequence: winners[k] takes
     award k, the last award of house z*m + k + 1, and close[k] ties awards k
@@ -173,10 +184,10 @@ def _divisor_blocks(winners, close, m: int, z: int, n_from: int, n_to: int, bloc
 
     ``seats`` (k, m) holds each house's seats, carried from block to block;
     ``tied`` indexes the tied rows, and the (len(tied), m) masks ``tie`` and
-    ``held`` mark the parties of each tie class and those of them holding a
-    contested seat.  A house is tied when its last award is close to the
-    next one, and its class is that run of close awards, the awards up to
-    the house holding and the later ones taking.
+    ``held`` (None without ``masks``) mark the parties of each tie class and
+    those of them holding a contested seat.  A house is tied when its last
+    award is close to the next one, and its class is that run of close
+    awards, the awards up to the house holding and the later ones taking.
     """
     flagged = np.flatnonzero(close)
     first = flagged[np.diff(flagged, prepend=-2) != 1]  # the first award of each run
@@ -191,6 +202,9 @@ def _divisor_blocks(winners, close, m: int, z: int, n_from: int, n_to: int, bloc
         award = houses - z * m - 1  # each house's last award
         ok = (award >= 0) & (award < close.size)
         tied = np.flatnonzero(ok)[close[award[ok]]]
+        if not masks:
+            yield houses, seats, tied, None, None
+            continue
         at = award[tied]
         run = np.searchsorted(first, at, side="right") - 1
         lo, size = first[run], last[run] - first[run] + 1
@@ -206,13 +220,16 @@ def _divisor_blocks(winners, close, m: int, z: int, n_from: int, n_to: int, bloc
 
 def _seat_matrix(base: np.ndarray, winners: np.ndarray) -> np.ndarray:
     """Seats after each prefix of an award sequence: row r holds ``base``
-    plus the awards winners[:r], for r = 0 .. len(winners)."""
+    plus the awards winners[:r], for r = 0 .. len(winners), built in tiles
+    of ``stats._CHUNK`` values on the last row of the tile before."""
     m = base.size
     seats = np.empty((winners.size + 1, m), dtype=np.int64)
-    seats[0] = 0
-    # the (m, k) one-hot's running sums, written straight into the transpose
-    np.cumsum(winners[None, :] == np.arange(m)[:, None], axis=1, out=seats[1:].T)
-    seats += base
+    seats[0] = base
+    for rows in _chunks(winners.size, m):
+        tile = seats[rows.start + 1 : rows.stop + 1]
+        # the (m, k) one-hot's running sums, written straight into the transpose
+        np.cumsum(winners[rows] == np.arange(m)[:, None], axis=1, out=tile.T)
+        tile += seats[rows.start]
     return seats
 
 
@@ -229,7 +246,8 @@ def _float_sweep(blocks, shares: np.ndarray, stats: SweepStats, average_ties: bo
     each tied row counts a near-tie and, under the averaging policy, holds
     its orbit mean."""
     for houses, seats, tied, tie, held in blocks:
-        deltas = seats - houses[:, None] * shares
+        deltas = np.multiply(houses[:, None], shares)
+        np.subtract(seats, deltas, out=deltas)
         if average_ties and tied.size:
             base, k, grants = _orbit_parts(seats[tied], tie, held)
             deltas[tied] = base + tie * (grants / k) - houses[tied, None] * shares
@@ -582,14 +600,15 @@ def sweep(
         _exact_sweep(method, weights, n_from, n_to, tie_policy, stats)
         return stats
     shares = np.asarray(weights.shares_float())
+    average = tie_policy.kind == "average"  # the other policies only count the near-ties
     if divisor:
         z = method.signposts.zero_count()
         winners, close, _ = _award_sequence(shares, method.signposts, n_to - z * m, NEAR_TIE_RTOL)
-        blocks = _divisor_blocks(winners, close, m, z, n_from, n_to, _FLOAT_BLOCK)
+        blocks = _divisor_blocks(winners, close, m, z, n_from, n_to, _FLOAT_BLOCK, average)
     else:
         houses = _house_blocks(n_from, n_to, _FLOAT_BLOCK)
-        blocks = ((h, *_float_quota_rows(shares[None, :], method.gamma, h)) for h in houses)
-    _float_sweep(blocks, shares, stats, tie_policy.kind == "average")
+        blocks = ((h, *_float_quota_rows(shares[None, :], method.gamma, h, average)) for h in houses)
+    _float_sweep(blocks, shares, stats, average)
     return stats
 
 
@@ -896,7 +915,11 @@ def apparentement_sweep(
         s_i, s_j, s_pool = s_full[:, party_i], s_full[:, party_j], s_pooled[:, im]
         if s_pool.min() < sub_min:  # so that the quota sub-apportionment has house + gamma > 0
             raise InvariantError("pooled seat count below the sub-apportionment minimum")
-        s_sub = sub[s_pool] if divisor else allocate_quota_rows(pair_shares[None, :], gamma, s_pool)[0]
+        if divisor:
+            s_sub = sub[s_pool]
+        else:  # one pair row per distinct pooled seat count
+            pools, at = np.unique(s_pool, return_inverse=True)
+            s_sub = allocate_quota_rows(pair_shares[None, :], gamma, pools)[0][at]
         gains[houses - n_from] = np.stack([s_pool - s_i - s_j, s_sub[:, 0] - s_i, s_sub[:, 1] - s_j], axis=1)
     moments = RunningMoments(3)
     moments.push_batch(gains)

@@ -8,8 +8,8 @@ integer.
 Each sampler reads one ``Generator`` stream in a fixed order: for the
 samplers built on a drawn category, the n category uniforms first (as
 ``Generator.choice`` draws them), then the rows of uniforms.  A batch draws
-its rows ``_CHUNK`` values at a time, straight into the output or into one
-chunk-sized scratch buffer, and runs the row arithmetic in place, so the
+its rows ``stats._CHUNK`` values at a time, straight into the output or into
+one chunk-sized scratch buffer, and runs the row arithmetic in place, so the
 draws do not depend on the chunking and no temporary is the size of the
 output: the joint sampler needs its output plus 8 bytes per draw, the
 divergence samplers 16 bytes per draw, each plus a few chunks.
@@ -26,8 +26,7 @@ import numpy as np
 from .errors import InputError
 from .methods import DivisorMethod, Method
 from .asymptotics import _shares_array, effective_beta
-
-_CHUNK = 1 << 16  # values drawn per chunk of a batch
+from .stats import _chunk_rows, _chunks
 
 
 @dataclass(frozen=True)
@@ -47,17 +46,6 @@ def _count(size, name: str = "size") -> int:
     if isinstance(size, bool) or not isinstance(size, Integral) or size < 0:
         raise InputError(f"{name} must be a nonnegative integer, got {size!r}")
     return int(size)
-
-
-def _chunk_rows(m: int) -> int:
-    """Rows of m values per chunk."""
-    return max(1, _CHUNK // m)
-
-
-def _chunks(n: int, m: int):
-    """Slices of n rows of m values, ``_chunk_rows(m)`` rows each."""
-    step = _chunk_rows(m)
-    return (slice(a, min(a + step, n)) for a in range(0, n, step))
 
 
 def _category_rows(p: np.ndarray, rng: np.random.Generator, n: int, out: np.ndarray | None = None):

@@ -3,8 +3,9 @@
 ``RunningMoments`` keeps vector means and the full comoment matrix with a
 numerically stable pairwise (Chan) merge, so a sweep can be split into
 chunks, processed independently, and recombined associatively.
-``SweepStats`` adds per-party histograms, one ``bincount`` per batch, quota
-violation counts, one ``flatnonzero`` per batch, and tie counts.
+``SweepStats`` adds per-party histograms, one ``bincount`` per ``_CHUNK``
+values of a batch, quota violation counts, one ``flatnonzero`` per batch,
+and tie counts.
 """
 
 from __future__ import annotations
@@ -14,6 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InputError
+
+_CHUNK = 1 << 16  # values per tile of the array kernels: a few of them fit in cache
+
+
+def _chunk_rows(m: int) -> int:
+    """Rows of m values per chunk."""
+    return max(1, _CHUNK // m)
+
+
+def _chunks(n: int, m: int):
+    """Slices of n rows of m values, ``_chunk_rows(m)`` rows each."""
+    step = _chunk_rows(m)
+    return (slice(a, min(a + step, n)) for a in range(0, n, step))
 
 
 class RunningMoments:
@@ -85,9 +99,13 @@ class DeltaHistogram:
 
     def push_batch(self, xs) -> None:
         xs = np.asarray(xs, dtype=float)
-        idx = np.clip(((xs - self.low) / self.bin_width).astype(int), 0, self.n_bins - 1)
-        idx += np.arange(0, self.counts.size, self.n_bins)  # party i's bins follow party i - 1's
-        self.counts += np.bincount(idx.ravel(), minlength=self.counts.size).reshape(self.counts.shape)
+        offsets = np.arange(0, self.counts.size, self.n_bins)  # party i's bins follow party i - 1's
+        for rows in _chunks(*xs.shape):
+            scaled = np.subtract(xs[rows], self.low)
+            idx = np.divide(scaled, self.bin_width, out=scaled).astype(int)
+            np.clip(idx, 0, self.n_bins - 1, out=idx)
+            idx += offsets
+            self.counts += np.bincount(idx.ravel(), minlength=self.counts.size).reshape(self.counts.shape)
 
     def merge(self, other: "DeltaHistogram") -> None:
         if (

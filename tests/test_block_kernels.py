@@ -3,12 +3,17 @@
 ``allocation._remainder_rows`` (one value sort per row) must equal the
 double-argsort rule of ``conftest.argsort_remainder_rows``; the default
 violation path of ``SweepStats.record_batch`` must equal per-column counts;
-``apparentement_sweep`` must give the same moments, bit for bit, whatever
-its block size, and stay within a memory bound; and the one-pass fill of
-``SignpostSequence._float_table`` must equal ``_float_divisor`` entry by
-entry, and end at its first nan however many fills grew it.
+the tiled kernels (``_float_quota_rows``, ``_seat_matrix``,
+``DeltaHistogram.push_batch``) must equal their whole-array or per-house
+references across tile edges; float sweeps must reproduce recorded
+statistics bit for bit; ``apparentement_sweep`` must give the same moments,
+bit for bit, whatever its block size; float sweeps must stay within memory
+bounds; and the one-pass fill of ``SignpostSequence._float_table`` must
+equal ``_float_divisor`` entry by entry, and end at its first nan however
+many fills grew it.
 """
 
+import hashlib
 import tracemalloc
 from fractions import Fraction
 
@@ -16,10 +21,10 @@ import numpy as np
 import pytest
 
 import apportion.harness as harness
-from apportion import InputError, PartyWeights, SignpostSequence, method_by_name
-from apportion.allocation import _remainder_rows
-from apportion.harness import apparentement_sweep, sqrt_shares
-from apportion.stats import SweepStats
+from apportion import InputError, PartyWeights, SignpostSequence, TiePolicy, allocate, method_by_name
+from apportion.allocation import NEAR_TIE_RTOL, _float_quota_rows, _quota_ideals, _remainder_rows
+from apportion.harness import _seat_matrix, apparentement_sweep, sqrt_shares, sweep
+from apportion.stats import SweepStats, _chunk_rows
 from conftest import argsort_remainder_rows
 
 # -- the largest-remainder row kernel ----------------------------------------------
@@ -89,6 +94,114 @@ def test_record_batch_default_path_equals_per_column_counts():
     assert explicit.lower_violations.tolist() == lower and explicit.upper_violations.tolist() == upper
 
 
+# -- tiled kernels across tile edges ---------------------------------------------------
+
+
+def test_float_quota_rows_across_tiles_equal_per_house_allocate():
+    # Droop on (3, 8): (house + 1) is a multiple of 11 at every house, so every
+    # row is a near-tie, on both sides of each tile edge
+    method, w = method_by_name("droop"), PartyWeights.of([3.0, 8.0])
+    shares = np.array([w.shares_float()])
+    tile = _chunk_rows(2)
+    houses = 54 + 10_967 * np.arange(3 * tile + 5)
+    seats, tied, tie, held = _float_quota_rows(shares, method.gamma, houses)
+    # per house: the rows within 8 of each tile edge, and every 101st row
+    edges = np.arange(tile, houses.size, tile)
+    rows = np.union1d((edges[:, None] + np.arange(-8, 5)).ravel(), np.arange(0, houses.size, 101))
+    per_house = [allocate(method, w, int(houses[r])) for r in rows.tolist()]
+    assert seats[rows].tolist() == [list(a.seats) for a in per_house]
+    assert np.isin(rows, tied).tolist() == [a.tied for a in per_house]
+    ideal = _quota_ideals(shares, method.gamma, houses)  # the whole array at once
+    base = np.floor(ideal)
+    tol = NEAR_TIE_RTOL * np.maximum(1.0, houses + float(method.gamma))
+    whole = _remainder_rows(base.astype(np.int64), ideal - base, houses, tol)
+    for got, want in zip((seats, tied, tie, held), whole):
+        assert np.array_equal(got, want)
+    assert tied.size == houses.size
+    assert _float_quota_rows(shares, method.gamma, houses, masks=False)[2:] == (None, None)
+
+
+@pytest.mark.parametrize("m", [2, 5, 8])
+def test_seat_matrix_across_tiles_equals_cumulative_bincount(m):
+    rng = np.random.default_rng(m)
+    winners = rng.integers(0, m, 3 * _chunk_rows(m) + 5).astype(np.int32)
+    base = rng.integers(0, 9, m)
+    seats = _seat_matrix(base, winners)
+    cumulative = np.cumsum(np.eye(m, dtype=np.int64)[winners], axis=0)
+    assert np.array_equal(seats, np.vstack([base, base + cumulative]))
+    for r in range(0, winners.size + 1, _chunk_rows(m)):  # every tile edge, by bincount
+        assert np.array_equal(seats[r], base + np.bincount(winners[:r], minlength=m))
+
+
+def test_histogram_across_tiles_equals_per_column_counts():
+    one = np.nextafter(1.0, 0.0)
+    edge = [-1.0, 1.0, -one, one, 0.0, -0.0, -5.0, 7.5, 0.25, -0.75]
+    deltas = np.random.default_rng(6).choice(edge, size=(3 * _chunk_rows(6) + 5, 6))
+    stats = SweepStats.empty(6, [(-1.5, 1.5)] * 6, 0.25)
+    stats.record_batch(deltas)
+    hist = stats.histogram
+    counts = [
+        np.bincount(np.clip(((deltas[:, i] - hist.low[i]) / hist.bin_width).astype(int), 0, hist.n_bins - 1),
+                    minlength=hist.n_bins)
+        for i in range(6)
+    ]
+    assert np.array_equal(hist.counts, counts)
+
+
+# -- float sweeps: recorded statistics ------------------------------------------------
+
+# sha256 of (mean, comoment, histogram counts, lower and upper violations,
+# any_violation and near_ties) of float sweeps, recorded before the kernels
+# ran in tiles; the ranges cross house 65 536 and many tile edges
+GOLDEN = {
+    "webster-sqrt4-1-70000": "107ce6ceb4b5d69aff9b2a65082569fde5000479c86d2798f1a380367d17ea8e",
+    "webster-sqrt4-60000-140017": "69eadafc810fbb940c41a57f79670eb21a3dc46f62daf7aadf37449c68ed5c83",
+    "webster-sqrt8-1-70000": "4e0bc67619f983b3858c5577c9021f4ef470552be62bf018b56243a82d0702d0",
+    "webster-sqrt8-60000-140017": "04763a33a080ad87398d8d124c1e2ead8f03255614a2975baa9fbacd214c475d",
+    "huntington-sqrt4-1-70000": "af7baf7713c06e27d3e463c0c4ce1c85626fc25949eaabbe620b1d25d4232d88",
+    "huntington-sqrt4-60000-140017": "2fccb1d6944b44616b749e96810e5c831ecafbe6b5d3eccf897fd39e30b92df9",
+    "huntington-sqrt8-1-70000": "ee8b7216b5ca308d697d9103705722a6ab2c83ed7d687d097b4cef3c88a198a7",
+    "huntington-sqrt8-60000-140017": "fbdf8461d3a7a7de8bbec01b61603ab69b03b2a1b6faae5d2752e239ffa88af1",
+    "estonia-sqrt4-1-70000": "1ad8511bbfe802b639dbda5af60710b0d3d0db74aebbc413368f8ee57d8abb5f",
+    "estonia-sqrt4-60000-140017": "13aed5bb27452455daee1711ee7cb74cc7cc16e45458666301f3b154c5bfccfc",
+    "estonia-sqrt8-1-70000": "254a42fed82f6288542c70e49ecacd69e0c17fc3de0a8d55f989a2196c8f011f",
+    "estonia-sqrt8-60000-140017": "e52cfb29b3017972e2d506c7289e06536b8fae6da3ed782dd5f5ed4948f9ce5b",
+    "hamilton-sqrt4-1-70000": "3ed9be6d9810d92ab93409f1edb066429cf619d59a59ba8e73616840642e1aac",
+    "hamilton-sqrt4-60000-140017": "67ce2d0ce5b9f3db0ed2b77e6db0b37033ea02bbc7ce1fadaef7ba94a552eda9",
+    "hamilton-sqrt8-1-70000": "b4e280f1c5f4aa2331077e4c55aea603e4a237c463912d299268b2cb17f03dec",
+    "hamilton-sqrt8-60000-140017": "c0c29805c51c3ff1a7badef204db91a3347eb9b81f352b9ba90b47b5bf53c9ec",
+    "droop-sqrt4-1-70000": "d8e95fc58a58fd79feb2c82059828f96e291000fe053e3f4070bc4f9e2e29b99",
+    "droop-sqrt4-60000-140017": "cf9e0c3fdce0a3b19b97fdf3848764d348a019932f1f703a225f59c18d566d81",
+    "droop-sqrt8-1-70000": "b0c56ba454e81e0866429a5951fd755ec41ebdf9f202087c4e9691510d8b95c9",
+    "droop-sqrt8-60000-140017": "96e388301f95156a15f144a070367dd328667b1cf74a99711b2e535c44c01acc",
+    # the tie-heavy (2, 1, 1) over houses 1..10**5: near-ties averaged, or only counted
+    "webster-211-average": "07ef40133dea4d73b0df7857b236acb81e870b9ba381065e2c4ad2ab24bbc15e",
+    "webster-211-enumerate_all": "01f4175dd5957e1c19a47ad91bacf2fe7be4cc3dac317bf9f1b20285567815d3",
+    "hamilton-211-average": "3343088c22e744c986225f992c9412db6c66f6d5f327b896a3c4f6f18a16d28a",
+    "hamilton-211-enumerate_all": "97633daa1ffc9cb524bf7efc8240bd09413a5bddfba8159d634d7145fa60360e",
+}
+
+
+def _digest(stats) -> str:
+    h = hashlib.sha256()
+    for a in (
+        stats.mean, stats.moments.comoment, stats.histogram.counts, stats.lower_violations,
+        stats.upper_violations, np.array([stats.any_violation, stats.near_ties]),
+    ):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_float_sweep_statistics_are_bit_identical(case):
+    name, weights, *rest = case.split("-")
+    if weights == "211":
+        w, (lo, hi), policy = PartyWeights.of([2.0, 1.0, 1.0]), (1, 100_000), getattr(TiePolicy, rest[0])()
+    else:
+        w, (lo, hi), policy = PartyWeights.of(sqrt_shares(int(weights[4:]))), map(int, rest), TiePolicy.average()
+    assert _digest(sweep(method_by_name(name), w, lo, hi, policy)) == GOLDEN[case]
+
+
 # -- apparentement sweeps in blocks ---------------------------------------------------
 
 
@@ -106,15 +219,26 @@ def test_apparentement_moments_do_not_depend_on_the_block(name, monkeypatch):
         assert got.comoment.tobytes() == want.comoment.tobytes()
 
 
-def test_apparentement_sweep_memory_stays_bounded():
-    method, w = method_by_name("hamilton"), PartyWeights.of(sqrt_shares(8))
+def _traced_peak(run) -> float:
     tracemalloc.start()
     try:
-        apparentement_sweep(method, w, 0, 7, 1, 200_000)
-        _, peak = tracemalloc.get_traced_memory()
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert peak <= 50 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_apparentement_sweep_memory_stays_bounded():
+    method, w = method_by_name("hamilton"), PartyWeights.of(sqrt_shares(8))
+    peak = _traced_peak(lambda: apparentement_sweep(method, w, 0, 7, 1, 200_000))
+    assert peak <= 32, f"peak {peak:.1f} MB"
+
+
+def test_float_sweep_memory_stays_bounded():
+    # the award sequence of 10**6 houses sets the peak, not the blocks
+    method, w = method_by_name("webster"), PartyWeights.of(sqrt_shares(8))
+    peak = _traced_peak(lambda: sweep(method, w, 1, 10**6))
+    assert peak <= 24, f"peak {peak:.1f} MB"
 
 
 # -- the float signpost table -------------------------------------------------------

@@ -5,7 +5,8 @@ pairs on exact input and (figure, 1.0) on float input.  From any start
 between the mandatory seats and the house it must reach the canonical seats
 of the sequential heap, and the best next and worst held parties it returns
 must be those of the ``Fraction`` figures, whether a pass scans the parties
-or, past ``_SCAN_MAX`` of them, reads two heaps.
+or, past ``_SCAN_MAX`` of them, reads two heaps.  Pairs that are not
+nonincreasing in the seat count must raise, not loop.
 """
 
 import random
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from apportion import CapExceededError, DivisorMethod, PartyWeights, SignpostSequence, allocate
+from apportion import CapExceededError, DivisorMethod, InvariantError, PartyWeights, SignpostSequence, allocate
 from apportion import allocation
 from apportion.allocation import _step
 from apportion.methods import method_by_name
@@ -113,3 +114,27 @@ def test_unreachable_house_raises_on_the_zero_numerator():
     w = PartyWeights.of([3, 1])
     with pytest.raises(CapExceededError):
         _step([8, 8], exact_pair(w, sp), 17, 0)
+
+
+@pytest.mark.parametrize("scan_max", [64, 0], ids=["scan", "heaps"])
+def test_inconsistent_pairs_raise_instead_of_looping(scan_max, monkeypatch):
+    # figures that grow with the seat count: the worst held entry never
+    # beats the best next one, so the swaps would go on forever
+    monkeypatch.setattr(allocation, "_SCAN_MAX", scan_max)
+    for start, house in (([1, 1], 2), ([0, 5, 2], 7), ([9, 0], 3)):
+        with pytest.raises(InvariantError, match="pass bound"):
+            _step(start, lambda i, n: (n + i, 1), house, 0)
+
+
+@pytest.mark.parametrize("scan_max", [64, 0], ids=["scan", "heaps"])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_extreme_starts_stay_within_the_pass_bound(name, scan_max, monkeypatch):
+    # every party at its mandatory seats, or at the whole house (the cap)
+    monkeypatch.setattr(allocation, "_SCAN_MAX", scan_max)
+    sp = FAMILIES[name]
+    z, top = sp.zero_count(), sp.max_seats() or 60
+    w = PartyWeights.of([7, 1, 3, 3, 12])
+    for house in (z * 5, z * 5 + 1, min(top, 12) * 5, min(top, 40) * 5):
+        for start in ([z] * 5, [min(top, house)] * 5):
+            seats = _step(start, exact_pair(w, sp), house, z)[0]
+            assert tuple(seats) == heap_divisor(w, sp, house).seats
