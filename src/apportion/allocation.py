@@ -10,11 +10,12 @@ figures as (num, den) pairs compared by cross-multiplication: (figure, 1.0)
 on floats, and on exact weights and signposts integer pairs over coprime
 integer votes, which make the seats, the tie class and the support interval
 exact.  A step scans the parties, or reads two heaps past _SCAN_MAX of
-them.  Quota allocation floors the ideal shares (house + gamma) * p_i and
-hands remaining seats to the largest fractional parts, generalized so any
-real gamma works even when the raw remainder is negative or exceeds the
-party count; ``allocate_quota_rows`` is that rule on floats for every row
-of a share matrix, and ``allocate_quota`` runs it on one row unless the
+them, as ``_scan_awards`` does for exact sweeps past the float range.
+Quota allocation floors the ideal shares (house + gamma) * p_i and hands
+remaining seats to the largest fractional parts, generalized so any real
+gamma works even when the raw remainder is negative or exceeds the party
+count; ``allocate_quota_rows`` is that rule on floats for every row of a
+share matrix, and ``allocate_quota`` runs it on one row unless the
 weights and gamma are exact, when ``_largest_remainder`` runs it on integer
 ideals.  The float rows and ``_exact_remainder_rows``, the integer rows of
 exact quota sweeps, share one row kernel, ``_remainder_rows``, and differ
@@ -380,6 +381,37 @@ def _scan_ends(seats, held, nxt, z):
     return i, k
 
 
+def _scan_awards(w, sp: SignpostSequence, z: int, count: int):
+    """The awards past the mandatory seats for integer figure weights w_i, in
+    exact order, as arrays: each winner and its figure w_i*b / a as (num,
+    den), d(n) = a/b from ``exact_pair`` (once per n).  Each award is the
+    best next entry of a ``_step`` pass (``_scan_ends``, or ``_HeapEnds``
+    past _SCAN_MAX parties; a floor of INF means no held entry), up to award
+    ``count - 1`` and the equal ones after it.  Raises InputError when only
+    figures past a capped table are left.
+    """
+    pairs = [sp.exact_pair(n) for n in range(z + 2)]  # pairs[n] for d(n), grown on demand
+    a, b = pairs[z + 1]
+    seats = [z] * len(w)
+    nxt = [(x * b, a) for x in w]  # each party's next figure, as (num, den)
+    ends = _scan_ends if len(w) <= _SCAN_MAX else _HeapEnds(seats, nxt, nxt, INF)
+    winners, figures = [], []
+    while True:
+        i, _ = ends(seats, nxt, nxt, INF)
+        num, den = nxt[i]
+        if len(winners) >= count and num * figures[-1][1] != figures[-1][0] * den:
+            return np.array(winners, dtype=np.int64), *np.array(figures, dtype=object).T
+        if not num:  # only figures past a capped table are left
+            raise InputError("house size unreachable under the table cap")
+        winners.append(i)
+        figures.append(nxt[i])
+        seats[i] += 1
+        if seats[i] + 1 == len(pairs):
+            pairs.append(sp.exact_pair(seats[i] + 1))
+        a, b = pairs[seats[i] + 1]
+        nxt[i] = (w[i] * b, a)
+
+
 class _Entry:
     """A party's (num, den) pair at a seat count, ordered as seats are awarded.
 
@@ -482,10 +514,17 @@ def allocate_divisor_rows(shares, signposts: SignpostSequence, house_size: int) 
     row over it drops its worst held entry (figure ascending, higher index
     first), and every other row swaps the two while the best next entry
     beats the worst held one; the swaps reach the canonical seats from any
-    start.  Figures come from ``SignpostSequence.figures``.  Rows that are
-    not finite, or whose jump start misses the house size by more than a
-    bracket of 2m(1 + |beta|) + 2 + m*z seats, raise InvariantError; the
-    bracket (N - m*z without a beta) bounds the rounds.
+    start.  Figures come from ``SignpostSequence.figures``.
+
+    The bracket bounds the start's distance from the seats.  With the
+    envelope n - 1 + lo <= d(n) <= n - 1 + hi of ``beta_envelope`` and w =
+    max(beta - min(lo, 1), hi - beta), each party's clamped start lies
+    within p_i*m(1/2 + w) + 1 + w of its seats, m(3/2 + 2w) in all; the
+    bracket adds (m + 4)*N*2**-50 for float error and 2 (N - m*z without an
+    envelope).  Adds and drops move a row's total toward N, and a swap moves
+    a seat from above its final count to below, so rows end within 2*bracket
+    + 2 rounds.  Rows that are not finite, whose start misses the house size
+    by more than the bracket, or that take more rounds raise InvariantError.
     """
     shares = np.asarray(shares, dtype=float)
     k, m = shares.shape
@@ -493,8 +532,10 @@ def allocate_divisor_rows(shares, signposts: SignpostSequence, house_size: int) 
     if not np.isfinite(shares).all():
         raise InvariantError("jump-and-step bracket needs finite share rows")
     seats = _jump_starts(shares, signposts, house_size, z).astype(np.int64)
-    beta = signposts.asymptotic_beta()
-    bracket = house_size - z * m if beta is None else 2 * m * (1 + abs(float(beta))) + 2 + m * z
+    bracket = house_size - z * m
+    if envelope := signposts.beta_envelope():
+        (lo, hi), beta = envelope, signposts.asymptotic_beta()
+        bracket = m * (1.5 + 2 * float(max(beta - min(lo, 1), hi - beta))) + (m + 4) * house_size * 2.0**-50 + 2
     if (np.abs(seats.sum(axis=1) - house_size) > bracket).any():
         raise InvariantError(
             "jump start misses the house size by more than the bracket; "

@@ -6,7 +6,7 @@ human-readable table).  Identical configuration and seed produce a
 byte-identical report except for the wall-clock field.
 
 Exit codes: 0 success, 2 invalid input, 3 verification failure,
-4 instance too large.
+4 instance too large (also when the run runs out of memory).
 """
 
 from __future__ import annotations
@@ -478,8 +478,8 @@ def run(argv=None) -> int:
         if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
             raise InputError(f"--tolerance must be finite and nonnegative, got {tolerance!r}")
         payload, code = _COMMANDS[args.command](args)
-    except InstanceTooLargeError as exc:
-        _emit_error(args, str(exc), "instance-too-large")
+    except (InstanceTooLargeError, MemoryError) as exc:
+        _emit_error(args, str(exc) or "out of memory", "instance-too-large")
         return EXIT_TOO_LARGE
     except ApportionError as exc:
         _emit_error(args, str(exc), type(exc).__name__)

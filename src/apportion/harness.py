@@ -25,9 +25,13 @@ excess, violation counts) are array operations on int64 while the integers
 fit and on Python ints beyond; the rows are recorded in blocks, and the
 violation totals are exact sums, converted to float once.
 
-A float sweep records its moments per ``_FLOAT_BLOCK`` houses and runs the
-quota rows, seat matrix and histogram in cache-sized ``stats._CHUNK``-value
-tiles, which change no bit; the award sequence (21 bytes each) sets its peak.
+Float input has one source of seat blocks, ``_float_seat_blocks``, which
+``sweep``'s float path and ``apparentement_sweep`` (the full, the merged
+and the pair's party lists) read.  A float sweep records its moments per
+``_FLOAT_BLOCK`` houses and runs the quota rows, seat matrix and histogram
+in cache-sized ``stats._CHUNK``-value tiles, which change no bit; the award
+sequence (21 bytes each) sets its peak.  Both seat-block sources refuse
+more than MAX_TRIALS houses, as Monte Carlo refuses more trials.
 
 Ties follow ``allocation``'s contract: one class (parties, grants,
 base_seats) and one orbit mean, base + grants/k (``_orbit_parts``; exact
@@ -43,11 +47,9 @@ averaging policy, and never seed a tie.
 
 Monte Carlo runs one loop for ordered-party statistics and random-mode
 violation frequencies: batches of shares drawn uniformly on the simplex,
-allocated by ``allocate_many`` and recorded in ``SweepStats``.  For divisor
-methods of every signpost family ``allocate_many`` is the row-vectorized
-jump-and-step of ``allocation.allocate_divisor_rows``, so each row gets
-``allocate``'s canonical seat vector, ties included; quota methods run
-``allocation.allocate_quota_rows``.
+allocated by ``allocate_many`` (``allocation.allocate_divisor_rows`` or
+``allocate_quota_rows``, ``allocate``'s canonical seats on every row, ties
+included) and recorded in ``SweepStats``.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .allocation import (
     _float_quota_rows,
     _is_exact,
     _policy_seats,
+    _scan_awards,
     allocate_divisor_rows,
     allocate_quota_rows,
 )
@@ -78,7 +81,7 @@ from .violation import violation_probability
 from .weights import PartyWeights
 
 _FLOAT_BLOCK = 65536  # houses per record_batch call of a float sweep: its moments merge per block
-MAX_TRIALS = 10**9  # Monte Carlo trials per run
+MAX_TRIALS = 10**9  # Monte Carlo trials per run, and houses per sweep or period
 
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -241,24 +244,32 @@ def _orbit_parts(seats, tie, held):
     return seats - held.astype(seats.dtype), tie.sum(axis=1)[:, None], held.sum(axis=1)[:, None]
 
 
-def _float_sweep(blocks, shares: np.ndarray, stats: SweepStats, average_ties: bool) -> None:
-    """Record float blocks (houses, seats, tied, tie, held) in ``stats``:
-    each tied row counts a near-tie and, under the averaging policy, holds
-    its orbit mean."""
-    for houses, seats, tied, tie, held in blocks:
-        deltas = np.multiply(houses[:, None], shares)
-        np.subtract(seats, deltas, out=deltas)
-        if average_ties and tied.size:
-            base, k, grants = _orbit_parts(seats[tied], tie, held)
-            deltas[tied] = base + tie * (grants / k) - houses[tied, None] * shares
-        stats.record_batch(deltas)
-        stats.near_ties += float(tied.size)
-
-
 def _house_blocks(n_from: int, n_to: int, block: int):
     """The houses of [n_from, n_to] as int64 arrays of ``block`` houses."""
     for start in range(n_from, n_to + 1, block):
         yield np.arange(start, min(start + block - 1, n_to) + 1)
+
+
+def _float_seat_blocks(method, shares: np.ndarray, n_from: int, n_to: int, masks: bool = False):
+    """``_exact_seat_blocks`` on float shares: per _FLOAT_BLOCK houses of
+    [n_from, n_to], ``allocate``'s canonical seats, the near-tied rows and,
+    if ``masks``, their class masks (else None).  Divisor houses, n_from >=
+    z*m, come off ``_award_sequence``, quota houses off ``_float_quota_rows``.
+    More than MAX_TRIALS houses raise InputError, as in the exact source.
+    """
+    _check_houses(n_from, n_to)
+    if isinstance(method, DivisorMethod):
+        sp, m = method.signposts, shares.size
+        winners, close, _ = _award_sequence(shares, sp, n_to - sp.zero_count() * m, NEAR_TIE_RTOL)
+        return _divisor_blocks(winners, close, m, sp.zero_count(), n_from, n_to, _FLOAT_BLOCK, masks)
+    blocks = _house_blocks(n_from, n_to, _FLOAT_BLOCK)
+    return ((h, *_float_quota_rows(shares[None, :], method.gamma, h, masks)) for h in blocks)
+
+
+def _check_houses(n_from: int, n_to: int) -> None:
+    """Refuse more than MAX_TRIALS houses; both seat-block sources check first."""
+    if n_to - n_from + 1 > MAX_TRIALS:
+        raise InputError(f"at most {MAX_TRIALS} houses per run, got {n_to - n_from + 1}")
 
 
 # -- exact sweeps -------------------------------------------------------------
@@ -302,9 +313,9 @@ def _exact_awards(votes, total: int, sp: SignpostSequence, count: int):
 
     Fallback.  Where a figure leaves the normal float range (an exact
     geometric ratio at large n: d(n) past 1.8e308, or figures that
-    underflow), the awards come from the integer scan ``_scan_awards``,
-    O(m) cross-multiplications per award.  Raises InputError when
-    ``count`` passes the finite entries of a capped table.
+    underflow), the awards and their figures come from the integer scan
+    ``allocation._scan_awards``, one ``_step`` pass per award.  Raises
+    InputError when ``count`` passes the finite entries of a capped table.
     """
     m, z = len(votes), sp.zero_count()
     if count <= 0:
@@ -322,19 +333,19 @@ def _exact_awards(votes, total: int, sp: SignpostSequence, count: int):
             if smallest < _TINY:
                 close = None
     if close is None:
-        winners = _scan_awards(w, sp, z, count)
+        winners, num, den = _scan_awards(w, sp, z, count)
         close = np.zeros(winners.size - 1, dtype=bool)  # the scan's order is exact: no pair may swap
-    keep = winners.size
-    # award k is seat n[k] of its party: the party's earlier awards counted from z + 1
-    per_party = np.bincount(winners, minlength=m)
-    n = np.empty(keep, dtype=np.int64)
-    n[np.argsort(winners, kind="stable")] = np.arange(keep) - np.repeat(np.cumsum(per_party) - per_party, per_party)
-    a, b = sp.exact_pairs(n + z + 1)
-    if a.dtype == object or max(w) * int(b.max()) * int(a.max()) >= 2**63:
-        a, b, weight = a.astype(object), b.astype(object), np.array(w, dtype=object)
-    else:
-        weight = np.array(w, dtype=np.int64)
-    num, den = weight[winners] * b, a
+    else:  # award k is seat n[k] of its party: the party's earlier awards counted from z + 1
+        keep = winners.size
+        per_party = np.bincount(winners, minlength=m)
+        n = np.empty(keep, dtype=np.int64)
+        n[np.argsort(winners, kind="stable")] = np.arange(keep) - np.repeat(np.cumsum(per_party) - per_party, per_party)
+        a, b = sp.exact_pairs(n + z + 1)
+        if a.dtype == object or max(w) * int(b.max()) * int(a.max()) >= 2**63:
+            a, b, weight = a.astype(object), b.astype(object), np.array(w, dtype=object)
+        else:
+            weight = np.array(w, dtype=np.int64)
+        num, den = weight[winners] * b, a
 
     def compare():
         lhs, rhs = num[:-1] * den[1:], num[1:] * den[:-1]
@@ -356,35 +367,6 @@ def _exact_awards(votes, total: int, sp: SignpostSequence, count: int):
     return winners, equal
 
 
-def _scan_awards(w, sp: SignpostSequence, z: int, count: int) -> np.ndarray:
-    """The winners of ``_exact_awards`` from the integer scan: each award
-    goes to the largest next figure w_i*b / a by cross-multiplication, the
-    lower index first, until award ``count - 1`` and the awards of equal
-    figure after it."""
-    pairs = [sp.exact_pair(n) for n in range(z + 2)]  # pairs[n] for d(n), grown on demand
-    a, b = pairs[z + 1]
-    nxt = [(x * b, a) for x in w]  # each party's next figure, as (num, den)
-    seats = [z + 1] * len(w)  # the seat each next figure is for
-    winners, last = [], None
-    while True:
-        i = 0
-        for j in range(1, len(w)):
-            if nxt[j][0] * nxt[i][1] > nxt[i][0] * nxt[j][1]:
-                i = j
-        num, den = nxt[i]
-        if len(winners) >= count and num * last[1] != last[0] * den:
-            return np.array(winners, dtype=np.int64)
-        if not num:  # only figures past a capped table are left
-            raise InputError("house size unreachable under the table cap")
-        winners.append(i)
-        last = nxt[i]
-        seats[i] += 1
-        if seats[i] == len(pairs):
-            pairs.append(sp.exact_pair(seats[i]))
-        a, b = pairs[seats[i]]
-        nxt[i] = (w[i] * b, a)
-
-
 def _exact_seat_blocks(method, weights, n_from: int, n_to: int):
     """Yield (houses, seats, tied, tie, held) per _EXACT_BLOCK houses of
     [n_from, n_to] on exact weights (and signposts); a divisor sweep starts
@@ -397,11 +379,12 @@ def _exact_seat_blocks(method, weights, n_from: int, n_to: int):
 
     Divisor houses read their seats and tie classes off the exact award
     sequence of ``_exact_awards`` with ``_divisor_blocks``: a tie is a run
-    of equal figures.  Quota houses run
-    ``allocation._exact_remainder_rows`` on each block.
+    of equal figures.  Quota houses run ``allocation._exact_remainder_rows``
+    on each block.  More than MAX_TRIALS houses raise InputError.
     """
     if not (_is_exact(weights, method.signposts) if isinstance(method, DivisorMethod) else weights.exact):
         raise InputError("exact sweep requires exact weights and signposts")
+    _check_houses(n_from, n_to)
     votes, total = weights.integer_votes
     if isinstance(method, DivisorMethod):
         sp = method.signposts
@@ -579,7 +562,8 @@ def sweep(
     InputError unless the input is exact.
 
     ``workers`` must be at least 1; every sweep runs in one pass over the
-    range, whatever its value.
+    range, whatever its value.  A range of more than MAX_TRIALS houses,
+    after the guard, raises InputError.
     """
     if workers < 1:
         raise InputError("workers must be at least 1")
@@ -590,8 +574,7 @@ def sweep(
     if n_to < n_from:
         raise InputError(f"sweep range lies entirely below the small-house guard {guard}")
     m = len(weights)
-    divisor = isinstance(method, DivisorMethod)
-    exact = _is_exact(weights, method.signposts) if divisor else weights.exact
+    exact = _is_exact(weights, method.signposts) if isinstance(method, DivisorMethod) else weights.exact
     if force_exact and not exact:
         raise InputError("exact sweep requires exact weights and signposts")
     stats = SweepStats.empty(m, _histogram_bounds(method, weights), bin_width) if bin_width else SweepStats.empty(m)
@@ -601,14 +584,14 @@ def sweep(
         return stats
     shares = np.asarray(weights.shares_float())
     average = tie_policy.kind == "average"  # the other policies only count the near-ties
-    if divisor:
-        z = method.signposts.zero_count()
-        winners, close, _ = _award_sequence(shares, method.signposts, n_to - z * m, NEAR_TIE_RTOL)
-        blocks = _divisor_blocks(winners, close, m, z, n_from, n_to, _FLOAT_BLOCK, average)
-    else:
-        houses = _house_blocks(n_from, n_to, _FLOAT_BLOCK)
-        blocks = ((h, *_float_quota_rows(shares[None, :], method.gamma, h, average)) for h in houses)
-    _float_sweep(blocks, shares, stats, average)
+    for houses, seats, tied, tie, held in _float_seat_blocks(method, shares, n_from, n_to, average):
+        deltas = np.multiply(houses[:, None], shares)
+        np.subtract(seats, deltas, out=deltas)
+        if average and tied.size:  # a near-tied row holds its orbit mean
+            base, k, grants = _orbit_parts(seats[tied], tie, held)
+            deltas[tied] = base + tie * (grants / k) - houses[tied, None] * shares
+        stats.record_batch(deltas)
+        stats.near_ties += float(tied.size)
     return stats
 
 
@@ -616,8 +599,7 @@ def _histogram_bounds(method, weights):
     try:
         return excess_bounds(method, weights.shares_float())
     except UnsupportedMethodError:
-        m = len(weights)
-        return [(-float(m), float(m))] * m
+        return [(-float(len(weights)), float(len(weights)))] * len(weights)
 
 
 def compare(
@@ -631,29 +613,22 @@ def compare(
     m = len(p)
     if stats.dim != m:
         raise InputError("stats and shares disagree on the number of parties")
-    pred = moment_prediction(method, p)
-    rows = []
-    for i in range(m):
-        rows.append(ComparisonRow("mean", (i,), float(stats.mean[i]), float(pred.mean[i]), tolerances.mean))
-    for i in range(m):
-        rows.append(
-            ComparisonRow("variance", (i,), float(stats.variance[i]), float(pred.variance[i]), tolerances.variance)
-        )
-    cov = stats.covariance
-    for i in range(m):
-        for j in range(i + 1, m):
-            rows.append(
-                ComparisonRow(
-                    "covariance", (i, j), float(cov[i, j]), float(pred.covariance[i, j]), tolerances.covariance
-                )
-            )
+    pred, cov = moment_prediction(method, p), stats.covariance
+    rows = [ComparisonRow("mean", (i,), float(stats.mean[i]), float(pred.mean[i]), tolerances.mean) for i in range(m)]
+    rows += [
+        ComparisonRow("variance", (i,), float(stats.variance[i]), float(pred.variance[i]), tolerances.variance)
+        for i in range(m)
+    ]
+    rows += [
+        ComparisonRow("covariance", (i, j), float(cov[i, j]), float(pred.covariance[i, j]), tolerances.covariance)
+        for i in range(m)
+        for j in range(i + 1, m)
+    ]
     if tolerances.violation is not None:
         freq = stats.violation_frequency()
         for i in range(m):
             lo, up = violation_probability(method, p[i], m)
-            rows.append(
-                ComparisonRow("violation", (i,), float(freq["total"][i]), lo + up, tolerances.violation)
-            )
+            rows.append(ComparisonRow("violation", (i,), float(freq["total"][i]), lo + up, tolerances.violation))
     return ComparisonReport(tuple(rows))
 
 
@@ -668,7 +643,8 @@ def detect_period(weights: PartyWeights) -> int:
 def period_average_bias(method: Method, weights: PartyWeights) -> tuple[Fraction, ...]:
     """Exact average seat excess over one period above the small-house guard.
 
-    Ties contribute their exact average over the tie orbit.
+    Ties contribute their exact average over the tie orbit.  A period of
+    more than MAX_TRIALS houses raises InputError.
     """
     if not weights.exact:
         raise InputError("period averaging requires exact rational weights")
@@ -872,7 +848,15 @@ def apparentement_sweep(
     n_from: int,
     n_to: int,
 ) -> ApparentementStats:
-    """Sweep house sizes comparing separate vs pooled entries for two parties."""
+    """Sweep house sizes comparing separate vs pooled entries for two parties.
+
+    Until exact apparentements exist it runs on the float shares, whatever
+    the input, so exact votes get their canonical seats and no tie average.
+    The seats of the full and the merged lists fill one (houses, 3) buffer,
+    one more ``_float_seat_blocks`` call splits every pooled seat count
+    between the pair (the sub-apportionment), and the buffer turns into the
+    gains in place.  More than MAX_TRIALS houses raise InputError.
+    """
     m = len(weights)
     if m < 3:
         raise InputError("need at least one party outside the coalition")
@@ -880,60 +864,34 @@ def apparentement_sweep(
         raise InputError("invalid coalition parties")
     merged, im = weights.merged(party_i, party_j)
     guard = max(small_n_guard(method, weights), small_n_guard(method, merged))
-    shares = np.asarray(weights.shares_float())
-    mshares = np.asarray(merged.shares_float())
-    p_pool = mshares[im]
+    shares, mshares = np.asarray(weights.shares_float()), np.asarray(merged.shares_float())
     pair = np.array([shares[party_i], shares[party_j]])
     pair_shares = pair / pair.sum()
 
     # the sub-apportionment needs its own minimum house size
     if isinstance(method, DivisorMethod):
-        z = method.signposts.zero_count()
-        sub_min = 2 * z
+        sub_min = 2 * method.signposts.zero_count()
     else:
         sub_min = max(0, math.floor(-float(method.gamma))) + 1
     lo_bound = excess_bounds(method, mshares)[im][0]
-    n_from = max(n_from, guard, math.ceil((sub_min + 1 - lo_bound) / p_pool))
+    n_from = max(n_from, guard, math.ceil((sub_min + 1 - lo_bound) / mshares[im]))
     if n_to < n_from:
         raise InputError("range lies below the feasible coalition sweep start")
-
-    # the seats of the full and the pooled party lists, one block of houses at a time
-    divisor = isinstance(method, DivisorMethod)
-    if divisor:
-        sp, close = method.signposts, np.zeros(0, dtype=bool)  # no award is close: no tie masks
-        full, _ = _winner_sequence(shares, sp, n_to - z * m)
-        pooled, _ = _winner_sequence(mshares, sp, n_to - z * (m - 1))
-        sub = _cumulative_seats(pair_shares, sp, z + int(np.count_nonzero(pooled == im)))
-        full = _divisor_blocks(full, close, m, z, n_from, n_to, _FLOAT_BLOCK)
-        pooled = _divisor_blocks(pooled, close, m - 1, z, n_from, n_to, _FLOAT_BLOCK)
-    else:
-        gamma, span = method.gamma, (n_from, n_to, _FLOAT_BLOCK)
-        full = ((h, allocate_quota_rows(shares[None, :], gamma, h)[0]) for h in _house_blocks(*span))
-        pooled = ((h, allocate_quota_rows(mshares[None, :], gamma, h)[0]) for h in _house_blocks(*span))
-    gains = np.empty((n_to - n_from + 1, 3))
+    full = _float_seat_blocks(method, shares, n_from, n_to)
+    pooled = _float_seat_blocks(method, mshares, n_from, n_to)
+    gains = np.empty((n_to - n_from + 1, 3))  # the pooled seats, then the seats of party i and party j
     for (houses, s_full, *_), (_, s_pooled, *_) in zip(full, pooled):
-        s_i, s_j, s_pool = s_full[:, party_i], s_full[:, party_j], s_pooled[:, im]
-        if s_pool.min() < sub_min:  # so that the quota sub-apportionment has house + gamma > 0
-            raise InvariantError("pooled seat count below the sub-apportionment minimum")
-        if divisor:
-            s_sub = sub[s_pool]
-        else:  # one pair row per distinct pooled seat count
-            pools, at = np.unique(s_pool, return_inverse=True)
-            s_sub = allocate_quota_rows(pair_shares[None, :], gamma, pools)[0][at]
-        gains[houses - n_from] = np.stack([s_pool - s_i - s_j, s_sub[:, 0] - s_i, s_sub[:, 1] - s_j], axis=1)
+        rows = slice(int(houses[0]) - n_from, int(houses[-1]) - n_from + 1)
+        gains[rows, 0], gains[rows, 1], gains[rows, 2] = s_pooled[:, im], s_full[:, party_i], s_full[:, party_j]
+    pool = gains[:, 0].astype(np.int64)
+    lo, hi = int(pool.min()), int(pool.max())
+    if lo < sub_min:  # so that the quota sub-apportionment has house + gamma > 0
+        raise InvariantError("pooled seat count below the sub-apportionment minimum")
+    sub = np.concatenate([s for _, s, *_ in _float_seat_blocks(method, pair_shares, lo, hi)])
+    pool -= lo
+    gains[:, 0] -= gains[:, 1]  # the joint gain: pooled seats less the separate ones
+    gains[:, 0] -= gains[:, 2]
+    np.subtract(sub[pool], gains[:, 1:], out=gains[:, 1:])  # each party's share of the pool less its seats
     moments = RunningMoments(3)
     moments.push_batch(gains)
     return ApparentementStats(moments, party_i, party_j, n_from, n_to)
-
-
-def _cumulative_seats(shares: np.ndarray, sp, n_to: int) -> np.ndarray:
-    """Seat matrix s[house, party] for house sizes 0..n_to (divisor methods)."""
-    m = shares.size
-    z = sp.zero_count()
-    steps = n_to - z * m
-    if steps < 0:
-        raise InputError("house size below the mandatory seats")
-    winners, _ = _winner_sequence(shares, sp, steps)
-    seats = np.zeros((n_to + 1, m), dtype=np.int64)  # sizes below z*m infeasible
-    seats[z * m :] = _seat_matrix(np.full(m, z), winners)
-    return seats

@@ -143,6 +143,17 @@ def test_rows_far_from_the_simplex_raise():
             allocate_many(DivisorMethod(FAMILIES[name]), np.array([[0.6, 0.3, 0.1], [3.0, 2.0, 1.0]]), 500)
 
 
+def test_a_wide_beta_envelope_widens_the_bracket():
+    # beta = 1/2 and a linear tail, but d(n) = n**2/1000 below it: the
+    # envelope is (-249, 1/2), and the jump start (900, 100) lies 150 seats
+    # per party from the seats
+    sp = SignpostSequence.table([0.001 * k * k for k in range(1, 1000)], tail_beta=0.5)
+    method = DivisorMethod(sp)
+    assert sp.beta_envelope() == (-249.0, 0.5)
+    assert allocate(method, PartyWeights.of([0.9, 0.1]), 1000).seats == (750, 250)
+    assert allocate_many(method, np.array([[0.9, 0.1]]), 1000).tolist() == [[750, 250]]
+
+
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_figures_equal_figure_bit_for_bit(name):
     sp = FAMILIES[name]

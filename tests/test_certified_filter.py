@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import apportion.allocation as allocation
 import apportion.harness as harness
 from apportion import DivisorMethod, PartyWeights, SignpostSequence, TiePolicy, method_by_name
 from apportion.harness import _winner_sequence
@@ -134,6 +135,29 @@ def test_figures_past_the_float_range_take_the_integer_scan(monkeypatch):
     calls.clear()
     _assert_rows(method, w, 1, 600, POLICIES[:1])
     assert not calls
+
+
+def test_the_integer_scan_past_scan_max_reads_the_heaps(monkeypatch):
+    # the geometric(3) ranges above with _SCAN_MAX = 0: every award of the
+    # scan comes from the heap of next entries of ``_HeapEnds``
+    heaps, calls = [], []
+    scan = harness._scan_awards
+
+    class Counted(allocation._HeapEnds):
+        def __init__(self, *args):
+            heaps.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(allocation, "_SCAN_MAX", 0)
+    monkeypatch.setattr(allocation, "_HeapEnds", Counted)
+    monkeypatch.setattr(harness, "_scan_awards", lambda *a: calls.append(a[-1]) or scan(*a))
+    method = DivisorMethod(SignpostSequence.geometric(Fraction(3)))
+    w = PartyWeights.of([1, 2])
+    for n_from, n_to in ((1200, 1287), (1250, 1330)):
+        calls.clear()
+        heaps.clear()
+        _assert_rows(method, w, n_from, n_to, POLICIES[:1])
+        assert len(calls) == len(heaps) == 1
 
 
 def test_exact_pairs_equal_exact_pair():

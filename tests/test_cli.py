@@ -285,3 +285,33 @@ def test_random_modes_bound_the_trials(monkeypatch, capsys):
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["kind"] == "InputError"
         assert f"at most {harness.MAX_TRIALS} trials" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--method", "webster", "--shares", "sqrt:4", "--seats-to", str(10**11)),
+        ("apparentement", "--method", "webster", "--shares", "sqrt:4", "--merge", "0,1", "--seats-to", str(10**11)),
+        ("sweep", "--method", "hamilton", "--shares", "sqrt:4", "--seats-to", str(10**15)),
+    ],
+)
+def test_sweeps_past_max_trials_houses_are_a_json_error(argv):
+    # the first two once exited 1 with a numpy memory traceback, the third never ended
+    from apportion import harness
+
+    proc = cli(*argv, timeout=30)
+    assert "Traceback" not in proc.stderr
+    assert f"at most {harness.MAX_TRIALS} houses" in _input_error(proc)
+
+
+def test_out_of_memory_is_instance_too_large(monkeypatch, capsys):
+    from apportion import cli as cli_module
+
+    message = "Unable to allocate 745. GiB for an array with shape (100000000000,)"
+
+    def no_memory(args):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(cli_module._COMMANDS, "sweep", no_memory)
+    assert cli_module.run(["sweep", "--method", "webster", "--shares", "sqrt:4", "--seats-to", "10"]) == 4
+    assert json.loads(capsys.readouterr().err)["error"] == {"kind": "instance-too-large", "message": message}

@@ -20,7 +20,7 @@ from apportion.harness import (
     sweep,
 )
 from apportion.methods import linear_divisor, method_by_name, quota_method, small_n_guard
-from apportion.stats import Tolerances
+from apportion.stats import RunningMoments, Tolerances
 
 from conftest import exact_rows, fraction_rows
 
@@ -277,6 +277,35 @@ def test_apparentement_sweep_small():
     assert stats.joint_mean == pytest.approx(target, abs=0.02)
     gi, gj = stats.party_means
     assert gi + gj == pytest.approx(stats.joint_mean, abs=1e-9)
+
+
+def _apparentement_gains(method, weights, i, j, n_from, n_to) -> np.ndarray:
+    """The (joint, party i, party j) gain of each house from ``allocate`` on
+    the float shares of the full, the merged and the pair's lists."""
+    merged, im = weights.merged(i, j)
+    full = PartyWeights.of(weights.shares_float())
+    pooled = PartyWeights.of(merged.shares_float())
+    pair = np.array([full.votes[i], full.votes[j]])
+    pair = PartyWeights.of((pair / pair.sum()).tolist())
+    gains = []
+    for n in range(n_from, n_to + 1):
+        s, pool = allocate(method, full, n).seats, allocate(method, pooled, n).seats[im]
+        sub = allocate(method, pair, pool).seats
+        gains.append((pool - s[i] - s[j], sub[0] - s[i], sub[1] - s[j]))
+    return np.array(gains, dtype=float)
+
+
+@pytest.mark.parametrize("name", ["webster", "huntington", "adams", "hamilton", "droop", "quota:1.9"])
+def test_apparentement_gains_equal_allocate_house_by_house(name):
+    method, w = method_by_name(name), PartyWeights.of(sqrt_shares(5))
+    for (i, j), (lo, hi) in (((0, 4), (1, 300)), ((3, 1), (150, 400))):
+        stats = apparentement_sweep(method, w, i, j, lo, hi)
+        assert stats.n_to == hi and stats.moments.count == hi - stats.n_from + 1
+        assert lo <= stats.n_from < hi - 200
+        want = RunningMoments(3)
+        want.push_batch(_apparentement_gains(method, w, i, j, stats.n_from, hi))
+        assert stats.moments.mean.tobytes() == want.mean.tobytes()
+        assert stats.moments.comoment.tobytes() == want.comoment.tobytes()
 
 
 def test_apparentement_requires_outside_party():

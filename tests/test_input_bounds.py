@@ -1,7 +1,8 @@
 """Inputs the library refuses with InputError instead of overflowing,
 raising a raw numpy or Python error, or looping without end: divisor houses
 of 2**62 and more, non-finite parameters and votes, Monte Carlo batches
-below 1 and histogram bin widths that are not positive and finite."""
+below 1, histogram bin widths that are not positive and finite, and sweeps
+and periods of more than MAX_TRIALS houses."""
 
 import math
 from fractions import Fraction
@@ -10,7 +11,9 @@ import numpy as np
 import pytest
 
 from apportion import InputError, PartyWeights, SignpostSequence, allocate
-from apportion.harness import allocate_many, mc_ordered_simplex, quota_violation_frequency, sweep
+from apportion import harness
+from apportion.harness import allocate_many, apparentement_sweep, mc_ordered_simplex, period_average_bias
+from apportion.harness import quota_violation_frequency, sqrt_shares, sweep
 from apportion.methods import linear_divisor, method_by_name, quota_method
 from apportion.stats import DeltaHistogram
 
@@ -89,3 +92,23 @@ def test_bad_bin_width_rejected(width):
             sweep(WEBSTER, PartyWeights.of([1.0, 2.0]), 1, 10, bin_width=width)
         with pytest.raises(InputError, match="bin width"):
             mc_ordered_simplex(WEBSTER, 3, 100, 10, bin_width=width)
+
+
+def test_runs_past_max_trials_houses_rejected(monkeypatch):
+    w = PartyWeights.of(sqrt_shares(4))
+    too_many = 2 * harness.MAX_TRIALS  # past the bound whatever the guard takes off
+    for method in (WEBSTER, method_by_name("hamilton")):
+        for run in (lambda: sweep(method, w, 1, too_many), lambda: apparentement_sweep(method, w, 0, 1, 1, too_many)):
+            with pytest.raises(InputError, match=f"at most {harness.MAX_TRIALS} houses"):
+                run()
+    with pytest.raises(InputError, match=f"at most {harness.MAX_TRIALS} houses"):
+        period_average_bias(WEBSTER, PartyWeights.of([10**9, 10**9 + 1]))  # a period of 2*10**9 + 1 houses
+    # the bound counts the houses after the guard
+    monkeypatch.setattr(harness, "MAX_TRIALS", 100)
+    assert sweep(WEBSTER, w, 1, 100).count == 100
+    assert sweep(method_by_name("adams"), w, 1, 103).count == 100  # the guard starts Adams at house 4
+    assert apparentement_sweep(WEBSTER, w, 0, 1, 1, 100).moments.count <= 100
+    assert len(period_average_bias(WEBSTER, PartyWeights.of([60, 40]))) == 2  # a period of 5 houses
+    for run in (lambda: sweep(WEBSTER, w, 1, 101), lambda: apparentement_sweep(WEBSTER, w, 0, 1, 1, 200)):
+        with pytest.raises(InputError, match="at most 100 houses"):
+            run()

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 from apportion import InputError, InvariantError, PartyWeights, SignpostSequence, allocate
-from apportion.harness import _cumulative_seats, _winner_sequence, allocate_many, sqrt_shares, sweep
+from apportion.harness import _float_seat_blocks, _winner_sequence, allocate_many, sqrt_shares, sweep
 from apportion.methods import DivisorMethod, linear_divisor, method_by_name
 
 
@@ -139,10 +139,12 @@ def test_sweep_reaches_a_full_capped_house():
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_float_sweep_seats_equal_allocate(family, m):
     sp, shares = FAMILIES[family], sqrt_shares(m)
-    seats = _cumulative_seats(np.asarray(shares), sp, 600)
     method, w = DivisorMethod(sp), PartyWeights.of(shares)
-    for h in range(sp.zero_count() * m, 601):
-        assert tuple(seats[h].tolist()) == allocate(method, w, h).seats, h
+    blocks = list(_float_seat_blocks(method, np.asarray(shares), sp.zero_count() * m, 600))
+    houses = np.concatenate([b[0] for b in blocks]).tolist()
+    assert houses == list(range(sp.zero_count() * m, 601))
+    for h, row in zip(houses, np.concatenate([b[1] for b in blocks]).tolist()):
+        assert tuple(row) == allocate(method, w, h).seats, h
 
 
 def test_budget_grows_past_a_proportional_guess():
