@@ -383,32 +383,38 @@ def _scan_ends(seats, held, nxt, z):
 
 def _scan_awards(w, sp: SignpostSequence, z: int, count: int):
     """The awards past the mandatory seats for integer figure weights w_i, in
-    exact order, as arrays: each winner and its figure w_i*b / a as (num,
-    den), d(n) = a/b from ``exact_pair`` (once per n).  Each award is the
-    best next entry of a ``_step`` pass (``_scan_ends``, or ``_HeapEnds``
-    past _SCAN_MAX parties; a floor of INF means no held entry), up to award
-    ``count - 1`` and the equal ones after it.  Raises InputError when only
-    figures past a capped table are left.
+    exact order: each winner and whether each pair of adjacent figures w_i*b
+    / a are equal, d(n) = a/b from ``exact_pairs`` in doubling batches of n.
+    Each award is the best next entry of a ``_step`` pass (``_scan_ends``,
+    or ``_HeapEnds`` past _SCAN_MAX parties; a floor of INF means no held
+    entry), up to award ``count - 1`` and the equal ones after it, and is
+    cross-multiplied with the one before: a larger figure raises
+    InvariantError.  Raises InputError when only figures past a capped
+    table are left.
     """
-    pairs = [sp.exact_pair(n) for n in range(z + 2)]  # pairs[n] for d(n), grown on demand
+    pairs = list(zip(*(x.tolist() for x in sp.exact_pairs(np.arange(z + 2)))))  # pairs[n] = (a, b) for d(n)
     a, b = pairs[z + 1]
     seats = [z] * len(w)
     nxt = [(x * b, a) for x in w]  # each party's next figure, as (num, den)
     ends = _scan_ends if len(w) <= _SCAN_MAX else _HeapEnds(seats, nxt, nxt, INF)
-    winners, figures = [], []
+    winners, equal, last = [], [], (1, 0)  # an infinite figure before the first award
     while True:
         i, _ = ends(seats, nxt, nxt, INF)
         num, den = nxt[i]
-        if len(winners) >= count and num * figures[-1][1] != figures[-1][0] * den:
-            return np.array(winners, dtype=np.int64), *np.array(figures, dtype=object).T
+        lhs, rhs = num * last[1], last[0] * den
+        if lhs > rhs:
+            raise InvariantError("the integer scan awarded a figure above the one before")
+        if len(winners) >= count and lhs != rhs:
+            return np.array(winners, dtype=np.int64), np.array(equal[1:], dtype=bool)
         if not num:  # only figures past a capped table are left
             raise InputError("house size unreachable under the table cap")
         winners.append(i)
-        figures.append(nxt[i])
+        equal.append(lhs == rhs)
+        last = nxt[i]
         seats[i] += 1
-        if seats[i] + 1 == len(pairs):
-            pairs.append(sp.exact_pair(seats[i] + 1))
-        a, b = pairs[seats[i] + 1]
+        if (n := seats[i] + 1) == len(pairs):  # fetch d(n) .. d(2n - 1): the pairs double
+            pairs += zip(*(x.tolist() for x in sp.exact_pairs(np.arange(n, 2 * n))))
+        a, b = pairs[n]
         nxt[i] = (w[i] * b, a)
 
 

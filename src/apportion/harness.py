@@ -22,8 +22,10 @@ bound may be re-ordered.  Quota houses run the largest-remainder rule of
 ``allocation._remainder_rows`` on a block of houses at once, on float
 ideals or, exactly, on integer ones.  The exact rows of a block (seat
 excess, violation counts) are array operations on int64 while the integers
-fit and on Python ints beyond; the rows are recorded in blocks, and the
-violation totals are exact sums, converted to float once.
+fit and on Python ints beyond.  One integer accumulator sums every row's
+seats and violation counts over its tie orbit, so the violation totals and
+the mean excess (and a period average, that mean over one period) are
+exact, each converted to float once.
 
 Float input has one source of seat blocks, ``_float_seat_blocks``, which
 ``sweep``'s float path and ``apparentement_sweep`` (the full, the merged
@@ -274,7 +276,7 @@ def _check_houses(n_from: int, n_to: int) -> None:
 
 # -- exact sweeps -------------------------------------------------------------
 
-_EXACT_BLOCK = 4096  # houses per record_batch call of an exact sweep
+_EXACT_BLOCK = 4096  # houses per block of an exact sweep
 _CERTIFY_RTOL = 8 * 2.0**-52  # adjacent float figures closer than this, relatively, may be misordered
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
@@ -313,7 +315,7 @@ def _exact_awards(votes, total: int, sp: SignpostSequence, count: int):
 
     Fallback.  Where a figure leaves the normal float range (an exact
     geometric ratio at large n: d(n) past 1.8e308, or figures that
-    underflow), the awards and their figures come from the integer scan
+    underflow), the awards and their equal pairs come from the integer scan
     ``allocation._scan_awards``, one ``_step`` pass per award.  Raises
     InputError when ``count`` passes the finite entries of a capped table.
     """
@@ -322,30 +324,25 @@ def _exact_awards(votes, total: int, sp: SignpostSequence, count: int):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
     w = [sp.figure_weight(v) for v in votes]
     shares = np.array([v / total for v in votes])
-    close = None
+    smallest = 0.0  # the integer scan runs unless every float figure is normal
     if sp.figure_weight(shares).min() >= _TINY and float(sp.value(z + 1)) >= _TINY:
         try:
             winners, close, smallest = _award_sequence(shares, sp, count, _CERTIFY_RTOL)
         except InputError:  # a table reached the float range, or figures underflowed to 0
             pass
-        else:
-            winners = winners.astype(np.int64)
-            if smallest < _TINY:
-                close = None
-    if close is None:
-        winners, num, den = _scan_awards(w, sp, z, count)
-        close = np.zeros(winners.size - 1, dtype=bool)  # the scan's order is exact: no pair may swap
-    else:  # award k is seat n[k] of its party: the party's earlier awards counted from z + 1
-        keep = winners.size
-        per_party = np.bincount(winners, minlength=m)
-        n = np.empty(keep, dtype=np.int64)
-        n[np.argsort(winners, kind="stable")] = np.arange(keep) - np.repeat(np.cumsum(per_party) - per_party, per_party)
-        a, b = sp.exact_pairs(n + z + 1)
-        if a.dtype == object or max(w) * int(b.max()) * int(a.max()) >= 2**63:
-            a, b, weight = a.astype(object), b.astype(object), np.array(w, dtype=object)
-        else:
-            weight = np.array(w, dtype=np.int64)
-        num, den = weight[winners] * b, a
+    if smallest < _TINY:  # the scan's order is exact, and it flags the equal pairs itself
+        return _scan_awards(w, sp, z, count)
+    # award k is seat n[k] of its party: the party's earlier awards counted from z + 1
+    winners, keep = winners.astype(np.int64), winners.size
+    per_party = np.bincount(winners, minlength=m)
+    n = np.empty(keep, dtype=np.int64)
+    n[np.argsort(winners, kind="stable")] = np.arange(keep) - np.repeat(np.cumsum(per_party) - per_party, per_party)
+    a, b = sp.exact_pairs(n + z + 1)
+    if a.dtype == object or max(w) * int(b.max()) * int(a.max()) >= 2**63:
+        a, b, weight = a.astype(object), b.astype(object), np.array(w, dtype=object)
+    else:
+        weight = np.array(w, dtype=np.int64)
+    num, den = weight[winners] * b, a
 
     def compare():
         lhs, rhs = num[:-1] * den[1:], num[1:] * den[:-1]
@@ -428,17 +425,20 @@ def _combs(n: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _excess_rows(houses, seats, tied, tie, held, votes, total: int, average: bool):
-    """(delta, lower, upper, violating, orbit) of a block of exact rows.
+    """(delta, sums, orbit) of a block of exact rows.
 
-    delta (k, m) holds the seat excesses s_i - house*p_i as floats.  The
-    rest are integer counts over each row's ``orbit`` of equally likely seat
-    vectors: lower[r, i] and upper[r, i] count the members in which party i
-    violates its lower or upper quota, violating[r] those in which some
-    party does.  Under the averaging policy the orbit of a tied row has
+    delta (k, m) holds the seat excesses s_i - house*p_i as floats.  sums
+    (k, 3m + 1) holds integer sums over each row's ``orbit`` of equally
+    likely seat vectors: party i's seats summed over the members, the
+    members in which it violates its lower quota, those in which it
+    violates its upper quota, and last the members in which some party
+    violates one.  Under the averaging policy the orbit of a tied row has
     comb(k, grants) members, in which ``grants`` of its k tied parties get
-    one seat over their base, and the orbit mean seats are (base*k +
+    one seat over their base: a tied party's seats sum to base*comb(k,
+    grants) + comb(k - 1, grants - 1), and its orbit mean is (base*k +
     grants)/k (``_orbit_parts``); otherwise a row is the one seat vector
-    ``seats``, k = 1.
+    ``seats``, orbit 1.  The sums are int64 while house*orbit*rows < 2**63,
+    a bound on their sums over the block, and Python ints beyond.
 
     Each excess is one division (S*T - house*V_i*k) / (k*T) of integers,
     S the mean seats times k.  While house*T*m < 2**63 the integers are
@@ -456,15 +456,19 @@ def _excess_rows(houses, seats, tied, tie, held, votes, total: int, average: boo
     lo_cut = x // total  # lower quota violated iff s < floor(house*p)
     hi_cut = lo_cut + (x - lo_cut * total > 0).astype(dt)  # upper violated iff s > ceil(house*p)
     lower, upper = s < lo_cut, s > hi_cut
-    violating = (lower | upper).any(axis=1)
-    scaled, k = s, np.ones((k_rows, 1), dtype=dt)  # the mean seats times k, and k
-    orbit = np.ones(k_rows, dtype=np.int64)
-    if average and tied.size:
+    scaled, k, orbit = s, np.ones((k_rows, 1), dtype=dt), np.ones(k_rows, dtype=np.int64)  # mean seats times k
+    averaged = average and tied.size
+    if averaged:
         base, kt, gt = _orbit_parts(s[tied], tie, held)  # a tied party holds base or base + 1 seats
         ka, ga = kt[:, 0], gt[:, 0]
-        big = _combs(ka, ga)[:, None]
-        ct = big.dtype
-        granted = _combs(ka - 1, ga - 1).astype(ct)[:, None]  # members granting a party
+        big = _combs(ka, ga)
+        orbit = orbit.astype(big.dtype)
+        orbit[tied] = big
+    st = np.int64 if int(houses[-1]) * int(orbit.max()) * k_rows < 2**63 else object
+    sums = np.column_stack((s, lower, upper, (lower | upper).any(axis=1))).astype(st)
+    if averaged:
+        big = big.astype(st)[:, None]
+        granted = _combs(ka - 1, ga - 1).astype(st)[:, None]  # members granting a party
         tm = tie.astype(dt)
         scaled = s.copy()
         scaled[tied] = base * kt + tm * gt
@@ -472,70 +476,62 @@ def _excess_rows(houses, seats, tied, tie, held, votes, total: int, average: boo
         lo_t, hi_t = lo_cut[tied], hi_cut[tied]
         lo_g, lo_n = base + tm < lo_t, base < lo_t  # the violations with and without the grant
         hi_g, hi_n = base + tm > hi_t, base > hi_t
-        orbit, lower, upper, violating = (y.astype(ct) for y in (orbit, lower, upper, violating))
-        orbit[tied] = big[:, 0]
-        lower[tied] = granted * lo_g + (big - granted) * lo_n
-        upper[tied] = granted * hi_g + (big - granted) * hi_n
+        sums[tied, :m] = base * big + tie * granted
+        sums[tied, m : 2 * m] = granted * lo_g + (big - granted) * lo_n
+        sums[tied, 2 * m : -1] = granted * hi_g + (big - granted) * hi_n
         with_grant, without = lo_g | hi_g, lo_n | hi_n
         fixed = (with_grant & without).any(axis=1)
         only_without = (without & ~with_grant).sum(axis=1)
         free, short = ka - (with_grant & ~without).sum(axis=1) - only_without, ga - only_without
         # the members avoiding every violation grant all of ``without`` and none of ``with_grant``
-        good = np.zeros(tied.size, dtype=ct)
+        good = np.zeros(tied.size, dtype=st)
         some = (short >= 0) & (short <= free) & ~fixed
         good[some] = _combs(free[some], short[some])
-        violating[tied] = big[:, 0] - good
+        sums[tied, -1] = big[:, 0] - good
     num, den = scaled * total - x * k, k * total
     delta = (num / den).astype(float)
     if dt is np.int64:
         wide = (np.abs(num) >= 2**53).any(axis=1) | (den[:, 0] >= 2**53)  # not exact as float64s
         if wide.any():
             delta[wide] = (num[wide].astype(object) / den[wide].astype(object)).astype(float)
-    return delta, lower, upper, violating, orbit
+    return delta, sums, orbit
 
 
-def _exact_sweep(method, weights, n_from, n_to, tie_policy, stats) -> None:
-    """Record the rows of ``_exact_seat_blocks`` in ``stats``, one
-    ``record_batch`` per block.
+def _exact_sweep(method, weights, n_from, n_to, tie_policy, stats) -> tuple[Fraction, ...]:
+    """Record the rows of ``_exact_seat_blocks`` in ``stats``; return their
+    exact mean seat excess as ``Fraction``s.
 
-    The violation totals are exact sums, converted to float once, so they
-    do not depend on the block size: the rows of one-member orbits add
-    integer counts through ``record_batch``, and the others add their
-    counts, divided by their orbit size, as one rational per orbit size.
-    A block sums those counts per orbit size in int64 while size * rows <
-    2**63 (no count exceeds its orbit size), and as Python ints beyond.
+    Each block pushes its float excesses to the moments and the histogram,
+    and adds the ``sums`` of ``_excess_rows`` into one integer accumulator
+    keyed by orbit size.  After the last block the totals divide by their
+    orbit sizes exactly, once: the violation totals and the mean excess
+    (sum of seats/size - p_i * sum of houses) / count become floats, the
+    latter in place of the moments' merged mean, so neither depends on the
+    block size.
     """
     votes, total = weights.integer_votes
     m = len(votes)
     average = tie_policy.kind == "average"
-    shared = {}  # orbit size -> summed (lower..., upper..., violating) counts, as Python ints
+    totals = {}  # orbit size -> the rows' summed sums, as Python ints
     for houses, seats, tied, tie, held in _exact_seat_blocks(method, weights, n_from, n_to):
         if not average:
             seats = _policy_rows(houses, seats, tied, tie, held, tie_policy)
-        delta, lower, upper, violating, orbit = _excess_rows(houses, seats, tied, tie, held, votes, total, average)
-        one = orbit == 1
-        if not one.all():
-            rows = np.flatnonzero(~one)
-            rows = rows[np.argsort(orbit[rows], kind="stable")]  # grouped by orbit size
-            sizes = orbit[rows]
-            starts = np.flatnonzero(np.r_[True, sizes[1:] != sizes[:-1]])
-            counts = np.column_stack((lower[rows], upper[rows], violating[rows]))
-            if int(sizes[-1]) * rows.size >= 2**63:
-                counts = counts.astype(object)
-            for size, summed in zip(sizes[starts].tolist(), np.add.reduceat(counts, starts).tolist()):
-                old = shared.get(size)
-                shared[size] = summed if old is None else [a + b for a, b in zip(old, summed)]
-            lower[rows] = upper[rows] = 0
-            lower, upper = lower.astype(np.int64, copy=False), upper.astype(np.int64, copy=False)
-        stats.record_batch(delta, lower=lower, upper=upper, any_violation=float(violating[one].sum()))
+        delta, sums, orbit = _excess_rows(houses, seats, tied, tie, held, votes, total, average)
+        stats.moments.push_batch(delta)
+        if stats.histogram is not None:
+            stats.histogram.push_batch(delta)
         stats.ties += tied.size
-    if shared:
-        # stats started empty, so its float totals so far are exact integer sums
-        totals = [*stats.lower_violations.tolist(), *stats.upper_violations.tolist(), stats.any_violation]
-        for j, x in enumerate(totals):
-            totals[j] = float(int(x) + sum(Fraction(c[j], size) for size, c in shared.items()))
-        stats.lower_violations, stats.upper_violations = np.array(totals[:m]), np.array(totals[m : 2 * m])
-        stats.any_violation = totals[-1]
+        for size in set(orbit.tolist()):
+            summed = sums[orbit == size].sum(axis=0).tolist()
+            totals[size] = [a + b for a, b in zip(totals.get(size, [0] * (3 * m + 1)), summed)]
+    lcm = math.lcm(*totals)  # every total over one denominator, in Python ints
+    exact = [sum(c[j] * (lcm // size) for size, c in totals.items()) for j in range(3 * m + 1)]
+    houses, den = sum(exact[:m]), lcm * total * int(stats.count)  # each member's seats sum to its house
+    num = [s * total - houses * v for s, v in zip(exact, votes)]
+    stats.moments.mean = np.array([x / den for x in num])  # int / int rounds correctly
+    floats = np.array([x / lcm for x in exact[m:]])
+    stats.lower_violations, stats.upper_violations, stats.any_violation = floats[:m], floats[m:-1], float(floats[-1])
+    return tuple(Fraction(x, den) for x in num)
 
 
 # -- public sweep -------------------------------------------------------------
@@ -636,40 +632,35 @@ def compare(
 
 
 def detect_period(weights: PartyWeights) -> int:
-    """Period of the seat-excess sequence: the shares' common denominator."""
+    """Period of the seat-excess sequence: the shares' common denominator.
+
+    From the small-house guard on for quota methods and d(n) = n - 1 + beta;
+    other signposts (Huntington-Hill, Dean, a table off that line) reach it
+    only eventually."""
     return weights.share_denominator()
 
 
 def period_average_bias(method: Method, weights: PartyWeights) -> tuple[Fraction, ...]:
-    """Exact average seat excess over one period above the small-house guard.
-
-    Ties contribute their exact average over the tie orbit.  A period of
-    more than MAX_TRIALS houses raises InputError.
+    """Exact average seat excess over one period above the small-house guard:
+    the mean of one ``_exact_sweep`` under ``TiePolicy.average()``, so ties
+    contribute their exact orbit average.  A divisor method whose
+    ``beta_envelope()`` is not one point is periodic only eventually
+    (``detect_period``) and raises UnsupportedMethodError.  A period of more
+    than MAX_TRIALS houses raises InputError.
     """
     if not weights.exact:
         raise InputError("period averaging requires exact rational weights")
     if isinstance(method, DivisorMethod):
         if method.signposts.exactness is Exactness.FLOAT:
             raise InputError("period averaging requires exact signposts")
-        if method.signposts.asymptotic_beta() is None:
-            raise UnsupportedMethodError("period averaging supports linear-like methods")
+        envelope = method.signposts.beta_envelope()
+        if envelope is None or envelope[0] != envelope[1]:
+            raise UnsupportedMethodError("period averaging supports divisor methods with d(n) = n - 1 + beta")
     elif not isinstance(method.gamma, Fraction):
         raise InputError("period averaging requires a rational quota offset")
-    period = detect_period(weights)
     start = max(small_n_guard(method, weights), 1)
-    votes, total = weights.integer_votes
-    sums = [0] * len(votes)  # seats summed over the period
-    shift = {}  # k -> grants*tie - held*k summed over the tied rows of k parties
-    for _, seats, tied, tie, held in _exact_seat_blocks(method, weights, start, start + period - 1):
-        sums = [a + s for a, s in zip(sums, seats.sum(axis=0).tolist())]
-        # a tied house holds its orbit mean: its seats plus (grants*tie - held*k)/k
-        _, k, grants = _orbit_parts(seats[tied], tie, held)
-        terms = tie * grants - held * k
-        for size in set(k[:, 0].tolist()):
-            shift[size] = shift.get(size, 0) + terms[k[:, 0] == size].sum(axis=0)
-    mean = [s + sum(Fraction(int(c[i]), size) for size, c in shift.items()) for i, s in enumerate(sums)]
-    houses = period * start + period * (period - 1) // 2  # sum of the house sizes
-    return tuple((s - Fraction(houses * v, total)) / period for s, v in zip(mean, votes))
+    end = start + detect_period(weights) - 1
+    return _exact_sweep(method, weights, start, end, TiePolicy.average(), SweepStats.empty(len(weights)))
 
 
 # -- equidistribution ----------------------------------------------------------

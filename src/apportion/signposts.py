@@ -53,16 +53,15 @@ class Exactness(enum.Enum):
     FLOAT = "float"
 
 
-def _geometric_quotients(ratio: Fraction, ns: range):
-    """float(ratio ** (n - 1)) for the n >= 1 of a step-1 range: one exact
-    product per step, then num / den, the correctly rounded quotient that
-    ``Fraction.__float__`` takes.  Past the float range it raises
-    OverflowError."""
+def _geometric_pairs(ratio: Fraction, ns):
+    """(a, b) in lowest terms with d(n) = a/b for the ascending n of ``ns``:
+    d(0) = 0 and d(n) = ratio ** (n - 1), one exact product per step."""
     p, q = ratio.numerator, ratio.denominator
-    num, den = p ** (ns.start - 1), q ** (ns.start - 1)
-    for _ in ns:
-        yield num / den
-        num, den = num * p, den * q
+    num = den = at = 1
+    for n in ns:
+        if n:
+            num, den, at = num * p ** (n - at), den * q ** (n - at), n
+        yield (num, den) if n else (0, 1)
 
 
 def _exact_or_float(x):
@@ -375,7 +374,7 @@ class SignpostSequence:
         if self.kind == POWER:
             closed = (float(n) ** e for n in ns)
         elif self.kind == GEOMETRIC and isinstance(r, Fraction):
-            closed = _geometric_quotients(r, ns)
+            closed = (num / den for num, den in _geometric_pairs(r, ns))  # correctly rounded, as Fraction's
         elif self.kind == GEOMETRIC:
             closed = (r ** (n - 1) for n in ns)
         else:
@@ -420,7 +419,8 @@ class SignpostSequence:
         The linear families with a ``Fraction`` beta and the two pair
         products use their closed forms in int64 while n*den + |num| (2n**2
         for the pairs) stays below 2**63; every other case is an object array
-        of the ``exact_pair`` integers, one call per distinct n.
+        of the ``exact_pair`` integers, one call per distinct n, or of running
+        products over them for a ``Fraction`` geometric ratio.
         """
         ns = np.asarray(ns, dtype=np.int64)
         n_max = int(ns.max(initial=0))
@@ -437,7 +437,9 @@ class SignpostSequence:
                 return a, np.ones_like(ns)
             return 2 * a, np.where(ns == 0, 1, 2 * ns - 1)
         distinct, where = np.unique(ns, return_inverse=True)
-        pairs = np.array([self.exact_pair(int(n)) for n in distinct] or np.empty((0, 2)), dtype=object)
+        ds, running = distinct.tolist(), kind == GEOMETRIC and isinstance(self.ratio, Fraction)
+        pairs = list(_geometric_pairs(self.ratio, ds) if running else map(self.exact_pair, ds))
+        pairs = np.array(pairs or np.empty((0, 2)), dtype=object)
         return pairs[where, 0].reshape(ns.shape), pairs[where, 1].reshape(ns.shape)
 
     def divisor_of_figure(self, fig):

@@ -149,23 +149,18 @@ class SweepStats:
     def dim(self) -> int:
         return self.moments.dim
 
-    def record_batch(self, deltas, lower=None, upper=None, any_violation=None) -> None:
-        """Record excess rows with (k, dim) violation masks ``lower``, ``upper`` and
-        the count ``any_violation`` of violating rows: all three, or none for |delta| >= 1."""
+    def record_batch(self, deltas) -> None:
+        """Record excess rows; party i violates its quota in a row where |delta_i| >= 1."""
         deltas = np.asarray(deltas, dtype=float)
         self.moments.push_batch(deltas)
         if self.histogram is not None:
             self.histogram.push_batch(deltas)
-        if lower is None:  # row-major flat indices: the sign picks the bound, and a row counts once
-            flat = np.flatnonzero(np.abs(deltas) >= 1.0)
-            party, low = flat % self.dim, deltas.ravel()[flat] < 0
-            lower, upper = np.bincount(party[low], minlength=self.dim), np.bincount(party[~low], minlength=self.dim)
-            any_violation = float(np.count_nonzero(np.diff(flat // self.dim)) + (flat.size > 0))
-        else:
-            lower, upper = np.asarray(lower).sum(axis=0), np.asarray(upper).sum(axis=0)
-        self.lower_violations += lower
-        self.upper_violations += upper
-        self.any_violation += any_violation
+        # row-major flat indices: the sign picks the bound, and a row counts once
+        flat = np.flatnonzero(np.abs(deltas) >= 1.0)
+        party, low = flat % self.dim, deltas.ravel()[flat] < 0
+        self.lower_violations += np.bincount(party[low], minlength=self.dim)
+        self.upper_violations += np.bincount(party[~low], minlength=self.dim)
+        self.any_violation += float(np.count_nonzero(np.diff(flat // self.dim)) + (flat.size > 0))
 
     def merge(self, other: "SweepStats") -> None:
         """Combine with stats over a disjoint range; associative."""

@@ -7,7 +7,7 @@ independent of the production allocators.  ``heap_divisor`` is the
 sequential highest-averages heap, one pop per seat, kept as the reference
 that the jump-and-step ``allocate_divisor`` must reproduce.  The
 ``fraction_*`` helpers are the exact sweep in ``Fraction`` arithmetic, one
-heap pop and one ``record_batch`` per house, kept as the reference that the
+heap pop and one moments push per house, kept as the reference that the
 integer kernel of ``apportion.harness`` must reproduce.
 ``exact_houses``, ``exact_divisor_scan`` and ``exact_rows`` flatten the
 array kernels of exact sweeps, ``harness._exact_seat_blocks`` and
@@ -249,11 +249,12 @@ def exact_rows(method, weights, n_from, n_to, policy):
     """(house, tie_class, delta, lower, upper, violating, orbit) per house of
     ``_excess_rows``, in the layout of ``fraction_rows``."""
     votes, total = weights.integer_votes
-    average = policy.kind == "average"
+    m, average = len(votes), policy.kind == "average"
     for houses, seats, picked, tied, tie, held, ties in _exact_blocks(method, weights, n_from, n_to, policy):
-        rows = _excess_rows(houses, seats if average else picked, tied, tie, held, votes, total, average)
-        delta, lower, upper, violating, orbit = (x.tolist() for x in rows)
-        yield from zip(houses.tolist(), ties, delta, lower, upper, violating, orbit)
+        delta, sums, orbit = _excess_rows(houses, seats if average else picked, tied, tie, held, votes, total, average)
+        lower, upper, violating = sums[:, m : 2 * m], sums[:, 2 * m : -1], sums[:, -1]
+        rows = (delta, lower, upper, violating, orbit)
+        yield from zip(houses.tolist(), ties, *(x.tolist() for x in rows))
 
 
 def fraction_quota(weights, gamma, house, policy):
@@ -353,14 +354,15 @@ def fraction_indicators(weights, house, seats, tie):
 
 
 def fraction_sweep(method, weights, n_from, n_to, policy, bounds):
-    """SweepStats of the exact sweep over [n_from, n_to], one row per
-    record_batch; the violation totals are summed in ``Fraction``s and
-    converted to float at the end."""
+    """SweepStats of the exact sweep over [n_from, n_to], one row per push
+    to the moments and the histogram; the violation totals are summed in
+    ``Fraction``s and converted to float at the end."""
     m = len(weights)
     stats = SweepStats.empty(m, bounds)
     lower_total, upper_total, any_total = [Fraction(0)] * m, [Fraction(0)] * m, Fraction(0)
     for _, tie, delta, lower, upper, any_v, orbit in fraction_rows(method, weights, n_from, n_to, policy):
-        stats.record_batch(np.array([delta]), lower=np.zeros((1, m)), upper=np.zeros((1, m)), any_violation=0.0)
+        stats.moments.push_batch(np.array([delta]))
+        stats.histogram.push_batch(np.array([delta]))
         lower_total = [t + Fraction(x, orbit) for t, x in zip(lower_total, lower)]
         upper_total = [t + Fraction(x, orbit) for t, x in zip(upper_total, upper)]
         any_total += Fraction(any_v, orbit)

@@ -89,9 +89,6 @@ def test_record_batch_default_path_equals_per_column_counts():
     assert stats.any_violation == any_row
     assert np.array_equal(hist.counts, counts)
     assert hist.counts[:, 0].sum() > 0 and hist.counts[:, -1].sum() > 0
-    explicit = SweepStats.empty(6)
-    explicit.record_batch(deltas, lower=deltas <= -1.0, upper=deltas >= 1.0, any_violation=float(any_row))
-    assert explicit.lower_violations.tolist() == lower and explicit.upper_violations.tolist() == upper
 
 
 # -- tiled kernels across tile edges ---------------------------------------------------

@@ -18,7 +18,7 @@ import pytest
 
 import apportion.allocation as allocation
 import apportion.harness as harness
-from apportion import DivisorMethod, PartyWeights, SignpostSequence, TiePolicy, method_by_name
+from apportion import DivisorMethod, InvariantError, PartyWeights, SignpostSequence, TiePolicy, method_by_name
 from apportion.harness import _winner_sequence
 from apportion.methods import small_n_guard
 
@@ -137,6 +137,33 @@ def test_figures_past_the_float_range_take_the_integer_scan(monkeypatch):
     assert not calls
 
 
+def test_the_integer_scan_flags_its_own_ties(monkeypatch):
+    # under geometric(3), votes (1, 3) give party 1 the figure 3**(2 - n)
+    # at its n-th seat: equal to one of party 0's, so the scan meets ties
+    calls = []
+    scan = harness._scan_awards
+    monkeypatch.setattr(harness, "_scan_awards", lambda *a: calls.append(a[-1]) or scan(*a))
+    method = DivisorMethod(SignpostSequence.geometric(Fraction(3)))
+    w = PartyWeights.of([1, 3])
+    winners, equal = allocation._scan_awards([1, 3], method.signposts, 0, 1330)
+    assert equal.size == winners.size - 1 and equal.sum() >= 600
+    _assert_rows(method, w, 1250, 1330)
+    assert calls
+
+
+class _RisingFigures:
+    """Stub signposts with d(n) = 1/n: each party's figures rise with its seats."""
+
+    @staticmethod
+    def exact_pairs(ns):
+        return np.ones_like(ns), np.maximum(ns, 1)
+
+
+def test_the_integer_scan_refuses_a_rising_figure():
+    with pytest.raises(InvariantError, match="above the one before"):
+        allocation._scan_awards([1, 1], _RisingFigures(), 0, 10)
+
+
 def test_the_integer_scan_past_scan_max_reads_the_heaps(monkeypatch):
     # the geometric(3) ranges above with _SCAN_MAX = 0: every award of the
     # scan comes from the heap of next entries of ``_HeapEnds``
@@ -167,8 +194,9 @@ def test_exact_pairs_equal_exact_pair():
     ]
     families += [SignpostSequence.geometric(Fraction(3, 2)), SignpostSequence.table([0, 1, Fraction(5, 2)], cap=3)]
     families += [SignpostSequence.linear(Fraction(7, 10**18))]  # n*den passes 2**63
+    gaps = np.array([41, 7, 0, 300, 7, 1, 41, 2])  # unsorted, repeated and gapped: running products skip
     for sp in families:
         large = np.array([0, 1, 2, 3 * 10**9, 10**12, 2**40 + 1])  # 2n**2 passes 2**63
-        for ns in (np.arange(300), large) if sp.asymptotic_beta() is not None else (np.arange(300),):
+        for ns in (np.arange(300), gaps, large) if sp.asymptotic_beta() is not None else (np.arange(300), gaps):
             a, b = sp.exact_pairs(ns)
             assert list(zip(a.tolist(), b.tolist())) == [sp.exact_pair(int(n)) for n in ns]

@@ -133,6 +133,15 @@ def test_period_command():
     assert res["average_bias"] == ["1/30", "1/30", "-1/15"]
 
 
+def test_period_refuses_an_eventually_periodic_method():
+    # Huntington-Hill's excess is periodic only past a transient
+    proc = cli("period", "--votes", "A=7,B=5,C=3,D=2", "--method", "huntington")
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)["error"]
+    assert err["kind"] == "UnsupportedMethodError"
+    assert "d(n) = n - 1 + beta" in err["message"]
+
+
 def test_divergence_command():
     proc = cli("divergence", "--method", "hamilton", "--seats", "3", "--votes", "A=2,B=2,C=1")
     res = results(proc)
