@@ -304,6 +304,8 @@ def _cmd_violations(args) -> tuple[dict, int]:
 
 
 def _cmd_apparentement(args) -> tuple[dict, int]:
+    if args.ties != "enumerate":
+        raise InputError(f"apparentement runs the canonical seats of the float shares; --ties {args.ties} is not supported")
     weights = _weights_from_args(args)
     method = method_by_name(args.method)
     try:

@@ -7,25 +7,25 @@ model the asymptotic formulas describe.  Rational shares are periodic in the
 house size, so their exact bias is the average over one period.
 
 Float and exact sweeps share their block kernels.  A divisor sweep builds
-the seat-award sequence once, as a stable sort of every party's table of
-figures, taken in figure space from ``SignpostSequence.figures`` as
-``allocate`` takes them, with each table long enough by a bound on the
-figure of the last award and no longer than the float range
-(``_award_sequence``), and ``_divisor_blocks`` reads every house size off
+the seat-award sequence once, in the one loop that sorts quotient tables
+(``_award_sequence``): every party's table of figures, taken in figure
+space from ``SignpostSequence.figures`` as ``allocate`` takes them, sorted
+stably, the tables doubled within the float range only while the final
+awards stop short.  ``_divisor_blocks`` reads every house size off
 cumulative counts, in one pass over the range.  The input picks the path:
 exact weights and signposts always take the exact kernels, float input the
 float ones.  Exact sweeps and period averages run on the votes scaled once
 to coprime integers, and certify the float award sequence of the shares in
-integers (``_exact_awards``): adjacent awards are compared by
-cross-multiplication, and only runs of float figures within their rounding
-bound may be re-ordered.  Quota houses run the largest-remainder rule of
-``allocation._remainder_rows`` on a block of houses at once, on float
-ideals or, exactly, on integer ones.  The exact rows of a block (seat
-excess, violation counts) are array operations on int64 while the integers
-fit and on Python ints beyond.  One integer accumulator sums every row's
-seats and violation counts over its tie orbit, so the violation totals and
-the mean excess (and a period average, that mean over one period) are
-exact, each converted to float once.
+integers (``_exact_awards``), unless a kept figure is subnormal: adjacent
+awards are compared by cross-multiplication, and only runs of float
+figures within their rounding bound may be re-ordered.  Quota houses run
+the largest-remainder rule of ``allocation._remainder_rows`` on a block of
+houses at once, on float ideals or, exactly, on integer ones.  The exact
+rows of a block (seat excess, violation counts) are array operations on
+int64 while the integers fit and on Python ints beyond.  One integer
+accumulator sums every row's seats and violation counts over its tie
+orbit, so the violation totals and the mean excess (and a period average,
+that mean over one period) are exact, each converted to float once.
 
 Float input has one source of seat blocks, ``_float_seat_blocks``, which
 ``sweep``'s float path and ``apparentement_sweep`` (the full, the merged
@@ -97,32 +97,33 @@ def sqrt_shares(m: int) -> tuple[float, ...]:
     return tuple(x / total for x in raw)
 
 
-def _winner_sequence(shares: np.ndarray, sp: SignpostSequence, steps: int):
-    """Award ``steps`` seats past the mandatory ones; return winners and figures.
-
-    winners[k] is the party taking award k, figures[k] its figure as
-    ``SignpostSequence.figures`` gives it; figures are nonincreasing.
+def _award_sequence(shares: np.ndarray, sp: SignpostSequence, count: int, rtol: float):
+    """The first ``count`` awards past the mandatory seats, on to the end of
+    the run of close awards holding award ``count - 1``: the winners, their
+    figures (``SignpostSequence.figures``, nonincreasing), and the flags
+    ``close`` of adjacent awards within ``rtol`` of each other, relatively.
 
     This is the table-of-quotients reading of highest averages.  Party i's
-    table holds its figures for n = z+1 .. budget[i], from its own
-    ``figures`` call; the tables are concatenated in party order and sorted
-    stably by descending figure, so equal figures go to the lower party
-    index, then the lower seat.  The budgets come from a bound, not a guess:
-    let ``cut`` be the figure of the last award.  A table whose last entry
-    lies strictly below ``cut`` holds every entry of that party that can
-    reach the first ``steps`` awards, since later entries are smaller still.
-    A table ending in 0 (past a capped table, or after underflow) is complete
-    too; then ``cut`` is 0 only when too few positive figures exist, and the
-    house size is unreachable.  Each other table has its budget doubled, up
-    to the last signpost within the float range (``float_limit``), and the
-    sort runs again; once every short table sits at that limit, the
-    float-range InputError of ``figure`` is raised.
+    table holds its figures for n = z+1 .. budget[i]; the tables, in party
+    order, are sorted stably by descending figure, so equal figures go to
+    the lower party, then the lower seat.  An entry is final when its figure
+    lies above the last figure of every table not ending in 0 (past a cap,
+    or after underflow): later entries lie at or below their table's last,
+    so the final entries are the first awards, and the sorted entry after
+    them has the next award's figure.  A round keeps the final awards up to
+    ``count`` and on to the first gap wider than ``rtol`` at or after award
+    ``count - 1``.  If they stop short, each table whose last figure is at
+    least the sorted figure at position max(final, count) doubles, up to the
+    float range (``float_limit``), and the tables are sorted again; with
+    every such table at that limit, ``figure``'s float-range InputError is
+    raised.  Too few positive figures raise InputError (the table cap).
     """
-    m = shares.size
-    z = sp.zero_count()
-    if steps <= 0:
-        return np.empty(0, dtype=np.int32), np.empty(0)
-    want = np.maximum((shares * (steps + z * m)).astype(np.int64) + m + 8, z + 2)
+    m, z, cap = shares.size, sp.zero_count(), sp.max_seats()
+    if count <= 0:
+        return np.empty(0, dtype=np.int32), np.empty(0), np.empty(0, dtype=bool)
+    if cap is not None and count > (cap - z) * m:  # past the awards of a full house
+        raise InputError("house size unreachable under the table cap")
+    want = np.maximum((shares * (count + 2 + z * m)).astype(np.int64) + m + 8, z + 2)
     while True:
         limit = sp.float_limit(int(want.max()))
         lengths = np.minimum(want, max(limit, z + 1)) - z  # the table sizes, clamped at the limit
@@ -130,55 +131,36 @@ def _winner_sequence(shares: np.ndarray, sp: SignpostSequence, steps: int):
         figs = np.empty(int(ends[-1]))
         for i, (a, b) in enumerate(zip((ends - lengths).tolist(), ends.tolist())):
             figs[a:b] = sp.figures(shares[i], np.arange(z + 1, z + 1 + b - a))
-        order = np.argsort(np.negative(figs, out=figs), kind="stable")[:steps]
+        order = np.argsort(np.negative(figs, out=figs), kind="stable")
         np.negative(figs, out=figs)
-        cut = figs[order[-1]] if order.size == steps else 0.0
         last = figs[ends - 1]
-        short = (last >= cut) & (last > 0)
-        if not short.any():
+        bound = last.max()  # entries above it are final; a table ending in 0 bounds nothing
+        keep = 0
+        for t in _chunks(figs.size - count, 1):  # the gaps after awards count - 1, count, ...
+            f = figs[order[count - 1 + t.start : count + t.stop]]
+            wide = np.flatnonzero(f[:-1] - f[1:] > rtol * f[:-1])
+            if wide.size:  # the first wide gap closes the run if the award before it is final
+                keep = count + t.start + int(wide[0]) if f[wide[0]] > bound else 0
+                break
+        if keep:
             break
+        if bound == 0:
+            raise InputError("house size unreachable under the table cap")
+        # the sorted figure at max(final, count): that of award count, or bound itself
+        short = (last >= min(bound, figs[order[min(count, figs.size - 1)]])) & (last > 0)
         grow = short & (lengths == want - z)  # the short tables below the float limit
         if not grow.any():
             raise InputError(_FLOAT_RANGE.format(limit + 1))
         want[grow] *= 2
-    if cut == 0:
-        raise InputError("house size unreachable under the table cap")
     party = np.repeat(np.arange(m, dtype=np.min_scalar_type(m - 1)), lengths)  # one byte per entry
-    winners, sorted_figs = np.empty(order.size, dtype=np.int32), order.view(float)
-    for tile in _chunks(order.size, 1):  # the sorted figures overwrite order, each tile once read
-        winners[tile], sorted_figs[tile] = party[order[tile]], figs[order[tile]]
-    return winners, sorted_figs
-
-
-def _award_sequence(shares: np.ndarray, sp: SignpostSequence, count: int, rtol: float):
-    """The first ``count`` awards past the mandatory seats, from
-    ``_winner_sequence``: returns the winners, the flags ``close`` of the
-    adjacent awards whose figures lie within ``rtol`` of each other,
-    relatively, and the smallest figure sorted.
-
-    The awards go on past ``count`` to the end of the run of close awards
-    that holds award ``count - 1``, or to the last award of a capped table:
-    the float sequence is extended, 2, 4, 8, ... awards past ``count``,
-    until a wider gap closes that run.
-    """
-    if count <= 0:
-        return np.empty(0, dtype=np.int32), np.empty(0, dtype=bool), np.inf
-    cap = sp.max_seats()
-    finite = None if cap is None else (cap - sp.zero_count()) * shares.size  # the awards of a full house
-    if finite is not None and count > finite:
-        raise InputError("house size unreachable under the table cap")
-    extra = 2
-    while True:
-        want = count + extra if finite is None else min(count + extra, finite)
-        winners, figs = _winner_sequence(shares, sp, want)
-        close = np.empty(figs.size - 1, dtype=bool)
-        for t in _chunks(close.size, 1):
-            np.less_equal(figs[t] - figs[t.start + 1 : t.stop + 1], rtol * figs[t], out=close[t])
-        closing = np.flatnonzero(~close[count - 1 :])
-        if closing.size or want == finite:
-            keep = count + int(closing[0]) if closing.size else want
-            return winners[:keep], close[: keep - 1], figs[-1]
-        extra *= 2
+    winners, figures = np.empty(keep, dtype=np.int32), order[:keep].view(float)
+    for t in _chunks(keep, 1):  # the sorted figures overwrite order, each tile once read
+        winners[t], figures[t] = party[order[t]], figs[order[t]]
+    del figs, party  # the flags take the tables' place
+    close = np.empty(keep - 1, dtype=bool)
+    for t in _chunks(close.size, 1):
+        np.less_equal(figures[t] - figures[t.start + 1 : t.stop + 1], rtol * figures[t], out=close[t])
+    return winners, figures, close
 
 
 def _divisor_blocks(winners, close, m: int, z: int, n_from: int, n_to: int, block: int, masks: bool = True):
@@ -262,14 +244,14 @@ def _float_seat_blocks(method, shares: np.ndarray, n_from: int, n_to: int, masks
     _check_houses(n_from, n_to)
     if isinstance(method, DivisorMethod):
         sp, m = method.signposts, shares.size
-        winners, close, _ = _award_sequence(shares, sp, n_to - sp.zero_count() * m, NEAR_TIE_RTOL)
+        winners, _, close = _award_sequence(shares, sp, n_to - sp.zero_count() * m, NEAR_TIE_RTOL)
         return _divisor_blocks(winners, close, m, sp.zero_count(), n_from, n_to, _FLOAT_BLOCK, masks)
     blocks = _house_blocks(n_from, n_to, _FLOAT_BLOCK)
     return ((h, *_float_quota_rows(shares[None, :], method.gamma, h, masks)) for h in blocks)
 
 
 def _check_houses(n_from: int, n_to: int) -> None:
-    """Refuse more than MAX_TRIALS houses; both seat-block sources check first."""
+    """Refuse more than MAX_TRIALS houses; every source of house rows checks first."""
     if n_to - n_from + 1 > MAX_TRIALS:
         raise InputError(f"at most {MAX_TRIALS} houses per run, got {n_to - n_from + 1}")
 
@@ -305,17 +287,20 @@ def _exact_awards(votes, total: int, sp: SignpostSequence, count: int):
     _CERTIFY_RTOL = 16u > 2 * 5.01u ensures it for every family.  Such a
     gap is certified: every award before it has a larger exact figure than
     every award after it, and than every entry missing from the float
-    tables, which lies below its table's last entry and so below the cut.
-    ``_award_sequence`` extends the float sequence until a certified gap
-    closes the run that holds award ``count - 1``.  Every adjacent pair is
-    then compared by cross-multiplication, in int64 while w*b*a stays below
-    2**63 and in Python ints otherwise; a misordered pair can only lie in a
-    run of uncertified gaps, and an odd-even transposition sort swaps
-    misordered pairs until every pair is in exact order.
+    tables, which lies at or below its table's last entry, after the gap.
+    ``_award_sequence`` keeps the awards up to the first certified gap at or
+    after award ``count - 1``.  The figure g after the last kept one, f, may
+    be subnormal or 0: as f >= 2**-1022, half a subnormal ulp is 2**-1075 <=
+    u*f, and f - g > 16u*f still exceeds the rounding of both figures,
+    5.01u*(f + g) + 2**-1075.  Every adjacent pair is then compared by
+    cross-multiplication, in int64 while w*b*a stays below 2**63 and in
+    Python ints otherwise; a misordered pair can only lie in a run of
+    uncertified gaps, and an odd-even transposition sort swaps misordered
+    pairs until every pair is in exact order.
 
-    Fallback.  Where a figure leaves the normal float range (an exact
-    geometric ratio at large n: d(n) past 1.8e308, or figures that
-    underflow), the awards and their equal pairs come from the integer scan
+    Fallback.  Where a kept figure leaves the normal float range (an exact
+    geometric ratio at large n: d(n) past 1.8e308, or figures below
+    2**-1022), the awards and their equal pairs come from the integer scan
     ``allocation._scan_awards``, one ``_step`` pass per award.  Raises
     InputError when ``count`` passes the finite entries of a capped table.
     """
@@ -324,10 +309,11 @@ def _exact_awards(votes, total: int, sp: SignpostSequence, count: int):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
     w = [sp.figure_weight(v) for v in votes]
     shares = np.array([v / total for v in votes])
-    smallest = 0.0  # the integer scan runs unless every float figure is normal
+    smallest = 0.0  # the integer scan runs unless every float figure kept is normal
     if sp.figure_weight(shares).min() >= _TINY and float(sp.value(z + 1)) >= _TINY:
         try:
-            winners, close, smallest = _award_sequence(shares, sp, count, _CERTIFY_RTOL)
+            winners, figures, close = _award_sequence(shares, sp, count, _CERTIFY_RTOL)
+            smallest, figures = figures[-1], None  # free the figures before the exact pairs
         except InputError:  # a table reached the float range, or figures underflowed to 0
             pass
     if smallest < _TINY:  # the scan's order is exact, and it flags the equal pairs itself
@@ -374,10 +360,11 @@ def _exact_seat_blocks(method, weights, n_from: int, n_to: int):
     tied rows, and the (len(tied), m) masks ``tie`` and ``held`` mark the
     parties of each tie class and those of them holding a contested seat.
 
-    Divisor houses read their seats and tie classes off the exact award
-    sequence of ``_exact_awards`` with ``_divisor_blocks``: a tie is a run
-    of equal figures.  Quota houses run ``allocation._exact_remainder_rows``
-    on each block.  More than MAX_TRIALS houses raise InputError.
+    Divisor houses read their seats and tie classes off the n_to - z*m
+    awards of ``_exact_awards`` and the run of equal figures after them,
+    with ``_divisor_blocks``: a tie is a run of equal figures.  Quota houses
+    run ``allocation._exact_remainder_rows`` on each block.  More than
+    MAX_TRIALS houses raise InputError.
     """
     if not (_is_exact(weights, method.signposts) if isinstance(method, DivisorMethod) else weights.exact):
         raise InputError("exact sweep requires exact weights and signposts")
@@ -386,8 +373,7 @@ def _exact_seat_blocks(method, weights, n_from: int, n_to: int):
     if isinstance(method, DivisorMethod):
         sp = method.signposts
         z, m = sp.zero_count(), len(votes)
-        cap = sp.max_seats()
-        winners, equal = _exact_awards(votes, total, sp, n_to - z * m + (cap is None or n_to < cap * m))
+        winners, equal = _exact_awards(votes, total, sp, n_to - z * m)
         yield from _divisor_blocks(winners, equal, m, z, max(n_from, z * m), n_to, _EXACT_BLOCK)
     else:
         gamma = Fraction(method.gamma)  # a float gamma with exact weights is taken exactly
@@ -667,7 +653,8 @@ def period_average_bias(method: Method, weights: PartyWeights) -> tuple[Fraction
 
 
 def equidistribution_ks(p, gamma: float = 0.0, n_from: int = 1, n_to: int = 10_000) -> np.ndarray:
-    """Per-party KS distance of frac((house + gamma) * p_i) from U(0,1)."""
+    """Per-party KS distance of frac((house + gamma) * p_i) from U(0,1), over at most MAX_TRIALS houses."""
+    _check_houses(n_from, n_to)
     if n_to - n_from + 1 < 2:
         raise InputError("range too short")
     shares = np.asarray([float(x) for x in p], dtype=float)

@@ -238,6 +238,13 @@ def test_float_sweep_memory_stays_bounded():
     assert peak <= 24, f"peak {peak:.1f} MB"
 
 
+def test_exact_sweep_memory_stays_bounded():
+    # the certified award sequence keeps no float figure past the scan choice
+    method, w = method_by_name("webster"), PartyWeights.of([7, 5, 3, 2])
+    peak = _traced_peak(lambda: sweep(method, w, 1, 10**6))
+    assert peak <= 62, f"peak {peak:.1f} MB"
+
+
 # -- the float signpost table -------------------------------------------------------
 
 

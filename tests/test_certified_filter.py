@@ -19,7 +19,7 @@ import pytest
 import apportion.allocation as allocation
 import apportion.harness as harness
 from apportion import DivisorMethod, InvariantError, PartyWeights, SignpostSequence, TiePolicy, method_by_name
-from apportion.harness import _winner_sequence
+from apportion.harness import _award_sequence
 from apportion.methods import small_n_guard
 
 from conftest import exact_rows, fraction_divisor_scan, fraction_rows
@@ -57,11 +57,11 @@ def test_near_ulp_figures_are_misordered_by_floats_and_certified(case):
     method = method_by_name(name)
     w = PartyWeights.of(list(votes))
     ints, total = w.integer_votes
-    floats, figs = _winner_sequence(np.array([v / total for v in ints]), method.signposts, n_to)
+    floats, figs, _ = _award_sequence(np.array([v / total for v in ints]), method.signposts, n_to, 0.0)
     exact = _oracle_winners(w, method.signposts, n_to)
     # the oracle's order is strict here: the float sort misorders an adjacent pair
     assert all(t is None for _, _, t in fraction_divisor_scan(w, method.signposts, n_to))
-    assert floats.tolist() != exact
+    assert floats[:n_to].tolist() != exact
     k = next(i for i, (a, b) in enumerate(zip(floats.tolist(), exact)) if a != b)
     assert figs[k] - figs[k + 1] <= 4 * 2.0**-52 * figs[k]  # a few ulps apart
     _assert_rows(method, w, 1, n_to)
@@ -123,11 +123,12 @@ def test_figures_past_the_float_range_take_the_integer_scan(monkeypatch):
     monkeypatch.setattr(harness, "_scan_awards", lambda *a: calls.append(a[-1]) or scan(*a))
     method = DivisorMethod(SignpostSequence.geometric(Fraction(3)))
     w = PartyWeights.of([1, 2])
-    # 3**(n - 1) passes 1.8e308 at n = 648; near house 1290 the float
+    # 3**(n - 1) passes 1.8e308 at n = 648; from house 1290 the float
     # figures are subnormal while the float tables still hold them
     shares = np.array([1 / 3, 2 / 3])
-    assert _winner_sequence(shares, method.signposts, 1290)[1][-1] < np.finfo(float).tiny
-    for n_from, n_to in ((1200, 1287), (1250, 1330)):
+    figures = _award_sequence(shares, method.signposts, 1290, 0.0)[1]
+    assert figures[1288] >= np.finfo(float).tiny > figures[1289]
+    for n_from, n_to in ((1200, 1290), (1250, 1330)):
         calls.clear()
         _assert_rows(method, w, n_from, n_to, POLICIES[:1])
         assert calls
@@ -135,6 +136,20 @@ def test_figures_past_the_float_range_take_the_integer_scan(monkeypatch):
     calls.clear()
     _assert_rows(method, w, 1, 600, POLICIES[:1])
     assert not calls
+
+
+def test_the_scan_starts_at_the_first_subnormal_award_read(monkeypatch):
+    # house 1290's own award is the first with a subnormal float figure: the
+    # sweeps up to house 1289 certify the float awards, the later ones scan
+    calls = []
+    scan = harness._scan_awards
+    monkeypatch.setattr(harness, "_scan_awards", lambda *a: calls.append(a[-1]) or scan(*a))
+    method = DivisorMethod(SignpostSequence.geometric(Fraction(3)))
+    w = PartyWeights.of([1, 2])
+    for n_to in (1288, 1289, 1290, 1291):
+        calls.clear()
+        _assert_rows(method, w, 1200, n_to, POLICIES[:1])
+        assert bool(calls) == (n_to >= 1290), n_to
 
 
 def test_the_integer_scan_flags_its_own_ties(monkeypatch):
@@ -180,7 +195,7 @@ def test_the_integer_scan_past_scan_max_reads_the_heaps(monkeypatch):
     monkeypatch.setattr(harness, "_scan_awards", lambda *a: calls.append(a[-1]) or scan(*a))
     method = DivisorMethod(SignpostSequence.geometric(Fraction(3)))
     w = PartyWeights.of([1, 2])
-    for n_from, n_to in ((1200, 1287), (1250, 1330)):
+    for n_from, n_to in ((1200, 1290), (1250, 1330)):
         calls.clear()
         heaps.clear()
         _assert_rows(method, w, n_from, n_to, POLICIES[:1])

@@ -158,6 +158,19 @@ def test_apparentement_command():
     assert 0.2 < float(res["joint_gain_mean"]) < 0.5
 
 
+def test_apparentement_refuses_a_tie_policy_it_does_not_run():
+    # apparentements run the canonical seats of the float shares: only the
+    # default --ties enumerate says what runs
+    base = ("apparentement", "--method", "webster", "--votes", "A=3,B=2,C=2,D=1", "--merge", "B,C", "--seats-to", "40")
+    for ties in ("average", "random"):
+        proc = cli(*base, "--ties", ties)
+        assert proc.returncode == 2
+        err = json.loads(proc.stderr)["error"]
+        assert err["kind"] == "InputError"
+        assert f"--ties {ties} is not supported" in err["message"]
+    assert results(cli(*base, "--ties", "enumerate")) == results(cli(*base))
+
+
 def test_violations_command_fixed_mode():
     proc = cli(
         "violations", "--method", "hamilton", "--votes", "A=5,B=3,C=2",

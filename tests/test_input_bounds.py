@@ -13,7 +13,7 @@ import pytest
 from apportion import InputError, PartyWeights, SignpostSequence, allocate
 from apportion import harness
 from apportion.harness import allocate_many, apparentement_sweep, mc_ordered_simplex, period_average_bias
-from apportion.harness import quota_violation_frequency, sqrt_shares, sweep
+from apportion.harness import equidistribution_ks, quota_violation_frequency, sqrt_shares, sweep
 from apportion.methods import linear_divisor, method_by_name, quota_method
 from apportion.stats import DeltaHistogram
 
@@ -103,12 +103,19 @@ def test_runs_past_max_trials_houses_rejected(monkeypatch):
                 run()
     with pytest.raises(InputError, match=f"at most {harness.MAX_TRIALS} houses"):
         period_average_bias(WEBSTER, PartyWeights.of([10**9, 10**9 + 1]))  # a period of 2*10**9 + 1 houses
+    with pytest.raises(InputError, match=f"at most {harness.MAX_TRIALS} houses"):
+        equidistribution_ks(sqrt_shares(4), 0.0, 1, too_many)  # before its arange of every house
     # the bound counts the houses after the guard
     monkeypatch.setattr(harness, "MAX_TRIALS", 100)
     assert sweep(WEBSTER, w, 1, 100).count == 100
     assert sweep(method_by_name("adams"), w, 1, 103).count == 100  # the guard starts Adams at house 4
     assert apparentement_sweep(WEBSTER, w, 0, 1, 1, 100).moments.count <= 100
     assert len(period_average_bias(WEBSTER, PartyWeights.of([60, 40]))) == 2  # a period of 5 houses
-    for run in (lambda: sweep(WEBSTER, w, 1, 101), lambda: apparentement_sweep(WEBSTER, w, 0, 1, 1, 200)):
+    assert equidistribution_ks(sqrt_shares(4), 0.0, 1, 100).shape == (4,)
+    for run in (
+        lambda: sweep(WEBSTER, w, 1, 101),
+        lambda: apparentement_sweep(WEBSTER, w, 0, 1, 1, 200),
+        lambda: equidistribution_ks(sqrt_shares(4), 0.0, 1, 101),
+    ):
         with pytest.raises(InputError, match="at most 100 houses"):
             run()

@@ -1,9 +1,11 @@
 """The sorted quotient table behind float divisor sweeps, against a heap oracle.
 
-``heap_winner_sequence`` is the per-seat heap that ``harness._winner_sequence``
+``heap_winner_sequence`` is the per-seat heap that ``harness._award_sequence``
 replaced: it pops the largest comparative figure ``float(sp.figure(share, n))``
 once per award, breaking ties by the lower party index.  The sort-based
-sequence must reproduce its winners and figures bit for bit.
+sequence must reproduce its winners and figures bit for bit, and keep the
+heap's awards on to the first gap wider than its ``rtol`` at or after the
+last award asked for.
 """
 
 import heapq
@@ -15,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 
 from apportion import InputError, InvariantError, PartyWeights, SignpostSequence, allocate
-from apportion.harness import _float_seat_blocks, _winner_sequence, allocate_many, sqrt_shares, sweep
+from apportion.allocation import NEAR_TIE_RTOL
+from apportion.harness import _CERTIFY_RTOL, _award_sequence, _float_seat_blocks, allocate_many, sqrt_shares, sweep
 from apportion.methods import DivisorMethod, linear_divisor, method_by_name
 
 
@@ -60,6 +63,12 @@ SHARES["tied"] = (0.5, 0.25, 0.25)  # exact figure ties between parties 1 and 2
 STEPS = 3000
 
 
+def sorted_sequence(shares: np.ndarray, sp: SignpostSequence, steps: int):
+    """The first ``steps`` winners and figures of ``_award_sequence`` at rtol 0."""
+    winners, figures, _ = _award_sequence(shares, sp, steps, 0.0)
+    return winners[:steps], figures[:steps]
+
+
 def outcome(fn, shares, sp, steps):
     """(winners, figures), or the InputError message when unreachable."""
     try:
@@ -70,7 +79,7 @@ def outcome(fn, shares, sp, steps):
 
 def assert_same(shares, sp, steps):
     want = outcome(heap_winner_sequence, shares, sp, steps)
-    got = outcome(_winner_sequence, shares, sp, steps)
+    got = outcome(sorted_sequence, shares, sp, steps)
     if isinstance(want, str):
         assert got == want
         return
@@ -99,10 +108,15 @@ def test_sorted_table_matches_heap_generated(raw, family, steps):
 def test_capped_table_unreachable_on_both_sides():
     sp = SignpostSequence.table([0.5, 1.5, 2.5], cap=3)
     shares = np.asarray(sqrt_shares(3))
-    for fn in (heap_winner_sequence, _winner_sequence):
+    for fn in (heap_winner_sequence, sorted_sequence):
         assert np.array_equal(fn(shares, sp, 9)[0], heap_winner_sequence(shares, sp, 9)[0])
         with pytest.raises(InputError, match="unreachable under the table cap"):
             fn(shares, sp, 10)
+    # a figure that underflows to 0 is unreachable too, though within the cap
+    shares, sp = np.array([0.5, 1e-17]), SignpostSequence.table([1.0, 1e308], cap=2)
+    for fn in (heap_winner_sequence, sorted_sequence):
+        with pytest.raises(InputError, match="unreachable under the table cap"):
+            fn(shares, sp, 4)
 
 
 def test_budgets_stop_at_the_float_range():
@@ -111,8 +125,30 @@ def test_budgets_stop_at_the_float_range():
     shares = np.asarray(sqrt_shares(4))
     assert_same(shares, FAMILIES["macau"], 3000)
     assert_same(shares, FAMILIES["macau"], 5000)
+    # two parties meet the float range together: up to 2046 awards, and the
+    # gap after them, lie within d(1024); the tables end at the figure of
+    # award 2046, which is not final, so 2047 awards raise
+    for two in (sqrt_shares(2), (0.5, 0.5)):
+        for steps in range(2044, 2050):
+            assert_same(two, FAMILIES["macau"], steps)
     with pytest.raises(InputError, match=r"d\(1025\) exceeds the float range"):
-        _winner_sequence(shares, FAMILIES["macau"], 5000)
+        _award_sequence(shares, FAMILIES["macau"], 5000, 0.0)
+
+
+@pytest.mark.parametrize("shares", [sqrt_shares(4), (0.5, 0.25, 0.25), (0.25,) * 4], ids=["sqrt4", "tied", "equal"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_kept_awards_run_to_the_first_wide_gap(family, shares):
+    sp, shares = FAMILIES[family], np.asarray(shares)
+    counts = (1, 2, 3, 4, 5, 7, 8, 61, 400, 1001)
+    heap_winners, heap_figures = heap_winner_sequence(shares, sp, max(counts) + 40)
+    for rtol in (0.0, NEAR_TIE_RTOL, _CERTIFY_RTOL):
+        wide = heap_figures[:-1] - heap_figures[1:] > rtol * heap_figures[:-1]
+        for count in counts:
+            keep = count + int(np.flatnonzero(wide[count - 1 :])[0])  # past the close run holding award count - 1
+            winners, figures, close = _award_sequence(shares, sp, count, rtol)
+            assert winners.tobytes() == heap_winners[:keep].tobytes(), (rtol, count)
+            assert figures.tobytes() == heap_figures[:keep].tobytes(), (rtol, count)
+            assert np.array_equal(close, ~wide[: keep - 1]), (rtol, count)
 
 
 def test_figure_and_figures_raise_alike_past_the_float_range():
