@@ -9,8 +9,9 @@ share matrix at once.  The scalar steps are one loop, ``_step``, over
 figures as (num, den) pairs compared by cross-multiplication: (figure, 1.0)
 on floats, and on exact weights and signposts integer pairs over coprime
 integer votes, which make the seats, the tie class and the support interval
-exact.  A step scans the parties, or reads two heaps past _SCAN_MAX of
-them, as ``_scan_awards`` does for exact sweeps past the float range.
+exact.  Each call picks one pair function, ``closed_pair`` where the family
+has one.  A step scans the parties, or past _SCAN_MAX of them reads two heaps
+keyed by rounded figures, as ``_scan_awards`` does past the float range.
 Quota allocation floors the ideal shares (house + gamma) * p_i and hands
 remaining seats to the largest fractional parts, generalized so any real
 gamma works even when the raw remainder is negative or exceeds the party
@@ -304,19 +305,26 @@ def allocate_divisor(
     the best next entry beats the worst held one.  The estimate misses by
     O(m) seats, so the work is O(m) steps, not O(N) (a count start past
     _COUNT_TABLE_MAX seats per party steps the rest), of O(log m) each past
-    _SCAN_MAX parties.  Float weights or
-    signposts rank the entries by ``SignpostSequence.figure`` and flag a
-    near-tie; exact ones go through ``_exact_divisor``, which ranks them by
-    integer pairs.  Either way the support interval and the tie class come
-    from the figures ``_step`` returns.
+    _SCAN_MAX parties.  Float weights or signposts rank the entries by
+    ``SignpostSequence.figure`` (float(w) / (a / b) from ``closed_pair``
+    where the family has one and no vote is a ``Fraction``) and flag a
+    near-tie; exact ones go through ``_exact_divisor``, which ranks them
+    by integer pairs.  Either way the support interval and the tie class
+    come from the figures ``_step`` returns.
     """
     z = _divisor_validate(weights, signposts, house_size)
     if _is_exact(weights, signposts):
         return _exact_divisor(weights, signposts, house_size, z, tie_policy)
-    votes = weights.votes
-    fig = signposts.figure
-    start = _jump_start(votes, signposts, house_size, z)
-    seats, held, nxt, i, k = _step(start, lambda j, n: (fig(votes[j], n), 1.0), house_size, z)
+    votes, closed, fig = weights.votes, signposts.closed_pair(), signposts.figure
+    if closed and not any(isinstance(v, Fraction) for v in votes):
+        w = [signposts.figure_weight(v) for v in votes]
+        def pair(j, n):  # a / b rounds as float(d(n)) does: figure's float, without Fraction arithmetic
+            a, b = closed(n)
+            return (w[j] / (a / b) if a else INF), 1.0
+    else:
+        def pair(j, n):
+            return fig(votes[j], n), 1.0
+    seats, held, nxt, i, k = _step(_jump_start(votes, signposts, house_size, z), pair, house_size, z)
     d_minus, d_plus = nxt[i][0], held[k][0] if k >= 0 else INF
     info = None
     if d_minus != INF and d_plus != INF and d_plus - d_minus <= NEAR_TIE_RTOL * max(abs(d_plus), abs(d_minus)):
@@ -334,9 +342,10 @@ def _step(seats: list[int], pair, house_size: int, z: int):
     entry (figure descending, party ascending) and the worst held entry
     among seats > z (figure ascending, party descending): ``_scan_ends``
     for up to _SCAN_MAX parties, ``_HeapEnds`` for more, so a pass costs
-    O(log m) there, not O(m).  It adds the one while the seats fall short of
-    ``house_size`` and drops the other while they exceed it, then swaps the
-    two while the best next entry beats the worst held one.  Raises
+    O(log m) there, not O(m); ``pair`` gives the 2m start pairs and every
+    step's.  It adds the one while the seats fall short of ``house_size``
+    and drops the other while they exceed it, then swaps the two while the
+    best next entry beats the worst held one.  Raises
     CapExceededError when the entry to add has numerator 0, and
     InvariantError past |surplus| + house_size - z*m + 1 passes, more than
     consistent pairs need from a start of at least z seats.  Returns (seats,
@@ -436,6 +445,16 @@ class _Entry:
         return a > b or (a == b and x.party < y.party)
 
 
+def _heap_item(pair, party, seats, held):
+    """(key, entry) of ``_HeapEnds``: the key, num / den rounded (monotone) or inf, negated for
+    next entries, compares natively, and only equal keys cross-multiply their entries."""
+    try:
+        key = pair[0] / pair[1]
+    except (ZeroDivisionError, OverflowError):
+        key = INF
+    return (key if held else -key), _Entry(pair, party, seats, held)
+
+
 class _HeapEnds:
     """``_scan_ends`` for many parties, from a heap of next entries and one of held ones.
 
@@ -446,8 +465,8 @@ class _HeapEnds:
 
     def __init__(self, seats, held, nxt, z):
         self.at, self.moved = list(seats), ()
-        self.next = [_Entry(x, j, s, False) for j, (x, s) in enumerate(zip(nxt, seats))]
-        self.held = [_Entry(h, j, s, True) for j, (h, s) in enumerate(zip(held, seats)) if s > z]
+        self.next = [_heap_item(x, j, s, False) for j, (x, s) in enumerate(zip(nxt, seats))]
+        self.held = [_heap_item(h, j, s, True) for j, (h, s) in enumerate(zip(held, seats)) if s > z]
         heapify(self.next)
         heapify(self.held)
 
@@ -455,15 +474,15 @@ class _HeapEnds:
         for j in self.moved:
             if j >= 0 and self.at[j] != (s := seats[j]):
                 self.at[j] = s
-                heappush(self.next, _Entry(nxt[j], j, s, False))
+                heappush(self.next, _heap_item(nxt[j], j, s, False))
                 if s > z:
-                    heappush(self.held, _Entry(held[j], j, s, True))
+                    heappush(self.held, _heap_item(held[j], j, s, True))
         top, last = self.next, self.held
-        while top[0].seats != seats[top[0].party]:
+        while (e := top[0][1]).seats != seats[e.party]:
             heappop(top)
-        while last and last[0].seats != seats[last[0].party]:
+        while last and (h := last[0][1]).seats != seats[h.party]:
             heappop(last)
-        self.moved = (top[0].party, last[0].party if last else -1)
+        self.moved = (top[0][1].party, last[0][1].party if last else -1)
         return self.moved
 
 
@@ -471,16 +490,16 @@ def _exact_divisor(weights: PartyWeights, sp: SignpostSequence, house_size: int,
     """``allocate_divisor`` on exact weights and signposts, in integers.
 
     With coprime integer votes V_i and d(n) = a/b in figure space
-    (``SignpostSequence.exact_pair``), party i's figure is w_i*b / a with
-    w_i = ``figure_weight(V_i)``.  ``_step`` ranks the pairs (w_i*b, a) by
-    cross-multiplication, so the seats are exact, and the tie class and
-    the support interval come from the pairs it returns.  Only the two
-    interval endpoints become ``Fraction``s, in the units of the caller's
-    votes.
+    (``SignpostSequence.closed_pair``, else ``exact_pair``), party i's
+    figure is w_i*b / a with w_i = ``figure_weight(V_i)``.  ``_step`` ranks
+    the pairs (w_i*b, a) by cross-multiplication, so the seats are exact,
+    and the tie class and the support interval come from the pairs it
+    returns.  Only the two interval endpoints become ``Fraction``s, in the
+    units of the caller's votes.
     """
     votes, _ = weights.integer_votes
     w = [sp.figure_weight(v) for v in votes]
-    pair = sp.exact_pair
+    pair = sp.closed_pair() or sp.exact_pair
 
     def entry(i, n):
         a, b = pair(n)
@@ -667,18 +686,20 @@ def allocate_quota(
     """
     if house_size < 0:
         raise InfeasibleHouseSizeError("house size must be nonnegative")
-    if isinstance(gamma, Rational):
+    if not isinstance(gamma, Fraction) and isinstance(gamma, Rational):
         gamma = Fraction(gamma)
-    if not house_size + gamma > 0:
+    rational = isinstance(gamma, Fraction)  # then scale = (house_size + gamma) * gamma.denominator
+    scale = house_size * gamma.denominator + gamma.numerator if rational else house_size + gamma
+    if not scale > 0:
         raise NonpositiveQuotaError(f"need house_size + gamma > 0, got {house_size} + {gamma}")
     alternatives, info = (), None
-    if weights.exact and isinstance(gamma, Fraction):
+    if rational and weights.exact:
         votes, total = weights.integer_votes
         seats, tie = _largest_remainder(votes, total, gamma, house_size)
         if tie is not None:
             seats, alternatives, info = _resolve_orbit(seats, tie, tie_policy, house_size)
         # ideal_i - s_i = slack_i / den, the integers of _largest_remainder
-        scale, den = house_size * gamma.denominator + gamma.numerator, gamma.denominator * total
+        den = gamma.denominator * total
         slack = [scale * v - s * den for v, s in zip(votes, seats)]
         interval = (Fraction(max(slack), den), Fraction(min(slack) + den, den))
         return Allocation(tuple(seats), house_size, alternatives, info, interval)
@@ -855,8 +876,8 @@ def _largest_remainder(votes, total: int, gamma: Fraction, house_size: int):
     NegativeSeatError when any seat vector of the orbit has a negative count.
     """
     m = len(votes)
-    ideal = [(house_size * gamma.denominator + gamma.numerator) * v for v in votes]
-    den = gamma.denominator * total
+    scale, den = house_size * gamma.denominator + gamma.numerator, gamma.denominator * total
+    ideal = [scale * v for v in votes]
     base = [x // den for x in ideal]
     rem = [x % den for x in ideal]
     q, t = divmod(house_size - sum(base), m)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -411,6 +412,7 @@ def _add_common(sub, votes=True, method=True):
     sub.add_argument("--threads", type=int, default=1, help="at least 1; every sweep runs in one pass")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="apportion",
@@ -470,8 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code; the parser is built once per process."""
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         if args.seed is None:

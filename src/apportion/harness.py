@@ -123,7 +123,8 @@ def _award_sequence(shares: np.ndarray, sp: SignpostSequence, count: int, rtol: 
         return np.empty(0, dtype=np.int32), np.empty(0), np.empty(0, dtype=bool)
     if cap is not None and count > (cap - z) * m:  # past the awards of a full house
         raise InputError("house size unreachable under the table cap")
-    want = np.maximum((shares * (count + 2 + z * m)).astype(np.int64) + m + 8, z + 2)
+    # its share of the awards and of m, plus 16: O(count + m) entries, and at least m + 8 each up to m = 8
+    want = np.maximum((shares * (count + 2 + (z + 1) * m)).astype(np.int64) + 16, z + 2)
     while True:
         limit = sp.float_limit(int(want.max()))
         lengths = np.minimum(want, max(limit, z + 1)) - z  # the table sizes, clamped at the limit

@@ -386,26 +386,31 @@ class SignpostSequence:
         except OverflowError:
             return
 
+    def closed_pair(self):
+        """n -> ``exact_pair(n)`` by the family's closed form, or None without one:
+        ((n-1)*den + num, den) for linear beta = num/den in lowest terms, (0, 1)
+        once d(n) <= 0, (n(n-1), 1) for the squared sqrt pair and (2n(n-1), 2n-1)
+        for the harmonic pair, all in lowest terms."""
+        kind = self.kind
+        if kind in (LINEAR, CLIPPED_LINEAR) and isinstance(self.beta, Fraction):
+            den, shift = self.beta.denominator, self.beta.numerator - self.beta.denominator
+            return lambda n: (a, den) if n and (a := n * den + shift) > 0 else (0, 1)
+        if kind == SQRT_PAIR:
+            return lambda n: (n * (n - 1), 1)
+        if kind == HARMONIC_PAIR:
+            return lambda n: (2 * n * (n - 1), 2 * n - 1) if n else (0, 1)
+        return None
+
     def exact_pair(self, n: int) -> tuple[int, int]:
         """Integers (a, b) with d(n) = a / b in figure space; exact signposts only.
 
         Figure space squares d(n) for the sqrt pair product, as ``figure``
-        does, so its pair is (n(n-1), 1).  A figure is w*b / a with w =
-        ``figure_weight(v)``: d(n) = 0 gives (0, 1), an infinite figure, and
-        past a capped table the pair is (1, 0), a figure of 0.  The linear
-        families and the pairs need no ``Fraction``: with beta = num/den in
-        lowest terms, ((n-1)*den + num, den) and (2n(n-1), 2n-1) are in
-        lowest terms already.
+        does.  A figure is w*b / a with w = ``figure_weight(v)``: d(n) = 0
+        gives (0, 1), an infinite figure, and past a capped table the pair
+        is (1, 0), a figure of 0.  ``closed_pair`` serves the families it covers.
         """
-        kind = self.kind
-        if kind in (LINEAR, CLIPPED_LINEAR) and isinstance(self.beta, Fraction):
-            den = self.beta.denominator
-            a = (n - 1) * den + self.beta.numerator
-            return (a, den) if n and a > 0 else (0, 1)
-        if kind == SQRT_PAIR:
-            return n * (n - 1), 1
-        if kind == HARMONIC_PAIR:
-            return (2 * n * (n - 1), 2 * n - 1) if n else (0, 1)
+        if closed := self.closed_pair():
+            return closed(n)
         d = self._figure_divisor(n)
         if isinstance(d, Rational):
             return d.numerator, d.denominator
@@ -443,12 +448,8 @@ class SignpostSequence:
         return pairs[where, 0].reshape(ns.shape), pairs[where, 1].reshape(ns.shape)
 
     def divisor_of_figure(self, fig):
-        """Map a figure back to a divisor value (float for squared space)."""
-        if fig == INF:
-            return INF
-        if self.kind == SQRT_PAIR:
-            return math.sqrt(fig)
-        return fig
+        """Map a figure back to a divisor value (float for squared space; sqrt(inf) is inf)."""
+        return math.sqrt(fig) if self.kind == SQRT_PAIR else fig
 
     def seats_for_quotient(self, x) -> tuple[int, int]:
         """(n_strict, n_max): seat counts below/at a quotient value x > 0.

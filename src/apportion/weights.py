@@ -54,7 +54,7 @@ class PartyWeights:
     def __len__(self) -> int:
         return len(self.votes)
 
-    @property
+    @cached_property
     def exact(self) -> bool:
         return all(isinstance(v, Fraction) for v in self.votes)
 

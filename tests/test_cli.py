@@ -337,3 +337,30 @@ def test_out_of_memory_is_instance_too_large(monkeypatch, capsys):
     monkeypatch.setitem(cli_module._COMMANDS, "sweep", no_memory)
     assert cli_module.run(["sweep", "--method", "webster", "--shares", "sqrt:4", "--seats-to", "10"]) == 4
     assert json.loads(capsys.readouterr().err)["error"] == {"kind": "instance-too-large", "message": message}
+
+
+README_EXAMPLES = [  # the README examples, at smaller sizes
+    ["allocate", "--method", "dhondt", "--seats", "3", "--votes", "A=2,B=1"],
+    ["period", "--votes", "A=2,B=2,C=1", "--method", "droop"],
+    ["violations", "--method", "dhondt", "--random-simplex", "3", "--trials", "1000", "--house", "1000"],
+    ["verify", "--method", "webster", "--shares", "sqrt:4", "--seats-max", "2000"],
+]
+
+
+def test_one_parser_serves_every_run_in_a_process(capsys):
+    from apportion import cli as cli_module
+
+    def report(text):
+        body = json.loads(text)
+        body.pop("wall_clock_s")
+        return body
+
+    assert cli_module.build_parser() is cli_module.build_parser()
+    failing = ["allocate", "--method", "dhondt", "--seats", "3", "--votes", "A=0,B=1"]
+    for argv in README_EXAMPLES:
+        proc = cli(*argv)
+        for _ in range(2):  # twice, with a failing command in between
+            code = cli_module.run(argv)
+            assert (code, report(capsys.readouterr().out)) == (proc.returncode, report(proc.stdout))
+            assert cli_module.run(failing) == 2
+            assert json.loads(capsys.readouterr().err)["error"]["kind"] == "InputError"

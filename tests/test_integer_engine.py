@@ -102,3 +102,17 @@ def test_float_weights_rank_by_divergence_value(monkeypatch):
     calls.clear()
     brute_force_min(FUNCTIONALS[0], PartyWeights.of([4, 3, 2]), 9)
     assert calls == []  # exact weights rank by integers
+
+
+@pytest.mark.parametrize("m", [64, 65, 200])
+@pytest.mark.parametrize("name", ["webster", "dhondt", "adams", "huntington", "dean"])
+def test_heap_keys_that_round_to_one_float(name, m):
+    # past _SCAN_MAX the heaps key entries by rounded float figures; votes near 2**53 round
+    # to few floats, so equal keys must fall back to the exact entries' cross-multiplication
+    sp = method_by_name(name).signposts
+    rng = random.Random(f"{name}/{m}")
+    w = PartyWeights.of([Fraction(2**53 + rng.randint(0, 3), 7) for _ in range(m)])  # caller's units: sevenths
+    z = sp.zero_count()
+    for house in (z * m + 1, (z + 1) * m + m // 3, (z + 3) * m - 1):
+        for policy in POLICIES:
+            assert_same(allocate_divisor(w, sp, house, policy), heap_divisor(w, sp, house, policy))
