@@ -9,9 +9,9 @@ share matrix at once.  The scalar steps are one loop, ``_step``, over
 figures as (num, den) pairs compared by cross-multiplication: (figure, 1.0)
 on floats, and on exact weights and signposts integer pairs over coprime
 integer votes, which make the seats, the tie class and the support interval
-exact.  Each call picks one pair function, ``closed_pair`` where the family
-has one.  A step scans the parties, or past _SCAN_MAX of them reads two heaps
-keyed by rounded figures, as ``_scan_awards`` does past the float range.
+exact.  Each call picks one pair function, ``closed_pair`` for n > z where
+the family has one.  A step scans the parties, or past _SCAN_MAX of them
+reads two heaps keyed by rounded figures, as ``_scan_awards`` does past the float range.
 Quota allocation floors the ideal shares (house + gamma) * p_i and hands
 remaining seats to the largest fractional parts, generalized so any real
 gamma works even when the raw remainder is negative or exceeds the party
@@ -307,19 +307,19 @@ def allocate_divisor(
     _COUNT_TABLE_MAX seats per party steps the rest), of O(log m) each past
     _SCAN_MAX parties.  Float weights or signposts rank the entries by
     ``SignpostSequence.figure`` (float(w) / (a / b) from ``closed_pair``
-    where the family has one and no vote is a ``Fraction``) and flag a
-    near-tie; exact ones go through ``_exact_divisor``, which ranks them
-    by integer pairs.  Either way the support interval and the tie class
-    come from the figures ``_step`` returns.
+    where the family has one, +inf for n <= z) and flag a near-tie; exact
+    ones go through ``_exact_divisor``, which ranks them by integer pairs.
+    Either way the support interval and the tie class come from the
+    figures ``_step`` returns.
     """
     z = _divisor_validate(weights, signposts, house_size)
     if _is_exact(weights, signposts):
         return _exact_divisor(weights, signposts, house_size, z, tie_policy)
     votes, closed, fig = weights.votes, signposts.closed_pair(), signposts.figure
-    if closed and not any(isinstance(v, Fraction) for v in votes):
+    if closed:
         w = [signposts.figure_weight(v) for v in votes]
         def pair(j, n):  # a / b rounds as float(d(n)) does: figure's float, without Fraction arithmetic
-            a, b = closed(n)
+            a, b = closed(n) if n > z else (0, 1)
             return (w[j] / (a / b) if a else INF), 1.0
     else:
         def pair(j, n):
@@ -490,19 +490,19 @@ def _exact_divisor(weights: PartyWeights, sp: SignpostSequence, house_size: int,
     """``allocate_divisor`` on exact weights and signposts, in integers.
 
     With coprime integer votes V_i and d(n) = a/b in figure space
-    (``SignpostSequence.closed_pair``, else ``exact_pair``), party i's
-    figure is w_i*b / a with w_i = ``figure_weight(V_i)``.  ``_step`` ranks
-    the pairs (w_i*b, a) by cross-multiplication, so the seats are exact,
-    and the tie class and the support interval come from the pairs it
-    returns.  Only the two interval endpoints become ``Fraction``s, in the
-    units of the caller's votes.
+    (``SignpostSequence.closed_pair``, else ``exact_pair``; (0, 1) for n <=
+    z), party i's figure is w_i*b / a with w_i = ``figure_weight(V_i)``.
+    ``_step`` ranks the pairs (w_i*b, a) by cross-multiplication, so the
+    seats are exact, and the tie class and the support interval come from
+    the pairs it returns.  Only the two interval endpoints become
+    ``Fraction``s, in the units of the caller's votes.
     """
     votes, _ = weights.integer_votes
     w = [sp.figure_weight(v) for v in votes]
     pair = sp.closed_pair() or sp.exact_pair
 
     def entry(i, n):
-        a, b = pair(n)
+        a, b = pair(n) if n > z else (0, 1)
         return w[i] * b, a
 
     seats, held, nxt, i, k = _step(_jump_start(votes, sp, house_size, z), entry, house_size, z)

@@ -20,6 +20,9 @@ figures v/d(n) are compared:
                      (v/sqrt(n(n-1)) squared is rational)
 * FLOAT              float comparisons; callers flag near-ties instead of
                      trusting equality
+
+``closed_pair`` holds the one closed form of the linear, clipped, sqrt and harmonic
+families; every evaluator reads it, with d(n) = 0 for every family at n <= ``zero_count()``.
 """
 
 from __future__ import annotations
@@ -62,6 +65,14 @@ def _geometric_pairs(ratio: Fraction, ns):
         if n:
             num, den, at = num * p ** (n - at), den * q ** (n - at), n
         yield (num, den) if n else (0, 1)
+
+
+def _quotient(a, b) -> float:
+    """a / b rounded once, as ``float(Fraction(a, b))`` is; nan past the float range."""
+    try:
+        return a / b
+    except OverflowError:
+        return math.nan
 
 
 def _exact_or_float(x):
@@ -161,9 +172,7 @@ class SignpostSequence:
             raise InputError("signposts are indexed from 0")
         if n == 0:
             return Fraction(0) if self.exactness is not Exactness.FLOAT else 0.0
-        if self.kind == LINEAR:
-            return n - 1 + self.beta
-        if self.kind == CLIPPED_LINEAR:
+        if self.kind in (LINEAR, CLIPPED_LINEAR):
             raw = n - 1 + self.beta
             return raw if raw > 0 else type(raw)(0)
         if self.kind == POWER:
@@ -183,6 +192,24 @@ class SignpostSequence:
                 return n - 1 + self.tail_beta
             return INF
         raise InvariantError(f"unknown signpost kind {self.kind!r}")
+
+    def closed_pair(self):
+        """n -> (a, b) with d(n) = a / b in figure space for n > ``zero_count()``, or None
+        without a closed form.  Plain arithmetic on ints and on float64, int64 and object
+        arrays: (n*den + num - den, den) for beta = num/den in lowest terms, (n - 1 + beta, 1)
+        for a float beta, (n(n - 1), 1) for the squared sqrt pair and (2n(n - 1), 2n - 1),
+        in lowest terms, for the harmonic pair."""
+        kind, beta = self.kind, self.beta
+        if kind in (LINEAR, CLIPPED_LINEAR) and isinstance(beta, Fraction):
+            den, shift = beta.denominator, beta.numerator - beta.denominator
+            return lambda n: (n * den + shift, den)
+        if kind in (LINEAR, CLIPPED_LINEAR):
+            return lambda n: (n - 1 + beta, 1)
+        if kind == SQRT_PAIR:
+            return lambda n: (n * (n - 1), 1)
+        if kind == HARMONIC_PAIR:
+            return lambda n: (2 * n * (n - 1), 2 * n - 1)
+        return None
 
     @property
     def exactness(self) -> Exactness:
@@ -205,11 +232,8 @@ class SignpostSequence:
 
     def zero_count(self) -> int:
         """Number of indices n >= 1 with d(n) = 0 (mandatory seats per party)."""
-        if self.kind == LINEAR:
-            return 1 if self.beta == 0 else 0
-        if self.kind == CLIPPED_LINEAR:
-            # d(n) = 0 iff n <= 1 - beta
-            return math.floor(1 - self.beta)
+        if self.kind in (LINEAR, CLIPPED_LINEAR):  # d(n) = 0 iff n <= 1 - beta; ceil is exact on floats
+            return max(0, 1 - math.ceil(self.beta))
         if self.kind in (SQRT_PAIR, HARMONIC_PAIR):
             return 1
         if self.kind == TABLE:
@@ -272,26 +296,20 @@ class SignpostSequence:
             raise InputError(_FLOAT_RANGE.format(n)) from None
 
     def figures(self, v, ns) -> np.ndarray:
-        """Array form of ``figure`` for float votes v (broadcast to the shape
-        of ns) and seat indices ns >= 0.
-
-        Each entry is the float ``figure(v, n)`` gives, bit for bit, and a
-        divisor past the float range raises as ``figure`` does.  The divisors
-        are the closed forms of ``_closed_divisors`` while those are exact,
-        else the floats of the exact scalars (``_float_divisor``).
-        """
+        """Array form of ``figure`` for float votes v (broadcast to the shape of ns) and seat
+        indices ns >= 0, bit for bit; a divisor past the float range raises as ``figure`` does.
+        The divisors are a / b of ``_closed_arrays`` (floats while exact, else ints, rounding
+        once as ``float(Fraction)`` does), or ``_float_table`` entries without a ``closed_pair``."""
         v = self.figure_weight(np.asarray(v, dtype=float))
         ns = np.asarray(ns, dtype=np.int64)
-        n_max = int(ns.max(initial=0))
-        d = self._closed_divisors(ns, n_max)  # a fresh array, which becomes the figures
-        if d is None:
-            if self.kind in (POWER, GEOMETRIC, TABLE):
-                d = self._float_table(n_max)[ns]
-            else:  # a closed form past its exact range: few distinct n
-                distinct, where = np.unique(ns, return_inverse=True)
-                d = np.array([self._float_divisor(int(n)) for n in distinct])[where].reshape(ns.shape)
-            if np.isnan(d).any():
-                raise InputError(_FLOAT_RANGE.format(ns[np.isnan(d)].min()))
+        if not self.closed_pair():
+            d = self._float_table(int(ns.max(initial=0)))[ns]
+        else:  # d = a / b: in place on floats, one ``_quotient`` per entry on ints
+            a, b, _ = self._closed_arrays(ns, float, 2**53)
+            d = np.divide(a, b, out=a) if a.dtype == float else np.frompyfunc(_quotient, 2, 1)(a, b)
+            d = np.asarray(d, dtype=float)  # frompyfunc gives objects, and a scalar on 0-d input
+        if np.isnan(d).any():
+            raise InputError(_FLOAT_RANGE.format(ns[np.isnan(d)].min()))
         zero, inf = d == 0, d == INF
         with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 is set below
             fig = np.divide(v, d, out=d)
@@ -305,48 +323,25 @@ class SignpostSequence:
             return n_max
         return int(np.count_nonzero(~np.isnan(self._float_table(n_max)[: n_max + 1]))) - 1
 
-    def _closed_divisors(self, ns: np.ndarray, n_max: int) -> np.ndarray | None:
-        """Float divisors of ``figure``, computed in place on one array, or None.
-
-        None for the families without a closed form, and where the integers
-        involved reach 2**53 (for the sqrt pair, n(n - 1) reaching 2**63):
-        below that every step but the last is exact, and the last rounds as
-        ``float(int)``, ``float(Fraction)`` and Python's ``int / int`` do.
-        """
-        if self.kind == HARMONIC_PAIR:
-            return (2 * ns * (ns - 1)) / (2 * ns - 1) if 2 * n_max * n_max < 2**53 else None
-        if self.kind not in (LINEAR, CLIPPED_LINEAR, SQRT_PAIR):
-            return None
-        d = ns - 1.0
-        if self.kind == SQRT_PAIR:  # figure space: d(n)**2 = n(n - 1)
-            return np.multiply(d, ns, out=d) if n_max * (n_max - 1) < 2**63 else None
-        if isinstance(self.beta, Fraction):  # float(Fraction) is the rounded quotient
-            num, den = self.beta.numerator, self.beta.denominator
-            if den * max(n_max, 1) + abs(num) >= 2**53:
-                return None
-            d *= den
-            d += num
-            d /= den
-        else:
-            d += self.beta
-        if self.kind == CLIPPED_LINEAR:
-            np.maximum(d, 0.0, out=d)
-        d[ns == 0] = 0.0
-        return d
+    def _closed_arrays(self, ns: np.ndarray, dtype, limit: int):
+        """``closed_pair``'s fresh array a and its b over seat indices ns >= 0, with a = 0
+        where n <= ``zero_count()``, and that mask: in ``dtype`` while every number the pair
+        forms stays below ``limit`` in magnitude (at the largest n, |a| and |a(0)| + n*|b|
+        bound them all), else in Python ints."""
+        closed, n_max = self.closed_pair(), int(ns.max(initial=0))
+        (a0, _), (a, b) = closed(0), closed(n_max)
+        x = ns.astype(dtype if max(abs(a), abs(a0) + n_max * abs(b)) < limit else object, copy=False)
+        a, b = closed(x)
+        a, zero = np.asarray(a, dtype=x.dtype), ns <= self.zero_count()  # a 0-d x gives scalars
+        a[zero] = 0
+        return a, b, zero
 
     def _figure_divisor(self, n: int):
         """The divisor of n's figures: d(n), or n(n - 1) for the squared sqrt pair."""
         return n * (n - 1) if self.kind == SQRT_PAIR else self.value(n)
 
-    def _float_divisor(self, n: int) -> float:
-        """The float ``figure(v, n)`` divides by, nan past the float range."""
-        try:
-            return float(self._figure_divisor(n))
-        except OverflowError:
-            return math.nan
-
     def _float_table(self, n_max: int) -> np.ndarray:
-        """``_float_divisor(n)`` for n = 0 .. at least n_max.
+        """The float divisors of ``figure`` for n = 0 .. at least n_max, nan past the float range.
 
         The table lives in the instance dict, as ``cached_property`` values
         do, and doubles whenever a longer one is asked for.  The divisors
@@ -366,7 +361,7 @@ class SignpostSequence:
         return table
 
     def _float_divisors(self, start: int, stop: int):
-        """``_float_divisor(n)`` for n in range(start, stop) of a power,
+        """``_float_table`` entries for n in range(start, stop) of a power,
         geometric or table family, each from its closed form without the
         dispatch of ``value``; the first n past the float range ends them."""
         ns, r, e, tb = range(max(start, 1), stop), self.ratio, self.exponent, self.tail_beta
@@ -386,31 +381,16 @@ class SignpostSequence:
         except OverflowError:
             return
 
-    def closed_pair(self):
-        """n -> ``exact_pair(n)`` by the family's closed form, or None without one:
-        ((n-1)*den + num, den) for linear beta = num/den in lowest terms, (0, 1)
-        once d(n) <= 0, (n(n-1), 1) for the squared sqrt pair and (2n(n-1), 2n-1)
-        for the harmonic pair, all in lowest terms."""
-        kind = self.kind
-        if kind in (LINEAR, CLIPPED_LINEAR) and isinstance(self.beta, Fraction):
-            den, shift = self.beta.denominator, self.beta.numerator - self.beta.denominator
-            return lambda n: (a, den) if n and (a := n * den + shift) > 0 else (0, 1)
-        if kind == SQRT_PAIR:
-            return lambda n: (n * (n - 1), 1)
-        if kind == HARMONIC_PAIR:
-            return lambda n: (2 * n * (n - 1), 2 * n - 1) if n else (0, 1)
-        return None
-
     def exact_pair(self, n: int) -> tuple[int, int]:
         """Integers (a, b) with d(n) = a / b in figure space; exact signposts only.
 
         Figure space squares d(n) for the sqrt pair product, as ``figure``
         does.  A figure is w*b / a with w = ``figure_weight(v)``: d(n) = 0
         gives (0, 1), an infinite figure, and past a capped table the pair
-        is (1, 0), a figure of 0.  ``closed_pair`` serves the families it covers.
+        is (1, 0), a figure of 0.  ``closed_pair`` serves its families past ``zero_count()``.
         """
-        if closed := self.closed_pair():
-            return closed(n)
+        if (closed := self.closed_pair()) and self.exactness is not Exactness.FLOAT:
+            return closed(n) if n > self.zero_count() else (0, 1)
         d = self._figure_divisor(n)
         if isinstance(d, Rational):
             return d.numerator, d.denominator
@@ -421,28 +401,17 @@ class SignpostSequence:
     def exact_pairs(self, ns) -> tuple[np.ndarray, np.ndarray]:
         """Array form of ``exact_pair``: arrays a, b with d(n) = a / b entry by entry.
 
-        The linear families with a ``Fraction`` beta and the two pair
-        products use their closed forms in int64 while n*den + |num| (2n**2
-        for the pairs) stays below 2**63; every other case is an object array
-        of the ``exact_pair`` integers, one call per distinct n, or of running
-        products over them for a ``Fraction`` geometric ratio.
+        The families with an exact ``closed_pair`` give ``_closed_arrays``, int64 below
+        2**63 and object arrays past that; the others give object arrays of the
+        ``exact_pair`` integers, one call per distinct n, or of running products over
+        them for a ``Fraction`` geometric ratio.
         """
         ns = np.asarray(ns, dtype=np.int64)
-        n_max = int(ns.max(initial=0))
-        kind = self.kind
-        if kind in (LINEAR, CLIPPED_LINEAR) and isinstance(self.beta, Fraction):
-            num, den = self.beta.numerator, self.beta.denominator
-            if n_max * den + abs(num) < 2**63:
-                a = (ns - 1) * den + num
-                zero = (ns == 0) | (a <= 0)
-                return np.where(zero, 0, a), np.where(zero, 1, den)
-        elif kind in (SQRT_PAIR, HARMONIC_PAIR) and 2 * n_max * n_max < 2**63:
-            a = ns * (ns - 1)
-            if kind == SQRT_PAIR:
-                return a, np.ones_like(ns)
-            return 2 * a, np.where(ns == 0, 1, 2 * ns - 1)
+        if self.closed_pair() and self.exactness is not Exactness.FLOAT:
+            a, b, zero = self._closed_arrays(ns, np.int64, 2**63)
+            return a, np.where(zero, 1, np.asarray(b, dtype=a.dtype))
         distinct, where = np.unique(ns, return_inverse=True)
-        ds, running = distinct.tolist(), kind == GEOMETRIC and isinstance(self.ratio, Fraction)
+        ds, running = distinct.tolist(), self.kind == GEOMETRIC and isinstance(self.ratio, Fraction)
         pairs = list(_geometric_pairs(self.ratio, ds) if running else map(self.exact_pair, ds))
         pairs = np.array(pairs or np.empty((0, 2)), dtype=object)
         return pairs[where, 0].reshape(ns.shape), pairs[where, 1].reshape(ns.shape)

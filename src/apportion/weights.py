@@ -39,6 +39,12 @@ class PartyWeights:
     def __post_init__(self):
         if len(self.votes) < 1:
             raise InputError("at least one party is required")
+        floats = [isinstance(v, float) for v in self.votes]
+        if any(floats) and not all(floats):  # mixed votes compare as floats, so they become floats
+            try:
+                object.__setattr__(self, "votes", tuple(map(float, self.votes)))
+            except OverflowError:
+                raise InputError("a vote count exceeds the float range") from None
         for v in self.votes:
             if not 0 < v < inf:
                 raise InputError(f"every vote count must be positive and finite, got {v!r}")

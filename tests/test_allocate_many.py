@@ -197,7 +197,8 @@ def test_fraction_beta_with_a_large_denominator(beta):
 @pytest.mark.parametrize(
     "sp, ns",
     [
-        # the exact-range check den * max(n, 1) + |num| < 2**53 fails from n = 2**20
+        # the closed forms are evaluated on floats while |a(n)| and |a(0)| + n*|b(n)| stay
+        # below 2**53 at the largest n: here n*den + |num - den| reaches it at n = 2**20
         (SignpostSequence.linear(Fraction(2**33 - 1, 2**33)), [2**20 - 2, 2**20 - 1, 2**20, 2**20 + 1, 2**21]),
         (SignpostSequence.clipped_linear(Fraction(-(2**40 + 1), 2**33)), [0, 1, 2, 200, 2**20, 2**20 + 7]),
         (SignpostSequence.linear(Fraction(10**20 + 1, 3)), [0, 1, 2, 5]),
@@ -207,6 +208,16 @@ def test_fraction_beta_with_a_large_denominator(beta):
         (method_by_name("dean").signposts, [2**26 - 3, 2**26 - 1, 2**26, 2**26 + 1, 3 * 2**26 + 5]),
         # n(n - 1) crosses 2**63 near n = 3.04e9
         (method_by_name("huntington").signposts, [3_037_000_499, 3_037_000_500, 3_037_000_501, 2**33]),
+        # each closed family on both sides of its bound: the last n on floats, then the first past it
+        (method_by_name("huntington").signposts, [0, 1, 2, 94_906_266, 94_906_267]),  # n(n - 1) reaches 2**53
+        (method_by_name("webster").signposts, [0, 1, 2**52 - 1, 2**52, 2**53 + 1]),
+        (method_by_name("dhondt").signposts, [0, 1, 2**53 - 1, 2**53, 2**53 + 1]),
+        (method_by_name("adams").signposts, [0, 1, 2, 2**53 - 2, 2**53 - 1, 2**53 + 1]),
+        (method_by_name("cambridge").signposts, [0, 6, 7, 2**53 - 7, 2**53 - 6, 2**53 + 1]),
+        (SignpostSequence.clipped_linear(Fraction(-(2**40 + 1), 2**33)), [129, 130, 1_048_446, 1_048_447]),
+        (SignpostSequence.linear(0.3), [0, 1, 2**53 - 2, 2**53 - 1, 2**53 + 1]),
+        (SignpostSequence.clipped_linear(-2.5), [0, 3, 4, 2**53 - 5, 2**53 - 4, 2**53 + 1]),
+        (SignpostSequence.clipped_linear(-0.9999999999999999), [0, 1, 2, 3]),  # d(2) = 2**-53, past the zeros
     ],
 )
 def test_figures_past_the_exact_closed_form(sp, ns):

@@ -9,11 +9,12 @@ references across tile edges; float sweeps must reproduce recorded
 statistics bit for bit; ``apparentement_sweep`` must give the same moments,
 bit for bit, whatever its block size; float sweeps must stay within memory
 bounds; and the one-pass fill of ``SignpostSequence._float_table`` must
-equal ``_float_divisor`` entry by entry, and end at its first nan however
-many fills grew it.
+equal ``_float_divisor``, the float of each exact divisor, entry by entry,
+and end at its first nan however many fills grew it.
 """
 
 import hashlib
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -248,6 +249,15 @@ def test_exact_sweep_memory_stays_bounded():
 # -- the float signpost table -------------------------------------------------------
 
 
+def _float_divisor(sp, n):
+    """The float ``sp.figure(v, n)`` divides by, nan past the float range: the
+    per-n reference for ``SignpostSequence._float_table``."""
+    try:
+        return float(sp._figure_divisor(n))
+    except OverflowError:
+        return math.nan
+
+
 TABLE_FAMILIES = {
     "estonia": SignpostSequence.power(0.9),
     "power-150": SignpostSequence.power(150.0),  # n**150 overflows a float from n = 114
@@ -266,7 +276,7 @@ def test_float_table_equals_float_divisor(family):
     fresh = SignpostSequence(sp.kind, sp.beta, sp.exponent, sp.ratio, sp.values, sp.cap, sp.tail_beta)
     fresh._float_table(100)  # 101 entries, then grown past the float range
     table = fresh._float_table(9000)
-    want = np.array([sp._float_divisor(n) for n in range(table.size)])
+    want = np.array([_float_divisor(sp, n) for n in range(table.size)])
     assert table.tobytes() == want.tobytes()  # bit for bit, nan tail included
     if family in ("power-150", "geometric1.1", "geometric-3/2"):
         assert np.isnan(table[-1]) and not np.isnan(table[1])
@@ -297,6 +307,6 @@ def test_geometric_fraction_table_equals_the_per_entry_quotients(ratio, fills):
     for n in fills:
         sp._float_table(n)
     table = sp._float_table(fills[-1])
-    want = np.array([sp._float_divisor(n) for n in range(table.size)])
+    want = np.array([_float_divisor(sp, n) for n in range(table.size)])
     assert np.array_equal(table, want, equal_nan=True)
     assert sp.float_limit(fills[-1]) == (1751 if ratio == Fraction(3, 2) else fills[-1])

@@ -203,15 +203,24 @@ def test_the_integer_scan_past_scan_max_reads_the_heaps(monkeypatch):
 
 
 def test_exact_pairs_equal_exact_pair():
-    families = [
-        method_by_name(name).signposts
-        for name in ("webster", "dhondt", "adams", "huntington", "dean", "adjusted-sainte-lague", "cambridge")
-    ]
-    families += [SignpostSequence.geometric(Fraction(3, 2)), SignpostSequence.table([0, 1, Fraction(5, 2)], cap=3)]
-    families += [SignpostSequence.linear(Fraction(7, 10**18))]  # n*den passes 2**63
+    names = ("webster", "dhondt", "adams", "huntington", "dean", "adjusted-sainte-lague", "cambridge")
+    families = {name: method_by_name(name).signposts for name in names}
+    families["geometric3/2"] = SignpostSequence.geometric(Fraction(3, 2))
+    families["capped"] = SignpostSequence.table([0, 1, Fraction(5, 2)], cap=3)
+    families["tiny-beta"] = SignpostSequence.linear(Fraction(7, 10**18))  # n*den passes 2**63
+    # the first n whose closed form leaves int64 (|a(n)| or |a(0)| + n*|b(n)| reaches 2**63);
+    # n(n - 1) reaches 2**63 at n = 3 037 000 501, and d'Hondt's n*1 stays within int64
+    past = {"webster": 2**62, "dhondt": 2**63, "adams": 2**63 - 1, "huntington": 3_037_000_501,
+            "dean": 2**31 + 1, "cambridge": 2**63 - 6, "tiny-beta": 9}
     gaps = np.array([41, 7, 0, 300, 7, 1, 41, 2])  # unsorted, repeated and gapped: running products skip
-    for sp in families:
+    for name, sp in families.items():
         large = np.array([0, 1, 2, 3 * 10**9, 10**12, 2**40 + 1])  # 2n**2 passes 2**63
-        for ns in (np.arange(300), gaps, large) if sp.asymptotic_beta() is not None else (np.arange(300), gaps):
+        edge = [n for n in (past[name] - 2, past[name] - 1, past[name]) if n < 2**63] if name in past else []
+        linear_like = sp.asymptotic_beta() is not None
+        for ns in (np.arange(300), gaps, large, np.array([0, 1] + edge)) if linear_like else (np.arange(300), gaps):
             a, b = sp.exact_pairs(ns)
             assert list(zip(a.tolist(), b.tolist())) == [sp.exact_pair(int(n)) for n in ns]
+        for n in edge:  # one entry at a time: int64 below the bound, Python ints past it
+            a, b = sp.exact_pairs(np.array([n]))
+            assert (a.tolist(), b.tolist()) == tuple([x] for x in sp.exact_pair(n))
+            assert a.dtype == b.dtype == (np.int64 if n < past[name] else object)

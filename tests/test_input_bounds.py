@@ -73,6 +73,8 @@ def test_scaling_past_the_float_range_rejected():
     with pytest.raises(InputError, match="finite"):
         PartyWeights.of([1e300, 2.0]).scaled(1e300)
     assert PartyWeights.of([Fraction(10**400), 1]).total == 10**400 + 1  # exact votes have no float range
+    with pytest.raises(InputError, match="float range"):  # mixed votes become floats
+        PartyWeights.of([Fraction(10**400), 1.5])
 
 
 @pytest.mark.parametrize("batch", [0, -1])

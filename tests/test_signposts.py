@@ -24,6 +24,9 @@ def test_clipped_linear():
     assert sp.zero_count() == 6
     assert sp.value(6) == 0
     assert sp.value(7) == 1
+    # 1 - beta rounds up to 2.0 in floats, but d(2) = 2**-53 > 0: one zero signpost, not two
+    near = SignpostSequence.clipped_linear(-0.9999999999999999)
+    assert (near.zero_count(), near.value(1), near.value(2)) == (1, 0.0, 2.0**-53)
     with pytest.raises(InputError):
         SignpostSequence.clipped_linear(1)
     with pytest.raises(InputError):

@@ -150,32 +150,46 @@ PAIR_FAMILIES["capped"] = FAMILIES["capped"]
 
 @pytest.mark.parametrize("m", [2, 5, 64, 65, 200])
 @pytest.mark.parametrize("name", sorted(PAIR_FAMILIES))
-@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
-def test_each_pair_function_reaches_the_heap_allocation(exact, name, m):
+@pytest.mark.parametrize("kind", ["exact", "float", "mixed"])
+def test_each_pair_function_reaches_the_heap_allocation(kind, name, m):
     # allocate_divisor picks one pair function per call: a closed form (the linear, clipped,
     # sqrt and harmonic families), exact_pair (tables, geometric) or figure (power); m
     # crosses _SCAN_MAX.  The seats, tie class and support interval, in the caller's
-    # units and of the same types, must be the heap oracle's.
+    # units and of the same types, must be the heap oracle's.  Mixed float and Fraction
+    # votes become floats when the weights are built.
     sp = PAIR_FAMILIES[name]
     z = sp.zero_count()
     top = sp.max_seats() or z + 4
     rng = random.Random(f"{name}/{m}")
     votes = [Fraction(rng.randint(1, 12), rng.choice((1, 3, 7))) for _ in range(m)]  # many equal figures
-    w = PartyWeights.of(votes if exact else [float(v) for v in votes])
+    if kind != "exact":
+        votes = [v if kind == "mixed" and j % 2 else float(v) for j, v in enumerate(votes)]
+    w = PartyWeights.of(votes)
+    assert w.exact == (kind == "exact") and all(isinstance(v, float) for v in w.votes) == (kind != "exact")
     for house in sorted({z * m, z * m + 1, (z + 1) * m, min(top, z + 2) * m + 3, rng.randint(z * m, top * m)}):
         a, b = allocate(DivisorMethod(sp), w, house), heap_divisor(w, sp, house)
         assert (a.seats, a.ties, a.tie_info, a.support_interval) == (b.seats, b.ties, b.tie_info, b.support_interval)
         assert list(map(type, a.support_interval)) == list(map(type, b.support_interval))
 
 
-@pytest.mark.parametrize("name", ["webster", "dhondt", "adams", "cambridge", "huntington", "dean"])
+CLOSED_FLOAT_FAMILIES = {
+    name: PAIR_FAMILIES[name] for name in ("webster", "dhondt", "adams", "cambridge", "huntington", "dean")
+}
+CLOSED_FLOAT_FAMILIES["linear0.3"] = SignpostSequence.linear(0.3)
+CLOSED_FLOAT_FAMILIES["clipped-2.5"] = SignpostSequence.clipped_linear(-2.5)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FLOAT_FAMILIES))
 def test_closed_float_figures_equal_figure_bit_for_bit(name):
-    # the float path divides float(w) by a / b, which rounds as float(d(n)) does
-    sp = PAIR_FAMILIES[name]
-    closed = sp.closed_pair()
+    # the float path divides float(w) by a / b, which rounds as float(d(n)) does;
+    # closed_pair holds for n > zero_count(); below, figure is +inf, as the step loops' pairs give
+    sp = CLOSED_FLOAT_FAMILIES[name]
+    closed, z = sp.closed_pair(), sp.zero_count()
     rng = random.Random(name)
     for v in [rng.uniform(1e-3, 1e7) for _ in range(20)] + [1.0, 3.0, 1e308, 5e-324]:
         w = sp.figure_weight(v)
-        for n in list(range(60)) + [rng.randint(60, 2**40) for _ in range(20)]:
+        for n in list(range(z + 1, 60)) + [rng.randint(60, 2**40) for _ in range(20)]:
             a, b = closed(n)
-            assert (w / (a / b) if a else INF) == sp.figure(v, n)
+            assert w / (a / b) == sp.figure(v, n)
+        for n in range(z + 1):
+            assert sp.figure(v, n) == INF
