@@ -19,8 +19,12 @@ count; ``allocate_quota_rows`` is that rule on floats for every row of a
 share matrix, and ``allocate_quota`` runs it on one row unless the
 weights and gamma are exact, when ``_largest_remainder`` runs it on integer
 ideals.  The float rows and ``_exact_remainder_rows``, the integer rows of
-exact quota sweeps, share one row kernel, ``_remainder_rows``, and differ
-only in what they call a tie.  The exact paths compare integers only;
+exact quota sweeps, share one kernel, ``_remainder_rows``, on party-major
+(m, houses) blocks, and differ only in what they call a tie.  It grants
+the t parties ranked ahead, party i ranked behind #{j: r_j > r_i} + #{j <
+i: r_j = r_i} others, counted one comparison per pair of parties rather
+than by sorting each house (``_ranked``), and reads the cut off the
+remainders ranked t - 1 and t.  The exact paths compare integers only;
 ``Fraction``s appear in their results alone (the support interval and the
 orbit mean).
 
@@ -703,17 +707,18 @@ def allocate_quota(
         slack = [scale * v - s * den for v, s in zip(votes, seats)]
         interval = (Fraction(max(slack), den), Fraction(min(slack) + den, den))
         return Allocation(tuple(seats), house_size, alternatives, info, interval)
-    ideals = _quota_ideals([weights.shares_float()], gamma, [house_size])
-    ideal = ideals[0].tolist()
+    ideals = _quota_ideals(np.array(weights.shares_float())[:, None], gamma, [house_size])
+    ideal = ideals[:, 0].tolist()
     seats = np.empty(ideals.shape, dtype=np.int64)
     tied, _, _ = _float_remainder_rows(ideals, gamma, [house_size], seats, False)
-    seats = seats[0].tolist()
+    seats = seats[:, 0].tolist()
     slack = [f - s for f, s in zip(ideal, seats)]
     return Allocation(tuple(seats), house_size, (), _NEAR_TIE if tied.size else None, (max(slack), min(slack) + 1))
 
 
 def _quota_ideals(shares, gamma, houses) -> np.ndarray:
-    """The ideal seat counts float(house + gamma) * p_i of ``allocate_quota_rows``.
+    """The ideal seat counts float(house + gamma) * p_i of ``allocate_quota_rows``,
+    party-major: shares (m, k), or (m, 1) for every house, give (m, len(houses)).
 
     A Fraction gamma = num/den is rounded once, as the division of exact
     floats (house*den + num) / den while (house + 1)*den + |num| < 2**53.  An
@@ -733,7 +738,7 @@ def _quota_ideals(shares, gamma, houses) -> np.ndarray:
         scale = np.array([float(h + gamma) for h in houses.tolist()])
     if not (scale > 0).all():
         raise NonpositiveQuotaError(f"need house_size + gamma > 0, got {houses[np.argmin(scale)]} + {gamma}")
-    ideal = scale[:, None] * np.asarray(shares, dtype=float)
+    ideal = np.asarray(shares, dtype=float) * scale
     whole = np.rint(ideal)
     tol = np.maximum(whole, 1.0)  # the ideals are nonnegative
     tol *= NEAR_TIE_RTOL
@@ -746,41 +751,47 @@ def allocate_quota_rows(shares, gamma, houses) -> tuple[np.ndarray, np.ndarray]:
     (k, m) share matrix (a single row serves every house).
 
     Floors the ideal seat counts of ``_quota_ideals``; equal fractional
-    parts go to the lower index.  Returns the int64 seats and a per-row
-    near-tie flag: the last granted and first refused fractional parts lie
-    within NEAR_TIE_RTOL*max(1, house + gamma), the float error of ideals
-    that large.  Raises NonpositiveQuotaError when some house + gamma <= 0,
-    NegativeSeatError on a negative seat, and InputError when house +
-    |gamma| reaches 2**62 (the floors would overflow int64).
+    parts go to the lower index.  Returns the int64 seats, (k, m), and a
+    per-row near-tie flag: the last granted and first refused fractional
+    parts lie within NEAR_TIE_RTOL*max(1, house + gamma), the float error of
+    ideals that large.  Raises NonpositiveQuotaError when some house + gamma
+    <= 0, NegativeSeatError on a negative seat, and InputError when house +
+    |gamma| reaches 2**62 (the floors would overflow int64).  The rows run
+    party-major, on one transposed copy of ``shares``.
     """
+    shares = np.ascontiguousarray(np.asarray(shares, dtype=float).T)
     seats, tied, _, _ = _float_quota_rows(shares, gamma, houses, masks=False)
-    near = np.zeros(seats.shape[0], dtype=bool)
+    near = np.zeros(seats.shape[1], dtype=bool)
     near[tied] = True
-    return seats, near
+    return seats.T, near
 
 
 def _float_quota_rows(shares, gamma, houses, masks=True):
-    """``allocate_quota_rows`` with the tie masks of ``_remainder_rows``
-    (None unless ``masks``): returns (seats, tied, tie, held).  The rows run
-    in tiles of ``stats._CHUNK`` values, from the ideals to the seats, which
-    every tile writes into one array; its ``tied`` rows are offset by its start.
+    """``allocate_quota_rows`` on party-major shares (m, k), or (m, 1) for
+    every house, with the tie masks of ``_remainder_rows`` (None unless
+    ``masks``): returns the (m, len(houses)) seats, tied, tie and held.  The
+    houses run in tiles of ``stats._CHUNK`` values, from the ideals to the
+    seats, which every tile writes into one array; its ``tied`` houses are
+    offset by its start.
     """
     houses, shares = np.asarray(houses), np.asarray(shares, dtype=float)
-    _quota_ideals(shares[:, :0], gamma, houses)  # check every house before the first tile
-    seats = np.empty((houses.size, shares.shape[1]), dtype=np.int64)
-    none = np.zeros((0, shares.shape[1]), dtype=bool)
-    found = [(np.zeros(0, dtype=np.int64), none, none)]  # what zero rows give
-    for rows in _chunks(*seats.shape):
-        ideal = _quota_ideals(shares if shares.shape[0] == 1 else shares[rows], gamma, houses[rows])
-        tied, tie, held = _float_remainder_rows(ideal, gamma, houses[rows], seats[rows], masks)
-        found.append((tied + rows.start, tie, held))
+    _quota_ideals(shares[:0], gamma, houses)  # check every house before the first tile
+    m = shares.shape[0]
+    seats = np.empty((m, houses.size), dtype=np.int64)
+    none = np.zeros((m, 0), dtype=bool)
+    found = [(np.zeros(0, dtype=np.int64), none, none)]  # what zero houses give
+    for t in _chunks(houses.size, m):
+        ideal = _quota_ideals(shares if shares.shape[1] == 1 else shares[:, t], gamma, houses[t])
+        tied, tie, held = _float_remainder_rows(ideal, gamma, houses[t], seats[:, t], masks)
+        found.append((tied + t.start, tie, held))
     tied, tie, held = zip(*found)
-    return seats, np.concatenate(tied), *((np.concatenate(tie), np.concatenate(held)) if masks else (None, None))
+    masks = (np.concatenate(tie, axis=1), np.concatenate(held, axis=1)) if masks else (None, None)
+    return seats, np.concatenate(tied), *masks
 
 
 def _float_remainder_rows(frac, gamma, houses, seats, masks=True):
-    """``_remainder_rows`` on the float ideals ``frac``, which it overwrites,
-    with the seats written into ``seats``: returns (tied, tie, held)."""
+    """``_remainder_rows`` on the party-major float ideals ``frac``, which it
+    overwrites, with the seats written into ``seats``: returns (tied, tie, held)."""
     houses = np.asarray(houses, dtype=np.int64)
     base = np.floor(frac)
     frac -= base
@@ -793,8 +804,8 @@ def _float_remainder_rows(frac, gamma, houses, seats, masks=True):
 
 def _exact_remainder_rows(votes, total: int, gamma: Fraction, houses):
     """``_largest_remainder`` at every house of an ascending int64 array:
-    returns the (seats, tied, tie, held) of ``_remainder_rows`` with the
-    remainders equal to the cut as the tie class.
+    returns the party-major (seats, tied, tie, held) of ``_remainder_rows``
+    with the remainders equal to the cut as the tie class.
 
     The ideals (house*g_den + g_num)*V_i over g_den*T, gamma = g_num/g_den,
     are int64 while they fit and Python ints in object arrays beyond.
@@ -804,62 +815,96 @@ def _exact_remainder_rows(votes, total: int, gamma: Fraction, houses):
     den = gamma.denominator * total
     top = (int(houses[-1]) * gamma.denominator + abs(gamma.numerator)) * max(votes)
     dt = np.int64 if top < 2**63 and den < 2**63 else object
-    ideal = (houses.astype(dt) * gamma.denominator + gamma.numerator)[:, None] * np.array(votes, dtype=dt)
+    ideal = np.array(votes, dtype=dt)[:, None] * (houses.astype(dt) * gamma.denominator + gamma.numerator)
     base = ideal // den
     seats, tied, tie, held = _remainder_rows(base.astype(np.int64), ideal - base * den, houses, 0)
     orbit_low = np.zeros(houses.size, dtype=bool)
-    orbit_low[tied] = (seats[tied] - held < 0).any(axis=1)
+    orbit_low[tied] = (seats[:, tied] - held < 0).any(axis=0)
     _check_nonnegative(seats, gamma, houses, orbit_low)
     return seats, tied, tie, held
 
 
 def _remainder_rows(base, rem, houses, tol, masks=True):
-    """The largest-remainder rule on rows of int64 floors ``base`` and
-    remainders ``rem`` (floats, or integers over a common denominator) at
-    houses[r].
+    """The largest-remainder rule on party-major (m, k) int64 floors
+    ``base`` and remainders ``rem`` (floats, or integers over a common
+    denominator), house r in column r at houses[r].
 
     Every party gets its floor plus q, and the t largest remainders one
-    seat more, where the seats left over are q*m + t with 0 <= t < m.  A
-    sort of each row's values gives the cut, its t-th largest remainder;
-    the remainders above it get a seat, then the lowest indices among those
-    equal to it.  A row is tied when t > 0 and the cut lies within ``tol``
-    (0, or one bound per row) of the next remainder down; its class is the
-    remainders within ``tol`` of the cut.  Returns the seats (``base``,
-    overwritten), the indices ``tied`` of the tied rows, and the masks
-    ``tie`` and ``held`` (len(tied), m) of the parties in each class and of
-    those of them granted a seat (None unless ``masks``).
+    seat more, where the seats left over are q*m + t with 0 <= t < m: the
+    parties ranked 0 .. t - 1 by ``_ranked``, so equal remainders go to the
+    lower index.  The cut is the remainder ranked t - 1, the least granted
+    one, and ``refused`` the one ranked t, the largest of the others.  A
+    house is tied when t > 0 and the cut lies within ``tol`` (0, or one
+    bound per house) of the refused remainder; its class is the remainders
+    within ``tol`` of the cut.  Returns the seats (``base``, overwritten),
+    the indices ``tied`` of the tied houses, and the (m, len(tied)) masks
+    ``tie`` and ``held`` of the parties in each class and of those of them
+    granted a seat (None unless ``masks``).
     """
-    m = base.shape[1]
-    q, t = np.divmod(houses - np.einsum("ij->i", base), m)
-    rows = np.arange(t.size)
-    ranked = np.sort(rem, axis=1)
-    cut, refused = ranked[rows, np.minimum(m - t, m - 1)], ranked[rows, m - 1 - t]  # t = 0: the largest, none above
-    by_party = np.ascontiguousarray(rem.T)
-    granted, equal = by_party > cut, by_party == cut
-    count = equal.astype(np.int64)
-    for i in range(1, m):  # the remainders equal to the cut up to each party
-        count[i] += count[i - 1]
-    granted |= equal & (count <= t - granted.sum(axis=0))
+    m = base.shape[0]
+    t = houses - np.einsum("ij->j", base)
+    q = t // m  # floor division by a scalar is fast, divmod is not
+    t -= q * m
+    granted, cut, refused = _ranked(rem, t)
     seats = base
-    seats += q[:, None]
-    seats += granted.T
+    seats += q
+    seats += granted
     tol = np.broadcast_to(tol, t.shape)
     tied = np.flatnonzero((t > 0) & (cut - refused <= tol))
     if not masks:
         return seats, tied, None, None
-    tie = abs(rem[tied] - cut[tied, None]) <= tol[tied, None]
-    return seats, tied, tie, tie & granted.T[tied]
+    tie = abs(rem[:, tied] - cut[tied]) <= tol[tied]
+    return seats, tied, tie, tie & granted[:, tied]
+
+
+def _ranked(rem, t):
+    """(granted, cut, refused) of party-major (m, k) remainders and t < m
+    seats to grant per house.  Party i ranks behind #{j: r_j > r_i} + #{j <
+    i: r_j = r_i} parties of its house; ``granted`` marks the t ranked
+    ahead, and ``cut`` and ``refused`` are the remainders ranked t - 1 and t
+    (any remainder where t = 0).
+
+    With at least 30 houses per pair of parties, no house is sorted: one
+    comparison per pair counts every rank at once (a numpy call per pair,
+    hence the 30), and m passes find the parties ranked t - 1 and t.  With
+    fewer (many parties, or few houses), a sort of each house's remainders
+    gives the cut and the refused one, and the parties above the cut are
+    granted, then the first of those equal to it.
+    """
+    m, k = rem.shape
+    if 15 * m * (m - 1) > k:
+        ranked = np.sort(rem, axis=0)
+        cut, refused = ranked[np.minimum(m - t, m - 1), np.arange(k)], ranked[m - 1 - t, np.arange(k)]
+        above, equal = rem > cut, rem == cut
+        return above | (equal & (np.cumsum(equal, axis=0) <= t - above.sum(axis=0))), cut, refused
+    rank = np.zeros((m, k), dtype=np.min_scalar_type(-m))
+    for i in range(1, m):
+        for j in range(i):
+            ahead = np.greater_equal(rem[j], rem[i]).view(np.int8)  # 1 where j ranks ahead of i, 0 where i of j
+            rank[i] += ahead
+            rank[j] -= ahead
+    rank += np.arange(m - 1, -1, -1, dtype=rank.dtype)[:, None]  # the m - 1 - j parties after j, less those behind it
+    t = t.astype(rank.dtype)
+    who = np.zeros((2, k), dtype=np.intp)  # the parties ranked t - 1 and t
+    for i in range(1, m):
+        who[0] += np.multiply(rank[i] == t - 1, i, dtype=rank.dtype)
+        who[1] += np.multiply(rank[i] == t, i, dtype=rank.dtype)
+    who *= k
+    who += np.arange(k)  # their flat indices in ``rem``
+    cut, refused = np.take(rem.ravel(), who)
+    return rank < t, cut, refused
 
 
 def _check_nonnegative(seats, gamma, houses, orbit_low=None) -> None:
-    """Raise NegativeSeatError at the first row of ``seats`` with a negative
-    count, or flagged in ``orbit_low`` (a member of its tie orbit has one)."""
-    low = (seats < 0).any(axis=1)
+    """Raise NegativeSeatError at the first house of the party-major
+    ``seats`` with a negative count, or flagged in ``orbit_low`` (a member of
+    its tie orbit has one)."""
+    low = (seats < 0).any(axis=0)
     if orbit_low is not None:
         low |= orbit_low
     if low.any():
         r = int(np.argmax(low))
-        what = "in the tie orbit" if orbit_low is not None and orbit_low[r] else tuple(seats[r].tolist())
+        what = "in the tie orbit" if orbit_low is not None and orbit_low[r] else tuple(seats[:, r].tolist())
         raise NegativeSeatError(f"gamma={gamma} yields negative seats {what} at house size {houses[r]}")
 
 
@@ -895,7 +940,7 @@ def _largest_remainder(votes, total: int, gamma: Fraction, house_size: int):
             tie = _tie_class(seats, held, nxt, lambda r: r == cut)
     orbit_low = tie is not None and min(tie[2]) < 0
     if orbit_low or min(seats) < 0:
-        _check_nonnegative(np.array([seats]), gamma, [house_size], np.array([orbit_low]))
+        _check_nonnegative(np.array(seats)[:, None], gamma, [house_size], np.array([orbit_low]))
     return seats, tie
 
 

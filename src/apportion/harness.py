@@ -6,12 +6,15 @@ statistics; averaged over a long range this realizes the uniform-random-house
 model the asymptotic formulas describe.  Rational shares are periodic in the
 house size, so their exact bias is the average over one period.
 
-Float and exact sweeps share their block kernels.  A divisor sweep builds
-the seat-award sequence once, in the one loop that sorts quotient tables
-(``_award_sequence``): every party's table of figures, taken in figure
-space from ``SignpostSequence.figures`` as ``allocate`` takes them, sorted
-stably, the tables doubled within the float range only while the final
-awards stop short.  ``_divisor_blocks`` reads every house size off
+Float and exact sweeps share their block kernels, and every block is
+party-major: seats, excesses, tie masks and exact sums are (m, houses)
+arrays, one contiguous row per party, which the kernels of ``stats`` take
+as they are.  A divisor sweep builds the seat-award sequence once, in the
+one loop that sorts quotient tables (``_award_sequence``): every party's
+table of figures, taken in figure space from ``SignpostSequence.figures``
+as ``allocate`` takes them (the tables concatenated, one call per tile),
+sorted stably, the tables doubled within the float range only while the
+final awards stop short.  ``_divisor_blocks`` reads every house size off
 cumulative counts, in one pass over the range.  The input picks the path:
 exact weights and signposts always take the exact kernels, float input the
 float ones.  Exact sweeps and period averages run on the votes scaled once
@@ -20,9 +23,10 @@ integers (``_exact_awards``), unless a kept figure is subnormal: adjacent
 awards are compared by cross-multiplication, and only runs of float
 figures within their rounding bound may be re-ordered.  Quota houses run
 the largest-remainder rule of ``allocation._remainder_rows`` on a block of
-houses at once, on float ideals or, exactly, on integer ones.  The exact
-rows of a block (seat excess, violation counts) are array operations on
-int64 while the integers fit and on Python ints beyond.  One integer
+houses at once, on float ideals or, exactly, on integer ones, ranking the
+remainders without sorting each house.  The exact rows of a block (seat
+excess, violation counts) are array operations on int64 while the
+integers fit and on Python ints beyond.  One integer
 accumulator sums every row's seats and violation counts over its tie
 orbit, so the violation totals and the mean excess (and a period average,
 that mean over one period) are exact, each converted to float once.
@@ -129,9 +133,11 @@ def _award_sequence(shares: np.ndarray, sp: SignpostSequence, count: int, rtol: 
         limit = sp.float_limit(int(want.max()))
         lengths = np.minimum(want, max(limit, z + 1)) - z  # the table sizes, clamped at the limit
         ends = np.cumsum(lengths)
+        first, edges = ends - lengths - z - 1, np.concatenate(([0], ends))  # offset less first n; table edges
         figs = np.empty(int(ends[-1]))
-        for i, (a, b) in enumerate(zip((ends - lengths).tolist(), ends.tolist())):
-            figs[a:b] = sp.figures(shares[i], np.arange(z + 1, z + 1 + b - a))
+        for t in _chunks(figs.size, 1):  # the tables, concatenated, one ``figures`` call per tile
+            counts = np.diff(np.clip(edges, t.start, t.stop))  # each table's entries in the tile
+            figs[t] = sp.figures(np.repeat(shares, counts), np.arange(t.start, t.stop) - np.repeat(first, counts))
         order = np.argsort(np.negative(figs, out=figs), kind="stable")
         np.negative(figs, out=figs)
         last = figs[ends - 1]
@@ -170,12 +176,13 @@ def _divisor_blocks(winners, close, m: int, z: int, n_from: int, n_to: int, bloc
     award k, the last award of house z*m + k + 1, and close[k] ties awards k
     and k + 1.
 
-    ``seats`` (k, m) holds each house's seats, carried from block to block;
-    ``tied`` indexes the tied rows, and the (len(tied), m) masks ``tie`` and
-    ``held`` (None without ``masks``) mark the parties of each tie class and
-    those of them holding a contested seat.  A house is tied when its last
-    award is close to the next one, and its class is that run of close
-    awards, the awards up to the house holding and the later ones taking.
+    ``seats`` (m, k) holds each house's seats party-major, column r for
+    houses[r], carried from block to block; ``tied`` indexes the tied
+    houses, and the (m, len(tied)) masks ``tie`` and ``held`` (None without
+    ``masks``) mark the parties of each tie class and those of them holding
+    a contested seat.  A house is tied when its last award is close to the
+    next one, and its class is that run of close awards, the awards up to
+    the house holding and the later ones taking.
     """
     flagged = np.flatnonzero(close)
     first = flagged[np.diff(flagged, prepend=-2) != 1]  # the first award of each run
@@ -184,7 +191,7 @@ def _divisor_blocks(winners, close, m: int, z: int, n_from: int, n_to: int, bloc
     for houses in _house_blocks(n_from, n_to, block):
         done = int(houses[0]) - z * m  # awards taken at the block's first house
         seats = _seat_matrix(base, winners[done : done + houses.size - 1])
-        base = seats[-1].copy()
+        base = seats[:, -1].copy()
         if houses[-1] < n_to:
             base[winners[done + houses.size - 1]] += 1
         award = houses - z * m - 1  # each house's last award
@@ -196,37 +203,37 @@ def _divisor_blocks(winners, close, m: int, z: int, n_from: int, n_to: int, bloc
         at = award[tied]
         run = np.searchsorted(first, at, side="right") - 1
         lo, size = first[run], last[run] - first[run] + 1
-        row = np.repeat(np.arange(tied.size), size)
+        col = np.repeat(np.arange(tied.size), size)
         entry = np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
-        tie = np.zeros((tied.size, m), dtype=bool)
-        held = np.zeros((tied.size, m), dtype=bool)
-        tie[row, winners[entry]] = True
+        tie = np.zeros((m, tied.size), dtype=bool)
+        held = np.zeros((m, tied.size), dtype=bool)
+        tie[winners[entry], col] = True
         holds = entry <= np.repeat(at, size)
-        held[row[holds], winners[entry[holds]]] = True
+        held[winners[entry[holds]], col[holds]] = True
         yield houses, seats, tied, tie, held
 
 
 def _seat_matrix(base: np.ndarray, winners: np.ndarray) -> np.ndarray:
-    """Seats after each prefix of an award sequence: row r holds ``base``
-    plus the awards winners[:r], for r = 0 .. len(winners), built in tiles
-    of ``stats._CHUNK`` values on the last row of the tile before."""
+    """Seats after each prefix of an award sequence, party-major: column r
+    holds ``base`` plus the awards winners[:r], for r = 0 .. len(winners),
+    built in tiles of ``stats._CHUNK`` values on the last column of the
+    tile before."""
     m = base.size
-    seats = np.empty((winners.size + 1, m), dtype=np.int64)
-    seats[0] = base
-    for rows in _chunks(winners.size, m):
-        tile = seats[rows.start + 1 : rows.stop + 1]
-        # the (m, k) one-hot's running sums, written straight into the transpose
-        np.cumsum(winners[rows] == np.arange(m)[:, None], axis=1, out=tile.T)
-        tile += seats[rows.start]
+    seats = np.empty((m, winners.size + 1), dtype=np.int64)
+    seats[:, 0] = base
+    for t in _chunks(winners.size, m):
+        tile = seats[:, t.start + 1 : t.stop + 1]
+        np.cumsum(winners[t] == np.arange(m)[:, None], axis=1, out=tile)  # the one-hot's running sums
+        tile += seats[:, t.start, None]
     return seats
 
 
 def _orbit_parts(seats, tie, held):
-    """(base, k, grants) of tied rows with the masks of a block generator:
-    the seats less the held grants, and per row, as a column, the number k
-    of tied parties and the number of grants.  The orbit mean gives each
-    tied party base + grants/k."""
-    return seats - held.astype(seats.dtype), tie.sum(axis=1)[:, None], held.sum(axis=1)[:, None]
+    """(base, k, grants) of the party-major seats of tied houses with the
+    masks of a block generator: the seats less the held grants, and per
+    house, as a row, the number k of tied parties and the number of grants.
+    The orbit mean gives each tied party base + grants/k."""
+    return seats - held.astype(seats.dtype), tie.sum(axis=0), held.sum(axis=0)
 
 
 def _house_blocks(n_from: int, n_to: int, block: int):
@@ -237,10 +244,11 @@ def _house_blocks(n_from: int, n_to: int, block: int):
 
 def _float_seat_blocks(method, shares: np.ndarray, n_from: int, n_to: int, masks: bool = False):
     """``_exact_seat_blocks`` on float shares: per _FLOAT_BLOCK houses of
-    [n_from, n_to], ``allocate``'s canonical seats, the near-tied rows and,
-    if ``masks``, their class masks (else None).  Divisor houses, n_from >=
-    z*m, come off ``_award_sequence``, quota houses off ``_float_quota_rows``.
-    More than MAX_TRIALS houses raise InputError, as in the exact source.
+    [n_from, n_to], ``allocate``'s canonical seats (m, k), the near-tied
+    houses and, if ``masks``, their class masks (else None).  Divisor
+    houses, n_from >= z*m, come off ``_award_sequence``, quota houses off
+    ``_float_quota_rows``.  More than MAX_TRIALS houses raise InputError, as
+    in the exact source.
     """
     _check_houses(n_from, n_to)
     if isinstance(method, DivisorMethod):
@@ -248,7 +256,7 @@ def _float_seat_blocks(method, shares: np.ndarray, n_from: int, n_to: int, masks
         winners, _, close = _award_sequence(shares, sp, n_to - sp.zero_count() * m, NEAR_TIE_RTOL)
         return _divisor_blocks(winners, close, m, sp.zero_count(), n_from, n_to, _FLOAT_BLOCK, masks)
     blocks = _house_blocks(n_from, n_to, _FLOAT_BLOCK)
-    return ((h, *_float_quota_rows(shares[None, :], method.gamma, h, masks)) for h in blocks)
+    return ((h, *_float_quota_rows(shares[:, None], method.gamma, h, masks)) for h in blocks)
 
 
 def _check_houses(n_from: int, n_to: int) -> None:
@@ -356,10 +364,11 @@ def _exact_seat_blocks(method, weights, n_from: int, n_to: int):
     [n_from, n_to] on exact weights (and signposts); a divisor sweep starts
     at its first feasible house z*m at the earliest.
 
-    ``seats`` (k, m) holds each house's canonical seats, which grant the
-    contested seats of a tie to the lowest indices; ``tied`` indexes the
-    tied rows, and the (len(tied), m) masks ``tie`` and ``held`` mark the
-    parties of each tie class and those of them holding a contested seat.
+    ``seats`` (m, k) holds each house's canonical seats party-major, which
+    grant the contested seats of a tie to the lowest indices; ``tied``
+    indexes the tied houses, and the (m, len(tied)) masks ``tie`` and
+    ``held`` mark the parties of each tie class and those of them holding a
+    contested seat.
 
     Divisor houses read their seats and tie classes off the n_to - z*m
     awards of ``_exact_awards`` and the run of equal figures after them,
@@ -383,19 +392,20 @@ def _exact_seat_blocks(method, weights, n_from: int, n_to: int):
 
 
 def _tie_tuple(seats, tie, held) -> tuple[tuple, int, tuple]:
-    """The tie class (parties, grants, base_seats) of one row's masks."""
+    """The tie class (parties, grants, base_seats) of one house's masks."""
     parties = np.flatnonzero(tie)
     return tuple(parties.tolist()), int(held.sum()), tuple((seats[parties] - held[parties]).tolist())
 
 
 def _policy_rows(houses, seats, tied, tie, held, policy: TiePolicy) -> np.ndarray:
-    """The seats the tie policy picks: the canonical ones, but under
-    ``TiePolicy.seeded`` each tied row draws from (seed, house)."""
+    """The party-major seats the tie policy picks: the canonical ones, but
+    under ``TiePolicy.seeded`` each tied house draws from (seed, house)."""
     if policy.kind != "random" or not tied.size:
         return seats
     seats = seats.copy()
     for j, r in enumerate(tied.tolist()):
-        seats[r] = _policy_seats(seats[r].tolist(), _tie_tuple(seats[r], tie[j], held[j]), policy, int(houses[r]))
+        col = seats[:, r]
+        seats[:, r] = _policy_seats(col.tolist(), _tie_tuple(col, tie[:, j], held[:, j]), policy, int(houses[r]))
     return seats
 
 
@@ -412,75 +422,75 @@ def _combs(n: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _excess_rows(houses, seats, tied, tie, held, votes, total: int, average: bool):
-    """(delta, sums, orbit) of a block of exact rows.
+    """(delta, sums, orbit) of a party-major block of exact houses, column r
+    for houses[r].
 
-    delta (k, m) holds the seat excesses s_i - house*p_i as floats.  sums
-    (k, 3m + 1) holds integer sums over each row's ``orbit`` of equally
+    delta (m, k) holds the seat excesses s_i - house*p_i as floats.  sums
+    (3m + 1, k) holds integer sums over each house's ``orbit`` of equally
     likely seat vectors: party i's seats summed over the members, the
     members in which it violates its lower quota, those in which it
     violates its upper quota, and last the members in which some party
-    violates one.  Under the averaging policy the orbit of a tied row has
+    violates one.  Under the averaging policy the orbit of a tied house has
     comb(k, grants) members, in which ``grants`` of its k tied parties get
     one seat over their base: a tied party's seats sum to base*comb(k,
     grants) + comb(k - 1, grants - 1), and its orbit mean is (base*k +
-    grants)/k (``_orbit_parts``); otherwise a row is the one seat vector
-    ``seats``, orbit 1.  The sums are int64 while house*orbit*rows < 2**63,
+    grants)/k (``_orbit_parts``); otherwise a house is the one seat vector
+    ``seats``, orbit 1.  The sums are int64 while house*orbit*houses < 2**63,
     a bound on their sums over the block, and Python ints beyond.
 
     Each excess is one division (S*T - house*V_i*k) / (k*T) of integers,
     S the mean seats times k.  While house*T*m < 2**63 the integers are
-    int64; numpy divides them as float64s, so a row whose numerator or k*T
-    reaches 2**53 is divided again as Python ints, whose int / int is
+    int64; numpy divides them as float64s, so a house whose numerator or
+    k*T reaches 2**53 is divided again as Python ints, whose int / int is
     correctly rounded.  Past 2**63 the same code runs on object arrays of
     Python ints.  The quota cuts floor(house*p_i) and ceil(house*p_i) come
-    from the same integers.  The orbit sizes of the tied rows take one
+    from the same integers.  The orbit sizes of the tied houses take one
     ``comb`` per distinct argument pair (``_combs``).
     """
-    k_rows, m = seats.shape
+    m, k_rows = seats.shape
     dt = np.int64 if int(houses[-1]) * total * m < 2**63 else object
     s = seats.astype(dt)
-    x = houses.astype(dt)[:, None] * np.array(votes, dtype=dt)
+    x = np.array(votes, dtype=dt)[:, None] * houses.astype(dt)
     lo_cut = x // total  # lower quota violated iff s < floor(house*p)
     hi_cut = lo_cut + (x - lo_cut * total > 0).astype(dt)  # upper violated iff s > ceil(house*p)
     lower, upper = s < lo_cut, s > hi_cut
-    scaled, k, orbit = s, np.ones((k_rows, 1), dtype=dt), np.ones(k_rows, dtype=np.int64)  # mean seats times k
+    scaled, k, orbit = s, np.ones(k_rows, dtype=dt), np.ones(k_rows, dtype=np.int64)  # mean seats times k
     averaged = average and tied.size
     if averaged:
-        base, kt, gt = _orbit_parts(s[tied], tie, held)  # a tied party holds base or base + 1 seats
-        ka, ga = kt[:, 0], gt[:, 0]
-        big = _combs(ka, ga)
+        base, kt, gt = _orbit_parts(s[:, tied], tie, held)  # a tied party holds base or base + 1 seats
+        big = _combs(kt, gt)
         orbit = orbit.astype(big.dtype)
         orbit[tied] = big
     st = np.int64 if int(houses[-1]) * int(orbit.max()) * k_rows < 2**63 else object
-    sums = np.column_stack((s, lower, upper, (lower | upper).any(axis=1))).astype(st)
+    sums = np.vstack((s, lower, upper, (lower | upper).any(axis=0))).astype(st)
     if averaged:
-        big = big.astype(st)[:, None]
-        granted = _combs(ka - 1, ga - 1).astype(st)[:, None]  # members granting a party
+        big = big.astype(st)
+        granted = _combs(kt - 1, gt - 1).astype(st)  # members granting a party
         tm = tie.astype(dt)
         scaled = s.copy()
-        scaled[tied] = base * kt + tm * gt
+        scaled[:, tied] = base * kt + tm * gt
         k[tied] = kt
-        lo_t, hi_t = lo_cut[tied], hi_cut[tied]
+        lo_t, hi_t = lo_cut[:, tied], hi_cut[:, tied]
         lo_g, lo_n = base + tm < lo_t, base < lo_t  # the violations with and without the grant
         hi_g, hi_n = base + tm > hi_t, base > hi_t
-        sums[tied, :m] = base * big + tie * granted
-        sums[tied, m : 2 * m] = granted * lo_g + (big - granted) * lo_n
-        sums[tied, 2 * m : -1] = granted * hi_g + (big - granted) * hi_n
+        sums[:m, tied] = base * big + tie * granted
+        sums[m : 2 * m, tied] = granted * lo_g + (big - granted) * lo_n
+        sums[2 * m : -1, tied] = granted * hi_g + (big - granted) * hi_n
         with_grant, without = lo_g | hi_g, lo_n | hi_n
-        fixed = (with_grant & without).any(axis=1)
-        only_without = (without & ~with_grant).sum(axis=1)
-        free, short = ka - (with_grant & ~without).sum(axis=1) - only_without, ga - only_without
+        fixed = (with_grant & without).any(axis=0)
+        only_without = (without & ~with_grant).sum(axis=0)
+        free, short = kt - (with_grant & ~without).sum(axis=0) - only_without, gt - only_without
         # the members avoiding every violation grant all of ``without`` and none of ``with_grant``
         good = np.zeros(tied.size, dtype=st)
         some = (short >= 0) & (short <= free) & ~fixed
         good[some] = _combs(free[some], short[some])
-        sums[tied, -1] = big[:, 0] - good
+        sums[-1, tied] = big - good
     num, den = scaled * total - x * k, k * total
     delta = (num / den).astype(float)
     if dt is np.int64:
-        wide = (np.abs(num) >= 2**53).any(axis=1) | (den[:, 0] >= 2**53)  # not exact as float64s
+        wide = (np.abs(num) >= 2**53).any(axis=0) | (den >= 2**53)  # not exact as float64s
         if wide.any():
-            delta[wide] = (num[wide].astype(object) / den[wide].astype(object)).astype(float)
+            delta[:, wide] = (num[:, wide].astype(object) / den[wide].astype(object)).astype(float)
     return delta, sums, orbit
 
 
@@ -504,12 +514,12 @@ def _exact_sweep(method, weights, n_from, n_to, tie_policy, stats) -> tuple[Frac
         if not average:
             seats = _policy_rows(houses, seats, tied, tie, held, tie_policy)
         delta, sums, orbit = _excess_rows(houses, seats, tied, tie, held, votes, total, average)
-        stats.moments.push_batch(delta)
+        stats.moments._push(delta)
         if stats.histogram is not None:
-            stats.histogram.push_batch(delta)
+            stats.histogram._push(delta)
         stats.ties += tied.size
         for size in set(orbit.tolist()):
-            summed = sums[orbit == size].sum(axis=0).tolist()
+            summed = sums[:, orbit == size].sum(axis=1).tolist()
             totals[size] = [a + b for a, b in zip(totals.get(size, [0] * (3 * m + 1)), summed)]
     lcm = math.lcm(*totals)  # every total over one denominator, in Python ints
     exact = [sum(c[j] * (lcm // size) for size, c in totals.items()) for j in range(3 * m + 1)]
@@ -566,14 +576,17 @@ def sweep(
         _exact_sweep(method, weights, n_from, n_to, tie_policy, stats)
         return stats
     shares = np.asarray(weights.shares_float())
+    column = shares[:, None]
     average = tie_policy.kind == "average"  # the other policies only count the near-ties
-    for houses, seats, tied, tie, held in _float_seat_blocks(method, shares, n_from, n_to, average):
-        deltas = np.multiply(houses[:, None], shares)
+    blocks = _float_seat_blocks(method, shares, n_from, n_to, average)  # a divisor method's awards first
+    block = np.empty((m, min(_FLOAT_BLOCK, n_to - n_from + 1)))  # the excesses of every block in turn
+    for houses, seats, tied, tie, held in blocks:
+        deltas = np.multiply(column, houses, out=block[:, : houses.size])
         np.subtract(seats, deltas, out=deltas)
-        if average and tied.size:  # a near-tied row holds its orbit mean
-            base, k, grants = _orbit_parts(seats[tied], tie, held)
-            deltas[tied] = base + tie * (grants / k) - houses[tied, None] * shares
-        stats.record_batch(deltas)
+        if average and tied.size:  # a near-tied house holds its orbit mean
+            base, k, grants = _orbit_parts(seats[:, tied], tie, held)
+            deltas[:, tied] = base + tie * (grants / k) - column * houses[tied]
+        stats._record(deltas)
         stats.near_ties += float(tied.size)
     return stats
 
@@ -831,10 +844,11 @@ def apparentement_sweep(
 
     Until exact apparentements exist it runs on the float shares, whatever
     the input, so exact votes get their canonical seats and no tie average.
-    The seats of the full and the merged lists fill one (houses, 3) buffer,
-    one more ``_float_seat_blocks`` call splits every pooled seat count
-    between the pair (the sub-apportionment), and the buffer turns into the
-    gains in place.  More than MAX_TRIALS houses raise InputError.
+    The seats of the full and the merged lists fill one party-major (3,
+    houses) buffer, one more ``_float_seat_blocks`` call splits every pooled
+    seat count between the pair (the sub-apportionment), and the buffer
+    turns into the gains in place.  More than MAX_TRIALS houses raise
+    InputError.
     """
     m = len(weights)
     if m < 3:
@@ -858,19 +872,19 @@ def apparentement_sweep(
         raise InputError("range lies below the feasible coalition sweep start")
     full = _float_seat_blocks(method, shares, n_from, n_to)
     pooled = _float_seat_blocks(method, mshares, n_from, n_to)
-    gains = np.empty((n_to - n_from + 1, 3))  # the pooled seats, then the seats of party i and party j
+    gains = np.empty((3, n_to - n_from + 1))  # the pooled seats, then the seats of party i and party j
     for (houses, s_full, *_), (_, s_pooled, *_) in zip(full, pooled):
-        rows = slice(int(houses[0]) - n_from, int(houses[-1]) - n_from + 1)
-        gains[rows, 0], gains[rows, 1], gains[rows, 2] = s_pooled[:, im], s_full[:, party_i], s_full[:, party_j]
-    pool = gains[:, 0].astype(np.int64)
+        cols = slice(int(houses[0]) - n_from, int(houses[-1]) - n_from + 1)
+        gains[0, cols], gains[1, cols], gains[2, cols] = s_pooled[im], s_full[party_i], s_full[party_j]
+    pool = gains[0].astype(np.int64)
     lo, hi = int(pool.min()), int(pool.max())
     if lo < sub_min:  # so that the quota sub-apportionment has house + gamma > 0
         raise InvariantError("pooled seat count below the sub-apportionment minimum")
-    sub = np.concatenate([s for _, s, *_ in _float_seat_blocks(method, pair_shares, lo, hi)])
+    sub = np.concatenate([s for _, s, *_ in _float_seat_blocks(method, pair_shares, lo, hi)], axis=1)
     pool -= lo
-    gains[:, 0] -= gains[:, 1]  # the joint gain: pooled seats less the separate ones
-    gains[:, 0] -= gains[:, 2]
-    np.subtract(sub[pool], gains[:, 1:], out=gains[:, 1:])  # each party's share of the pool less its seats
+    gains[0] -= gains[1]  # the joint gain: pooled seats less the separate ones
+    gains[0] -= gains[2]
+    np.subtract(sub[:, pool], gains[1:], out=gains[1:])  # each party's share of the pool less its seats
     moments = RunningMoments(3)
-    moments.push_batch(gains)
+    moments._push(gains)
     return ApparentementStats(moments, party_i, party_j, n_from, n_to)

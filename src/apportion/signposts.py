@@ -75,6 +75,14 @@ def _quotient(a, b) -> float:
         return math.nan
 
 
+def _seat_indices(ns) -> np.ndarray:
+    """Seat indices as an int64 array; a negative one raises InputError, as in ``value``."""
+    ns = np.asarray(ns, dtype=np.int64)
+    if ns.size and ns.min() < 0:
+        raise InputError("signposts are indexed from 0")
+    return ns
+
+
 def _exact_or_float(x):
     """Keep ints/Fractions exact; leave finite floats as floats."""
     if isinstance(x, bool):
@@ -301,7 +309,7 @@ class SignpostSequence:
         The divisors are a / b of ``_closed_arrays`` (floats while exact, else ints, rounding
         once as ``float(Fraction)`` does), or ``_float_table`` entries without a ``closed_pair``."""
         v = self.figure_weight(np.asarray(v, dtype=float))
-        ns = np.asarray(ns, dtype=np.int64)
+        ns = _seat_indices(ns)
         if not self.closed_pair():
             d = self._float_table(int(ns.max(initial=0)))[ns]
         else:  # d = a / b: in place on floats, one ``_quotient`` per entry on ints
@@ -338,6 +346,8 @@ class SignpostSequence:
 
     def _figure_divisor(self, n: int):
         """The divisor of n's figures: d(n), or n(n - 1) for the squared sqrt pair."""
+        if n < 0:
+            raise InputError("signposts are indexed from 0")
         return n * (n - 1) if self.kind == SQRT_PAIR else self.value(n)
 
     def _float_table(self, n_max: int) -> np.ndarray:
@@ -390,6 +400,8 @@ class SignpostSequence:
         is (1, 0), a figure of 0.  ``closed_pair`` serves its families past ``zero_count()``.
         """
         if (closed := self.closed_pair()) and self.exactness is not Exactness.FLOAT:
+            if n < 0:
+                raise InputError("signposts are indexed from 0")
             return closed(n) if n > self.zero_count() else (0, 1)
         d = self._figure_divisor(n)
         if isinstance(d, Rational):
@@ -406,7 +418,7 @@ class SignpostSequence:
         ``exact_pair`` integers, one call per distinct n, or of running products over
         them for a ``Fraction`` geometric ratio.
         """
-        ns = np.asarray(ns, dtype=np.int64)
+        ns = _seat_indices(ns)
         if self.closed_pair() and self.exactness is not Exactness.FLOAT:
             a, b, zero = self._closed_arrays(ns, np.int64, 2**63)
             return a, np.where(zero, 1, np.asarray(b, dtype=a.dtype))

@@ -3,9 +3,18 @@
 ``RunningMoments`` keeps vector means and the full comoment matrix with a
 numerically stable pairwise (Chan) merge, so a sweep can be split into
 chunks, processed independently, and recombined associatively.
-``SweepStats`` adds per-party histograms, one ``bincount`` per ``_CHUNK``
-values of a batch, quota violation counts, one ``flatnonzero`` per batch,
-and tie counts.
+``SweepStats`` adds per-party histograms, quota violation counts and tie
+counts.
+
+The kernels take a batch party-major, as an (m, k) array with one
+contiguous row of k values per party, the layout of the sweeps' blocks.
+The public ``push_batch`` and ``record_batch`` take (k, m) rows and hand
+one transposed copy to the kernels.  The layout moves no bit: a batch's
+mean is the sequential sum of each party's row (``_column_means``), the sum
+``mean(axis=0)`` forms over (k, m) rows, and its comoment is one matrix
+product c @ c.T of the centered rows.  The histogram (one ``bincount``)
+and the violation counts run in tiles of ``_CHUNK`` values and count
+integers.
 """
 
 from __future__ import annotations
@@ -30,6 +39,26 @@ def _chunks(n: int, m: int):
     return (slice(a, min(a + step, n)) for a in range(0, n, step))
 
 
+def _party_major(xs, dim: int) -> np.ndarray:
+    """(k, dim) rows as the one party-major (dim, k) float copy the kernels take."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != dim:
+        raise DimensionMismatchError(f"expected (k, {dim}) batch, got {xs.shape}")
+    return np.ascontiguousarray(xs.T)
+
+
+def _column_means(cols: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The means of the rows of a party-major (m, k) batch, bit for bit those
+    of ``mean(axis=0)`` over its (k, m) transpose: numpy sums m >= 2 columns
+    row after row from 0.0, the last entry of a running sum (``scratch``
+    holds it) plus 0.0, and one contiguous column pairwise, as ``sum`` does
+    a contiguous row."""
+    if cols.shape[0] == 1:
+        return cols.sum(axis=1) / cols.shape[1]
+    np.cumsum(cols, axis=1, out=scratch)
+    return (scratch[:, -1] + 0.0) / cols.shape[1]  # + 0.0: the sum starts from 0.0, so -0.0 sums to 0.0
+
+
 class RunningMoments:
     """Running mean vector and comoment matrix of vector observations."""
 
@@ -40,16 +69,18 @@ class RunningMoments:
         self.comoment = np.zeros((dim, dim))  # sum of outer(x - mean, x - mean)
 
     def push_batch(self, xs) -> None:
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2 or xs.shape[1] != self.dim:
-            raise DimensionMismatchError(f"expected (k, {self.dim}) batch, got {xs.shape}")
-        k = xs.shape[0]
+        """Push (k, dim) rows of observations."""
+        self._push(_party_major(xs, self.dim))
+
+    def _push(self, cols: np.ndarray) -> None:
+        """The kernel of ``push_batch``: a party-major (dim, k) float batch."""
+        k = cols.shape[1]
         if k == 0:
             return
-        batch_mean = xs.mean(axis=0)
-        centered = xs - batch_mean
-        batch_como = centered.T @ centered
-        self._combine(k, batch_mean, batch_como)
+        scratch = np.empty_like(cols)  # the running sums, then the centered rows
+        batch_mean = _column_means(cols, scratch)
+        centered = np.subtract(cols, batch_mean[:, None], out=scratch)
+        self._combine(k, batch_mean, centered @ centered.T)
 
     def merge(self, other: "RunningMoments") -> None:
         if other.dim != self.dim:
@@ -98,13 +129,17 @@ class DeltaHistogram:
         self.counts = np.zeros((len(bounds), self.n_bins), dtype=np.int64)
 
     def push_batch(self, xs) -> None:
-        xs = np.asarray(xs, dtype=float)
-        offsets = np.arange(0, self.counts.size, self.n_bins)  # party i's bins follow party i - 1's
-        for rows in _chunks(*xs.shape):
-            scaled = np.subtract(xs[rows], self.low)
+        """Count (k, m) rows of excesses."""
+        self._push(_party_major(xs, self.counts.shape[0]))
+
+    def _push(self, cols: np.ndarray) -> None:
+        """The kernel of ``push_batch``: a party-major (m, k) float batch, in tiles of ``_CHUNK`` values."""
+        low, offsets = self.low[:, None], np.arange(0, self.counts.size, self.n_bins)[:, None]
+        for t in _chunks(cols.shape[1], cols.shape[0]):
+            scaled = np.subtract(cols[:, t], low)
             idx = np.divide(scaled, self.bin_width, out=scaled).astype(int)
             np.clip(idx, 0, self.n_bins - 1, out=idx)
-            idx += offsets
+            idx += offsets  # party i's bins follow party i - 1's
             self.counts += np.bincount(idx.ravel(), minlength=self.counts.size).reshape(self.counts.shape)
 
     def merge(self, other: "DeltaHistogram") -> None:
@@ -150,17 +185,23 @@ class SweepStats:
         return self.moments.dim
 
     def record_batch(self, deltas) -> None:
-        """Record excess rows; party i violates its quota in a row where |delta_i| >= 1."""
-        deltas = np.asarray(deltas, dtype=float)
-        self.moments.push_batch(deltas)
+        """Record (k, m) excess rows; party i violates its quota in a row where |delta_i| >= 1."""
+        self._record(_party_major(deltas, self.dim))
+
+    def _record(self, cols: np.ndarray) -> None:
+        """The kernel of ``record_batch``: a party-major (m, k) float batch."""
+        self.moments._push(cols)
         if self.histogram is not None:
-            self.histogram.push_batch(deltas)
-        # row-major flat indices: the sign picks the bound, and a row counts once
-        flat = np.flatnonzero(np.abs(deltas) >= 1.0)
-        party, low = flat % self.dim, deltas.ravel()[flat] < 0
-        self.lower_violations += np.bincount(party[low], minlength=self.dim)
-        self.upper_violations += np.bincount(party[~low], minlength=self.dim)
-        self.any_violation += float(np.count_nonzero(np.diff(flat // self.dim)) + (flat.size > 0))
+            self.histogram._push(cols)
+        m, k = cols.shape
+        for t in _chunks(k, m):
+            tile = cols[:, t]
+            # the violations as (party, house) pairs: the sign picks the bound, and a house counts once
+            party, house = np.divmod(np.flatnonzero(np.abs(tile) >= 1.0), tile.shape[1])
+            low = tile[party, house] < 0
+            self.lower_violations += np.bincount(party[low], minlength=m)
+            self.upper_violations += np.bincount(party[~low], minlength=m)
+            self.any_violation += float(np.count_nonzero(np.bincount(house)))
 
     def merge(self, other: "SweepStats") -> None:
         """Combine with stats over a disjoint range; associative."""

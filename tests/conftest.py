@@ -145,7 +145,8 @@ def argsort_remainder_rows(base, rem, houses, tol):
     """The largest-remainder row rule by two stable argsorts, the reference
     of ``apportion.allocation._remainder_rows``: the ranks of the negated
     remainders grant equal remainders to the lower index.  Returns (seats,
-    tied, tie, held) as the kernel does, with ``base`` overwritten."""
+    tied, tie, held) as the kernel does, row-major where the kernel is
+    party-major (one row per house), with ``base`` overwritten."""
     q, t = np.divmod(houses - base.sum(axis=1), base.shape[1])
     order = np.argsort(-rem, axis=1, kind="stable")
     granted = np.argsort(order, axis=1, kind="stable") < t[:, None]
@@ -226,7 +227,7 @@ def _exact_blocks(method, weights, n_from, n_to, policy):
     for houses, seats, tied, tie, held in _exact_seat_blocks(method, weights, n_from, n_to):
         ties = [None] * houses.size
         for j, r in enumerate(tied.tolist()):
-            ties[r] = _tie_tuple(seats[r], tie[j], held[j])
+            ties[r] = _tie_tuple(seats[:, r], tie[:, j], held[:, j])
         picked = _policy_rows(houses, seats, tied, tie, held, policy)
         yield houses, seats, picked, tied, tie, held, ties
 
@@ -236,7 +237,7 @@ def exact_houses(method, weights, n_from, n_to, policy=DEFAULT_TIES):
     seats of a tied house are the tie policy's pick from its class."""
     out = []
     for houses, _, picked, _, _, _, ties in _exact_blocks(method, weights, n_from, n_to, policy):
-        out += [(h, tuple(s), t) for h, s, t in zip(houses.tolist(), picked.tolist(), ties)]
+        out += [(h, tuple(s), t) for h, s, t in zip(houses.tolist(), picked.T.tolist(), ties)]
     return out
 
 
@@ -252,8 +253,8 @@ def exact_rows(method, weights, n_from, n_to, policy):
     m, average = len(votes), policy.kind == "average"
     for houses, seats, picked, tied, tie, held, ties in _exact_blocks(method, weights, n_from, n_to, policy):
         delta, sums, orbit = _excess_rows(houses, seats if average else picked, tied, tie, held, votes, total, average)
-        lower, upper, violating = sums[:, m : 2 * m], sums[:, 2 * m : -1], sums[:, -1]
-        rows = (delta, lower, upper, violating, orbit)
+        lower, upper, violating = sums[m : 2 * m].T, sums[2 * m : -1].T, sums[-1]
+        rows = (delta.T, lower, upper, violating, orbit)
         yield from zip(houses.tolist(), ties, *(x.tolist() for x in rows))
 
 

@@ -1,8 +1,12 @@
 """The block kernels of float sweeps against their references.
 
-``allocation._remainder_rows`` (one value sort per row) must equal the
-double-argsort rule of ``conftest.argsort_remainder_rows``; the default
-violation path of ``SweepStats.record_batch`` must equal per-column counts;
+The kernels take party-major (m, houses) blocks.  ``allocation._remainder_rows``
+(ranks counted pair by pair, or a value sort per house with many parties)
+must equal the double-argsort rule of ``conftest.argsort_remainder_rows``;
+the numpy premises that make the party-major moments bit-identical to the
+row-major ones must hold, and ``RunningMoments.push_batch`` must equal its
+row-major formula bit for bit; the default violation path of
+``SweepStats.record_batch`` must equal per-column counts;
 the tiled kernels (``_float_quota_rows``, ``_seat_matrix``,
 ``DeltaHistogram.push_batch``) must equal their whole-array or per-house
 references across tile edges; float sweeps must reproduce recorded
@@ -25,13 +29,13 @@ import apportion.harness as harness
 from apportion import InputError, PartyWeights, SignpostSequence, TiePolicy, allocate, method_by_name
 from apportion.allocation import NEAR_TIE_RTOL, _float_quota_rows, _quota_ideals, _remainder_rows
 from apportion.harness import _seat_matrix, apparentement_sweep, sqrt_shares, sweep
-from apportion.stats import SweepStats, _chunk_rows
+from apportion.stats import RunningMoments, SweepStats, _chunk_rows, _column_means
 from conftest import argsort_remainder_rows
 
 # -- the largest-remainder row kernel ----------------------------------------------
 
 
-def _rows(rng, m, kind, k=600):
+def _rows(rng, m, kind, k):
     """Floors, remainders and houses of k rows with many equal remainders and
     a third of the rows at t = 0 (no seat left over)."""
     if kind == "float":
@@ -47,18 +51,64 @@ def _rows(rng, m, kind, k=600):
     return base, rem, houses
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 8, 16, 50, 100, 130])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8, 9, 16, 50, 100, 130])
 @pytest.mark.parametrize("kind", ["float", "int64", "object"])
 def test_remainder_rows_equal_the_argsort_rule(m, kind):
+    # 29 houses sort every house from m = 2 on, 3600 count ranks up to m = 16,
+    # and 600 take the count up to m = 6 and the sort from m = 7
     rng = np.random.default_rng(m)
-    base, rem, houses = _rows(rng, m, kind)
-    tols = [0] if kind != "float" else [0.0, 0.03 * rng.random(houses.size)]  # zero, or a bound per row
-    for tol in tols:
-        got = _remainder_rows(base.copy(), rem, houses, tol)
-        want = argsort_remainder_rows(base.copy(), rem, houses, tol)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
-        assert got[1].size  # the corpus has tied rows
+    for k in (29, 600, 3600):
+        base, rem, houses = _rows(rng, m, kind, k)
+        tols = [0] if kind != "float" else [0.0, 0.03 * rng.random(houses.size)]  # zero, or a bound per row
+        for tol in tols:
+            got = _remainder_rows(base.T.copy(), rem.T.copy(), houses, tol)
+            got = (got[0].T, got[1], got[2].T, got[3].T)
+            want = argsort_remainder_rows(base.copy(), rem, houses, tol)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+            assert got[1].size or k == 29 or m == 1  # the corpus has tied rows; one party never ties
+
+
+# -- the party-major layout: premises of bit-identity --------------------------------
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 9, 33])
+def test_party_major_moment_premises(m):
+    # numpy's mean(axis=0) of (k, m) rows sums them one after another from
+    # 0.0 for m >= 2 (the last running sum of the party-major rows, plus 0.0)
+    # and pairwise for m = 1 (as ``sum`` does a contiguous row), and c.T @ c
+    # equals cT @ cT.T bit for bit: a numpy or BLAS change that breaks
+    # either would move the sweep outputs, and fails here first
+    rng = np.random.default_rng(m)
+    for k in (1, 2, 7, 8, 9, 127, 128, 129, 4097, 65_536):
+        x = rng.standard_normal((k, m)) * 10.0 ** rng.integers(-6, 7, (k, m))
+        cols = np.ascontiguousarray(x.T)
+        mean = x.mean(axis=0)
+        sums = cols.sum(axis=1) if m == 1 else np.cumsum(cols, axis=1)[:, -1] + 0.0
+        assert (sums / k).tobytes() == mean.tobytes(), k
+        assert _column_means(cols, np.empty_like(cols)).tobytes() == mean.tobytes(), k
+        c, ct = x - mean, cols - mean[:, None]
+        assert (c.T @ c).tobytes() == (ct @ ct.T).tobytes(), k
+    zeros = np.full((5, m), -0.0)  # the sum starts from 0.0: -0.0 columns have mean 0.0
+    assert _column_means(np.ascontiguousarray(zeros.T), np.empty((m, 5))).tobytes() == zeros.mean(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_push_batch_equals_the_row_major_moments(m):
+    rng = np.random.default_rng(10 + m)
+    moments, mean, como, count = RunningMoments(m), np.zeros(m), np.zeros((m, m)), 0.0
+    for k in (1, 3, 1000, 65_536, 7):
+        xs = rng.standard_normal((k, m)) + rng.integers(-3, 4, (k, m))
+        moments.push_batch(xs)
+        batch_mean = xs.mean(axis=0)  # the row-major batch moments, merged as ``_combine`` does
+        centered = xs - batch_mean
+        if count:
+            delta, n = batch_mean - mean, count + k
+            mean, como = mean + delta * (k / n), como + centered.T @ centered + np.outer(delta, delta) * (count * k / n)
+        else:
+            mean, como = batch_mean, centered.T @ centered
+        count += k
+        assert moments.mean.tobytes() == mean.tobytes() and moments.comoment.tobytes() == como.tobytes()
 
 
 # -- SweepStats.record_batch ----------------------------------------------------------
@@ -102,21 +152,22 @@ def test_float_quota_rows_across_tiles_equal_per_house_allocate():
     shares = np.array([w.shares_float()])
     tile = _chunk_rows(2)
     houses = 54 + 10_967 * np.arange(3 * tile + 5)
-    seats, tied, tie, held = _float_quota_rows(shares, method.gamma, houses)
+    seats, tied, tie, held = _float_quota_rows(shares.T, method.gamma, houses)
+    seats, tie, held = seats.T, tie.T, held.T
     # per house: the rows within 8 of each tile edge, and every 101st row
     edges = np.arange(tile, houses.size, tile)
     rows = np.union1d((edges[:, None] + np.arange(-8, 5)).ravel(), np.arange(0, houses.size, 101))
     per_house = [allocate(method, w, int(houses[r])) for r in rows.tolist()]
     assert seats[rows].tolist() == [list(a.seats) for a in per_house]
     assert np.isin(rows, tied).tolist() == [a.tied for a in per_house]
-    ideal = _quota_ideals(shares, method.gamma, houses)  # the whole array at once
+    ideal = _quota_ideals(shares.T, method.gamma, houses)  # the whole array at once
     base = np.floor(ideal)
     tol = NEAR_TIE_RTOL * np.maximum(1.0, houses + float(method.gamma))
     whole = _remainder_rows(base.astype(np.int64), ideal - base, houses, tol)
-    for got, want in zip((seats, tied, tie, held), whole):
+    for got, want in zip((seats.T, tied, tie.T, held.T), whole):
         assert np.array_equal(got, want)
     assert tied.size == houses.size
-    assert _float_quota_rows(shares, method.gamma, houses, masks=False)[2:] == (None, None)
+    assert _float_quota_rows(shares.T, method.gamma, houses, masks=False)[2:] == (None, None)
 
 
 @pytest.mark.parametrize("m", [2, 5, 8])
@@ -124,7 +175,7 @@ def test_seat_matrix_across_tiles_equals_cumulative_bincount(m):
     rng = np.random.default_rng(m)
     winners = rng.integers(0, m, 3 * _chunk_rows(m) + 5).astype(np.int32)
     base = rng.integers(0, 9, m)
-    seats = _seat_matrix(base, winners)
+    seats = _seat_matrix(base, winners).T
     cumulative = np.cumsum(np.eye(m, dtype=np.int64)[winners], axis=0)
     assert np.array_equal(seats, np.vstack([base, base + cumulative]))
     for r in range(0, winners.size + 1, _chunk_rows(m)):  # every tile edge, by bincount

@@ -129,7 +129,7 @@ def test_float_quota_computes_the_ideals_once(monkeypatch):
 def test_fraction_gamma_is_rounded_once():
     houses = np.arange(1, 5000)
     for gamma in (Fraction(2, 3), Fraction(-1, 7), Fraction(1, 3**40)):  # the last one past 2**53
-        ideal = allocation._quota_ideals([[1.0]], gamma, houses)[:, 0]
+        ideal = allocation._quota_ideals([[1.0]], gamma, houses)[0]
         want = [float(h + gamma) for h in houses.tolist()]
         want = [round(x) if abs(x - round(x)) <= allocation.NEAR_TIE_RTOL else x for x in want]
         assert ideal.tolist() == want

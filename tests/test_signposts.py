@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from apportion import Exactness, InputError, SignpostSequence
@@ -85,3 +86,33 @@ def test_offsets_monotone_towards_half():
         for n in range(1, 200):
             off = float(sp.value(n)) - (n - 1)
             assert -1e-12 <= off <= 0.5
+
+
+@pytest.mark.parametrize(
+    "sp",
+    [
+        SignpostSequence.linear(Fraction(1, 2)),
+        SignpostSequence.linear(0.3),
+        SignpostSequence.clipped_linear(-5),
+        SignpostSequence.sqrt_pair_product(),
+        SignpostSequence.harmonic_pair(),
+        SignpostSequence.power(0.9),
+        SignpostSequence.geometric(Fraction(3, 2)),
+        SignpostSequence.table([1, 2, 3], cap=3),
+    ],
+    ids=lambda sp: sp.kind,
+)
+def test_negative_seat_index_rejected(sp):
+    # a negative n once wrapped around to a table's last entry, or read a closed form below 0
+    for evaluate in (
+        lambda: sp.value(-1),
+        lambda: sp.figure(1.0, -1),
+        lambda: sp.figures(1.0, [-1, 3]),
+        lambda: sp.figures(np.ones(2), np.array([[0, -2]])),
+        lambda: sp.exact_pair(-1),
+        lambda: sp.exact_pairs([-1]),
+        lambda: sp.exact_pairs(np.array([3, -1, 0])),
+    ):
+        with pytest.raises(InputError, match="indexed from 0"):
+            evaluate()
+    assert sp.figures(1.0, np.empty(0, dtype=np.int64)).size == 0

@@ -151,6 +151,14 @@ def test_kept_awards_run_to_the_first_wide_gap(family, shares):
             assert np.array_equal(close, ~wide[: keep - 1]), (rtol, count)
 
 
+@pytest.mark.parametrize("family", ["webster", "huntington", "estonia"])
+def test_award_sequence_of_many_parties_across_tiles(family):
+    # 500 parties' tables hold about 88 000 entries: the concatenated tables
+    # take two ``figures`` tiles, one boundary inside a party's table
+    shares = np.random.default_rng(500).dirichlet(np.ones(500))
+    assert_same(shares, FAMILIES[family], 80_000)
+
+
 def test_figure_and_figures_raise_alike_past_the_float_range():
     sp = SignpostSequence.geometric(1.1)  # d(n) = 1.1**(n - 1) overflows a float from n = 7449
     want = "signpost d(8000) exceeds the float range; use exact votes"
@@ -179,7 +187,7 @@ def test_float_sweep_seats_equal_allocate(family, m):
     blocks = list(_float_seat_blocks(method, np.asarray(shares), sp.zero_count() * m, 600))
     houses = np.concatenate([b[0] for b in blocks]).tolist()
     assert houses == list(range(sp.zero_count() * m, 601))
-    for h, row in zip(houses, np.concatenate([b[1] for b in blocks]).tolist()):
+    for h, row in zip(houses, np.concatenate([b[1] for b in blocks], axis=1).T.tolist()):
         assert tuple(row) == allocate(method, w, h).seats, h
 
 
