@@ -328,7 +328,7 @@ def allocate_divisor(
     else:
         def pair(j, n):
             return fig(votes[j], n), 1.0
-    seats, held, nxt, i, k = _step(_jump_start(votes, signposts, house_size, z), pair, house_size, z)
+    seats, held, nxt, i, k = _step(_jump_start(votes, signposts, house_size, z), pair, house_size, z, signposts)
     d_minus, d_plus = nxt[i][0], held[k][0] if k >= 0 else INF
     info = None
     if d_minus != INF and d_plus != INF and d_plus - d_minus <= NEAR_TIE_RTOL * max(abs(d_plus), abs(d_minus)):
@@ -337,7 +337,7 @@ def allocate_divisor(
     return Allocation(tuple(seats), house_size, (), info, interval)
 
 
-def _step(seats: list[int], pair, house_size: int, z: int):
+def _step(seats: list[int], pair, house_size: int, z: int, sp: SignpostSequence | None = None):
     """Step ``seats`` to the top ``house_size - z*m`` entries of the quotient table.
 
     pair(i, n) is party i's figure at its n-th seat as (num, den), den >= 0,
@@ -352,17 +352,19 @@ def _step(seats: list[int], pair, house_size: int, z: int):
     best next entry beats the worst held one.  Raises
     CapExceededError when the entry to add has numerator 0, and
     InvariantError past |surplus| + house_size - z*m + 1 passes, more than
-    consistent pairs need from a start of at least z seats.  Returns (seats,
-    held, nxt, i, k): the seats, every party's pair at its last held and at
-    its next seat, and the best next party i and worst held party k of the
-    last pass (k = -1 when none holds a seat over z).
+    consistent pairs need from a start of at least z seats, or, given the
+    signposts ``sp`` of a start within ``_bracket`` of the seats, past
+    2*bracket + 2 passes (``_passes``).  Returns (seats, held, nxt, i, k):
+    the seats, every party's pair at its last held and at its next seat,
+    and the best next party i and worst held party k of the last pass (k =
+    -1 when none holds a seat over z).
     """
     m = len(seats)
     held = [pair(j, s) for j, s in enumerate(seats)]
     nxt = [pair(j, s + 1) for j, s in enumerate(seats)]
     surplus = sum(seats) - house_size
     ends = _scan_ends if m <= _SCAN_MAX else _HeapEnds(seats, held, nxt, z)
-    for _ in range(abs(surplus) + house_size - z * m + 1):
+    for _ in _passes(surplus, m, house_size, z, sp):
         i, k = ends(seats, held, nxt, z)
         (xn, xd), (hn, hd) = nxt[i], held[k]  # held[k] is unused when k = -1
         short, over = surplus < 0, surplus > 0
@@ -379,6 +381,16 @@ def _step(seats: list[int], pair, house_size: int, z: int):
             held[k], nxt[k] = pair(k, seats[k]), held[k]
         surplus += short - over
     raise InvariantError("step loop overran its pass bound: the figure pairs are inconsistent")
+
+
+def _passes(surplus: int, m: int, house_size: int, z: int, sp: SignpostSequence | None):
+    """The passes of ``_step``: |surplus| + house_size - z*m + 1, or 2*``_bracket`` + 2 if less
+    and the start is within the bracket, which is computed only past 3m + 6, its least cap."""
+    bound = abs(surplus) + house_size - z * m + 1
+    yield from range(min(bound, 3 * m + 6))
+    if sp is not None and bound > 3 * m + 6 and abs(surplus) <= (bracket := _bracket(sp, m, house_size, z)):
+        bound = floor(min(bound, 2 * bracket + 2))
+    yield from range(3 * m + 6, bound)
 
 
 def _scan_ends(seats, held, nxt, z):
@@ -509,7 +521,7 @@ def _exact_divisor(weights: PartyWeights, sp: SignpostSequence, house_size: int,
         a, b = pair(n) if n > z else (0, 1)
         return w[i] * b, a
 
-    seats, held, nxt, i, k = _step(_jump_start(votes, sp, house_size, z), entry, house_size, z)
+    seats, held, nxt, i, k = _step(_jump_start(votes, sp, house_size, z), entry, house_size, z, sp)
     xn, xd = nxt[i]
 
     # V_i = c * v_i for the caller's votes v_i: integer figures are theirs times figure_weight(c)
@@ -542,58 +554,81 @@ def allocate_divisor_rows(shares, signposts: SignpostSequence, house_size: int) 
     adds its best next entry (figure descending, lower index first), every
     row over it drops its worst held entry (figure ascending, higher index
     first), and every other row swaps the two while the best next entry
-    beats the worst held one; the swaps reach the canonical seats from any
-    start.  Figures come from ``SignpostSequence.figures``.
-
-    The bracket bounds the start's distance from the seats.  With the
-    envelope n - 1 + lo <= d(n) <= n - 1 + hi of ``beta_envelope`` and w =
-    max(beta - min(lo, 1), hi - beta), each party's clamped start lies
-    within p_i*m(1/2 + w) + 1 + w of its seats, m(3/2 + 2w) in all; the
-    bracket adds (m + 4)*N*2**-50 for float error and 2 (N - m*z without an
-    envelope).  Adds and drops move a row's total toward N, and a swap moves
-    a seat from above its final count to below, so rows end within 2*bracket
-    + 2 rounds.  Rows that are not finite, whose start misses the house size
-    by more than the bracket, or that take more rounds raise InvariantError.
+    beats the worst held one.  A row where it does not holds a prefix of the
+    canonical order, which one add or drop keeps, so a row one seat off the
+    house ends with that move.  The rows run party-major (``_divisor_cols``):
+    figures from ``SignpostSequence.figures``, +inf at z seats, and each end
+    by one comparison per party (``_ends``), not by a reduction per row.
+    Adds and drops move a row's total toward N, and a swap moves a seat from
+    above its final count to below, so rows end within 2*bracket + 2 rounds
+    (``_bracket``).  Rows that are not finite, whose start misses the house
+    size by more than the bracket, or that take more rounds raise
+    InvariantError.
     """
-    shares = np.asarray(shares, dtype=float)
-    k, m = shares.shape
-    z = _divisor_validate(shares.T, signposts, house_size)  # one entry per party
+    return _divisor_cols(np.ascontiguousarray(np.asarray(shares, dtype=float).T), signposts, house_size).T
+
+
+def _divisor_cols(shares: np.ndarray, sp: SignpostSequence, house_size: int) -> np.ndarray:
+    """``allocate_divisor_rows`` on party-major shares (m, k): the (m, k) int64 seats."""
+    m, k = shares.shape
+    z = _divisor_validate(shares, sp, house_size)  # one entry per party
     if not np.isfinite(shares).all():
         raise InvariantError("jump-and-step bracket needs finite share rows")
-    seats = _jump_starts(shares, signposts, house_size, z).astype(np.int64)
-    bracket = house_size - z * m
-    if envelope := signposts.beta_envelope():
-        (lo, hi), beta = envelope, signposts.asymptotic_beta()
-        bracket = m * (1.5 + 2 * float(max(beta - min(lo, 1), hi - beta))) + (m + 4) * house_size * 2.0**-50 + 2
-    if (np.abs(seats.sum(axis=1) - house_size) > bracket).any():
+    seats = _jump_starts(shares.T, sp, house_size, z).T.astype(np.int64, order="C")
+    bracket = _bracket(sp, m, house_size, z)
+    if (np.abs(seats.sum(axis=0) - house_size) > bracket).any():
         raise InvariantError(
             "jump start misses the house size by more than the bracket; "
             "share rows must be finite and sum to 1"
         )
-    rows = np.arange(k)  # rows that may still need a step
-    rounds = 0
-    while rows.size:
-        rounds += 1
-        if rounds > 2 * bracket + 2:
-            raise InvariantError("jump-and-step steps overran the bracket")
-        s, v = np.take(seats, rows, axis=0), np.take(shares, rows, axis=0)
-        nxt = signposts.figures(v, s + 1)
-        held = np.where(s > z, signposts.figures(v, s), INF)
-        best = nxt.argmax(axis=1)
-        worst = m - 1 - held[:, ::-1].argmin(axis=1)
-        r = np.arange(rows.size)
-        f_best, f_worst = nxt[r, best], held[r, worst]
-        short = np.einsum("ij->i", s) - house_size  # a faster row sum than s.sum(axis=1)
-        over = short > 0
-        short = short < 0
+    rows, s, v = np.arange(k), seats, shares  # the rows that may still need a step
+    for _ in range(floor(2 * bracket + 2)):
+        best, f_best = _ends(sp.figures(v, s + 1), np.greater, np.maximum)
+        worst, f_worst = _ends(sp.figures(v, s), np.less_equal, np.minimum)
+        gap = s.sum(axis=0) - house_size
+        short, over = gap < 0, gap > 0
         if (f_best[short] == 0).any():  # all remaining signposts are infinite
             raise CapExceededError("house size unreachable under the table cap")
-        swap = ~(short | over) & ((f_best > f_worst) | ((f_best == f_worst) & (best < worst)))
+        cross = (f_best > f_worst) | ((f_best == f_worst) & (best < worst))  # out of canonical order
+        swap = cross & (gap == 0)
         add, drop = short | swap, over | swap
-        seats[rows[add], best[add]] += 1
-        seats[rows[drop], worst[drop]] -= 1
-        rows = rows[add | drop]
-    return seats
+        seats[best[add], rows[add]] += 1
+        seats[worst[drop], rows[drop]] -= 1
+        rows = rows[cross | (gap < -1) | (gap > 1)]  # in order, one add or drop ends a row
+        if not rows.size:
+            return seats
+        s, v = seats[:, rows], shares[:, rows]
+    raise InvariantError("jump-and-step steps overran the bracket")
+
+
+def _ends(figs: np.ndarray, better, pick) -> tuple[np.ndarray, np.ndarray]:
+    """(party, figure) per column of party-major figures: np.greater and np.maximum give
+    ``argmax``'s first maximum, np.less_equal and np.minimum the last minimum."""
+    won, end = np.zeros(figs.shape, dtype=bool), figs[0].copy()
+    for j in range(1, figs.shape[0]):
+        better(figs[j], end, out=won[j])
+        pick(end, figs[j], out=end)
+    return (won * np.arange(figs.shape[0])[:, None]).max(axis=0), end
+
+
+def _bracket(sp: SignpostSequence, m: int, house_size: int, z: int) -> float:
+    """How far a jump start may miss the seats of m parties, in seats summed over them.
+
+    With the envelope n - 1 + lo <= d(n) <= n - 1 + hi of ``beta_envelope`` and w =
+    max(beta - min(lo, 1), hi - beta), each party's clamped start lies within
+    p_i*m(1/2 + w) + 1 + w of its seats, m(3/2 + 2w) in all; the bracket adds
+    (m + 4)*N*2**-50 for float error and 2.  Without an envelope, or with w past the
+    float range, it is N - z*m.
+    """
+    if envelope := sp.beta_envelope():
+        (lo, hi), beta = envelope, sp.asymptotic_beta()
+        try:
+            w = float(max(beta - min(lo, 1), hi - beta))
+        except OverflowError:  # no float envelope
+            w = INF
+        if w < INF:
+            return m * (1.5 + 2 * w) + (m + 4) * house_size * 2.0**-50 + 2
+    return house_size - z * m
 
 
 def _jump_start(votes, sp: SignpostSequence, house_size: int, z: int) -> list[int]:

@@ -73,9 +73,8 @@ from .allocation import (
     _float_quota_rows,
     _is_exact,
     _policy_seats,
+    _divisor_cols,
     _scan_awards,
-    allocate_divisor_rows,
-    allocate_quota_rows,
 )
 from .asymptotics import excess_bounds, moment_prediction
 from .errors import InputError, InvariantError, UnsupportedMethodError
@@ -592,10 +591,13 @@ def sweep(
 
 
 def _histogram_bounds(method, weights):
+    """``excess_bounds``, or +-m without them; a zero-width bound (one party's excess is
+    always 0) widens by 1 on each side, since a histogram needs a positive width."""
     try:
-        return excess_bounds(method, weights.shares_float())
+        bounds = excess_bounds(method, weights.shares_float())
     except UnsupportedMethodError:
         return [(-float(len(weights)), float(len(weights)))] * len(weights)
+    return [(lo, hi) if hi > lo else (lo - 1.0, hi + 1.0) for lo, hi in bounds]
 
 
 def compare(
@@ -694,14 +696,18 @@ def allocate_many(method: Method, shares: np.ndarray, house: int) -> np.ndarray:
     [z*m, cap*m] raise as ``allocate`` does.  Quota methods run the
     largest-remainder rule of ``allocation.allocate_quota_rows``, which
     raises as ``allocate`` does on house + gamma <= 0.  Seats are returned
-    as floats.
+    as floats.  Both run party-major (``_allocate_cols``) on one transposed
+    copy of ``shares``.
     """
-    shares = np.asarray(shares, dtype=float)
+    shares = np.ascontiguousarray(np.asarray(shares, dtype=float).T)
+    return _allocate_cols(method, shares, house).T.astype(float)
+
+
+def _allocate_cols(method: Method, cols: np.ndarray, house: int) -> np.ndarray:
+    """``allocate_many`` on party-major shares (m, k): the (m, k) int64 seats."""
     if isinstance(method, QuotaMethod):
-        seats, _ = allocate_quota_rows(shares, method.gamma, np.full(shares.shape[0], house))
-    else:
-        seats = allocate_divisor_rows(shares, method.signposts, house)
-    return seats.astype(float)
+        return _float_quota_rows(cols, method.gamma, np.full(cols.shape[1], house), masks=False)[0]
+    return _divisor_cols(cols, method.signposts, house)
 
 
 @dataclass
@@ -717,7 +723,8 @@ class McSimplexResult:
 def _simplex_trials(method: Method, m: int, house_size: int, trials: int, seed: int, batch: int, ordered: bool):
     """The one Monte Carlo loop: yield (shares, deltas) per batch of shares
     drawn uniformly on the simplex (sorted descending when ``ordered``) and
-    allocated at one house size."""
+    allocated at one house size, both party-major (m, k), as the kernels of
+    ``SweepStats`` and ``RunningMoments`` take them."""
     if trials < 1:
         raise InputError("need at least one trial")
     if trials > MAX_TRIALS:
@@ -733,8 +740,8 @@ def _simplex_trials(method: Method, m: int, house_size: int, trials: int, seed: 
         p = sample_uniform_simplex(m, k, rng)
         if ordered:
             p = -np.sort(-p, axis=1)
-        seats = allocate_many(method, p, house_size)
-        yield p, seats - house_size * p
+        cols = np.ascontiguousarray(p.T)
+        yield cols, _allocate_cols(method, cols, house_size) - house_size * cols
         done += k
 
 
@@ -755,8 +762,8 @@ def mc_ordered_simplex(
     delta_stats = SweepStats.empty(m, bounds, bin_width or 0.01)
     share_moms = RunningMoments(m)
     for p, deltas in _simplex_trials(method, m, house_size, trials, seed, batch, ordered=True):
-        delta_stats.record_batch(deltas)
-        share_moms.push_batch(p)
+        delta_stats._record(deltas)
+        share_moms._push(p)
     return McSimplexResult(delta_stats, share_moms, house_size, trials)
 
 
@@ -797,7 +804,7 @@ def quota_violation_frequency(
     else:
         stats = SweepStats.empty(m)
         for _, deltas in _simplex_trials(method, m, house_size, trials, seed, batch, ordered=False):
-            stats.record_batch(deltas)
+            stats._record(deltas)
     freq = stats.violation_frequency()
     return ViolationFrequency(
         freq["lower"], freq["upper"], freq["total"], freq["any"],

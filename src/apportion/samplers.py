@@ -12,7 +12,9 @@ its rows ``stats._CHUNK`` values at a time, straight into the output or into
 one chunk-sized scratch buffer, and runs the row arithmetic in place, so the
 draws do not depend on the chunking and no temporary is the size of the
 output: the joint sampler needs its output plus 8 bytes per draw, the
-divergence samplers 16 bytes per draw, each plus a few chunks.
+divergence samplers 16 bytes per draw, each plus a few chunks.  The joint
+sampler broadcasts no length-m vector over short rows, which numpy runs row
+by row: p * sum(V) is a (k, 1) by (1, m) matrix product, and the shift a tile.
 """
 
 from __future__ import annotations
@@ -57,17 +59,26 @@ def _category_rows(p: np.ndarray, rng: np.random.Generator, n: int, out: np.ndar
     categories and the zeroed values.  The categories take the n uniforms
     and the inverse-cdf search of ``Generator.choice``, and the uniforms
     follow them in the stream, so the draws equal ``choice`` then
-    ``uniform(size=(n, m))``.
+    ``uniform(size=(n, m))``.  The search counts the cdf entries <= c, the
+    index ``searchsorted(side="right")`` returns, by one vector comparison
+    per party over ``stats._CHUNK`` draws, and stores the count in c.
     """
     m = p.size
     cdf = p.cumsum()
     cdf /= cdf[-1]
     c = rng.random(n)
+    count = np.empty(min(n, _chunk_rows(1)))
+    for block in _chunks(n, 1):
+        t = count[: block.stop - block.start]
+        t[:] = 0.0
+        for edge in cdf[:-1]:  # every c < cdf[-1] = 1
+            t += c[block] >= edge
+        c[block] = t
     scratch = np.empty((min(n, _chunk_rows(m)), m)) if out is None else None
     for rows in _chunks(n, m):
         v = out[rows] if out is not None else scratch[: rows.stop - rows.start]
         rng.random(out=v)
-        j = cdf.searchsorted(c[rows], side="right")
+        j = c[rows].astype(np.intp)
         flat = np.arange(0, v.size, m)
         flat += j
         cells = v.reshape(-1)
@@ -85,18 +96,19 @@ def sample_excess_joint_divisor(p, beta, seed, size: int | None = None):
     """
     p = _shares_array(p)
     m = p.size
-    shift = (float(beta) - 1.0) * (m * p - 1.0)
     n = 1 if size is None else _count(size)
     x = np.empty((n, m))
-    scratch = np.empty((min(n, _chunk_rows(m)), m))
+    shift = np.tile((float(beta) - 1.0) * (m * p - 1.0), (min(n, _chunk_rows(m)), 1))
+    scratch, total = np.empty_like(shift), np.empty((len(shift), 1))
     for rows, v, j, u_j in _category_rows(p, _rng(seed), n, x):
         if size is None:
             u = v[0].copy()  # a single draw reports the uniforms before zeroing
             u[j[0]] = u_j[0]
-        t = scratch[: len(v)]
-        np.multiply(p, v.sum(axis=1, keepdims=True), out=t)
+        t, s = scratch[: len(v)], total[: len(v)]
+        v.sum(axis=1, keepdims=True, out=s)
+        np.dot(s, p[None, :], out=t)
         np.subtract(t, v, out=v)
-        v += shift
+        v += shift[: len(v)]
     if size is None:
         return LimitSample(values=x[0], auxiliary={"u": u, "category": int(j[0])})
     return x

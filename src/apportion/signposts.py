@@ -306,16 +306,25 @@ class SignpostSequence:
     def figures(self, v, ns) -> np.ndarray:
         """Array form of ``figure`` for float votes v (broadcast to the shape of ns) and seat
         indices ns >= 0, bit for bit; a divisor past the float range raises as ``figure`` does.
-        The divisors are a / b of ``_closed_arrays`` (floats while exact, else ints, rounding
-        once as ``float(Fraction)`` does), or ``_float_table`` entries without a ``closed_pair``."""
+        ``_closed_arrays`` below 2**53 are exact floats: d = a / b rounds once, as
+        ``float(Fraction)`` does, finite and positive past ``zero_count()``, and v / d
+        overwrites a; the one fix-up, +inf at n <= z, runs only where ns reaches z.  Past
+        2**53 each d is one ``_quotient`` of ints, and families without a ``closed_pair``
+        read ``_float_table``; those divisors get every fix-up (nan, 0, +inf)."""
         v = self.figure_weight(np.asarray(v, dtype=float))
         ns = _seat_indices(ns)
         if not self.closed_pair():
             d = self._float_table(int(ns.max(initial=0)))[ns]
-        else:  # d = a / b: in place on floats, one ``_quotient`` per entry on ints
-            a, b, _ = self._closed_arrays(ns, float, 2**53)
-            d = np.divide(a, b, out=a) if a.dtype == float else np.frompyfunc(_quotient, 2, 1)(a, b)
-            d = np.asarray(d, dtype=float)  # frompyfunc gives objects, and a scalar on 0-d input
+        else:
+            a, b, zero = self._closed_arrays(ns, float, 2**53)
+            if a.dtype == float:
+                fig = np.divide(a, b, out=a)
+                with np.errstate(divide="ignore", invalid="ignore"):  # only where zero, set below
+                    np.divide(v, fig, out=fig)
+                if zero is not None:
+                    fig[zero] = INF
+                return fig
+            d = np.asarray(np.frompyfunc(_quotient, 2, 1)(a, b), dtype=float)  # a scalar on 0-d input
         if np.isnan(d).any():
             raise InputError(_FLOAT_RANGE.format(ns[np.isnan(d)].min()))
         zero, inf = d == 0, d == INF
@@ -332,16 +341,17 @@ class SignpostSequence:
         return int(np.count_nonzero(~np.isnan(self._float_table(n_max)[: n_max + 1]))) - 1
 
     def _closed_arrays(self, ns: np.ndarray, dtype, limit: int):
-        """``closed_pair``'s fresh array a and its b over seat indices ns >= 0, with a = 0
-        where n <= ``zero_count()``, and that mask: in ``dtype`` while every number the pair
-        forms stays below ``limit`` in magnitude (at the largest n, |a| and |a(0)| + n*|b|
-        bound them all), else in Python ints."""
-        closed, n_max = self.closed_pair(), int(ns.max(initial=0))
+        """``closed_pair``'s fresh array a and its b over seat indices ns >= 0, and the mask of
+        n <= ``zero_count()`` (None if no n is), where a = 0: in ``dtype`` while every number
+        the pair forms, its constants included, stays below ``limit`` in magnitude (at the
+        largest n, |a| and |a(0)| + max(n, 1)*|b| bound them all), else in Python ints."""
+        closed, n_max, z = self.closed_pair(), int(ns.max(initial=0)), self.zero_count()
         (a0, _), (a, b) = closed(0), closed(n_max)
-        x = ns.astype(dtype if max(abs(a), abs(a0) + n_max * abs(b)) < limit else object, copy=False)
+        x = ns.astype(dtype if max(abs(a), abs(a0) + max(n_max, 1) * abs(b)) < limit else object, copy=False)
         a, b = closed(x)
-        a, zero = np.asarray(a, dtype=x.dtype), ns <= self.zero_count()  # a 0-d x gives scalars
-        a[zero] = 0
+        a = np.asarray(a, dtype=x.dtype)  # a 0-d x gives scalars
+        if (zero := ns <= z if ns.size and ns.min() <= z else None) is not None:
+            a[zero] = 0
         return a, b, zero
 
     def _figure_divisor(self, n: int):
@@ -420,8 +430,8 @@ class SignpostSequence:
         """
         ns = _seat_indices(ns)
         if self.closed_pair() and self.exactness is not Exactness.FLOAT:
-            a, b, zero = self._closed_arrays(ns, np.int64, 2**63)
-            return a, np.where(zero, 1, np.asarray(b, dtype=a.dtype))
+            a, b, _ = self._closed_arrays(ns, np.int64, 2**63)
+            return a, np.where(ns <= self.zero_count(), 1, np.asarray(b, dtype=a.dtype))
         distinct, where = np.unique(ns, return_inverse=True)
         ds, running = distinct.tolist(), self.kind == GEOMETRIC and isinstance(self.ratio, Fraction)
         pairs = list(_geometric_pairs(self.ratio, ds) if running else map(self.exact_pair, ds))
