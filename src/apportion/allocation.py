@@ -4,8 +4,8 @@ Divisor allocation returns the seats of awarding each seat in turn to the
 largest comparative figure v_i / d(s_i + 1).  It computes them by
 jump-and-step: a float estimate of the seat vector, then steps through the
 quotient table, so the cost does not grow with the house size;
-``allocate_divisor_rows`` takes the same steps for every row of a float
-share matrix at once.  The scalar steps are one loop, ``_step``, over
+``_divisor_cols`` takes the same steps for every column of a party-major
+float share matrix at once.  The scalar steps are one loop, ``_step``, over
 figures as (num, den) pairs compared by cross-multiplication: (figure, 1.0)
 on floats, and on exact weights and signposts integer pairs over coprime
 integer votes, which make the seats, the tie class and the support interval
@@ -63,7 +63,7 @@ from .errors import (
     NonpositiveQuotaError,
 )
 from .methods import DEFAULT_TIES, DivisorMethod, Method, TiePolicy
-from .signposts import INF, Exactness, SignpostSequence
+from .signposts import _FLOAT_RANGE, INF, Exactness, SignpostSequence
 from .stats import _chunks
 from .weights import PartyWeights
 
@@ -324,7 +324,10 @@ def allocate_divisor(
         w = [signposts.figure_weight(v) for v in votes]
         def pair(j, n):  # a / b rounds as float(d(n)) does: figure's float, without Fraction arithmetic
             a, b = closed(n) if n > z else (0, 1)
-            return (w[j] / (a / b) if a else INF), 1.0
+            try:
+                return (w[j] / (a / b) if a else INF), 1.0
+            except OverflowError:  # an exact beta past the float range
+                raise InputError(_FLOAT_RANGE.format(n)) from None
     else:
         def pair(j, n):
             return fig(votes[j], n), 1.0
@@ -544,32 +547,28 @@ def _exact_divisor(weights: PartyWeights, sp: SignpostSequence, house_size: int,
     return Allocation(tuple(seats), house_size, alternatives, info, interval)
 
 
-def allocate_divisor_rows(shares, signposts: SignpostSequence, house_size: int) -> np.ndarray:
-    """``allocate_divisor``'s canonical seats for every row of a float share matrix.
-
-    Row r gets the seats of allocate_divisor(PartyWeights.of(shares[r]),
-    signposts, house_size), bit for bit, ties included: the same steps,
-    taken for all rows at once, from ``_jump_starts`` of the row itself
-    (which should sum to 1).  Each round, every row short of the house size
-    adds its best next entry (figure descending, lower index first), every
-    row over it drops its worst held entry (figure ascending, higher index
-    first), and every other row swaps the two while the best next entry
-    beats the worst held one.  A row where it does not holds a prefix of the
-    canonical order, which one add or drop keeps, so a row one seat off the
-    house ends with that move.  The rows run party-major (``_divisor_cols``):
-    figures from ``SignpostSequence.figures``, +inf at z seats, and each end
-    by one comparison per party (``_ends``), not by a reduction per row.
-    Adds and drops move a row's total toward N, and a swap moves a seat from
-    above its final count to below, so rows end within 2*bracket + 2 rounds
-    (``_bracket``).  Rows that are not finite, whose start misses the house
-    size by more than the bracket, or that take more rounds raise
-    InvariantError.
-    """
-    return _divisor_cols(np.ascontiguousarray(np.asarray(shares, dtype=float).T), signposts, house_size).T
-
-
 def _divisor_cols(shares: np.ndarray, sp: SignpostSequence, house_size: int) -> np.ndarray:
-    """``allocate_divisor_rows`` on party-major shares (m, k): the (m, k) int64 seats."""
+    """``allocate_divisor``'s canonical seats for every column of party-major
+    float shares (m, k): the (m, k) int64 seats.
+
+    Column r gets the seats of allocate_divisor(PartyWeights.of(shares[:, r]),
+    sp, house_size), bit for bit, ties included: the same steps,
+    taken for all columns at once, from ``_jump_starts`` of the column itself
+    (which should sum to 1).  Each round, every column short of the house
+    size adds its best next entry (figure descending, lower index first),
+    every column over it drops its worst held entry (figure ascending,
+    higher index first), and every other column swaps the two while the best
+    next entry beats the worst held one.  A column where it does not holds a
+    prefix of the canonical order, which one add or drop keeps, so a column
+    one seat off the house ends with that move.  Figures come from
+    ``SignpostSequence.figures``, +inf at z seats, and each end by one
+    comparison per party (``_ends``), not by a reduction per column.  Adds
+    and drops move a column's total toward N, and a swap moves a seat from
+    above its final count to below, so columns end within 2*bracket + 2
+    rounds (``_bracket``).  Columns that are not finite, whose start misses
+    the house size by more than the bracket, or that take more rounds raise
+    InvariantError.  ``harness.allocate_many`` is its row API.
+    """
     m, k = shares.shape
     z = _divisor_validate(shares, sp, house_size)  # one entry per party
     if not np.isfinite(shares).all():
@@ -643,7 +642,10 @@ def _jump_start(votes, sp: SignpostSequence, house_size: int, z: int) -> list[in
     beta = sp.asymptotic_beta()
     if beta is None:
         return [int(s) for s in _jump_starts(np.array([shares]), sp, house_size, z)[0].tolist()]
-    beta = float(beta)
+    try:
+        beta = float(beta)
+    except OverflowError:  # an exact beta past the float range: the steps start at z
+        return [z] * len(votes)
     cap = sp.max_seats()
     top = house_size if cap is None else min(cap, house_size)
     scale, shift = house_size + len(votes) * (beta - 0.5), 1.0 - beta
@@ -664,7 +666,10 @@ def _jump_starts(shares: np.ndarray, sp: SignpostSequence, house_size: int, z: i
     beta = sp.asymptotic_beta()
     if beta is None:
         return _count_starts(shares, sp, house_size, z)
-    beta = float(beta)
+    try:
+        beta = float(beta)
+    except OverflowError:  # an exact beta past the float range: the steps start at z
+        return np.full(shares.shape, float(z))
     cap = sp.max_seats()
     top = house_size if cap is None else min(cap, house_size)
     start = np.floor(shares * (house_size + m * (beta - 0.5)) + (1.0 - beta))

@@ -9,20 +9,21 @@ house size, so their exact bias is the average over one period.
 Float and exact sweeps share their block kernels, and every block is
 party-major: seats, excesses, tie masks and exact sums are (m, houses)
 arrays, one contiguous row per party, which the kernels of ``stats`` take
-as they are.  A divisor sweep builds the seat-award sequence once, in the
-one loop that sorts quotient tables (``_award_sequence``): every party's
-table of figures, taken in figure space from ``SignpostSequence.figures``
-as ``allocate`` takes them (the tables concatenated, one call per tile),
-sorted stably, the tables doubled within the float range only while the
-final awards stop short.  ``_divisor_blocks`` reads every house size off
-cumulative counts, in one pass over the range.  The input picks the path:
-exact weights and signposts always take the exact kernels, float input the
-float ones.  Exact sweeps and period averages run on the votes scaled once
-to coprime integers, and certify the float award sequence of the shares in
-integers (``_exact_awards``), unless a kept figure is subnormal: adjacent
-awards are compared by cross-multiplication, and only runs of float
-figures within their rounding bound may be re-ordered.  Quota houses run
-the largest-remainder rule of ``allocation._remainder_rows`` on a block of
+as they are.  A divisor sweep reads its seats off the seat-award sequence,
+which one loop sorts (``_award_sequence``): every party's table of figures
+from the seats it starts at, taken in figure space from
+``SignpostSequence.figures`` as ``allocate`` takes them (the tables
+concatenated, one call per tile), sorted stably, the tables doubled within
+the float range only while the final awards stop short.
+``_divisor_blocks`` reads every house size off cumulative counts.  The
+input picks the path: exact weights and signposts always take the exact
+kernels, float input the float ones.  Exact sweeps and period averages run
+on the votes scaled once to coprime integers, and certify the float award
+sequence of the shares for the whole range in integers
+(``_exact_awards``), unless a kept figure is subnormal: adjacent awards
+are compared by cross-multiplication, and only runs of float figures
+within their rounding bound may be re-ordered.  Quota houses run the
+largest-remainder rule of ``allocation._remainder_rows`` on a block of
 houses at once, on float ideals or, exactly, on integer ones, ranking the
 remainders without sorting each house.  The exact rows of a block (seat
 excess, violation counts) are array operations on int64 while the
@@ -33,11 +34,17 @@ that mean over one period) are exact, each converted to float once.
 
 Float input has one source of seat blocks, ``_float_seat_blocks``, which
 ``sweep``'s float path and ``apparentement_sweep`` (the full, the merged
-and the pair's party lists) read.  A float sweep records its moments per
-``_FLOAT_BLOCK`` houses and runs the quota rows, seat matrix and histogram
-in cache-sized ``stats._CHUNK``-value tiles, which change no bit; the award
-sequence (21 bytes each) sets its peak.  Both seat-block sources refuse
-more than MAX_TRIALS houses, as Monte Carlo refuses more trials.
+and the pair's party lists) read.  Divisor methods are house monotone, so
+the awards of a range are the table entries between the seats at its two
+ends: a float source sorts one window of awards per block, each from the
+seats the window before ended on, and the first from ``allocate``'s seats
+near the range's first house (``_float_start``).  So a float sweep holds
+one (m, _FLOAT_BLOCK) seat block at a time, and neither its peak nor its
+cost grows with where its range ends or starts.  It records its moments
+per block and runs the quota rows, seat matrix and histogram in
+cache-sized ``stats._CHUNK``-value tiles, which change no bit.  Both
+seat-block sources refuse more than MAX_TRIALS houses, as Monte Carlo
+refuses more trials.
 
 Ties follow ``allocation``'s contract: one class (parties, grants,
 base_seats) and one orbit mean, base + grants/k (``_orbit_parts``; exact
@@ -53,8 +60,8 @@ averaging policy, and never seed a tie.
 
 Monte Carlo runs one loop for ordered-party statistics and random-mode
 violation frequencies: batches of shares drawn uniformly on the simplex,
-allocated by ``allocate_many`` (``allocation.allocate_divisor_rows`` or
-``allocate_quota_rows``, ``allocate``'s canonical seats on every row, ties
+allocated by ``allocate_many`` (``allocation._divisor_cols`` or
+``_float_quota_rows``, ``allocate``'s canonical seats on every row, ties
 included) and recorded in ``SweepStats``.
 """
 
@@ -75,17 +82,18 @@ from .allocation import (
     _policy_seats,
     _divisor_cols,
     _scan_awards,
+    allocate_divisor,
 )
 from .asymptotics import excess_bounds, moment_prediction
 from .errors import InputError, InvariantError, UnsupportedMethodError
 from .methods import DivisorMethod, Method, QuotaMethod, TiePolicy, small_n_guard
 from .samplers import sample_uniform_simplex
-from .signposts import _FLOAT_RANGE, Exactness, SignpostSequence
+from .signposts import _FLOAT_RANGE, INF, Exactness, SignpostSequence
 from .stats import ComparisonReport, ComparisonRow, SweepStats, RunningMoments, Tolerances, _chunks
 from .violation import violation_probability
 from .weights import PartyWeights
 
-_FLOAT_BLOCK = 65536  # houses per record_batch call of a float sweep: its moments merge per block
+_FLOAT_BLOCK = 65536  # houses per block of a float sweep, and awards per window: its moments merge per block
 MAX_TRIALS = 10**9  # Monte Carlo trials per run, and houses per sweep or period
 
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -100,39 +108,46 @@ def sqrt_shares(m: int) -> tuple[float, ...]:
     return tuple(x / total for x in raw)
 
 
-def _award_sequence(shares: np.ndarray, sp: SignpostSequence, count: int, rtol: float):
-    """The first ``count`` awards past the mandatory seats, on to the end of
-    the run of close awards holding award ``count - 1``: the winners, their
-    figures (``SignpostSequence.figures``, nonincreasing), and the flags
-    ``close`` of adjacent awards within ``rtol`` of each other, relatively.
+def _award_sequence(shares: np.ndarray, sp: SignpostSequence, count: int, rtol: float, start=None):
+    """The first ``count`` awards past the seats ``start`` (default z for
+    every party), on to the end of the run of close awards holding award
+    ``count - 1``: the winners, their figures (``SignpostSequence.figures``,
+    nonincreasing), and the flags ``close`` of adjacent awards within
+    ``rtol`` of each other, relatively.  ``start`` must be a prefix of the
+    award order, the seats of some house (``_float_start``).
 
     This is the table-of-quotients reading of highest averages.  Party i's
-    table holds its figures for n = z+1 .. budget[i]; the tables, in party
-    order, are sorted stably by descending figure, so equal figures go to
-    the lower party, then the lower seat.  An entry is final when its figure
-    lies above the last figure of every table not ending in 0 (past a cap,
-    or after underflow): later entries lie at or below their table's last,
-    so the final entries are the first awards, and the sorted entry after
-    them has the next award's figure.  A round keeps the final awards up to
-    ``count`` and on to the first gap wider than ``rtol`` at or after award
-    ``count - 1``.  If they stop short, each table whose last figure is at
-    least the sorted figure at position max(final, count) doubles, up to the
-    float range (``float_limit``), and the tables are sorted again; with
-    every such table at that limit, ``figure``'s float-range InputError is
-    raised.  Too few positive figures raise InputError (the table cap).
+    table holds its figures for n = start[i]+1 .. budget[i]; the tables, in
+    party order, are sorted stably by descending figure, so equal figures go
+    to the lower party, then the lower seat.  An entry is final when its
+    figure lies above the last figure of every table not ending in 0 (past a
+    cap, or after underflow): later entries lie at or below their table's
+    last, so the final entries are the first awards, and the sorted entry
+    after them has the next award's figure.  A round keeps the final awards
+    up to ``count`` and on to the first gap wider than ``rtol`` at or after
+    award ``count - 1``.  If they stop short, each table whose last figure is
+    at least the sorted figure at position max(final, count) doubles in
+    length, up to the float range (``float_limit``), and the tables are
+    sorted again; with every such table at that limit, ``figure``'s
+    float-range InputError is raised.  Too few positive figures raise
+    InputError (the table cap).
     """
     m, z, cap = shares.size, sp.zero_count(), sp.max_seats()
     if count <= 0:
         return np.empty(0, dtype=np.int32), np.empty(0), np.empty(0, dtype=bool)
-    if cap is not None and count > (cap - z) * m:  # past the awards of a full house
+    start = np.full(m, z, dtype=np.int64) if start is None else np.asarray(start, dtype=np.int64)
+    done = int(start.sum()) - z * m  # the awards before the start
+    if cap is not None and count > (cap - z) * m - done:  # past the awards of a full house
         raise InputError("house size unreachable under the table cap")
-    # its share of the awards and of m, plus 16: O(count + m) entries, and at least m + 8 each up to m = 8
-    want = np.maximum((shares * (count + 2 + (z + 1) * m)).astype(np.int64) + 16, z + 2)
+    # its share of the awards and of m, plus 16, from z and from the start: O(count + m) entries,
+    # and at least m + 8 each up to m = 8
+    want = np.maximum(shares * (done + count + 2 + (z + 1) * m), start + shares * (count + 2 + m))
+    want = want.astype(np.int64) + 16
     while True:
         limit = sp.float_limit(int(want.max()))
-        lengths = np.minimum(want, max(limit, z + 1)) - z  # the table sizes, clamped at the limit
+        lengths = np.minimum(want, np.maximum(limit, start + 1)) - start  # the table sizes, clamped at the limit
         ends = np.cumsum(lengths)
-        first, edges = ends - lengths - z - 1, np.concatenate(([0], ends))  # offset less first n; table edges
+        first, edges = ends - lengths - start - 1, np.concatenate(([0], ends))  # offset less first n; table edges
         figs = np.empty(int(ends[-1]))
         for t in _chunks(figs.size, 1):  # the tables, concatenated, one ``figures`` call per tile
             counts = np.diff(np.clip(edges, t.start, t.stop))  # each table's entries in the tile
@@ -154,10 +169,10 @@ def _award_sequence(shares: np.ndarray, sp: SignpostSequence, count: int, rtol: 
             raise InputError("house size unreachable under the table cap")
         # the sorted figure at max(final, count): that of award count, or bound itself
         short = (last >= min(bound, figs[order[min(count, figs.size - 1)]])) & (last > 0)
-        grow = short & (lengths == want - z)  # the short tables below the float limit
+        grow = short & (lengths == want - start)  # the short tables below the float limit
         if not grow.any():
             raise InputError(_FLOAT_RANGE.format(limit + 1))
-        want[grow] *= 2
+        want[grow] += want[grow] - start[grow]
     party = np.repeat(np.arange(m, dtype=np.min_scalar_type(m - 1)), lengths)  # one byte per entry
     winners, figures = np.empty(keep, dtype=np.int32), order[:keep].view(float)
     for t in _chunks(keep, 1):  # the sorted figures overwrite order, each tile once read
@@ -169,47 +184,61 @@ def _award_sequence(shares: np.ndarray, sp: SignpostSequence, count: int, rtol: 
     return winners, figures, close
 
 
-def _divisor_blocks(winners, close, m: int, z: int, n_from: int, n_to: int, block: int, masks: bool = True):
+def _divisor_blocks(pull, start, done: int, m: int, z: int, n_from: int, n_to: int, block: int, masks: bool = True):
     """Yield (houses, seats, tied, tie, held) per ``block`` houses of
-    [n_from, n_to], n_from >= z*m, off an award sequence: winners[k] takes
-    award k, the last award of house z*m + k + 1, and close[k] ties awards k
-    and k + 1.
+    [n_from, n_to], n_from >= z*m, off the award sequence, in which award k
+    is the last award of house z*m + k + 1.  ``start`` holds the seats
+    before award ``done``, which is 0 or follows a gap that is not close,
+    and done < n_from - z*m unless both are 0.  pull(count) returns the
+    next awards, at least ``count`` of them: their winners and the flags
+    ``close`` of adjacent ones, the gap after the last not close, so a run
+    of close awards ends inside one pull.  The awards kept are those from
+    the run holding the block's first house on.
 
     ``seats`` (m, k) holds each house's seats party-major, column r for
-    houses[r], carried from block to block; ``tied`` indexes the tied
-    houses, and the (m, len(tied)) masks ``tie`` and ``held`` (None without
-    ``masks``) mark the parties of each tie class and those of them holding
-    a contested seat.  A house is tied when its last award is close to the
-    next one, and its class is that run of close awards, the awards up to
-    the house holding and the later ones taking.
+    houses[r]; ``tied`` indexes the tied houses, and the (m, len(tied))
+    masks ``tie`` and ``held`` (None without ``masks``) mark the parties of
+    each tie class and those of them holding a contested seat.  A house is
+    tied when its last award is close to the next one, and its class is that
+    run of close awards, the awards up to the house holding and the later
+    ones taking.
     """
-    flagged = np.flatnonzero(close)
-    first = flagged[np.diff(flagged, prepend=-2) != 1]  # the first award of each run
-    last = flagged[np.diff(flagged, append=-2) != 1] + 1  # and its last award
-    base = z + np.bincount(winners[: n_from - z * m], minlength=m)  # the seats at house n_from
+    winners, close = np.empty(0, dtype=np.int64), np.zeros(0, dtype=bool)  # awards done .. done + size - 1
+    first = last = np.empty(0, dtype=np.int64)
+    base, at = start, done  # the seats before award ``at``
     for houses in _house_blocks(n_from, n_to, block):
-        done = int(houses[0]) - z * m  # awards taken at the block's first house
-        seats = _seat_matrix(base, winners[done : done + houses.size - 1])
-        base = seats[:, -1].copy()
-        if houses[-1] < n_to:
-            base[winners[done + houses.size - 1]] += 1
-        award = houses - z * m - 1  # each house's last award
-        ok = (award >= 0) & (award < close.size)
-        tied = np.flatnonzero(ok)[close[award[ok]]]
-        if not masks:
-            yield houses, seats, tied, None, None
-            continue
-        at = award[tied]
-        run = np.searchsorted(first, at, side="right") - 1
-        lo, size = first[run], last[run] - first[run] + 1
-        col = np.repeat(np.arange(tied.size), size)
-        entry = np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
-        tie = np.zeros((m, tied.size), dtype=bool)
-        held = np.zeros((m, tied.size), dtype=bool)
-        tie[winners[entry], col] = True
-        holds = entry <= np.repeat(at, size)
-        held[winners[entry[holds]], col[holds]] = True
-        yield houses, seats, tied, tie, held
+        lo, hi = int(houses[0]) - z * m, int(houses[-1]) - z * m  # the awards before each end
+        if done + winners.size < hi:
+            # drop the awards before the run holding the block's first house, whose last award is lo - 1
+            gaps = np.flatnonzero(~close[: max(lo - 1 - done, 0)])
+            cut = int(gaps[-1]) + 1 if gaps.size else 0
+            new, flags = pull(hi - done - winners.size)
+            winners = np.concatenate((winners[cut:], new)) if winners.size > cut else new
+            close = np.concatenate((close[cut:], flags, [False]))  # close[k]: awards k and k + 1
+            done += cut
+            del new, flags
+            flagged = np.flatnonzero(close)
+            first = flagged[np.diff(flagged, prepend=-2) != 1]  # the first award of each run
+            last = flagged[np.diff(flagged, append=-2) != 1] + 1  # and its last award
+        base = base + np.bincount(winners[at - done : lo - done], minlength=m)  # the seats at house houses[0]
+        award = houses - z * m - 1 - done  # each house's last award, in ``winners``
+        tied = np.flatnonzero(award >= -done)
+        tied = tied[close[award[tied]]]
+        at_k, tie, held = award[tied], None, None
+        del award
+        if masks:
+            run = np.searchsorted(first, at_k, side="right") - 1
+            lo_k, size = first[run], last[run] - first[run] + 1
+            col = np.repeat(np.arange(tied.size), size)
+            entry = np.arange(size.sum()) + np.repeat(lo_k - np.cumsum(size) + size, size)
+            tie = np.zeros((m, tied.size), dtype=bool)
+            held = np.zeros((m, tied.size), dtype=bool)
+            tie[winners[entry], col] = True
+            holds = entry <= np.repeat(at_k, size)
+            held[winners[entry[holds]], col[holds]] = True
+        # the seats go out unnamed: the consumer alone holds them, and may drop them before the next block
+        yield houses, _seat_matrix(base, winners[lo - done : hi - done]), tied, tie, held
+        base, at = base + np.bincount(winners[lo - done : hi - done], minlength=m), hi
 
 
 def _seat_matrix(base: np.ndarray, winners: np.ndarray) -> np.ndarray:
@@ -245,17 +274,54 @@ def _float_seat_blocks(method, shares: np.ndarray, n_from: int, n_to: int, masks
     """``_exact_seat_blocks`` on float shares: per _FLOAT_BLOCK houses of
     [n_from, n_to], ``allocate``'s canonical seats (m, k), the near-tied
     houses and, if ``masks``, their class masks (else None).  Divisor
-    houses, n_from >= z*m, come off ``_award_sequence``, quota houses off
-    ``_float_quota_rows``.  More than MAX_TRIALS houses raise InputError, as
-    in the exact source.
+    houses, n_from >= z*m, come off ``_award_sequence`` one window of about
+    _FLOAT_BLOCK awards per block, the first window's tables starting at the
+    seats of ``_float_start`` and each later one's at the seats the window
+    before ended on.  Quota houses come off ``_float_quota_rows``.  More
+    than MAX_TRIALS houses raise InputError, as in the exact source.
     """
     _check_houses(n_from, n_to)
-    if isinstance(method, DivisorMethod):
-        sp, m = method.signposts, shares.size
-        winners, _, close = _award_sequence(shares, sp, n_to - sp.zero_count() * m, NEAR_TIE_RTOL)
-        return _divisor_blocks(winners, close, m, sp.zero_count(), n_from, n_to, _FLOAT_BLOCK, masks)
-    blocks = _house_blocks(n_from, n_to, _FLOAT_BLOCK)
-    return ((h, *_float_quota_rows(shares[:, None], method.gamma, h, masks)) for h in blocks)
+    if not isinstance(method, DivisorMethod):
+        blocks = _house_blocks(n_from, n_to, _FLOAT_BLOCK)
+        return ((h, *_float_quota_rows(shares[:, None], method.gamma, h, masks)) for h in blocks)
+    sp, m, cap = method.signposts, shares.size, method.signposts.max_seats()
+    if cap is not None and n_to > cap * m:  # before allocate refuses the start
+        raise InputError("house size unreachable under the table cap")
+    seats, done = _float_start(shares, sp, n_from)
+    after = seats  # the seats after the awards pulled so far
+
+    def pull(count):
+        nonlocal after
+        winners, _, close = _award_sequence(shares, sp, count, NEAR_TIE_RTOL, after)
+        after = after + np.bincount(winners, minlength=m)
+        return winners, close
+
+    return _divisor_blocks(pull, seats, done, m, sp.zero_count(), n_from, n_to, _FLOAT_BLOCK, masks)
+
+
+def _float_start(shares: np.ndarray, sp: SignpostSequence, house: int):
+    """(seats, k): ``allocate``'s canonical seats on the float shares at
+    the first of the houses house - 1, house - 2, house - 4, ... where award
+    k - 1, the last one they hold past the mandatory seats, is not close to
+    award k, so that no run of close awards holding a later house reaches
+    back past them; z seats and k = 0 from house z*m down.  Award k - 1 is
+    the worst held entry (figure ascending, party descending) and award k
+    the best next one; the one ranked after the other raises
+    InvariantError, as then the seats are no prefix of the award order.
+    """
+    m, z = shares.size, sp.zero_count()
+    votes, back = PartyWeights.of(shares.tolist()), 1
+    while (h := house - back) > z * m:
+        seats = np.array(allocate_divisor(votes, sp, h).seats, dtype=np.int64)
+        held = np.where(seats > z, sp.figures(shares, np.maximum(seats, z + 1)), INF)
+        nxt = sp.figures(shares, seats + 1)
+        k, i = m - 1 - int(np.argmin(held[::-1])), int(np.argmax(nxt))
+        if held[k] < nxt[i] or (held[k] == nxt[i] and k > i):
+            raise InvariantError("allocate's seats are no prefix of the float award order")
+        if held[k] - nxt[i] > NEAR_TIE_RTOL * held[k]:
+            return seats, h - z * m
+        back *= 2
+    return np.full(m, z, dtype=np.int64), 0
 
 
 def _check_houses(n_from: int, n_to: int) -> None:
@@ -382,8 +448,9 @@ def _exact_seat_blocks(method, weights, n_from: int, n_to: int):
     if isinstance(method, DivisorMethod):
         sp = method.signposts
         z, m = sp.zero_count(), len(votes)
-        winners, equal = _exact_awards(votes, total, sp, n_to - z * m)
-        yield from _divisor_blocks(winners, equal, m, z, max(n_from, z * m), n_to, _EXACT_BLOCK)
+        awards = _exact_awards(votes, total, sp, n_to - z * m)  # one pull holds them all
+        start = np.full(m, z, dtype=np.int64)
+        yield from _divisor_blocks(lambda _: awards, start, 0, m, z, max(n_from, z * m), n_to, _EXACT_BLOCK)
     else:
         gamma = Fraction(method.gamma)  # a float gamma with exact weights is taken exactly
         for houses in _house_blocks(n_from, n_to, _EXACT_BLOCK):
@@ -513,9 +580,9 @@ def _exact_sweep(method, weights, n_from, n_to, tie_policy, stats) -> tuple[Frac
         if not average:
             seats = _policy_rows(houses, seats, tied, tie, held, tie_policy)
         delta, sums, orbit = _excess_rows(houses, seats, tied, tie, held, votes, total, average)
-        stats.moments._push(delta)
         if stats.histogram is not None:
             stats.histogram._push(delta)
+        stats.moments._push(delta)  # last: it centres the excesses in place
         stats.ties += tied.size
         for size in set(orbit.tolist()):
             summed = sums[:, orbit == size].sum(axis=1).tolist()
@@ -577,16 +644,19 @@ def sweep(
     shares = np.asarray(weights.shares_float())
     column = shares[:, None]
     average = tie_policy.kind == "average"  # the other policies only count the near-ties
-    blocks = _float_seat_blocks(method, shares, n_from, n_to, average)  # a divisor method's awards first
-    block = np.empty((m, min(_FLOAT_BLOCK, n_to - n_from + 1)))  # the excesses of every block in turn
-    for houses, seats, tied, tie, held in blocks:
-        deltas = np.multiply(column, houses, out=block[:, : houses.size])
-        np.subtract(seats, deltas, out=deltas)
+    for houses, seats, tied, tie, held in _float_seat_blocks(method, shares, n_from, n_to, average):
         if average and tied.size:  # a near-tied house holds its orbit mean
             base, k, grants = _orbit_parts(seats[:, tied], tie, held)
-            deltas[:, tied] = base + tie * (grants / k) - column * houses[tied]
+            orbit = base + tie * (grants / k) - column * houses[tied]
+        deltas = seats.view(float)  # the excesses overwrite the int64 seats, one tile at a time
+        for t in _chunks(houses.size, m):
+            excess = np.multiply(column, houses[t])
+            deltas[:, t] = np.subtract(seats[:, t], excess, out=excess)
+        if average and tied.size:
+            deltas[:, tied] = orbit
         stats._record(deltas)
         stats.near_ties += float(tied.size)
+        del seats, deltas, tie, held  # the next block is built without this one
     return stats
 
 
@@ -691,8 +761,8 @@ def allocate_many(method: Method, shares: np.ndarray, house: int) -> np.ndarray:
     """Allocate one house size across many float share rows; rows = trials.
 
     Divisor methods of every signpost family give ``allocate``'s canonical
-    seat vector per row, ties included, through the row-vectorized
-    jump-and-step of ``allocation.allocate_divisor_rows``; houses outside
+    seat vector per row, ties included, through the vectorized
+    jump-and-step of ``allocation._divisor_cols``; houses outside
     [z*m, cap*m] raise as ``allocate`` does.  Quota methods run the
     largest-remainder rule of ``allocation.allocate_quota_rows``, which
     raises as ``allocate`` does on house + gamma <= 0.  Seats are returned
@@ -880,9 +950,13 @@ def apparentement_sweep(
     full = _float_seat_blocks(method, shares, n_from, n_to)
     pooled = _float_seat_blocks(method, mshares, n_from, n_to)
     gains = np.empty((3, n_to - n_from + 1))  # the pooled seats, then the seats of party i and party j
-    for (houses, s_full, *_), (_, s_pooled, *_) in zip(full, pooled):
+    for houses, seats, *_ in full:  # one block at a time: each is copied and dropped before the next
         cols = slice(int(houses[0]) - n_from, int(houses[-1]) - n_from + 1)
-        gains[0, cols], gains[1, cols], gains[2, cols] = s_pooled[im], s_full[party_i], s_full[party_j]
+        gains[1, cols], gains[2, cols] = seats[party_i], seats[party_j]
+        del seats
+        _, seats, *_ = next(pooled)
+        gains[0, cols] = seats[im]
+        del seats
     pool = gains[0].astype(np.int64)
     lo, hi = int(pool.min()), int(pool.max())
     if lo < sub_min:  # so that the quota sub-apportionment has house + gamma > 0
@@ -891,7 +965,9 @@ def apparentement_sweep(
     pool -= lo
     gains[0] -= gains[1]  # the joint gain: pooled seats less the separate ones
     gains[0] -= gains[2]
-    np.subtract(sub[:, pool], gains[1:], out=gains[1:])  # each party's share of the pool less its seats
+    for r in (1, 2):  # each party's share of the pool less its seats
+        np.subtract(sub[r - 1, pool], gains[r], out=gains[r])
+    del pool, sub
     moments = RunningMoments(3)
     moments._push(gains)
     return ApparentementStats(moments, party_i, party_j, n_from, n_to)

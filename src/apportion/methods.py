@@ -114,7 +114,10 @@ def small_n_guard(method: Method, weights: PartyWeights) -> int:
         if beta is not None and beta > 1:
             # below this, a tiny party's rounding could go negative
             min_p = min(weights.shares)
-            bound = (1 / min_p - m) * (beta - 1)
+            try:
+                bound = (1 / min_p - m) * (beta - 1)
+            except OverflowError:  # float shares and an exact beta past the float range
+                bound = Fraction(1 / min_p - m) * (beta - 1)
             guard = max(guard, math.floor(bound) + 1)
         return guard
     gamma = method.gamma

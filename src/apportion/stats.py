@@ -12,9 +12,11 @@ The public ``push_batch`` and ``record_batch`` take (k, m) rows and hand
 one transposed copy to the kernels.  The layout moves no bit: a batch's
 mean is the sequential sum of each party's row (``_column_means``), the sum
 ``mean(axis=0)`` forms over (k, m) rows, and its comoment is one matrix
-product c @ c.T of the centered rows.  The histogram (one ``bincount``)
-and the violation counts run in tiles of ``_CHUNK`` values and count
-integers.
+product c @ c.T of the centered rows, which the batch itself holds: the
+moments centre it in place, so a batch needs no copy of its size and is
+pushed to the moments last.  The histogram (one ``bincount``), the
+violation counts and the running sums of the mean run in tiles of
+``_CHUNK`` values.
 """
 
 from __future__ import annotations
@@ -44,19 +46,29 @@ def _party_major(xs, dim: int) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != dim:
         raise DimensionMismatchError(f"expected (k, {dim}) batch, got {xs.shape}")
-    return np.ascontiguousarray(xs.T)
+    return np.array(xs.T, order="C")
 
 
 def _column_means(cols: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """The means of the rows of a party-major (m, k) batch, bit for bit those
     of ``mean(axis=0)`` over its (k, m) transpose: numpy sums m >= 2 columns
-    row after row from 0.0, the last entry of a running sum (``scratch``
-    holds it) plus 0.0, and one contiguous column pairwise, as ``sum`` does
-    a contiguous row."""
-    if cols.shape[0] == 1:
-        return cols.sum(axis=1) / cols.shape[1]
-    np.cumsum(cols, axis=1, out=scratch)
-    return (scratch[:, -1] + 0.0) / cols.shape[1]  # + 0.0: the sum starts from 0.0, so -0.0 sums to 0.0
+    row after row from 0.0, the last entry of a running sum plus 0.0, and
+    one contiguous column pairwise, as ``sum`` does a contiguous row.  The
+    running sum goes through ``scratch``, (m, w) for any w >= 1, w columns
+    at a time, each tile's first entry carrying the sum before it."""
+    m, k = cols.shape
+    if m == 1:
+        return cols.sum(axis=1) / k
+    w = scratch.shape[1]
+    np.cumsum(cols[:, :w], axis=1, out=scratch[:, : min(w, k)])
+    carry = scratch[:, min(w, k) - 1].copy()
+    for a in range(w, k, w):
+        tile = scratch[:, : min(w, k - a)]
+        np.copyto(tile, cols[:, a : a + tile.shape[1]])
+        tile[:, 0] += carry
+        np.cumsum(tile, axis=1, out=tile)
+        carry = tile[:, -1].copy()
+    return (carry + 0.0) / k  # + 0.0: the sum starts from 0.0, so -0.0 sums to 0.0
 
 
 class RunningMoments:
@@ -73,13 +85,13 @@ class RunningMoments:
         self._push(_party_major(xs, self.dim))
 
     def _push(self, cols: np.ndarray) -> None:
-        """The kernel of ``push_batch``: a party-major (dim, k) float batch."""
-        k = cols.shape[1]
+        """The kernel of ``push_batch``: a party-major (dim, k) float batch,
+        which it centres in place."""
+        m, k = cols.shape
         if k == 0:
             return
-        scratch = np.empty_like(cols)  # the running sums, then the centered rows
-        batch_mean = _column_means(cols, scratch)
-        centered = np.subtract(cols, batch_mean[:, None], out=scratch)
+        batch_mean = _column_means(cols, np.empty((m, min(k, _chunk_rows(m)))))
+        centered = np.subtract(cols, batch_mean[:, None], out=cols)
         self._combine(k, batch_mean, centered @ centered.T)
 
     def merge(self, other: "RunningMoments") -> None:
@@ -189,8 +201,8 @@ class SweepStats:
         self._record(_party_major(deltas, self.dim))
 
     def _record(self, cols: np.ndarray) -> None:
-        """The kernel of ``record_batch``: a party-major (m, k) float batch."""
-        self.moments._push(cols)
+        """The kernel of ``record_batch``: a party-major (m, k) float batch,
+        which the moments centre in place last."""
         if self.histogram is not None:
             self.histogram._push(cols)
         m, k = cols.shape
@@ -202,6 +214,7 @@ class SweepStats:
             self.lower_violations += np.bincount(party[low], minlength=m)
             self.upper_violations += np.bincount(party[~low], minlength=m)
             self.any_violation += float(np.count_nonzero(np.bincount(house)))
+        self.moments._push(cols)
 
     def merge(self, other: "SweepStats") -> None:
         """Combine with stats over a disjoint range; associative."""

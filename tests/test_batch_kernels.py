@@ -1,4 +1,4 @@
-"""The batch kernels of Monte Carlo: ``figures``, ``allocate_divisor_rows``'s rounds, the
+"""The batch kernels of Monte Carlo: ``figures``, ``allocation._divisor_cols``'s rounds, the
 joint sampler's categories, and the pass bound of the scalar step loop.
 
 ``SignpostSequence.figures`` evaluates a closed form below 2**53 in one pass and

@@ -1,9 +1,11 @@
 """Inputs the library refuses with InputError instead of overflowing,
 raising a raw numpy or Python error, or looping without end: divisor houses
-of 2**62 and more, non-finite parameters and votes, Monte Carlo batches
-below 1, histogram bin widths that are not positive and finite, and sweeps
-and periods of more than MAX_TRIALS houses."""
+of 2**62 and more, non-finite parameters and votes, float votes under a
+linear beta past the float range (exact votes get their exact seats), Monte
+Carlo batches below 1, histogram bin widths that are not positive and
+finite, and sweeps and periods of more than MAX_TRIALS houses."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -11,10 +13,10 @@ import numpy as np
 import pytest
 
 from apportion import InputError, PartyWeights, SignpostSequence, allocate
-from apportion import harness
+from apportion import cli, harness
 from apportion.harness import allocate_many, apparentement_sweep, mc_ordered_simplex, period_average_bias
 from apportion.harness import equidistribution_ks, quota_violation_frequency, sqrt_shares, sweep
-from apportion.methods import linear_divisor, method_by_name, quota_method
+from apportion.methods import DivisorMethod, linear_divisor, method_by_name, quota_method
 from apportion.stats import DeltaHistogram
 
 WEBSTER = method_by_name("webster")
@@ -59,6 +61,38 @@ def test_non_finite_parameters_rejected(x):
 def test_power_exponent_past_the_float_range_rejected(e):
     with pytest.raises(InputError):
         SignpostSequence.power(e)
+
+
+BIG_BETA = {
+    "signposts": lambda: DivisorMethod(SignpostSequence.linear(Fraction(10**400))),
+    "name": lambda: method_by_name("linear:1e400"),
+}
+
+
+@pytest.mark.parametrize("make", BIG_BETA.values(), ids=BIG_BETA.keys())
+def test_linear_beta_past_the_float_range(make):
+    method = make()
+    # d(n) = n - 1 + 10**400: 9/(n - 1 + beta) > 5/beta while 4*beta > 5(n - 1),
+    # so the largest party takes every seat, exactly
+    assert allocate(method, PartyWeights.of([3, 5, 9]), 50).seats == (0, 0, 50)
+    float_runs = (
+        lambda: allocate(method, PartyWeights.of([3.0, 5.0, 9.0]), 50),
+        lambda: allocate_many(method, np.array([[0.2, 0.3, 0.5]]), 50),
+    )
+    for run in float_runs:
+        with pytest.raises(InputError, match=r"d\(1\) exceeds the float range"):
+            run()
+    with pytest.raises(InputError, match="small-house guard"):  # the guard lies past 10**400 houses
+        sweep(method, PartyWeights.of([3.0, 5.0, 9.0]), 1, 50)
+
+
+def test_cli_linear_beta_past_the_float_range(capsys):
+    argv = ["allocate", "--method", "linear:1e400", "--seats", "50"]
+    assert cli.run(argv + ["--votes", "A=3,B=5,C=9"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["seats"] == [0, 0, 50]
+    assert cli.run(argv + ["--shares", "sqrt:4"]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "InputError" and "float range" in err["message"]
 
 
 @pytest.mark.parametrize("x", NON_FINITE)

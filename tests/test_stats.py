@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from apportion.stats import ComparisonReport, ComparisonRow, DeltaHistogram, RunningMoments, SweepStats
+from apportion.stats import ComparisonReport, ComparisonRow, DeltaHistogram, RunningMoments, SweepStats, _column_means
 
 
 def test_running_moments_match_numpy():
@@ -77,3 +77,28 @@ def test_comparison_report():
     assert "FAIL" in table and "pass" in table
     d = rep.to_dict()
     assert d["passed"] is False and len(d["rows"]) == 2
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_column_means_in_tiles_equal_one_running_sum(m):
+    # the tiles carry the running sum into their first entry, so any width
+    # gives the one running sum's bits; -0.0 rows still have mean 0.0
+    rng = np.random.default_rng(m)
+    for k in (1, 2, 7, 4097):
+        cols = rng.standard_normal((m, k)) * 10.0 ** rng.integers(-6, 7, (m, k))
+        cols[0, : k // 2] = -0.0
+        want = cols.sum(axis=1) / k if m == 1 else (np.cumsum(cols, axis=1)[:, -1] + 0.0) / k
+        for width in (1, 3, 64, k, k + 5):
+            assert _column_means(cols, np.empty((m, width))).tobytes() == want.tobytes(), (k, width)
+    zeros = np.full((m, 9), -0.0)
+    assert _column_means(zeros, np.empty((m, 4))).tobytes() == np.zeros(m).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (6, 1), (1, 4), (6, 4)])
+def test_batches_are_left_as_they_are(shape):
+    # the moments centre their party-major copy in place, never the caller's rows
+    xs = np.random.default_rng(7).standard_normal(shape)
+    before = xs.copy()
+    RunningMoments(shape[1]).push_batch(xs)
+    SweepStats.empty(shape[1], [(-3.0, 3.0)] * shape[1], 0.5).record_batch(xs)
+    assert xs.tobytes() == before.tobytes()
