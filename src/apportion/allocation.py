@@ -409,21 +409,20 @@ def _scan_ends(seats, held, nxt, z):
     return i, k
 
 
-def _scan_awards(w, sp: SignpostSequence, z: int, count: int):
-    """The awards past the mandatory seats for integer figure weights w_i, in
-    exact order: each winner and whether each pair of adjacent figures w_i*b
-    / a are equal, d(n) = a/b from ``exact_pairs`` in doubling batches of n.
-    Each award is the best next entry of a ``_step`` pass (``_scan_ends``,
-    or ``_HeapEnds`` past _SCAN_MAX parties; a floor of INF means no held
-    entry), up to award ``count - 1`` and the equal ones after it, and is
-    cross-multiplied with the one before: a larger figure raises
-    InvariantError.  Raises InputError when only figures past a capped
-    table are left.
+def _scan_awards(w, sp: SignpostSequence, z: int, count: int, start=None):
+    """The awards past the seats ``start`` (default z for every party) for
+    integer figure weights w_i, in exact order: each winner and whether each
+    pair of adjacent figures w_i*b / a are equal, d(n) = a/b from each
+    party's ``_pair_batches``.  Each award is the best next entry of a
+    ``_step`` pass (``_scan_ends``, or ``_HeapEnds`` past _SCAN_MAX parties;
+    a floor of INF means no held entry), up to award ``count - 1`` and the
+    equal ones after it, and is cross-multiplied with the one before: a
+    larger figure raises InvariantError.  Raises InputError when only
+    figures past a capped table are left.
     """
-    pairs = list(zip(*(x.tolist() for x in sp.exact_pairs(np.arange(z + 2)))))  # pairs[n] = (a, b) for d(n)
-    a, b = pairs[z + 1]
-    seats = [z] * len(w)
-    nxt = [(x * b, a) for x in w]  # each party's next figure, as (num, den)
+    seats = [z] * len(w) if start is None else [int(s) for s in start]
+    pairs = [_pair_batches(sp, s + 1) for s in seats]  # each party's pairs from its next seat on
+    nxt = [(x * b, a) for x, (a, b) in zip(w, map(next, pairs))]  # each party's next figure, as (num, den)
     ends = _scan_ends if len(w) <= _SCAN_MAX else _HeapEnds(seats, nxt, nxt, INF)
     winners, equal, last = [], [], (1, 0)  # an infinite figure before the first award
     while True:
@@ -440,10 +439,14 @@ def _scan_awards(w, sp: SignpostSequence, z: int, count: int):
         equal.append(lhs == rhs)
         last = nxt[i]
         seats[i] += 1
-        if (n := seats[i] + 1) == len(pairs):  # fetch d(n) .. d(2n - 1): the pairs double
-            pairs += zip(*(x.tolist() for x in sp.exact_pairs(np.arange(n, 2 * n))))
-        a, b = pairs[n]
+        a, b = next(pairs[i])
         nxt[i] = (w[i] * b, a)
+
+
+def _pair_batches(sp: SignpostSequence, n: int):
+    """The pairs (a, b) of d(n), d(n + 1), ... from ``exact_pairs``, in batches of 1, 2, 4, ... entries."""
+    for k in range(64):  # 2**64 - 1 entries: more than a house below 2**62 takes
+        yield from zip(*(x.tolist() for x in sp.exact_pairs(np.arange(n + 2**k - 1, n + 2 ** (k + 1) - 1))))
 
 
 class _Entry:

@@ -482,6 +482,17 @@ def run(argv=None) -> int:
         if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
             raise InputError(f"--tolerance must be finite and nonnegative, got {tolerance!r}")
         payload, code = _COMMANDS[args.command](args)
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "engine_version": __version__,
+            "config": _echo_config(args),
+            "results": jsonify(payload),
+            "wall_clock_s": format(time.perf_counter() - started, ".6g"),
+        }
+        text = json.dumps(report, sort_keys=True, indent=2)
+        if args.output:  # an unwritable path is an io-error, as an unreadable --input is
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
     except (InstanceTooLargeError, MemoryError) as exc:
         _emit_error(args, str(exc) or "out of memory", "instance-too-large")
         return EXIT_TOO_LARGE
@@ -491,18 +502,7 @@ def run(argv=None) -> int:
     except OSError as exc:
         _emit_error(args, str(exc), "io-error")
         return EXIT_INVALID
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "engine_version": __version__,
-        "config": _echo_config(args),
-        "results": jsonify(payload),
-        "wall_clock_s": format(time.perf_counter() - started, ".6g"),
-    }
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
+    if not args.output:
         print(text)
     return code
 

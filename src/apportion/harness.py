@@ -18,11 +18,11 @@ the float range only while the final awards stop short.
 ``_divisor_blocks`` reads every house size off cumulative counts.  The
 input picks the path: exact weights and signposts always take the exact
 kernels, float input the float ones.  Exact sweeps and period averages run
-on the votes scaled once to coprime integers, and certify the float award
-sequence of the shares for the whole range in integers
-(``_exact_awards``), unless a kept figure is subnormal: adjacent awards
-are compared by cross-multiplication, and only runs of float figures
-within their rounding bound may be re-ordered.  Quota houses run the
+on the votes scaled once to coprime integers, and certify each window of
+the float award sequence of the shares in integers (``_exact_awards``),
+unless a kept figure is subnormal: adjacent awards are compared by
+cross-multiplication, and only runs of float figures within their rounding
+bound may be re-ordered.  Quota houses run the
 largest-remainder rule of ``allocation._remainder_rows`` on a block of
 houses at once, on float ideals or, exactly, on integer ones, ranking the
 remainders without sorting each house.  The exact rows of a block (seat
@@ -34,14 +34,16 @@ that mean over one period) are exact, each converted to float once.
 
 Float input has one source of seat blocks, ``_float_seat_blocks``, which
 ``sweep``'s float path and ``apparentement_sweep`` (the full, the merged
-and the pair's party lists) read.  Divisor methods are house monotone, so
-the awards of a range are the table entries between the seats at its two
-ends: a float source sorts one window of awards per block, each from the
-seats the window before ended on, and the first from ``allocate``'s seats
-near the range's first house (``_float_start``).  So a float sweep holds
-one (m, _FLOAT_BLOCK) seat block at a time, and neither its peak nor its
-cost grows with where its range ends or starts.  It records its moments
-per block and runs the quota rows, seat matrix and histogram in
+and the pair's party lists) read; exact input has ``_exact_seat_blocks``.
+Divisor methods are house monotone, so the awards of a range are the table
+entries between the seats at its two ends: both sources pull one window
+of about _FLOAT_BLOCK awards at a time through ``_divisor_blocks``, each
+from the seats the window before ended on, and the first from
+``allocate``'s seats at a house just below the range's first whose last
+award is not close (float, ``_float_start``) or not tied (exact) to the
+next (``_start``).  So neither the peak of a divisor sweep nor its cost
+grows with where its range ends or starts.  A float sweep records its
+moments per block and runs the quota rows, seat matrix and histogram in
 cache-sized ``stats._CHUNK``-value tiles, which change no bit.  Both
 seat-block sources refuse more than MAX_TRIALS houses, as Monte Carlo
 refuses more trials.
@@ -70,6 +72,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -184,16 +187,16 @@ def _award_sequence(shares: np.ndarray, sp: SignpostSequence, count: int, rtol: 
     return winners, figures, close
 
 
-def _divisor_blocks(pull, start, done: int, m: int, z: int, n_from: int, n_to: int, block: int, masks: bool = True):
+def _divisor_blocks(awards, start, done: int, m: int, z: int, n_from: int, n_to: int, block: int, masks: bool = True):
     """Yield (houses, seats, tied, tie, held) per ``block`` houses of
     [n_from, n_to], n_from >= z*m, off the award sequence, in which award k
     is the last award of house z*m + k + 1.  ``start`` holds the seats
     before award ``done``, which is 0 or follows a gap that is not close,
-    and done < n_from - z*m unless both are 0.  pull(count) returns the
-    next awards, at least ``count`` of them: their winners and the flags
-    ``close`` of adjacent ones, the gap after the last not close, so a run
-    of close awards ends inside one pull.  The awards kept are those from
-    the run holding the block's first house on.
+    and done < n_from - z*m unless both are 0.  awards(count, seats) returns
+    the next window: at least ``count`` awards after ``seats``, their
+    winners and the flags ``close`` of adjacent ones, the gap after the last
+    not close.  A window runs max(block, _FLOAT_BLOCK) houses from its
+    block's first house, or to n_to, keeping the run that holds that house.
 
     ``seats`` (m, k) holds each house's seats party-major, column r for
     houses[r]; ``tied`` indexes the tied houses, and the (m, len(tied))
@@ -209,17 +212,18 @@ def _divisor_blocks(pull, start, done: int, m: int, z: int, n_from: int, n_to: i
     for houses in _house_blocks(n_from, n_to, block):
         lo, hi = int(houses[0]) - z * m, int(houses[-1]) - z * m  # the awards before each end
         if done + winners.size < hi:
-            # drop the awards before the run holding the block's first house, whose last award is lo - 1
-            gaps = np.flatnonzero(~close[: max(lo - 1 - done, 0)])
-            cut = int(gaps[-1]) + 1 if gaps.size else 0
-            new, flags = pull(hi - done - winners.size)
-            winners = np.concatenate((winners[cut:], new)) if winners.size > cut else new
-            close = np.concatenate((close[cut:], flags, [False]))  # close[k]: awards k and k + 1
-            done += cut
-            del new, flags
+            # keep the awards from the run holding award k = lo - 1, the first house's last, on; drop the rest first
+            r = np.searchsorted(first, k := lo - 1 - done, side="right") - 1  # the last run starting at k or before
+            cut = int(first[r]) if r >= 0 and last[r] >= k else min(max(k, 0), winners.size)
+            winners, close, done, first, last = winners[cut:].copy(), close[cut:].copy(), done + cut, None, None
+            end = min(lo + max(block, _FLOAT_BLOCK), n_to - z * m + 1) - 1  # the window's last award
+            new, flags = awards(end - done - winners.size, base + np.bincount(winners[at - done :], minlength=m))
+            winners = np.concatenate((winners, new)) if winners.size else new
+            close = np.concatenate((close, flags, [False]))  # close[k]: awards k and k + 1
             flagged = np.flatnonzero(close)
             first = flagged[np.diff(flagged, prepend=-2) != 1]  # the first award of each run
             last = flagged[np.diff(flagged, append=-2) != 1] + 1  # and its last award
+            del new, flags, flagged
         base = base + np.bincount(winners[at - done : lo - done], minlength=m)  # the seats at house houses[0]
         award = houses - z * m - 1 - done  # each house's last award, in ``winners``
         tied = np.flatnonzero(award >= -done)
@@ -277,57 +281,62 @@ def _float_seat_blocks(method, shares: np.ndarray, n_from: int, n_to: int, masks
     houses, n_from >= z*m, come off ``_award_sequence`` one window of about
     _FLOAT_BLOCK awards per block, the first window's tables starting at the
     seats of ``_float_start`` and each later one's at the seats the window
-    before ended on.  Quota houses come off ``_float_quota_rows``.  More
-    than MAX_TRIALS houses raise InputError, as in the exact source.
+    before ended on.  Quota houses come off ``_float_quota_rows``.  Houses
+    are checked as in the exact source (``_check_houses``).
     """
-    _check_houses(n_from, n_to)
+    _check_houses(n_from, n_to, method, shares.size)
     if not isinstance(method, DivisorMethod):
         blocks = _house_blocks(n_from, n_to, _FLOAT_BLOCK)
         return ((h, *_float_quota_rows(shares[:, None], method.gamma, h, masks)) for h in blocks)
-    sp, m, cap = method.signposts, shares.size, method.signposts.max_seats()
-    if cap is not None and n_to > cap * m:  # before allocate refuses the start
-        raise InputError("house size unreachable under the table cap")
+    sp = method.signposts
     seats, done = _float_start(shares, sp, n_from)
-    after = seats  # the seats after the awards pulled so far
 
-    def pull(count):
-        nonlocal after
-        winners, _, close = _award_sequence(shares, sp, count, NEAR_TIE_RTOL, after)
-        after = after + np.bincount(winners, minlength=m)
-        return winners, close
+    def awards(count, after):  # one window's winners and close flags
+        return _award_sequence(shares, sp, count, NEAR_TIE_RTOL, after)[::2]
 
-    return _divisor_blocks(pull, seats, done, m, sp.zero_count(), n_from, n_to, _FLOAT_BLOCK, masks)
+    return _divisor_blocks(awards, seats, done, shares.size, sp.zero_count(), n_from, n_to, _FLOAT_BLOCK, masks)
 
 
 def _float_start(shares: np.ndarray, sp: SignpostSequence, house: int):
-    """(seats, k): ``allocate``'s canonical seats on the float shares at
-    the first of the houses house - 1, house - 2, house - 4, ... where award
-    k - 1, the last one they hold past the mandatory seats, is not close to
-    award k, so that no run of close awards holding a later house reaches
-    back past them; z seats and k = 0 from house z*m down.  Award k - 1 is
-    the worst held entry (figure ascending, party descending) and award k
-    the best next one; the one ranked after the other raises
-    InvariantError, as then the seats are no prefix of the award order.
-    """
-    m, z = shares.size, sp.zero_count()
-    votes, back = PartyWeights.of(shares.tolist()), 1
-    while (h := house - back) > z * m:
+    """``_start`` on ``allocate``'s seats for the float shares; award k - 1,
+    the worst held entry, ranked after award k, the best next one, raises
+    InvariantError: the seats are then no prefix of the float award order."""
+    z, votes = sp.zero_count(), PartyWeights.of(shares.tolist())
+
+    def seats_at(h):
         seats = np.array(allocate_divisor(votes, sp, h).seats, dtype=np.int64)
         held = np.where(seats > z, sp.figures(shares, np.maximum(seats, z + 1)), INF)
         nxt = sp.figures(shares, seats + 1)
-        k, i = m - 1 - int(np.argmin(held[::-1])), int(np.argmax(nxt))
+        k, i = shares.size - 1 - int(np.argmin(held[::-1])), int(np.argmax(nxt))
         if held[k] < nxt[i] or (held[k] == nxt[i] and k > i):
             raise InvariantError("allocate's seats are no prefix of the float award order")
-        if held[k] - nxt[i] > NEAR_TIE_RTOL * held[k]:
-            return seats, h - z * m
+        return seats if held[k] - nxt[i] > NEAR_TIE_RTOL * held[k] else None
+
+    return _start(house, shares.size, z, seats_at)
+
+
+def _start(house: int, m: int, z: int, seats_at):
+    """(seats, k) at the first house h = house - 1, house - 2, house - 4,
+    ... above z*m where seats_at(h) gives its seats, not None: where award
+    k - 1 = h - z*m - 1, its last, is not close to award k, so that no run
+    holding a later house reaches back past them; z seats and k = 0 from
+    house z*m down."""
+    back = 1
+    while (h := house - back) > z * m:
+        if (seats := seats_at(h)) is not None:
+            return np.asarray(seats, dtype=np.int64), h - z * m
         back *= 2
     return np.full(m, z, dtype=np.int64), 0
 
 
-def _check_houses(n_from: int, n_to: int) -> None:
-    """Refuse more than MAX_TRIALS houses; every source of house rows checks first."""
+def _check_houses(n_from: int, n_to: int, method=None, m: int = 0) -> None:
+    """Refuse more than MAX_TRIALS houses, and houses past a divisor
+    ``method``'s table cap on m parties; every source of rows checks first."""
     if n_to - n_from + 1 > MAX_TRIALS:
         raise InputError(f"at most {MAX_TRIALS} houses per run, got {n_to - n_from + 1}")
+    cap = method.signposts.max_seats() if isinstance(method, DivisorMethod) else None
+    if cap is not None and n_to > cap * m:
+        raise InputError("house size unreachable under the table cap")
 
 
 # -- exact sweeps -------------------------------------------------------------
@@ -337,13 +346,13 @@ _CERTIFY_RTOL = 8 * 2.0**-52  # adjacent float figures closer than this, relativ
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
 
-def _exact_awards(votes, total: int, sp: SignpostSequence, count: int):
-    """The first ``count`` awards past the mandatory seats of integer votes
+def _exact_awards(votes, total: int, sp: SignpostSequence, count: int, start):
+    """The first ``count`` awards past the seats ``start`` of integer votes
     V_i with total T, in exact order: figure descending, then party
-    ascending.  Returns the winner of each award and, for each pair of
-    adjacent awards, whether their figures are equal; the awards go on past
-    ``count`` to the end of the run of equal figures that holds award
-    ``count - 1``.
+    ascending; ``start``, the seats of a house without a tie, is a prefix of
+    it.  Returns the winner of each award and, for each pair of adjacent
+    awards, whether their figures are equal; the awards go on past ``count``
+    to the end of the run of equal figures that holds award ``count - 1``.
 
     Award k's figure is num/den = w_i*b / a for d(n) = a/b in figure space
     (``SignpostSequence.exact_pairs``) and w_i = ``figure_weight(V_i)``.
@@ -379,25 +388,23 @@ def _exact_awards(votes, total: int, sp: SignpostSequence, count: int):
     InputError when ``count`` passes the finite entries of a capped table.
     """
     m, z = len(votes), sp.zero_count()
-    if count <= 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
     w = [sp.figure_weight(v) for v in votes]
     shares = np.array([v / total for v in votes])
     smallest = 0.0  # the integer scan runs unless every float figure kept is normal
     if sp.figure_weight(shares).min() >= _TINY and float(sp.value(z + 1)) >= _TINY:
         try:
-            winners, figures, close = _award_sequence(shares, sp, count, _CERTIFY_RTOL)
+            winners, figures, close = _award_sequence(shares, sp, count, _CERTIFY_RTOL, start)
             smallest, figures = figures[-1], None  # free the figures before the exact pairs
         except InputError:  # a table reached the float range, or figures underflowed to 0
             pass
     if smallest < _TINY:  # the scan's order is exact, and it flags the equal pairs itself
-        return _scan_awards(w, sp, z, count)
-    # award k is seat n[k] of its party: the party's earlier awards counted from z + 1
+        return _scan_awards(w, sp, z, count, start)
+    # award k is seat n[k] of its party: its earlier awards counted from the party's start + 1
     winners, keep = winners.astype(np.int64), winners.size
     per_party = np.bincount(winners, minlength=m)
     n = np.empty(keep, dtype=np.int64)
     n[np.argsort(winners, kind="stable")] = np.arange(keep) - np.repeat(np.cumsum(per_party) - per_party, per_party)
-    a, b = sp.exact_pairs(n + z + 1)
+    a, b = sp.exact_pairs(n + start[winners] + 1)
     if a.dtype == object or max(w) * int(b.max()) * int(a.max()) >= 2**63:
         a, b, weight = a.astype(object), b.astype(object), np.array(w, dtype=object)
     else:
@@ -435,22 +442,22 @@ def _exact_seat_blocks(method, weights, n_from: int, n_to: int):
     ``held`` mark the parties of each tie class and those of them holding a
     contested seat.
 
-    Divisor houses read their seats and tie classes off the n_to - z*m
-    awards of ``_exact_awards`` and the run of equal figures after them,
-    with ``_divisor_blocks``: a tie is a run of equal figures.  Quota houses
-    run ``allocation._exact_remainder_rows`` on each block.  More than
-    MAX_TRIALS houses raise InputError.
+    Divisor houses read their seats and tie classes off windows of
+    ``_exact_awards`` with ``_divisor_blocks``, from ``allocate``'s seats at
+    a house just below n_from without a tie (``_start``): a tie is a run of
+    equal figures.  Quota houses run ``allocation._exact_remainder_rows`` on
+    each block.  Houses are checked as in the float source.
     """
     if not (_is_exact(weights, method.signposts) if isinstance(method, DivisorMethod) else weights.exact):
         raise InputError("exact sweep requires exact weights and signposts")
-    _check_houses(n_from, n_to)
+    _check_houses(n_from, n_to, method, len(weights))
     votes, total = weights.integer_votes
     if isinstance(method, DivisorMethod):
         sp = method.signposts
         z, m = sp.zero_count(), len(votes)
-        awards = _exact_awards(votes, total, sp, n_to - z * m)  # one pull holds them all
-        start = np.full(m, z, dtype=np.int64)
-        yield from _divisor_blocks(lambda _: awards, start, 0, m, z, max(n_from, z * m), n_to, _EXACT_BLOCK)
+        start, done = _start(n_from, m, z, lambda h: None if (a := allocate_divisor(weights, sp, h)).tied else a.seats)
+        awards = partial(_exact_awards, votes, total, sp)
+        yield from _divisor_blocks(awards, start, done, m, z, max(n_from, z * m), n_to, _EXACT_BLOCK)
     else:
         gamma = Fraction(method.gamma)  # a float gamma with exact weights is taken exactly
         for houses in _house_blocks(n_from, n_to, _EXACT_BLOCK):

@@ -48,8 +48,8 @@ class PartyWeights:
         for v in self.votes:
             if not 0 < v < inf:
                 raise InputError(f"every vote count must be positive and finite, got {v!r}")
-        if self.names is not None and len(self.names) != len(self.votes):
-            raise InputError("names and votes differ in length")
+        if self.names is not None and not len(set(self.names)) == len(self.names) == len(self.votes):
+            raise InputError(f"need one distinct name for each of {len(self.votes)} parties, got {list(self.names)}")
 
     @classmethod
     def of(cls, votes: Iterable, names: Sequence[str] | None = None) -> "PartyWeights":

@@ -9,6 +9,13 @@ range must give the matching columns of the whole-range blocks, bit for bit:
 seats, tied houses and tie masks, also where a run of close awards crosses a
 window edge or reaches back past the first house.  The traced peak of a
 float sweep must not grow with its range.
+
+Exact divisor sweeps pull certified windows of ``_exact_awards`` the same
+way, from the seats of exact ``allocate`` at a house just below the range
+whose allocation has no tie: a late exact range must equal per-house
+``allocate`` (seats, tie classes and orbit means) and the matching columns
+of the whole-range blocks, also where a tie run crosses a window edge, and
+where the windows come from the integer scan.
 """
 
 import tracemalloc
@@ -20,7 +27,16 @@ import pytest
 import apportion.harness as harness
 from apportion import InvariantError, PartyWeights, SignpostSequence, allocate, method_by_name
 from apportion.allocation import NEAR_TIE_RTOL
-from apportion.harness import _award_sequence, _float_seat_blocks, _float_start, sqrt_shares, sweep
+from apportion.harness import (
+    _award_sequence,
+    _exact_seat_blocks,
+    _float_seat_blocks,
+    _float_start,
+    _orbit_parts,
+    _tie_tuple,
+    sqrt_shares,
+    sweep,
+)
 from apportion.methods import DivisorMethod
 
 CASES = {
@@ -178,3 +194,91 @@ def test_float_sweep_peak_does_not_grow_with_the_range():
     long = _traced_peak(lambda: sweep(method, w, 1, 16 * harness._FLOAT_BLOCK))
     assert long <= 1.2 * short, (long, short)
     assert long <= 2.5 * block, long / block
+
+
+EXACT_VOTES = {"census": (7, 5, 3, 2), "tie-heavy": (2, 1, 1)}
+EXACT_METHODS = ("webster", "dhondt", "huntington", "adams")
+
+
+@pytest.mark.parametrize("n_from", [10**7, 10**11])
+@pytest.mark.parametrize("votes", sorted(EXACT_VOTES))
+@pytest.mark.parametrize("name", EXACT_METHODS)
+def test_a_late_exact_range_equals_allocate(name, votes, n_from):
+    method, w = method_by_name(name), PartyWeights.of(list(EXACT_VOTES[votes]))
+    houses, seats, tied, tie, held = _columns(_exact_seat_blocks(method, w, n_from, n_from + 300))
+    assert houses.tolist() == list(range(n_from, n_from + 301))
+    column = {h: j for j, h in enumerate(tied.tolist())}
+    for r, h in enumerate(houses.tolist()):
+        a, s = allocate(method, w, h), seats[:, r]
+        assert tuple(s.tolist()) == a.seats, h
+        if h not in column:
+            assert a.tie_info is None, h
+            continue
+        j = column[h]
+        info = a.tie_info
+        assert _tie_tuple(s, tie[:, j], held[:, j]) == (info.parties, info.grants, info.base_seats), h
+        base, k, grants = _orbit_parts(s, tie[:, j], held[:, j])
+        mean = tuple(int(b) + Fraction(int(g) * int(grants), int(k)) for b, g in zip(base, tie[:, j]))
+        assert mean == a.expected_seats(), h
+    if votes == "tie-heavy" and name != "huntington":
+        assert tied.size > 50
+
+
+N_EXACT = 3000
+EXACT_WINDOWS = {  # _EXACT_BLOCK, _FLOAT_BLOCK: windows ending inside blocks, and windows of one block
+    "spanning": (16, 41),
+    "block": (50, 37),
+}
+
+
+def _exact_whole(method, w, n_to):
+    z = method.signposts.zero_count()
+    assert n_to - z * len(w) < harness._FLOAT_BLOCK  # one window from the mandatory seats on
+    return _columns(_exact_seat_blocks(method, w, z * len(w), n_to))
+
+
+@pytest.mark.parametrize("windows", sorted(EXACT_WINDOWS))
+@pytest.mark.parametrize("votes", sorted(EXACT_VOTES))
+@pytest.mark.parametrize("name", EXACT_METHODS)
+def test_a_late_exact_range_equals_the_whole_range_columns(monkeypatch, name, votes, windows):
+    method, w = method_by_name(name), PartyWeights.of(list(EXACT_VOTES[votes]))
+    whole = _exact_whole(method, w, N_EXACT)
+    block, window = EXACT_WINDOWS[windows]
+    monkeypatch.setattr(harness, "_EXACT_BLOCK", block)
+    monkeypatch.setattr(harness, "_FLOAT_BLOCK", window)
+    z_m, tied = int(whole[0][0]), whole[2]
+    crossed = 0
+    for n_from in (z_m + 1, 7, 100, 1001, 2 * window + 3, N_EXACT - 5):
+        late = _columns(_exact_seat_blocks(method, w, max(n_from, z_m), N_EXACT))
+        houses, seats, l_tied, l_tie, l_held = late
+        n_from = int(houses[0])
+        assert houses.tolist() == list(range(n_from, N_EXACT + 1))
+        assert np.array_equal(seats, whole[1][:, n_from - z_m :])
+        keep = tied >= n_from
+        assert l_tied.tolist() == tied[keep].tolist()
+        assert np.array_equal(l_tie, whole[3][:, keep]) and np.array_equal(l_held, whole[4][:, keep])
+        # a window's nominal last award is that of house lo + size + z*m, lo the awards before its first house;
+        # a tie there runs on into the window after
+        size = max(block, window)
+        crossed += np.isin(np.arange(n_from + size - 1, N_EXACT, size), tied).sum()
+    if votes == "tie-heavy" and name != "huntington":
+        assert crossed > 0
+
+
+@pytest.mark.parametrize("votes", [(1, 2), (1, 3)])
+def test_late_exact_windows_off_the_integer_scan(monkeypatch, votes):
+    # geometric(3) figures turn subnormal near house 1290: the windows there come from the
+    # integer scan, each from the seats the window before ended on; (1, 3) ties at every other award
+    method, w = DivisorMethod(SignpostSequence.geometric(Fraction(3))), PartyWeights.of(list(votes))
+    whole = _columns(_exact_seat_blocks(method, w, 0, 1330))
+    scans = []
+    scan = harness._scan_awards
+    monkeypatch.setattr(harness, "_scan_awards", lambda *a: scans.append(a[-1]) or scan(*a))
+    monkeypatch.setattr(harness, "_EXACT_BLOCK", 16)
+    monkeypatch.setattr(harness, "_FLOAT_BLOCK", 23)
+    houses, seats, tied, tie, held = _columns(_exact_seat_blocks(method, w, 1250, 1330))
+    assert len(scans) > 1
+    assert np.array_equal(seats, whole[1][:, 1250:])
+    keep = whole[2] >= 1250
+    assert tied.tolist() == whole[2][keep].tolist()
+    assert np.array_equal(tie, whole[3][:, keep]) and np.array_equal(held, whole[4][:, keep])

@@ -182,17 +182,26 @@ def test_the_integer_scan_refuses_a_rising_figure():
 def test_the_integer_scan_past_scan_max_reads_the_heaps(monkeypatch):
     # the geometric(3) ranges above with _SCAN_MAX = 0: every award of the
     # scan comes from the heap of next entries of ``_HeapEnds``
-    heaps, calls = [], []
+    heaps, calls, scanning = [], [], []
     scan = harness._scan_awards
 
     class Counted(allocation._HeapEnds):
         def __init__(self, *args):
-            heaps.append(self)
+            if scanning:  # the heaps of the scan only: the start's ``allocate`` builds its own
+                heaps.append(self)
             super().__init__(*args)
+
+    def counted_scan(*a):
+        calls.append(a[-1])
+        scanning.append(True)
+        try:
+            return scan(*a)
+        finally:
+            scanning.clear()
 
     monkeypatch.setattr(allocation, "_SCAN_MAX", 0)
     monkeypatch.setattr(allocation, "_HeapEnds", Counted)
-    monkeypatch.setattr(harness, "_scan_awards", lambda *a: calls.append(a[-1]) or scan(*a))
+    monkeypatch.setattr(harness, "_scan_awards", counted_scan)
     method = DivisorMethod(SignpostSequence.geometric(Fraction(3)))
     w = PartyWeights.of([1, 2])
     for n_from, n_to in ((1200, 1290), (1250, 1330)):

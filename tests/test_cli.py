@@ -364,3 +364,29 @@ def test_one_parser_serves_every_run_in_a_process(capsys):
             assert (code, report(capsys.readouterr().out)) == (proc.returncode, report(proc.stdout))
             assert cli_module.run(failing) == 2
             assert json.loads(capsys.readouterr().err)["error"]["kind"] == "InputError"
+
+
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_an_unwritable_output_is_an_io_error(tmp_path, target):
+    path = tmp_path / "nonexistent" / "x.json" if target == "missing" else tmp_path
+    proc = cli("allocate", "--method", "dhondt", "--votes", "A=2,B=1", "--seats", "3", "--output", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"]["kind"] == "io-error"
+
+
+def test_repeated_party_names_are_an_input_error(tmp_path):
+    proc = cli("allocate", "--method", "dhondt", "--votes", "A=2,A=1", "--seats", "3")
+    assert "distinct" in _input_error(proc)
+    f = tmp_path / "votes.csv"
+    f.write_text("party,votes\nA,2\nB,1\nA,3\n")
+    proc = cli("apparentement", "--method", "webster", "--input", str(f), "--merge", "A,B", "--seats-to", "40")
+    assert "distinct" in _input_error(proc)
+
+
+def test_a_late_exact_sweep_costs_its_width():
+    # 1001 houses from 10**11 on exact votes: one window of awards, from allocate's seats just below the range
+    argv = ("--votes", "A=7,B=5,C=3,D=2", "--seats-from", "100000000000", "--seats-to", "100000001000")
+    proc = cli("sweep", "--method", "webster", *argv, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert results(proc)["stats"]["count"] == 1001

@@ -3,7 +3,8 @@ raising a raw numpy or Python error, or looping without end: divisor houses
 of 2**62 and more, non-finite parameters and votes, float votes under a
 linear beta past the float range (exact votes get their exact seats), Monte
 Carlo batches below 1, histogram bin widths that are not positive and
-finite, and sweeps and periods of more than MAX_TRIALS houses."""
+finite, sweeps and periods of more than MAX_TRIALS houses, and party names
+that repeat or do not match the votes one to one."""
 
 import json
 import math
@@ -155,3 +156,10 @@ def test_runs_past_max_trials_houses_rejected(monkeypatch):
     ):
         with pytest.raises(InputError, match="at most 100 houses"):
             run()
+
+
+@pytest.mark.parametrize("names", [("A", "A"), ("A", "A", "B"), ("A",)])
+def test_party_names_one_distinct_name_per_party(names):
+    with pytest.raises(InputError, match="distinct name"):
+        PartyWeights.of([1, 2], names)
+    assert PartyWeights.of([1, 2], ("A", "B")).names == ("A", "B")
