@@ -61,6 +61,7 @@ from .errors import (
     InvariantError,
     NegativeSeatError,
     NonpositiveQuotaError,
+    _integer,
 )
 from .methods import DEFAULT_TIES, DivisorMethod, Method, TiePolicy
 from .signposts import _FLOAT_RANGE, INF, Exactness, SignpostSequence
@@ -270,7 +271,7 @@ def _divisor_validate(weights, sp: SignpostSequence, house_size: int) -> int:
 
     ``weights`` is anything with one entry per party.
     """
-    if house_size < 0:
+    if _integer(house_size, "house_size") < 0:
         raise InfeasibleHouseSizeError("house size must be nonnegative")
     if house_size >= 2**62:  # the float jump start would miss by about house * 2**-53 seats
         raise InputError("divisor allocation needs a house size below 2**62")
@@ -554,49 +555,48 @@ def _divisor_cols(shares: np.ndarray, sp: SignpostSequence, house_size: int) -> 
     """``allocate_divisor``'s canonical seats for every column of party-major
     float shares (m, k): the (m, k) int64 seats.
 
-    Column r gets the seats of allocate_divisor(PartyWeights.of(shares[:, r]),
-    sp, house_size), bit for bit, ties included: the same steps,
-    taken for all columns at once, from ``_jump_starts`` of the column itself
-    (which should sum to 1).  Each round, every column short of the house
-    size adds its best next entry (figure descending, lower index first),
-    every column over it drops its worst held entry (figure ascending,
-    higher index first), and every other column swaps the two while the best
-    next entry beats the worst held one.  A column where it does not holds a
-    prefix of the canonical order, which one add or drop keeps, so a column
-    one seat off the house ends with that move.  Figures come from
-    ``SignpostSequence.figures``, +inf at z seats, and each end by one
-    comparison per party (``_ends``), not by a reduction per column.  Adds
-    and drops move a column's total toward N, and a swap moves a seat from
-    above its final count to below, so columns end within 2*bracket + 2
-    rounds (``_bracket``).  Columns that are not finite, whose start misses
-    the house size by more than the bracket, or that take more rounds raise
-    InvariantError.  ``harness.allocate_many`` is its row API.
+    Column r gets the seats of allocate_divisor(PartyWeights.of(shares[:, r]), sp,
+    house_size), bit for bit, ties included: the same steps, taken for all columns at
+    once, from ``_jump_starts`` of the column itself (which should sum to 1).  Each
+    round, a column short of the house adds its best next entry (figure descending,
+    lower index first), one over it drops its worst held entry (figure ascending, higher
+    index first), and any other swaps the two while the best next entry beats the worst
+    held one.  A column where it does not holds a prefix of the canonical order, so one
+    add or drop ends a column one seat off.  Figures come from ``SignpostSequence.figures``,
+    +inf at z seats, each end from one comparison per party (``_ends``), and a move is one
+    scatter into the flat seats.  Adds and drops move a column's total toward N, and a
+    swap moves a seat from above its final count to below, so columns end within
+    2*bracket + 2 rounds (``_bracket``).  Columns that are not finite, whose start misses
+    the house by more than the bracket, or that take more rounds raise InvariantError.
+    ``harness.allocate_many`` is its row API.
     """
     m, k = shares.shape
     z = _divisor_validate(shares, sp, house_size)  # one entry per party
     if not np.isfinite(shares).all():
         raise InvariantError("jump-and-step bracket needs finite share rows")
-    seats = _jump_starts(shares.T, sp, house_size, z).T.astype(np.int64, order="C")
+    seats = np.ascontiguousarray(_jump_starts(shares.T, sp, house_size, z).T)
     bracket = _bracket(sp, m, house_size, z)
-    if (np.abs(seats.sum(axis=0) - house_size) > bracket).any():
+    gap = seats.sum(axis=0) - house_size  # each column's seats past the house
+    if (np.abs(gap) > bracket).any():
         raise InvariantError(
             "jump start misses the house size by more than the bracket; "
             "share rows must be finite and sum to 1"
         )
     rows, s, v = np.arange(k), seats, shares  # the rows that may still need a step
+    cells, width = seats.reshape(-1), np.intp(k)  # party i's seats in column r are cell i*k + r
     for _ in range(floor(2 * bracket + 2)):
         best, f_best = _ends(sp.figures(v, s + 1), np.greater, np.maximum)
         worst, f_worst = _ends(sp.figures(v, s), np.less_equal, np.minimum)
-        gap = s.sum(axis=0) - house_size
         short, over = gap < 0, gap > 0
         if (f_best[short] == 0).any():  # all remaining signposts are infinite
             raise CapExceededError("house size unreachable under the table cap")
         cross = (f_best > f_worst) | ((f_best == f_worst) & (best < worst))  # out of canonical order
         swap = cross & (gap == 0)
         add, drop = short | swap, over | swap
-        seats[best[add], rows[add]] += 1
-        seats[worst[drop], rows[drop]] -= 1
-        rows = rows[cross | (gap < -1) | (gap > 1)]  # in order, one add or drop ends a row
+        cells[best[add] * width + rows[add]] += 1
+        cells[worst[drop] * width + rows[drop]] -= 1
+        keep = cross | (gap < -1) | (gap > 1)  # in order, one add or drop ends a row
+        rows, gap = rows[keep], (gap + add - drop)[keep]
         if not rows.size:
             return seats
         s, v = seats[:, rows], shares[:, rows]
@@ -605,12 +605,13 @@ def _divisor_cols(shares: np.ndarray, sp: SignpostSequence, house_size: int) -> 
 
 def _ends(figs: np.ndarray, better, pick) -> tuple[np.ndarray, np.ndarray]:
     """(party, figure) per column of party-major figures: np.greater and np.maximum give
-    ``argmax``'s first maximum, np.less_equal and np.minimum the last minimum."""
+    ``argmax``'s first maximum, np.less_equal and np.minimum the last minimum.  The party
+    is the largest index of a win, in the smallest unsigned type that holds m - 1."""
     won, end = np.zeros(figs.shape, dtype=bool), figs[0].copy()
     for j in range(1, figs.shape[0]):
         better(figs[j], end, out=won[j])
         pick(end, figs[j], out=end)
-    return (won * np.arange(figs.shape[0])[:, None]).max(axis=0), end
+    return (won * np.arange(figs.shape[0], dtype=np.min_scalar_type(figs.shape[0] - 1))[:, None]).max(axis=0), end
 
 
 def _bracket(sp: SignpostSequence, m: int, house_size: int, z: int) -> float:
@@ -634,7 +635,7 @@ def _bracket(sp: SignpostSequence, m: int, house_size: int, z: int) -> float:
 
 
 def _jump_start(votes, sp: SignpostSequence, house_size: int, z: int) -> list[int]:
-    """``_jump_starts`` for one vote vector, as Python ints (the house may pass int64).
+    """``_jump_starts`` for one vote vector, as Python ints.
 
     For a family with a beta it is the same formula in pure Python, with the
     same IEEE operations in the same order, which costs less than a one-row
@@ -644,7 +645,7 @@ def _jump_start(votes, sp: SignpostSequence, house_size: int, z: int) -> list[in
     shares = [float(v / total) for v in votes]
     beta = sp.asymptotic_beta()
     if beta is None:
-        return [int(s) for s in _jump_starts(np.array([shares]), sp, house_size, z)[0].tolist()]
+        return _jump_starts(np.array([shares]), sp, house_size, z)[0].tolist()
     try:
         beta = float(beta)
     except OverflowError:  # an exact beta past the float range: the steps start at z
@@ -659,12 +660,9 @@ def _jump_start(votes, sp: SignpostSequence, house_size: int, z: int) -> list[in
 
 
 def _jump_starts(shares: np.ndarray, sp: SignpostSequence, house_size: int, z: int) -> np.ndarray:
-    """Float estimate of the seat vector of every row of a (k, m) share matrix.
-
-    floor(p_i (N + m(beta - 1/2)) + 1 - beta), clamped to [z, min(cap, N)],
-    as integral floats (the house may pass int64), for families with an
-    asymptotic beta; ``_count_starts``, as int64, for the others.
-    """
+    """Int64 estimate of the seats of every row of (k, m) shares, in their layout: for
+    families with an asymptotic beta floor(p_i (N + m(beta - 1/2)) + 1 - beta), clamped to
+    [z, min(cap, N)] and then truncated (the bounds are integers >= 0); else ``_count_starts``."""
     m = shares.shape[1]
     beta = sp.asymptotic_beta()
     if beta is None:
@@ -672,11 +670,13 @@ def _jump_starts(shares: np.ndarray, sp: SignpostSequence, house_size: int, z: i
     try:
         beta = float(beta)
     except OverflowError:  # an exact beta past the float range: the steps start at z
-        return np.full(shares.shape, float(z))
+        return np.full(shares.shape, z, dtype=np.int64)
     cap = sp.max_seats()
     top = house_size if cap is None else min(cap, house_size)
-    start = np.floor(shares * (house_size + m * (beta - 0.5)) + (1.0 - beta))
-    return np.minimum(np.maximum(start, z), top)  # np.clip costs more on one row
+    start = shares * (house_size + m * (beta - 0.5))
+    start += 1.0 - beta
+    np.maximum(start, z, out=start)  # np.clip costs more on one row
+    return np.minimum(start, top, out=start).astype(np.int64)
 
 
 def _count_starts(shares: np.ndarray, sp: SignpostSequence, house_size: int, z: int) -> np.ndarray:
@@ -731,7 +731,7 @@ def allocate_quota(
     ``allocate_quota_rows`` on one row.  Negative seat counts are reported,
     never clamped.
     """
-    if house_size < 0:
+    if _integer(house_size, "house_size") < 0:
         raise InfeasibleHouseSizeError("house size must be nonnegative")
     if not isinstance(gamma, Fraction) and isinstance(gamma, Rational):
         gamma = Fraction(gamma)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from numbers import Integral
+
 
 class ApportionError(Exception):
     """Base class for every error raised by this package."""
@@ -7,6 +9,14 @@ class ApportionError(Exception):
 
 class InputError(ApportionError):
     """Malformed votes, shares, or configuration."""
+
+
+def _integer(value, name: str, nonnegative: bool = False) -> int:
+    """``value`` as an int: an integer (numpy's too, not a bool), >= 0 if ``nonnegative``; else InputError."""
+    whole = type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
+    if not whole or nonnegative and value < 0:
+        raise InputError(f"{name} must be a{' nonnegative' if nonnegative else 'n'} integer, got {value!r}")
+    return int(value)
 
 
 class DimensionMismatchError(InputError):

@@ -61,10 +61,10 @@ makes.  Float sweeps count a near-tie, record the orbit mean under the
 averaging policy, and never seed a tie.
 
 Monte Carlo runs one loop for ordered-party statistics and random-mode
-violation frequencies: batches of shares drawn uniformly on the simplex,
-allocated by ``allocate_many`` (``allocation._divisor_cols`` or
-``_float_quota_rows``, ``allocate``'s canonical seats on every row, ties
-included) and recorded in ``SweepStats``.
+violation frequencies: batches of shares drawn uniformly on the simplex, party-major,
+sorted by a compare-exchange network (``_descending``), allocated by ``allocate_many``'s
+kernels (``allocation._divisor_cols`` or ``_float_quota_rows``, ``allocate``'s canonical
+seats, ties included) and recorded in ``SweepStats``.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ from .allocation import (
     allocate_divisor,
 )
 from .asymptotics import excess_bounds, moment_prediction
-from .errors import InputError, InvariantError, UnsupportedMethodError
+from .errors import InputError, InvariantError, UnsupportedMethodError, _integer
 from .methods import DivisorMethod, Method, QuotaMethod, TiePolicy, small_n_guard
 from .samplers import sample_uniform_simplex
 from .signposts import _FLOAT_RANGE, INF, Exactness, SignpostSequence
@@ -98,6 +98,7 @@ from .weights import PartyWeights
 
 _FLOAT_BLOCK = 65536  # houses per block of a float sweep, and awards per window: its moments merge per block
 MAX_TRIALS = 10**9  # Monte Carlo trials per run, and houses per sweep or period
+_MC_COUNTS = ("m", "house_size", "trials", "batch")  # the integer arguments of a Monte Carlo run
 
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -535,7 +536,7 @@ def _excess_rows(houses, seats, tied, tie, held, votes, total: int, average: boo
         orbit = orbit.astype(big.dtype)
         orbit[tied] = big
     st = np.int64 if int(houses[-1]) * int(orbit.max()) * k_rows < 2**63 else object
-    sums = np.vstack((s, lower, upper, (lower | upper).any(axis=0))).astype(st)
+    sums = np.vstack((s, lower, upper, (lower | upper).any(axis=0))).astype(st, copy=False)
     if averaged:
         big = big.astype(st)
         granted = _combs(kt - 1, gt - 1).astype(st)  # members granting a party
@@ -559,7 +560,7 @@ def _excess_rows(houses, seats, tied, tie, held, votes, total: int, average: boo
         good[some] = _combs(free[some], short[some])
         sums[-1, tied] = big - good
     num, den = scaled * total - x * k, k * total
-    delta = (num / den).astype(float)
+    delta = (num / den).astype(float, copy=False)
     if dt is np.int64:
         wide = (np.abs(num) >= 2**53).any(axis=0) | (den >= 2**53)  # not exact as float64s
         if wide.any():
@@ -777,7 +778,7 @@ def allocate_many(method: Method, shares: np.ndarray, house: int) -> np.ndarray:
     copy of ``shares``.
     """
     shares = np.ascontiguousarray(np.asarray(shares, dtype=float).T)
-    return _allocate_cols(method, shares, house).T.astype(float)
+    return _allocate_cols(method, shares, _integer(house, "house")).T.astype(float)
 
 
 def _allocate_cols(method: Method, cols: np.ndarray, house: int) -> np.ndarray:
@@ -814,12 +815,27 @@ def _simplex_trials(method: Method, m: int, house_size: int, trials: int, seed: 
     done = 0
     while done < trials:
         k = min(batch, trials - done)
-        p = sample_uniform_simplex(m, k, rng)
+        cols = sample_uniform_simplex(m, k, rng).T  # party-major as drawn
         if ordered:
-            p = -np.sort(-p, axis=1)
-        cols = np.ascontiguousarray(p.T)
-        yield cols, _allocate_cols(method, cols, house_size) - house_size * cols
+            cols = _descending(cols)
+        quotas = house_size * cols
+        yield cols, np.subtract(_allocate_cols(method, cols, house_size), quotas, out=quotas)
         done += k
+
+
+_NETWORK_MAX = 20  # parties up to which the network sorts 8192 columns faster than np.sort
+
+
+def _descending(cols: np.ndarray) -> np.ndarray:
+    """Party-major shares (m, k), each column sorted descending: the bits of ``-np.sort(-p,
+    axis=1)`` over the (k, m) rows, as sorting only moves values.  Up to ``_NETWORK_MAX``
+    parties an odd-even transposition network of np.maximum/np.minimum on whole rows."""
+    if len(cols) > _NETWORK_MAX:
+        return -np.sort(-cols, axis=0)
+    rows = list(cols)
+    for i in [i for r in range(len(rows)) for i in range(r % 2, len(rows) - 1, 2)]:
+        rows[i], rows[i + 1] = np.maximum(rows[i], rows[i + 1]), np.minimum(rows[i], rows[i + 1])
+    return np.array(rows)
 
 
 def mc_ordered_simplex(
@@ -833,6 +849,7 @@ def mc_ordered_simplex(
 ) -> McSimplexResult:
     """Sample shares uniformly on the simplex, sort descending, allocate, and
     accumulate the excess of the j-th largest party."""
+    m, house_size, trials, batch = map(_integer, (m, house_size, trials, batch), _MC_COUNTS)
     if m < 2:
         raise InputError("need at least two parties")
     bounds = None if bin_width is None else [(-float(m), float(m))] * m
@@ -879,6 +896,7 @@ def quota_violation_frequency(
     elif m is None or house_size is None or trials is None:
         raise InputError("random mode needs m, house_size, and trials")
     else:
+        m, house_size, trials, batch = map(_integer, (m, house_size, trials, batch), _MC_COUNTS)
         stats = SweepStats.empty(m)
         for _, deltas in _simplex_trials(method, m, house_size, trials, seed, batch, ordered=False):
             stats._record(deltas)

@@ -12,23 +12,23 @@ its rows ``stats._CHUNK`` values at a time, straight into the output or into
 one chunk-sized scratch buffer, and runs the row arithmetic in place, so the
 draws do not depend on the chunking and no temporary is the size of the
 output: the joint sampler needs its output plus 8 bytes per draw, the
-divergence samplers 16 bytes per draw, each plus a few chunks.  The joint
-sampler broadcasts no length-m vector over short rows, which numpy runs row
-by row: p * sum(V) is a (k, 1) by (1, m) matrix product, and the shift a tile.
+divergence samplers 16 bytes per draw, each plus a few chunks.  Row sums,
+row minima and divisions by the shares run on whole columns of a chunk, not
+in numpy's loop per short row: ``stats._row_sums`` adds columns in numpy's
+pairwise order, and p * sum(V) is a (k, 1) by (1, m) matrix product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from numbers import Integral
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _integer
 from .methods import DivisorMethod, Method
 from .asymptotics import _shares_array, effective_beta
-from .stats import _chunk_rows, _chunks
+from .stats import _chunk_rows, _chunks, _row_sums
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,6 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _count(size, name: str = "size") -> int:
-    """A batch size, which must be a nonnegative integer."""
-    if isinstance(size, bool) or not isinstance(size, Integral) or size < 0:
-        raise InputError(f"{name} must be a nonnegative integer, got {size!r}")
-    return int(size)
-
-
 def _category_rows(p: np.ndarray, rng: np.random.Generator, n: int, out: np.ndarray | None = None):
     """The zeroed uniform rows of the joint construction, one chunk at a time.
 
@@ -61,18 +54,20 @@ def _category_rows(p: np.ndarray, rng: np.random.Generator, n: int, out: np.ndar
     follow them in the stream, so the draws equal ``choice`` then
     ``uniform(size=(n, m))``.  The search counts the cdf entries <= c, the
     index ``searchsorted(side="right")`` returns, by one vector comparison
-    per party over ``stats._CHUNK`` draws, and stores the count in c.
+    per party over ``stats._CHUNK`` draws, added up in the smallest unsigned
+    type that holds m - 1, and stores the count in c.
     """
     m = p.size
     cdf = p.cumsum()
     cdf /= cdf[-1]
     c = rng.random(n)
-    count = np.empty(min(n, _chunk_rows(1)))
+    count = np.empty(min(n, _chunk_rows(1)), dtype=np.min_scalar_type(m - 1))
+    ge = np.empty(count.size, dtype=bool)
     for block in _chunks(n, 1):
-        t = count[: block.stop - block.start]
-        t[:] = 0.0
+        t, g = count[: block.stop - block.start], ge[: block.stop - block.start]
+        t[:] = 0
         for edge in cdf[:-1]:  # every c < cdf[-1] = 1
-            t += c[block] >= edge
+            t += np.greater_equal(c[block], edge, out=g).view(np.uint8)
         c[block] = t
     scratch = np.empty((min(n, _chunk_rows(m)), m)) if out is None else None
     for rows in _chunks(n, m):
@@ -96,7 +91,7 @@ def sample_excess_joint_divisor(p, beta, seed, size: int | None = None):
     """
     p = _shares_array(p)
     m = p.size
-    n = 1 if size is None else _count(size)
+    n = 1 if size is None else _integer(size, "size", True)
     x = np.empty((n, m))
     shift = np.tile((float(beta) - 1.0) * (m * p - 1.0), (min(n, _chunk_rows(m)), 1))
     scratch, total = np.empty_like(shift), np.empty((len(shift), 1))
@@ -105,7 +100,7 @@ def sample_excess_joint_divisor(p, beta, seed, size: int | None = None):
             u = v[0].copy()  # a single draw reports the uniforms before zeroing
             u[j[0]] = u_j[0]
         t, s = scratch[: len(v)], total[: len(v)]
-        v.sum(axis=1, keepdims=True, out=s)
+        _row_sums(v, s[:, 0])
         np.dot(s, p[None, :], out=t)
         np.subtract(t, v, out=v)
         v += shift[: len(v)]
@@ -120,7 +115,7 @@ def sample_excess_marginal(method: Method, p_i: float, m: int, seed, size: int |
     bias + U~(-1/2,1/2) + scale * sum of m-2 more U~(-1/2,1/2), with
     scale = p_i for divisor methods and 1/m for quota methods.
     """
-    if m < 2:
+    if _integer(m, "m") < 2:
         raise InputError("need at least two parties")
     if not 0.0 < p_i < 1.0:
         raise InputError("share must lie strictly between 0 and 1")
@@ -133,15 +128,13 @@ def sample_excess_marginal(method: Method, p_i: float, m: int, seed, size: int |
         bias = gamma * (p_i - 1.0 / m)
         scale = 1.0 / m
     rng = _rng(seed)
-    n = 1 if size is None else _count(size)
+    n = 1 if size is None else _integer(size, "size", True)
     vals = np.empty(n)
     for rows in _chunks(n, m):
         u = rng.uniform(-0.5, 0.5, size=(rows.stop - rows.start, m - 1))
-        rest = u[:, 1:].sum(axis=1)
-        rest *= scale
-        out = vals[rows]
-        np.add(bias, u[:, 0], out=out)
-        out += rest
+        out = _row_sums(u[:, 1:], vals[rows])
+        out *= scale
+        out += bias + u[:, 0]
     if size is None:
         return LimitSample(values=vals[:1], auxiliary={"u_centered": u[0]})
     return vals
@@ -155,10 +148,10 @@ def sample_jefferson_divergence(p, seed, size: int | None = None):
     as a sum of m-1 independent U(0,1) regardless of the shares.
     """
     p = _shares_array(p)
-    n = 1 if size is None else _count(size)
+    n = 1 if size is None else _integer(size, "size", True)
     vals = np.empty(n)
     for rows, u, j, _ in _category_rows(p, _rng(seed), n):
-        u.sum(axis=1, out=vals[rows])
+        _row_sums(u, vals[rows])
     if size is None:
         return LimitSample(values=vals, auxiliary={"u": u[0], "category": int(j[0])})
     return vals
@@ -172,16 +165,16 @@ def sample_adams_divergence(p, seed, size: int | None = None):
     """
     p = _shares_array(p)
     m = p.size
-    n = 1 if size is None else _count(size)
+    n = 1 if size is None else _integer(size, "size", True)
     vals = np.empty(n)
     for rows, v, j, _ in _category_rows(p, _rng(seed), n):
         if size is None:
             aux = {"v": v[0].copy(), "category": int(j[0])}
-        out = vals[rows]
-        np.subtract(m, v.sum(axis=1), out=out)
-        np.subtract(1.0, v, out=v)
-        v /= p
-        out -= v.min(axis=1)
+        out = np.subtract(m, _row_sums(v, vals[rows]), out=vals[rows])
+        low = (1.0 - v[:, 0]) / p[0]
+        for col, p_j in zip(v.T[1:], p[1:]):
+            np.minimum(low, (1.0 - col) / p_j, out=low)
+        out -= low
     if size is None:
         return LimitSample(values=vals, auxiliary=aux)
     return vals
@@ -199,17 +192,17 @@ def sample_divergence_clt(p, beta, n_samples: int, seed, standardize: bool = Tru
     m = p.size
     beta = float(beta)
     rng = _rng(seed)
-    n = _count(n_samples, "n_samples")
+    n = _integer(n_samples, "n_samples", True)
     draws = np.empty(n)
     for rows in _chunks(n, m):
         u = rng.uniform(beta - 1.0, beta, size=(rows.stop - rows.start, m))
-        total = u.sum(axis=1)
+        total = _row_sums(u, np.empty(len(u)))
         total **= 2
         u *= u
-        u /= p
-        out = draws[rows]
-        u.sum(axis=1, out=out)
-        out -= total
+        for col, p_j in zip(u.T, p):
+            col /= p_j
+        _row_sums(u, draws[rows])
+        draws[rows] -= total
     if not standardize:
         return draws
     b = beta - 0.5
@@ -224,9 +217,16 @@ def sample_divergence_clt(p, beta, n_samples: int, seed, standardize: bool = Tru
 
 
 def sample_uniform_simplex(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draws from the open simplex via normalized unit exponentials."""
-    if m < 1:
+    """Uniform draws from the open simplex via normalized unit exponentials: (n, m) rows, a view
+    of party-major shares.  Each chunk of draws is transposed into its columns and divided by
+    its row sums (``_row_sums``) there, the bits of ``g / g.sum(axis=1, keepdims=True)``."""
+    if _integer(m, "m", True) < 1:
         raise InputError("need at least one coordinate")
-    g = rng.standard_exponential(size=(_count(n, "n"), m))
-    g /= g.sum(axis=1, keepdims=True)
-    return g
+    n = _integer(n, "n", True)
+    cols, g = np.empty((m, n)), np.empty((min(n, _chunk_rows(m)), m))
+    for rows in _chunks(n, m):
+        draws, shares = g[: rows.stop - rows.start], cols[:, rows]
+        rng.standard_exponential(out=draws)
+        shares[...] = draws.T
+        shares /= _row_sums(shares.T, np.empty(len(draws)))
+    return cols.T

@@ -75,12 +75,13 @@ def _quotient(a, b) -> float:
         return math.nan
 
 
-def _seat_indices(ns) -> np.ndarray:
-    """Seat indices as an int64 array; a negative one raises InputError, as in ``value``."""
+def _seat_indices(ns) -> tuple[np.ndarray, int, int]:
+    """Seat indices as int64 with their least and largest (0, 0 if none); a negative raises as ``value``."""
     ns = np.asarray(ns, dtype=np.int64)
-    if ns.size and ns.min() < 0:
+    lo, hi = (int(ns.min()), int(ns.max())) if ns.size else (0, 0)
+    if lo < 0:
         raise InputError("signposts are indexed from 0")
-    return ns
+    return ns, lo, hi
 
 
 def _exact_or_float(x):
@@ -310,21 +311,26 @@ class SignpostSequence:
         ``float(Fraction)`` does, finite and positive past ``zero_count()``, and v / d
         overwrites a; the one fix-up, +inf at n <= z, runs only where ns reaches z.  Past
         2**53 each d is one ``_quotient`` of ints, and families without a ``closed_pair``
-        read ``_float_table``; those divisors get every fix-up (nan, 0, +inf)."""
+        read ``_float_table``; those divisors get every fix-up (nan, 0, +inf).  Below an
+        index per entry, a closed pair is divided once per index and gathered: no bit moves."""
         v = self.figure_weight(np.asarray(v, dtype=float))
-        ns = _seat_indices(ns)
+        ns, lo, hi = _seat_indices(ns)
         if not self.closed_pair():
-            d = self._float_table(int(ns.max(initial=0)))[ns]
+            d = self._float_table(hi)[ns]
         else:
-            a, b, zero = self._closed_arrays(ns, float, 2**53)
-            if a.dtype == float:
-                fig = np.divide(a, b, out=a)
+            table = ns.ndim > 0 and hi < ns.size  # fewer indices than entries: divide per index
+            at = np.arange(hi + 1) if table else ns
+            a, b, zero = self._closed_arrays(at, 0 if table else lo, hi, float, 2**53)
+            floats = a.dtype == float  # else Python ints, each d one _quotient (a scalar on 0-d input)
+            d = np.divide(a, b, out=a) if floats else np.asarray(np.frompyfunc(_quotient, 2, 1)(a, b), dtype=float)
+            if table:
+                d, zero = d[ns], (ns <= self.zero_count() if lo <= self.zero_count() else None)
+            if floats:
                 with np.errstate(divide="ignore", invalid="ignore"):  # only where zero, set below
-                    np.divide(v, fig, out=fig)
+                    fig = np.divide(v, d, out=d)
                 if zero is not None:
                     fig[zero] = INF
                 return fig
-            d = np.asarray(np.frompyfunc(_quotient, 2, 1)(a, b), dtype=float)  # a scalar on 0-d input
         if np.isnan(d).any():
             raise InputError(_FLOAT_RANGE.format(ns[np.isnan(d)].min()))
         zero, inf = d == 0, d == INF
@@ -340,17 +346,17 @@ class SignpostSequence:
             return n_max
         return int(np.count_nonzero(~np.isnan(self._float_table(n_max)[: n_max + 1]))) - 1
 
-    def _closed_arrays(self, ns: np.ndarray, dtype, limit: int):
-        """``closed_pair``'s fresh array a and its b over seat indices ns >= 0, and the mask of
-        n <= ``zero_count()`` (None if no n is), where a = 0: in ``dtype`` while every number
-        the pair forms, its constants included, stays below ``limit`` in magnitude (at the
-        largest n, |a| and |a(0)| + max(n, 1)*|b| bound them all), else in Python ints."""
-        closed, n_max, z = self.closed_pair(), int(ns.max(initial=0)), self.zero_count()
-        (a0, _), (a, b) = closed(0), closed(n_max)
-        x = ns.astype(dtype if max(abs(a), abs(a0) + max(n_max, 1) * abs(b)) < limit else object, copy=False)
+    def _closed_arrays(self, ns: np.ndarray, lo: int, hi: int, dtype, limit: int):
+        """``closed_pair``'s fresh array a and its b over seat indices ns in [lo, hi], and the
+        mask of n <= ``zero_count()`` (None if no n is), where a = 0: in ``dtype`` while every
+        number the pair forms stays below ``limit`` in magnitude (at hi, |a| and |a(0)| +
+        max(hi, 1)*|b| bound them all, constants included), else in Python ints."""
+        closed, z = self.closed_pair(), self.zero_count()
+        (a0, _), (a, b) = closed(0), closed(hi)
+        x = ns.astype(dtype if max(abs(a), abs(a0) + max(hi, 1) * abs(b)) < limit else object, copy=False)
         a, b = closed(x)
         a = np.asarray(a, dtype=x.dtype)  # a 0-d x gives scalars
-        if (zero := ns <= z if ns.size and ns.min() <= z else None) is not None:
+        if (zero := ns <= z if lo <= z else None) is not None:
             a[zero] = 0
         return a, b, zero
 
@@ -428,9 +434,9 @@ class SignpostSequence:
         ``exact_pair`` integers, one call per distinct n, or of running products over
         them for a ``Fraction`` geometric ratio.
         """
-        ns = _seat_indices(ns)
+        ns, lo, hi = _seat_indices(ns)
         if self.closed_pair() and self.exactness is not Exactness.FLOAT:
-            a, b, _ = self._closed_arrays(ns, np.int64, 2**63)
+            a, b, _ = self._closed_arrays(ns, lo, hi, np.int64, 2**63)
             return a, np.where(ns <= self.zero_count(), 1, np.asarray(b, dtype=a.dtype))
         distinct, where = np.unique(ns, return_inverse=True)
         ds, running = distinct.tolist(), self.kind == GEOMETRIC and isinstance(self.ratio, Fraction)

@@ -3,8 +3,9 @@ raising a raw numpy or Python error, or looping without end: divisor houses
 of 2**62 and more, non-finite parameters and votes, float votes under a
 linear beta past the float range (exact votes get their exact seats), Monte
 Carlo batches below 1, histogram bin widths that are not positive and
-finite, sweeps and periods of more than MAX_TRIALS houses, and party names
-that repeat or do not match the votes one to one."""
+finite, sweeps and periods of more than MAX_TRIALS houses, party names
+that repeat or do not match the votes one to one, and Monte Carlo counts
+(houses, parties, trials, batches) that are not integers."""
 
 import json
 import math
@@ -18,6 +19,7 @@ from apportion import cli, harness
 from apportion.harness import allocate_many, apparentement_sweep, mc_ordered_simplex, period_average_bias
 from apportion.harness import equidistribution_ks, quota_violation_frequency, sqrt_shares, sweep
 from apportion.methods import DivisorMethod, linear_divisor, method_by_name, quota_method
+from apportion.samplers import sample_excess_marginal, sample_uniform_simplex
 from apportion.stats import DeltaHistogram
 
 WEBSTER = method_by_name("webster")
@@ -118,6 +120,45 @@ def test_batch_below_one_rejected(batch):
         mc_ordered_simplex(WEBSTER, 3, 100, 10, batch=batch)
     with pytest.raises(InputError, match="batch"):
         quota_violation_frequency(WEBSTER, m=3, house_size=100, trials=10, batch=batch)
+
+
+@pytest.mark.parametrize("bad", [10.5, 3.0, True, "4"])
+def test_monte_carlo_counts_must_be_integers(bad):
+    # a house of 10.5 once gave Webster seats that sum to 11; each refusal names its argument
+    hamilton, rng = method_by_name("hamilton"), np.random.default_rng(0)
+    calls = {
+        "house": [lambda: allocate_many(WEBSTER, [[0.5, 0.3, 0.2]], bad),
+                  lambda: allocate_many(hamilton, [[0.5, 0.3, 0.2]], bad)],
+        "house_size": [
+            lambda: allocate(WEBSTER, PartyWeights.of([5, 3, 2]), bad),
+            lambda: allocate(hamilton, PartyWeights.of([5, 3, 2]), bad),
+            lambda: mc_ordered_simplex(WEBSTER, 3, bad, 10),
+            lambda: quota_violation_frequency(WEBSTER, m=3, house_size=bad, trials=10),
+        ],
+        "m": [
+            lambda: mc_ordered_simplex(WEBSTER, bad, 10, 5),
+            lambda: quota_violation_frequency(WEBSTER, m=bad, house_size=10, trials=5),
+            lambda: sample_uniform_simplex(bad, 3, rng),
+            lambda: sample_excess_marginal(WEBSTER, 0.5, bad, seed=0, size=3),
+        ],
+        "trials": [lambda: mc_ordered_simplex(WEBSTER, 3, 10, bad),
+                   lambda: quota_violation_frequency(WEBSTER, m=3, house_size=10, trials=bad)],
+        "batch": [lambda: mc_ordered_simplex(WEBSTER, 3, 10, 5, batch=bad)],
+    }
+    for name, runs in calls.items():
+        for run in runs:
+            with pytest.raises(InputError, match=f"^{name} must be an? "):
+                run()
+
+
+def test_monte_carlo_counts_take_numpy_integers():
+    i = np.int64
+    res = mc_ordered_simplex(WEBSTER, i(3), i(100), i(50), batch=i(16))
+    assert (res.trials, res.house_size, res.delta.count) == (50, 100, 50)
+    assert quota_violation_frequency(WEBSTER, m=i(3), house_size=i(100), trials=i(40), batch=i(7)).count == 40
+    assert allocate_many(WEBSTER, [[0.5, 0.3, 0.2]], i(10)).tolist() == [[5.0, 3.0, 2.0]]
+    assert allocate(WEBSTER, PartyWeights.of([5, 3, 2]), i(10)).seats == (5, 3, 2)
+    assert sample_uniform_simplex(i(3), i(4), np.random.default_rng(0)).shape == (4, 3)
 
 
 @pytest.mark.parametrize("width", [-0.01, 0.0, math.nan, math.inf])
