@@ -635,28 +635,20 @@ def _bracket(sp: SignpostSequence, m: int, house_size: int, z: int) -> float:
 
 
 def _jump_start(votes, sp: SignpostSequence, house_size: int, z: int) -> list[int]:
-    """``_jump_starts`` for one vote vector, as Python ints.
-
-    For a family with a beta it is the same formula in pure Python, with the
-    same IEEE operations in the same order, which costs less than a one-row
-    array; the others call ``_jump_starts``.
-    """
+    """``_jump_starts`` for one vote vector, as Python ints: for a family with a float beta
+    the same formula in pure Python, with the same IEEE operations in the same order, which
+    costs less than a one-row array; the others call ``_jump_starts``."""
     total = sum(votes)
     shares = [float(v / total) for v in votes]
-    beta = sp.asymptotic_beta()
-    if beta is None:
-        return _jump_starts(np.array([shares]), sp, house_size, z)[0].tolist()
     try:
-        beta = float(beta)
-    except OverflowError:  # an exact beta past the float range: the steps start at z
-        return [z] * len(votes)
+        beta = float(sp.asymptotic_beta())
+    except (TypeError, OverflowError):  # no beta, or an exact one past the float range
+        return _jump_starts(np.array([shares]), sp, house_size, z)[0].tolist()
     cap = sp.max_seats()
     top = house_size if cap is None else min(cap, house_size)
     scale, shift = house_size + len(votes) * (beta - 0.5), 1.0 - beta
     start = [floor(p * scale + shift) for p in shares]
-    if min(start) < z or max(start) > top:
-        start = [min(max(s, z), top) for s in start]
-    return start
+    return start if z <= min(start) and max(start) <= top else [min(max(s, z), top) for s in start]
 
 
 def _jump_starts(shares: np.ndarray, sp: SignpostSequence, house_size: int, z: int) -> np.ndarray:

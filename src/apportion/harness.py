@@ -92,13 +92,12 @@ from .errors import InputError, InvariantError, UnsupportedMethodError, _integer
 from .methods import DivisorMethod, Method, QuotaMethod, TiePolicy, small_n_guard
 from .samplers import sample_uniform_simplex
 from .signposts import _FLOAT_RANGE, INF, Exactness, SignpostSequence
-from .stats import ComparisonReport, ComparisonRow, SweepStats, RunningMoments, Tolerances, _chunks
+from .stats import ComparisonReport, ComparisonRow, SweepStats, RunningMoments, Tolerances, _NARROW, _chunks
 from .violation import violation_probability
 from .weights import PartyWeights
 
 _FLOAT_BLOCK = 65536  # houses per block of a float sweep, and awards per window: its moments merge per block
 MAX_TRIALS = 10**9  # Monte Carlo trials per run, and houses per sweep or period
-_MC_COUNTS = ("m", "house_size", "trials", "batch")  # the integer arguments of a Monte Carlo run
 
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -803,6 +802,7 @@ def _simplex_trials(method: Method, m: int, house_size: int, trials: int, seed: 
     drawn uniformly on the simplex (sorted descending when ``ordered``) and
     allocated at one house size, both party-major (m, k), as the kernels of
     ``SweepStats`` and ``RunningMoments`` take them."""
+    house_size, trials, batch = map(_integer, (house_size, trials, batch), ("house_size", "trials", "batch"))
     if trials < 1:
         raise InputError("need at least one trial")
     if trials > MAX_TRIALS:
@@ -823,14 +823,11 @@ def _simplex_trials(method: Method, m: int, house_size: int, trials: int, seed: 
         done += k
 
 
-_NETWORK_MAX = 20  # parties up to which the network sorts 8192 columns faster than np.sort
-
-
 def _descending(cols: np.ndarray) -> np.ndarray:
     """Party-major shares (m, k), each column sorted descending: the bits of ``-np.sort(-p,
-    axis=1)`` over the (k, m) rows, as sorting only moves values.  Up to ``_NETWORK_MAX``
+    axis=1)`` over the (k, m) rows, as sorting only moves values.  Up to ``stats._NARROW``
     parties an odd-even transposition network of np.maximum/np.minimum on whole rows."""
-    if len(cols) > _NETWORK_MAX:
+    if len(cols) > _NARROW:
         return -np.sort(-cols, axis=0)
     rows = list(cols)
     for i in [i for r in range(len(rows)) for i in range(r % 2, len(rows) - 1, 2)]:
@@ -849,8 +846,7 @@ def mc_ordered_simplex(
 ) -> McSimplexResult:
     """Sample shares uniformly on the simplex, sort descending, allocate, and
     accumulate the excess of the j-th largest party."""
-    m, house_size, trials, batch = map(_integer, (m, house_size, trials, batch), _MC_COUNTS)
-    if m < 2:
+    if _integer(m, "m") < 2:
         raise InputError("need at least two parties")
     bounds = None if bin_width is None else [(-float(m), float(m))] * m
     delta_stats = SweepStats.empty(m, bounds, bin_width or 0.01)
@@ -896,8 +892,7 @@ def quota_violation_frequency(
     elif m is None or house_size is None or trials is None:
         raise InputError("random mode needs m, house_size, and trials")
     else:
-        m, house_size, trials, batch = map(_integer, (m, house_size, trials, batch), _MC_COUNTS)
-        stats = SweepStats.empty(m)
+        stats = SweepStats.empty(_integer(m, "m"))
         for _, deltas in _simplex_trials(method, m, house_size, trials, seed, batch, ordered=False):
             stats._record(deltas)
     freq = stats.violation_frequency()

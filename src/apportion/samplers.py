@@ -171,10 +171,9 @@ def sample_adams_divergence(p, seed, size: int | None = None):
         if size is None:
             aux = {"v": v[0].copy(), "category": int(j[0])}
         out = np.subtract(m, _row_sums(v, vals[rows]), out=vals[rows])
-        low = (1.0 - v[:, 0]) / p[0]
-        for col, p_j in zip(v.T[1:], p[1:]):
-            np.minimum(low, (1.0 - col) / p_j, out=low)
-        out -= low
+        w = np.subtract(1.0, v.T, order="C")  # party-major: the division and the min run on whole rows
+        w /= p[:, None]
+        out -= w.min(axis=0)
     if size is None:
         return LimitSample(values=vals, auxiliary=aux)
     return vals
@@ -199,8 +198,7 @@ def sample_divergence_clt(p, beta, n_samples: int, seed, standardize: bool = Tru
         total = _row_sums(u, np.empty(len(u)))
         total **= 2
         u *= u
-        for col, p_j in zip(u.T, p):
-            col /= p_j
+        u /= p
         _row_sums(u, draws[rows])
         draws[rows] -= total
     if not standardize:
@@ -217,9 +215,10 @@ def sample_divergence_clt(p, beta, n_samples: int, seed, standardize: bool = Tru
 
 
 def sample_uniform_simplex(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draws from the open simplex via normalized unit exponentials: (n, m) rows, a view
-    of party-major shares.  Each chunk of draws is transposed into its columns and divided by
-    its row sums (``_row_sums``) there, the bits of ``g / g.sum(axis=1, keepdims=True)``."""
+    """Uniform draws from the open simplex via normalized unit exponentials: (n, m) rows, the
+    transposed view of party-major shares (numpy sums its rows in sequence, not pairwise as on
+    row-major rows).  Each chunk is normalized party-major by ``_row_sums`` of its draws: the
+    bits of ``g / g.sum(axis=1, keepdims=True)``."""
     if _integer(m, "m", True) < 1:
         raise InputError("need at least one coordinate")
     n = _integer(n, "n", True)
@@ -228,5 +227,5 @@ def sample_uniform_simplex(m: int, n: int, rng: np.random.Generator) -> np.ndarr
         draws, shares = g[: rows.stop - rows.start], cols[:, rows]
         rng.standard_exponential(out=draws)
         shares[...] = draws.T
-        shares /= _row_sums(shares.T, np.empty(len(draws)))
+        shares /= _row_sums(draws, np.empty(len(draws)))
     return cols.T

@@ -319,8 +319,7 @@ class SignpostSequence:
             d = self._float_table(hi)[ns]
         else:
             table = ns.ndim > 0 and hi < ns.size  # fewer indices than entries: divide per index
-            at = np.arange(hi + 1) if table else ns
-            a, b, zero = self._closed_arrays(at, 0 if table else lo, hi, float, 2**53)
+            a, b, zero = self._closed_arrays(np.arange(hi + 1) if table else ns, 0 if table else lo, hi, float, 2**53)
             floats = a.dtype == float  # else Python ints, each d one _quotient (a scalar on 0-d input)
             d = np.divide(a, b, out=a) if floats else np.asarray(np.frompyfunc(_quotient, 2, 1)(a, b), dtype=float)
             if table:

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InputError
 
 _CHUNK = 1 << 16  # values per tile of the array kernels: a few of them fit in cache
+_NARROW = 20  # values per row up to which kernels on whole columns beat numpy's loop per row
 
 
 def _chunk_rows(m: int) -> int:
@@ -44,28 +45,23 @@ def _chunks(n: int, m: int):
 
 
 def _row_sums(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``sum(axis=1)`` of (k, m) rows into out (k,), bit for bit, by adding whole columns.
-    numpy adds each row's pairwise sum (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., §4.2) to 0.0: below 8 values in sequence; up to 128 in eight
-    strided partial sums, ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest
-    in sequence; past 128 as two halves, the first cut down to a multiple of 8."""
+    """numpy's ``sum(axis=1)`` of (k, m) row-major rows into out (k,), bit for bit, in any layout.
+    Up to ``_NARROW`` values a row it adds whole columns in numpy's pairwise order (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., §4.2) to 0.0, so a row of -0.0 sums to 0.0:
+    below 8 values in sequence, else eight strided partial sums, ((r0 + r1) + (r2 + r3)) + ((r4 +
+    r5) + (r6 + r7)), then the rest in sequence.  Wider rows go to numpy, as a row-major copy if need be."""
     m = rows.shape[1]
-    if m > 128:
-        half = m // 2 - m // 2 % 8
-        return np.add(_row_sums(rows[:, :half], out), _row_sums(rows[:, half:], np.empty_like(out)), out=out)
-    tail = 0 if m < 8 else m - m % 8
-    if m < 8:
-        out.fill(0.0)
-    else:
+    if m > _NARROW:
+        return np.sum(np.ascontiguousarray(rows), axis=1, out=out)
+    tail = m - m % 8
+    out.fill(0.0)
+    if tail:
         r = list(rows[:, :8].T)
         for a in range(8, tail, 8):
             r = [x + y for x, y in zip(r, rows[:, a : a + 8].T)]
-        np.add(r[0], r[1], out=out)
-        out += r[2] + r[3]
-        out += (r[4] + r[5]) + (r[6] + r[7])
+        out += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
     for col in rows[:, tail:].T:
         out += col
-    out += 0.0  # a row of -0.0 sums to 0.0
     return out
 
 
@@ -236,9 +232,8 @@ class SweepStats:
         m, k = cols.shape
         for t in _chunks(k, m):
             low, high = cols[:, t] <= -1.0, cols[:, t] >= 1.0  # the sign picks the bound
-            # a count per party row costs less than numpy's reduction per row up to about 64 parties
-            for flags, total in ((low, self.lower_violations), (high, self.upper_violations)):
-                total += [np.count_nonzero(row) for row in flags] if m <= 64 else np.count_nonzero(flags, axis=1)
+            self.lower_violations += np.count_nonzero(low, axis=1)
+            self.upper_violations += np.count_nonzero(high, axis=1)
             self.any_violation += float(np.count_nonzero((low | high).any(axis=0)))  # a house counts once
         self.moments._push(cols)
 

@@ -29,7 +29,7 @@ import apportion.harness as harness
 from apportion import InputError, PartyWeights, SignpostSequence, TiePolicy, allocate, method_by_name
 from apportion.allocation import NEAR_TIE_RTOL, _float_quota_rows, _quota_ideals, _remainder_rows
 from apportion.harness import _seat_matrix, apparentement_sweep, sqrt_shares, sweep
-from apportion.stats import RunningMoments, SweepStats, _chunk_rows, _column_means, _row_sums
+from apportion.stats import _NARROW, RunningMoments, SweepStats, _chunk_rows, _column_means, _row_sums
 from conftest import argsort_remainder_rows
 
 # -- the largest-remainder row kernel ----------------------------------------------
@@ -96,7 +96,8 @@ def test_party_major_moment_premises(m):
 @pytest.mark.parametrize("m", list(range(1, 41)) + [64, 127, 128, 129, 200, 1000])
 def test_row_sums_replay_numpys_pairwise_order(m):
     # numpy's sum(axis=1) adds each row's pairwise sum to 0.0; ``_row_sums`` replays that
-    # order on whole columns: contiguous rows, column-sliced views and rows of -0.0
+    # order on whole columns up to _NARROW values a row (numpy sums wider rows itself):
+    # contiguous rows, column-sliced views and rows of -0.0
     rng = np.random.default_rng(m)
     for k in (1, 7, 8192):
         x = rng.standard_normal((k, m + 3)) * 10.0 ** rng.integers(-6, 7, m + 3)
@@ -104,26 +105,26 @@ def test_row_sums_replay_numpys_pairwise_order(m):
             assert _row_sums(rows, np.empty(k)).tobytes() == rows.sum(axis=1).tobytes(), k
 
 
-@pytest.mark.parametrize("m", range(1, harness._NETWORK_MAX + 2))
+@pytest.mark.parametrize("m", range(1, _NARROW + 2))
 def test_the_sort_network_sorts_as_numpy(m):
     # the network only moves values, so each column of party-major shares comes out as
-    # -np.sort(-p, axis=1) sorts its row, repeated values included; past _NETWORK_MAX np.sort runs
+    # -np.sort(-p, axis=1) sorts its row, repeated values included; past _NARROW np.sort runs
     p = np.round(np.random.default_rng(m).standard_exponential((500, m)) * 4) / 4
     want = np.ascontiguousarray((-np.sort(-p, axis=1)).T)
     assert harness._descending(np.ascontiguousarray(p.T)).tobytes() == want.tobytes()
 
 
-def test_a_chain_of_column_minima_is_the_row_min():
-    # the Adams sampler takes min_i (1 - V_i)/p_i as np.minimum over columns
+def test_the_party_major_min_is_the_row_min():
+    # the Adams sampler takes min_i (1 - V_i)/p_i over the rows of a party-major copy
     rng = np.random.default_rng(3)
     for m in (1, 2, 3, 8, 9, 40):
         v = rng.random((1000, m))
         v[np.arange(1000), rng.integers(0, m, 1000)] = 0.0  # the zeroed category
-        q = (1.0 - v) / rng.dirichlet(np.ones(m))
-        low = q[:, 0].copy()
-        for col in q.T[1:]:
-            np.minimum(low, col, out=low)
-        assert low.tobytes() == q.min(axis=1).tobytes(), m
+        p = rng.dirichlet(np.ones(m))
+        q = (1.0 - v) / p
+        w = np.subtract(1.0, v.T, order="C")
+        w /= p[:, None]
+        assert w.min(axis=0).tobytes() == q.min(axis=1).tobytes(), m
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 8])
