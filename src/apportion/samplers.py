@@ -12,10 +12,10 @@ its rows ``stats._CHUNK`` values at a time, straight into the output or into
 one chunk-sized scratch buffer, and runs the row arithmetic in place, so the
 draws do not depend on the chunking and no temporary is the size of the
 output: the joint sampler needs its output plus 8 bytes per draw, the
-divergence samplers 16 bytes per draw, each plus a few chunks.  Row sums,
-row minima and divisions by the shares run on whole columns of a chunk, not
-in numpy's loop per short row: ``stats._row_sums`` adds columns in numpy's
-pairwise order, and p * sum(V) is a (k, 1) by (1, m) matrix product.
+divergence samplers 16 bytes per draw, each plus a few chunks.  Short rows
+are not left to numpy's loop per row: ``stats._row_sums`` adds their columns
+in numpy's pairwise order, the Adams minimum runs on a party-major copy, and
+p * sum(V) is a (k, 1) by (1, m) matrix product.
 """
 
 from __future__ import annotations
