@@ -15,7 +15,7 @@ mean is the sequential sum of each party's row (``_column_means``), the sum
 product c @ c.T of the centered rows, which the batch itself holds: the
 moments centre it in place, so a batch needs no copy of its size and is
 pushed to the moments last.  The histogram (one ``bincount``), the
-violation counts (comparisons and ``count_nonzero`` per party) and the
+violation counts (comparisons and an int32 sum per party) and the
 running sums of the mean run in tiles of ``_CHUNK`` values.  ``_row_sums``
 gives the samplers numpy's ``sum(axis=1)`` of short (k, m) rows from
 whole-column adds.
@@ -232,8 +232,8 @@ class SweepStats:
         m, k = cols.shape
         for t in _chunks(k, m):
             low, high = cols[:, t] <= -1.0, cols[:, t] >= 1.0  # the sign picks the bound
-            self.lower_violations += np.count_nonzero(low, axis=1)
-            self.upper_violations += np.count_nonzero(high, axis=1)
+            self.lower_violations += low.sum(axis=1, dtype=np.int32)  # int32: faster than count_nonzero's int64
+            self.upper_violations += high.sum(axis=1, dtype=np.int32)
             self.any_violation += float(np.count_nonzero((low | high).any(axis=0)))  # a house counts once
         self.moments._push(cols)
 
