@@ -9,9 +9,9 @@ float share matrix at once.  The scalar steps are one loop, ``_step``, over
 figures as (num, den) pairs compared by cross-multiplication: (figure, 1.0)
 on floats, and on exact weights and signposts integer pairs over coprime
 integer votes, which make the seats, the tie class and the support interval
-exact.  Each call picks one pair function, ``closed_pair`` for n > z where
-the family has one.  A step scans the parties, or past _SCAN_MAX of them
-reads two heaps keyed by rounded figures, as ``_scan_awards`` does past the float range.
+exact.  Each call builds one pair function over the signposts' cached
+constants (the closed pair or a table's integer pairs for n > z).  A pass scans up to
+_SCAN_MAX parties inline and reads two heaps keyed by rounded figures past that.
 Quota allocation floors the ideal shares (house + gamma) * p_i and hands
 remaining seats to the largest fractional parts, generalized so any real
 gamma works even when the raw remainder is negative or exceeds the party
@@ -30,7 +30,8 @@ orbit mean).
 
 Every path reports a tie as one class (parties, grants, base_seats):
 ``grants`` of the tied parties get one seat over their base, in any
-combination.  The scalar paths build it with ``_tie_class``; the row
+combination.  The scalar divisor path builds it with ``_tie_class``,
+``_largest_remainder`` from the remainders on the cut; the row
 kernel ``_remainder_rows`` gives it as masks over the tied rows, as the
 sweeps' award runs do.  It is found exactly on ints and ``Fraction``s
 and within a relative NEAR_TIE_RTOL on floats, where an ideal quota seat
@@ -206,22 +207,21 @@ def _is_exact(weights: PartyWeights, sp: SignpostSequence) -> bool:
     return weights.exact and sp.exactness is not Exactness.FLOAT
 
 
-def _tie_class(seats, held, nxt, same) -> tuple[tuple, int, tuple]:
+def _tie_class(seats, on_held, on_next) -> tuple[tuple, int, tuple]:
     """The tie class (parties, grants, base_seats) of a seat vector.
 
-    held[i] and nxt[i] are party i's figure at its last held and its next
-    seat (for quota, the remainder of a granted and of a refused party);
-    ``same(x)`` says whether x is the contested figure.  A holder of a seat
-    there is a grant, based one seat lower; a taker keeps its seats as its
-    base.  A holder wins over a taker.
+    on_held[i] and on_next[i] say whether party i's figure at its last held
+    and at its next seat is the contested figure.  A holder of a seat there
+    is a grant, based one seat lower; a taker keeps its seats as its base.
+    A holder wins over a taker.
     """
     parties, base, grants = [], [], 0
-    for i, s in enumerate(seats):
-        if same(held[i]):
+    for i, (s, h, x) in enumerate(zip(seats, on_held, on_next)):
+        if h:
             parties.append(i)
             base.append(s - 1)
             grants += 1
-        elif same(nxt[i]):
+        elif x:
             parties.append(i)
             base.append(s)
     return tuple(parties), grants, tuple(base)
@@ -275,13 +275,12 @@ def _divisor_validate(weights, sp: SignpostSequence, house_size: int) -> int:
         raise InfeasibleHouseSizeError("house size must be nonnegative")
     if house_size >= 2**62:  # the float jump start would miss by about house * 2**-53 seats
         raise InputError("divisor allocation needs a house size below 2**62")
-    z = sp.zero_count()
+    z, cap, *_ = sp._constants
     m = len(weights)
     if house_size < z * m:
         raise InfeasibleHouseSizeError(
             f"impervious signposts pre-assign {z} seats per party; need house size >= {z * m}"
         )
-    cap = sp.max_seats()
     if cap is not None and house_size > cap * m:
         raise CapExceededError(f"capped table allows at most {cap * m} seats")
     return z
@@ -320,7 +319,7 @@ def allocate_divisor(
     z = _divisor_validate(weights, signposts, house_size)
     if _is_exact(weights, signposts):
         return _exact_divisor(weights, signposts, house_size, z, tie_policy)
-    votes, closed, fig = weights.votes, signposts.closed_pair(), signposts.figure
+    votes, closed, fig = weights.votes, signposts._constants.closed, signposts.figure
     if closed:
         w = [signposts.figure_weight(v) for v in votes]
         def pair(j, n):  # a / b rounds as float(d(n)) does: figure's float, without Fraction arithmetic
@@ -348,17 +347,17 @@ def _step(seats: list[int], pair, house_size: int, z: int, sp: SignpostSequence 
     and figures compare by cross-multiplication: num/0 is infinite, and a
     numerator of 0 lies past a capped table.  Each pass finds the best next
     entry (figure descending, party ascending) and the worst held entry
-    among seats > z (figure ascending, party descending): ``_scan_ends``
-    for up to _SCAN_MAX parties, ``_HeapEnds`` for more, so a pass costs
-    O(log m) there, not O(m); ``pair`` gives the 2m start pairs and every
-    step's.  It adds the one while the seats fall short of ``house_size``
-    and drops the other while they exceed it, then swaps the two while the
-    best next entry beats the worst held one.  Raises
+    among seats > z (figure ascending, party descending): by one scan of
+    the pairs for up to _SCAN_MAX parties, from ``_HeapEnds`` for more, so
+    a pass costs O(log m) there, not O(m); ``pair`` gives the 2m start
+    pairs and every step's.  It adds the one while the seats fall short of
+    ``house_size`` and drops the other while they exceed it, then swaps the
+    two while the best next entry beats the worst held one.  Raises
     CapExceededError when the entry to add has numerator 0, and
     InvariantError past |surplus| + house_size - z*m + 1 passes, more than
     consistent pairs need from a start of at least z seats, or, given the
     signposts ``sp`` of a start within ``_bracket`` of the seats, past
-    2*bracket + 2 passes (``_passes``).  Returns (seats, held, nxt, i, k):
+    max(3m + 6, 2*bracket + 2) passes.  Returns (seats, held, nxt, i, k):
     the seats, every party's pair at its last held and at its next seat,
     and the best next party i and worst held party k of the last pass (k =
     -1 when none holds a seat over z).
@@ -367,10 +366,23 @@ def _step(seats: list[int], pair, house_size: int, z: int, sp: SignpostSequence 
     held = [pair(j, s) for j, s in enumerate(seats)]
     nxt = [pair(j, s + 1) for j, s in enumerate(seats)]
     surplus = sum(seats) - house_size
-    ends = _scan_ends if m <= _SCAN_MAX else _HeapEnds(seats, held, nxt, z)
-    for _ in _passes(surplus, m, house_size, z, sp):
-        i, k = ends(seats, held, nxt, z)
-        (xn, xd), (hn, hd) = nxt[i], held[k]  # held[k] is unused when k = -1
+    heaps = m > _SCAN_MAX and _HeapEnds(seats, held, nxt, z)
+    bound = abs(surplus) + house_size - z * m + 1
+    if sp is not None and bound > 3 * m + 6 and abs(surplus) <= (bracket := _bracket(sp, m, house_size, z)):
+        bound = max(3 * m + 6, floor(min(bound, 2 * bracket + 2)))
+    for _ in range(bound):
+        if heaps:
+            i, k = heaps(seats, held, nxt, z)
+            (xn, xd), (hn, hd) = nxt[i], held[k]  # held[k] is unused when k = -1
+        else:
+            i, k, (xn, xd) = 0, -1, nxt[0]
+            for j in range(m):
+                a, b = nxt[j]
+                if a * xd > xn * b:
+                    i, xn, xd = j, a, b
+                a, b = held[j]
+                if seats[j] > z and (k < 0 or a * hd <= hn * b):  # the last of equal figures
+                    k, hn, hd = j, a, b
         short, over = surplus < 0, surplus > 0
         # compare, not subtract: two float figures past the range are inf, and inf - inf is nan
         if not (short or over) and (k < 0 or (a := hn * xd) > (b := xn * hd) or (a == b and i >= k)):
@@ -387,35 +399,12 @@ def _step(seats: list[int], pair, house_size: int, z: int, sp: SignpostSequence 
     raise InvariantError("step loop overran its pass bound: the figure pairs are inconsistent")
 
 
-def _passes(surplus: int, m: int, house_size: int, z: int, sp: SignpostSequence | None):
-    """The passes of ``_step``: |surplus| + house_size - z*m + 1, or 2*``_bracket`` + 2 if less
-    and the start is within the bracket, which is computed only past 3m + 6, its least cap."""
-    bound = abs(surplus) + house_size - z * m + 1
-    yield from range(min(bound, 3 * m + 6))
-    if sp is not None and bound > 3 * m + 6 and abs(surplus) <= (bracket := _bracket(sp, m, house_size, z)):
-        bound = floor(min(bound, 2 * bracket + 2))
-    yield from range(3 * m + 6, bound)
-
-
-def _scan_ends(seats, held, nxt, z):
-    """(i, k) of a ``_step`` pass, by one scan of the m pairs."""
-    i, (xn, xd) = 0, nxt[0]
-    for j in range(1, len(seats)):
-        if nxt[j][0] * xd > xn * nxt[j][1]:
-            i, (xn, xd) = j, nxt[j]
-    k = -1
-    for j in range(len(seats) - 1, -1, -1):
-        if seats[j] > z and (k < 0 or held[j][0] * hd < hn * held[j][1]):
-            k, (hn, hd) = j, held[j]
-    return i, k
-
-
 def _scan_awards(w, sp: SignpostSequence, z: int, count: int, start=None):
     """The awards past the seats ``start`` (default z for every party) for
     integer figure weights w_i, in exact order: each winner and whether each
     pair of adjacent figures w_i*b / a are equal, d(n) = a/b from each
     party's ``_pair_batches``.  Each award is the best next entry of a
-    ``_step`` pass (``_scan_ends``, or ``_HeapEnds`` past _SCAN_MAX parties;
+    ``_step`` pass (a scan, or ``_HeapEnds`` past _SCAN_MAX parties, where
     a floor of INF means no held entry), up to award ``count - 1`` and the
     equal ones after it, and is cross-multiplied with the one before: a
     larger figure raises InvariantError.  Raises InputError when only
@@ -424,10 +413,16 @@ def _scan_awards(w, sp: SignpostSequence, z: int, count: int, start=None):
     seats = [z] * len(w) if start is None else [int(s) for s in start]
     pairs = [_pair_batches(sp, s + 1) for s in seats]  # each party's pairs from its next seat on
     nxt = [(x * b, a) for x, (a, b) in zip(w, map(next, pairs))]  # each party's next figure, as (num, den)
-    ends = _scan_ends if len(w) <= _SCAN_MAX else _HeapEnds(seats, nxt, nxt, INF)
+    heaps = len(w) > _SCAN_MAX and _HeapEnds(seats, nxt, nxt, INF)
     winners, equal, last = [], [], (1, 0)  # an infinite figure before the first award
     while True:
-        i, _ = ends(seats, nxt, nxt, INF)
+        if heaps:
+            i, _ = heaps(seats, nxt, nxt, INF)
+        else:
+            i, (num, den) = 0, nxt[0]
+            for j, (a, b) in enumerate(nxt):
+                if a * den > num * b:
+                    i, num, den = j, a, b
         num, den = nxt[i]
         lhs, rhs = num * last[1], last[0] * den
         if lhs > rhs:
@@ -479,7 +474,7 @@ def _heap_item(pair, party, seats, held):
 
 
 class _HeapEnds:
-    """``_scan_ends`` for many parties, from a heap of next entries and one of held ones.
+    """The (i, k) of a ``_step`` pass for many parties, from a heap of next entries and one of held ones.
 
     An entry is stale once its party's seats move and is popped when it
     reaches the top.  A pass moves only the previous (i, k), so each call
@@ -512,42 +507,36 @@ class _HeapEnds:
 def _exact_divisor(weights: PartyWeights, sp: SignpostSequence, house_size: int, z: int, policy: TiePolicy):
     """``allocate_divisor`` on exact weights and signposts, in integers.
 
-    With coprime integer votes V_i and d(n) = a/b in figure space
-    (``SignpostSequence.closed_pair``, else ``exact_pair``; (0, 1) for n <=
-    z), party i's figure is w_i*b / a with w_i = ``figure_weight(V_i)``.
+    With coprime integer votes V_i and d(n) = a/b in figure space (the
+    signposts' cached ``integer`` pairs, else ``exact_pair``; (0, 1) for n
+    <= z), party i's figure is w_i*b / a with w_i = ``figure_weight(V_i)``.
     ``_step`` ranks the pairs (w_i*b, a) by cross-multiplication, so the
-    seats are exact, and the tie class and the support interval come from
-    the pairs it returns.  Only the two interval endpoints become
+    seats are exact, and the tie class and the support interval are read
+    off the pairs it returns.  Only the two interval endpoints become
     ``Fraction``s, in the units of the caller's votes.
     """
     votes, _ = weights.integer_votes
-    w = [sp.figure_weight(v) for v in votes]
-    pair = sp.closed_pair() or sp.exact_pair
+    w = list(map(sp.figure_weight, votes))
+    integer = sp._constants.integer or sp.exact_pair
 
-    def entry(i, n):
-        a, b = pair(n) if n > z else (0, 1)
+    def pair(i, n):
+        a, b = integer(n) if n > z else (0, 1)
         return w[i] * b, a
 
-    seats, held, nxt, i, k = _step(_jump_start(votes, sp, house_size, z), entry, house_size, z, sp)
-    xn, xd = nxt[i]
-
+    seats, held, nxt, i, k = _step(_jump_start(votes, sp, house_size, z), pair, house_size, z, sp)
+    (xn, xd), (hn, hd) = nxt[i], held[k]
     # V_i = c * v_i for the caller's votes v_i: integer figures are theirs times figure_weight(c)
     v0 = weights.votes[0]
     c_num, c_den = sp.figure_weight(votes[0] * v0.denominator), sp.figure_weight(v0.numerator)
-
-    def divisor(num, den):
-        return sp.divisor_of_figure(Fraction(num * c_den, den * c_num) if num else 0)
-
-    def same(f):
-        return f[0] * xd == xn * f[1]
-
+    d_minus = Fraction(xn * c_den, xd * c_num) if xn else 0  # 0 past a capped table
+    d_plus = Fraction(hn * c_den, hd * c_num) if k >= 0 else INF
     alternatives, info = (), None
-    interval = (divisor(xn, xd), INF if k < 0 else divisor(*held[k]))
-    if k >= 0 and same(held[k]):
-        if any(same(h) and same(x) for h, x in zip(held, nxt)):  # excluded by strict monotonicity
+    if k >= 0 and hn * xd == xn * hd:
+        on_held, on_next = [a * xd == xn * b for a, b in held], [a * xd == xn * b for a, b in nxt]
+        if any(h and x for h, x in zip(on_held, on_next)):  # excluded by strict monotonicity
             raise InvariantError("signpost sequence not strictly increasing at a tie")
-        tie = _tie_class(seats, held, nxt, same)
-        seats, alternatives, info = _resolve_orbit(seats, tie, policy, house_size)
+        seats, alternatives, info = _resolve_orbit(seats, _tie_class(seats, on_held, on_next), policy, house_size)
+    interval = (sp.divisor_of_figure(d_minus), sp.divisor_of_figure(d_plus))
     return Allocation(tuple(seats), house_size, alternatives, info, interval)
 
 
@@ -620,17 +609,11 @@ def _bracket(sp: SignpostSequence, m: int, house_size: int, z: int) -> float:
     With the envelope n - 1 + lo <= d(n) <= n - 1 + hi of ``beta_envelope`` and w =
     max(beta - min(lo, 1), hi - beta), each party's clamped start lies within
     p_i*m(1/2 + w) + 1 + w of its seats, m(3/2 + 2w) in all; the bracket adds
-    (m + 4)*N*2**-50 for float error and 2.  Without an envelope, or with w past the
-    float range, it is N - z*m.
+    (m + 4)*N*2**-50 for float error and 2.  Without an envelope, or with w (the cached
+    ``width``) past the float range, it is N - z*m.
     """
-    if envelope := sp.beta_envelope():
-        (lo, hi), beta = envelope, sp.asymptotic_beta()
-        try:
-            w = float(max(beta - min(lo, 1), hi - beta))
-        except OverflowError:  # no float envelope
-            w = INF
-        if w < INF:
-            return m * (1.5 + 2 * w) + (m + 4) * house_size * 2.0**-50 + 2
+    if (w := sp._constants.width) is not None and w < INF:
+        return m * (1.5 + 2 * w) + (m + 4) * house_size * 2.0**-50 + 2
     return house_size - z * m
 
 
@@ -639,15 +622,12 @@ def _jump_start(votes, sp: SignpostSequence, house_size: int, z: int) -> list[in
     the same formula in pure Python, with the same IEEE operations in the same order, which
     costs less than a one-row array; the others call ``_jump_starts``."""
     total = sum(votes)
-    shares = [float(v / total) for v in votes]
-    try:
-        beta = float(sp.asymptotic_beta())
-    except (TypeError, OverflowError):  # no beta, or an exact one past the float range
-        return _jump_starts(np.array([shares]), sp, house_size, z)[0].tolist()
-    cap = sp.max_seats()
+    _, cap, _, _, beta, _ = sp._constants
+    if beta is None:  # no beta, or an exact one past the float range
+        return _jump_starts(np.array([[float(v / total) for v in votes]]), sp, house_size, z)[0].tolist()
     top = house_size if cap is None else min(cap, house_size)
     scale, shift = house_size + len(votes) * (beta - 0.5), 1.0 - beta
-    start = [floor(p * scale + shift) for p in shares]
+    start = [floor(v / total * scale + shift) for v in votes]  # a Fraction share times a float rounds it first
     return start if z <= min(start) and max(start) <= top else [min(max(s, z), top) for s in start]
 
 
@@ -656,14 +636,10 @@ def _jump_starts(shares: np.ndarray, sp: SignpostSequence, house_size: int, z: i
     families with an asymptotic beta floor(p_i (N + m(beta - 1/2)) + 1 - beta), clamped to
     [z, min(cap, N)] and then truncated (the bounds are integers >= 0); else ``_count_starts``."""
     m = shares.shape[1]
-    beta = sp.asymptotic_beta()
-    if beta is None:
-        return _count_starts(shares, sp, house_size, z)
-    try:
-        beta = float(beta)
-    except OverflowError:  # an exact beta past the float range: the steps start at z
-        return np.full(shares.shape, z, dtype=np.int64)
-    cap = sp.max_seats()
+    _, cap, _, _, beta, _ = sp._constants
+    if beta is None:  # no beta, or an exact one past the float range, where the steps start at z
+        no_beta = sp.asymptotic_beta() is None
+        return _count_starts(shares, sp, house_size, z) if no_beta else np.full(shares.shape, z, dtype=np.int64)
     top = house_size if cap is None else min(cap, house_size)
     start = shares * (house_size + m * (beta - 0.5))
     start += 1.0 - beta
@@ -734,12 +710,12 @@ def allocate_quota(
     alternatives, info = (), None
     if rational and weights.exact:
         votes, total = weights.integer_votes
-        seats, tie = _largest_remainder(votes, total, gamma, house_size)
+        ideal, den = [scale * v for v in votes], gamma.denominator * total
+        seats, tie = _largest_remainder(ideal, den, house_size, gamma)
         if tie is not None:
             seats, alternatives, info = _resolve_orbit(seats, tie, tie_policy, house_size)
         # ideal_i - s_i = slack_i / den, the integers of _largest_remainder
-        den = gamma.denominator * total
-        slack = [scale * v - s * den for v, s in zip(votes, seats)]
+        slack = [x - s * den for x, s in zip(ideal, seats)]
         interval = (Fraction(max(slack), den), Fraction(min(slack) + den, den))
         return Allocation(tuple(seats), house_size, alternatives, info, interval)
     ideals = _quota_ideals(np.array(weights.shares_float())[:, None], gamma, [house_size])
@@ -943,21 +919,19 @@ def _check_nonnegative(seats, gamma, houses, orbit_low=None) -> None:
         raise NegativeSeatError(f"gamma={gamma} yields negative seats {what} at house size {houses[r]}")
 
 
-def _largest_remainder(votes, total: int, gamma: Fraction, house_size: int):
-    """The exact largest-remainder rule on the ideal seat counts
-    (house_size + gamma) V_i / T of integer votes V_i with total T.
+def _largest_remainder(ideal, den: int, house_size: int, gamma):
+    """The exact largest-remainder rule on integer ideals: ideal_i / den is
+    the ideal seat count (house_size + gamma) V_i / T of integer votes V_i
+    with total T, over den = gamma.denominator * T.
 
-    The ideals share the integer denominator gamma.denominator * T.  Every
-    party gets its floor plus q, and the t largest remainders one seat more,
+    Every party gets its floor plus q, and the t largest remainders one seat more,
     where the seats left over are q * m + t with 0 <= t < m.  Returns
     the canonical seats, which grant the lowest indices among equal
     remainders, and the tie class (parties, grants, base_seats), or None
     when the granted and the refused remainders differ.  Raises
     NegativeSeatError when any seat vector of the orbit has a negative count.
     """
-    m = len(votes)
-    scale, den = house_size * gamma.denominator + gamma.numerator, gamma.denominator * total
-    ideal = [scale * v for v in votes]
+    m = len(ideal)
     base = [x // den for x in ideal]
     rem = [x % den for x in ideal]
     q, t = divmod(house_size - sum(base), m)
@@ -965,14 +939,12 @@ def _largest_remainder(votes, total: int, gamma: Fraction, house_size: int):
     tie = None
     if t > 0:
         order = sorted(range(m), key=rem.__getitem__, reverse=True)  # stable: lower index first
-        granted = set(order[:t])
-        for i in granted:
-            seats[i] += 1
         cut = rem[order[t - 1]]
-        if rem[order[t]] == cut:
-            held = [r if i in granted else None for i, r in enumerate(rem)]
-            nxt = [None if i in granted else r for i, r in enumerate(rem)]
-            tie = _tie_class(seats, held, nxt, lambda r: r == cut)
+        if rem[order[t]] == cut:  # the tie class, based on the seats before the grants
+            parties = tuple(i for i, r in enumerate(rem) if r == cut)
+            tie = parties, sum(rem[i] == cut for i in order[:t]), tuple(seats[i] for i in parties)
+        for i in order[:t]:
+            seats[i] += 1
     orbit_low = tie is not None and min(tie[2]) < 0
     if orbit_low or min(seats) < 0:
         _check_nonnegative(np.array(seats)[:, None], gamma, [house_size], np.array([orbit_low]))

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb, inf, lcm
+from operator import add
 
 from .allocation import Allocation, allocate
 from .errors import DimensionMismatchError, InputError, InstanceTooLargeError
@@ -76,13 +78,14 @@ def divergences(weights: PartyWeights, allocation: Allocation) -> DivergenceValu
 
 
 def divergence_value(name: str, seats, weights: PartyWeights, house_size: int):
-    """One functional evaluated on a raw seat vector (oracle entry point)."""
+    """One functional evaluated on a raw seat vector (oracle entry point); its sums run left
+    to right, as the built-in ``sum`` of floats did before Python 3.12 compensated it."""
     delta = _delta(seats, weights, house_size)
     shares = weights.shares
     if name == SAINTE_LAGUE:
-        return sum(d * d / p for d, p in zip(delta, shares))
+        return reduce(add, (d * d / p for d, p in zip(delta, shares)))
     if name == SUM_SQUARES:
-        return sum(d * d for d in delta)
+        return reduce(add, (d * d for d in delta))
     if name == MAX_ABS:
         return max(abs(d) for d in delta)
     if name == MAX_POS:
@@ -92,18 +95,24 @@ def divergence_value(name: str, seats, weights: PartyWeights, house_size: int):
     if name == ADAMS:
         return -min(d / p for d, p in zip(delta, shares))
     if name == FOURTH_POWER:
-        return sum(d**4 for d in delta)
+        return reduce(add, (d**4 for d in delta))
     raise InputError(f"unknown divergence functional {name!r}")
 
 
 def _compositions(total: int, parts: int):
-    """All seat vectors of length ``parts`` summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All seat vectors of length ``parts`` summing to ``total``, in lexicographic order: the next
+    adds a seat to the last party j < parts - 1 with seats after it and moves the rest to the last."""
+    seats = [0] * (parts - 1) + [total]
+    while True:
+        yield tuple(seats)
+        j, rest = parts - 2, seats[-1]  # rest: the seats after party j
+        while j >= 0 and not rest:
+            rest, seats[j] = seats[j], 0
+            j -= 1
+        if j < 0:
+            return
+        seats[j] += 1
+        seats[-1] = rest - 1
 
 
 def brute_force_min(

@@ -72,8 +72,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from math import comb
+from operator import add
 
 import numpy as np
 
@@ -107,7 +108,7 @@ def sqrt_shares(m: int) -> tuple[float, ...]:
     if not 2 <= m <= len(_PRIMES) + 1:
         raise InputError(f"sqrt shares support 2..{len(_PRIMES) + 1} parties")
     raw = [math.sqrt(q) for q in _PRIMES[: m - 1]] + [1.0]
-    total = sum(raw)
+    total = reduce(add, raw)  # left to right: from Python 3.12 on, sum of floats is compensated
     return tuple(x / total for x in raw)
 
 
@@ -892,9 +893,10 @@ def quota_violation_frequency(
     elif m is None or house_size is None or trials is None:
         raise InputError("random mode needs m, house_size, and trials")
     else:
-        stats = SweepStats.empty(_integer(m, "m"))
+        stats = SweepStats.empty(_integer(m, "m"))  # the moments keep only their count: no report reads the rest
         for _, deltas in _simplex_trials(method, m, house_size, trials, seed, batch, ordered=False):
-            stats._record(deltas)
+            stats._count_violations(deltas)
+            stats.moments.count += deltas.shape[1]
     freq = stats.violation_frequency()
     return ViolationFrequency(
         freq["lower"], freq["upper"], freq["total"], freq["any"],

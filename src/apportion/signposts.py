@@ -21,17 +21,20 @@ figures v/d(n) are compared:
 * FLOAT              float comparisons; callers flag near-ties instead of
                      trusting equality
 
-``closed_pair`` holds the one closed form of the linear, clipped, sqrt and harmonic
-families; every evaluator reads it, with d(n) = 0 for every family at n <= ``zero_count()``.
+``closed_pair`` holds the one closed form of the linear, clipped, sqrt and harmonic families; every evaluator
+reads it, with d(n) = 0 at n <= ``zero_count()``.  ``_constants`` keeps what a scalar allocation reads, once.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -65,6 +68,16 @@ def _geometric_pairs(ratio: Fraction, ns):
         if n:
             num, den, at = num * p ** (n - at), den * q ** (n - at), n
         yield (num, den) if n else (0, 1)
+
+
+class _Constants(NamedTuple):
+    """A sequence's constants for the scalar allocation paths (``SignpostSequence._constants``)."""
+    z: int  # zero_count()
+    cap: int | None  # max_seats()
+    closed: Callable | None  # closed_pair()
+    integer: Callable | None  # exact_pair's (a, b) at n > z of an exact closed form or rational table, else None
+    beta: float | None  # asymptotic_beta() as a float: None without one or past the float range
+    width: float | None  # allocation._bracket's max(beta - min(lo, 1), hi - beta), (lo, hi) = beta_envelope()
 
 
 def _quotient(a, b) -> float:
@@ -220,7 +233,7 @@ class SignpostSequence:
             return lambda n: (2 * n * (n - 1), 2 * n - 1)
         return None
 
-    @property
+    @cached_property
     def exactness(self) -> Exactness:
         if self.kind in (LINEAR, CLIPPED_LINEAR):
             return Exactness.RATIONAL if isinstance(self.beta, Fraction) else Exactness.FLOAT
@@ -238,6 +251,29 @@ class SignpostSequence:
                 return Exactness.RATIONAL
             return Exactness.FLOAT
         return Exactness.FLOAT
+
+    @cached_property
+    def _constants(self) -> _Constants:
+        """The ``_Constants``, evaluated once and kept in the instance dict, as ``exactness`` and
+        ``_float_table`` are (``==``, ``hash`` and ``repr`` read the fields alone); a rational table's
+        ``integer`` pairs are its entries, then (1, 0) past its cap or its linear tail's closed form."""
+        z, cap, closed, exact = self.zero_count(), self.max_seats(), self.closed_pair(), self.exactness
+        integer = closed if exact is not Exactness.FLOAT else None
+        if self.kind == TABLE and exact is Exactness.RATIONAL:
+            pairs, tb = [(v.numerator, v.denominator) for v in self.values], self.tail_beta
+            last = cap or len(pairs)
+            tail = SignpostSequence(LINEAR, beta=tb).closed_pair() if tb is not None else lambda n: (1, 0)
+            def integer(n):
+                return pairs[n - 1] if n <= last else tail(n)
+        b, envelope, beta, width = self.asymptotic_beta(), self.beta_envelope(), None, None
+        with suppress(TypeError, OverflowError):  # no beta, or one past the float range
+            beta = float(b)
+            width = float(max(b - min(envelope[0], 1), envelope[1] - b))
+        return _Constants(z, cap, closed, integer, beta, width)
+
+    def __getstate__(self) -> dict:
+        """The instance dict without ``_constants``, whose closures do not pickle."""
+        return {k: v for k, v in self.__dict__.items() if k != "_constants"}
 
     def zero_count(self) -> int:
         """Number of indices n >= 1 with d(n) = 0 (mandatory seats per party)."""
@@ -315,7 +351,8 @@ class SignpostSequence:
         index per entry, a closed pair is divided once per index and gathered: no bit moves."""
         v = self.figure_weight(np.asarray(v, dtype=float))
         ns, lo, hi = _seat_indices(ns)
-        if not self.closed_pair():
+        z, _, closed, *_ = self._constants
+        if not closed:
             d = self._float_table(hi)[ns]
         else:
             table = ns.ndim > 0 and hi < ns.size  # fewer indices than entries: divide per index
@@ -323,7 +360,7 @@ class SignpostSequence:
             floats = a.dtype == float  # else Python ints, each d one _quotient (a scalar on 0-d input)
             d = np.divide(a, b, out=a) if floats else np.asarray(np.frompyfunc(_quotient, 2, 1)(a, b), dtype=float)
             if table:
-                d, zero = d[ns], (ns <= self.zero_count() if lo <= self.zero_count() else None)
+                d, zero = d[ns], (ns <= z if lo <= z else None)
             if floats:
                 with np.errstate(divide="ignore", invalid="ignore"):  # only where zero, set below
                     fig = np.divide(v, d, out=d)
@@ -350,7 +387,7 @@ class SignpostSequence:
         mask of n <= ``zero_count()`` (None if no n is), where a = 0: in ``dtype`` while every
         number the pair forms stays below ``limit`` in magnitude (at hi, |a| and |a(0)| +
         max(hi, 1)*|b| bound them all, constants included), else in Python ints."""
-        closed, z = self.closed_pair(), self.zero_count()
+        z, _, closed, *_ = self._constants
         (a0, _), (a, b) = closed(0), closed(hi)
         x = ns.astype(dtype if max(abs(a), abs(a0) + max(hi, 1) * abs(b)) < limit else object, copy=False)
         a, b = closed(x)
@@ -412,12 +449,11 @@ class SignpostSequence:
         Figure space squares d(n) for the sqrt pair product, as ``figure``
         does.  A figure is w*b / a with w = ``figure_weight(v)``: d(n) = 0
         gives (0, 1), an infinite figure, and past a capped table the pair
-        is (1, 0), a figure of 0.  ``closed_pair`` serves its families past ``zero_count()``.
+        is (1, 0), a figure of 0.  The cached ``integer`` pairs serve n > ``zero_count()`` where they exist.
         """
-        if (closed := self.closed_pair()) and self.exactness is not Exactness.FLOAT:
-            if n < 0:
-                raise InputError("signposts are indexed from 0")
-            return closed(n) if n > self.zero_count() else (0, 1)
+        z, _, _, integer, _, _ = self._constants
+        if integer and n >= 0:
+            return integer(n) if n > z else (0, 1)
         d = self._figure_divisor(n)
         if isinstance(d, Rational):
             return d.numerator, d.denominator
@@ -434,9 +470,9 @@ class SignpostSequence:
         them for a ``Fraction`` geometric ratio.
         """
         ns, lo, hi = _seat_indices(ns)
-        if self.closed_pair() and self.exactness is not Exactness.FLOAT:
+        if (c := self._constants).closed and c.integer:
             a, b, _ = self._closed_arrays(ns, lo, hi, np.int64, 2**63)
-            return a, np.where(ns <= self.zero_count(), 1, np.asarray(b, dtype=a.dtype))
+            return a, np.where(ns <= c.z, 1, np.asarray(b, dtype=a.dtype))
         distinct, where = np.unique(ns, return_inverse=True)
         ds, running = distinct.tolist(), self.kind == GEOMETRIC and isinstance(self.ratio, Fraction)
         pairs = list(_geometric_pairs(self.ratio, ds) if running else map(self.exact_pair, ds))

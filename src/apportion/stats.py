@@ -229,13 +229,17 @@ class SweepStats:
         which the moments centre in place last."""
         if self.histogram is not None:
             self.histogram._push(cols)
+        self._count_violations(cols)
+        self.moments._push(cols)
+
+    def _count_violations(self, cols: np.ndarray) -> None:
+        """Add the quota violations of a party-major (m, k) batch to the counts, and nothing else."""
         m, k = cols.shape
         for t in _chunks(k, m):
             low, high = cols[:, t] <= -1.0, cols[:, t] >= 1.0  # the sign picks the bound
             self.lower_violations += low.sum(axis=1, dtype=np.int32)  # int32: faster than count_nonzero's int64
             self.upper_violations += high.sum(axis=1, dtype=np.int32)
             self.any_violation += float(np.count_nonzero((low | high).any(axis=0)))  # a house counts once
-        self.moments._push(cols)
 
     def merge(self, other: "SweepStats") -> None:
         """Combine with stats over a disjoint range; associative."""

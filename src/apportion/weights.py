@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd, inf, lcm
 from numbers import Rational
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import InputError, NonRationalWeightsError
@@ -68,7 +69,7 @@ class PartyWeights:
     def total(self) -> Weight:
         if self.exact:
             return sum(self.votes, Fraction(0))
-        return float(sum(float(v) for v in self.votes))
+        return reduce(add, map(float, self.votes))  # left to right: from Python 3.12 on, sum of floats is compensated
 
     @cached_property
     def shares(self) -> tuple[Weight, ...]:

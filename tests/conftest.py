@@ -108,7 +108,7 @@ def fraction_finalize_divisor(weights: PartyWeights, sp: SignpostSequence, seats
                 info = _NEAR_TIE
         elif d_minus_fig == d_plus_fig:
             f = d_plus_fig
-            tie = _tie_class(seats, cur, nxt, lambda x: x == f)
+            tie = _tie_class(seats, [x == f for x in cur], [x == f for x in nxt])
             seats, alternatives, info = _resolve_orbit(seats, tie, tie_policy, house)
     return Allocation(tuple(seats), house, alternatives, info, interval)
 

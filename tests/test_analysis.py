@@ -12,12 +12,14 @@ from apportion.analysis import (
     MAX_POS,
     SAINTE_LAGUE,
     SUM_SQUARES,
+    _compositions,
     brute_force_min,
     divergences,
     method_orbit,
     verify_minimizer_identity,
 )
 from apportion.methods import linear_divisor, quota_method
+from conftest import compositions
 
 W221 = PartyWeights.of([2, 2, 1])
 
@@ -168,3 +170,10 @@ def test_per_seat_functional_informational_only():
         per_seat_min = v if per_seat_min is None else min(per_seat_min, v)
     print(f"sqrt-pair allocation per-seat misfit {float(val):.6f}, enumerated min {float(per_seat_min):.6f}")
     assert val >= per_seat_min
+
+
+def test_compositions_in_the_order_of_the_recursive_oracle():
+    # the iterative stars-and-bars loop gives every seat vector once, in lexicographic order
+    for total in range(9):
+        for parts in range(1, 5):
+            assert list(_compositions(total, parts)) == list(compositions(total, parts))

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from apportion import InputError, PartyWeights, TiePolicy, allocate
+from apportion.analysis import FOURTH_POWER, SAINTE_LAGUE, SUM_SQUARES, divergence_value
 from apportion.asymptotics import excess_bounds
 from apportion.harness import (
+    _PRIMES,
     allocate_many,
     apparentement_sweep,
     compare,
@@ -318,6 +320,29 @@ def test_sqrt_shares_are_normalized():
         p = sqrt_shares(m)
         assert len(p) == m
         assert sum(p) == pytest.approx(1.0, abs=1e-12)
+
+
+def _left_sum(values):
+    total = 0
+    for x in values:
+        total += x
+    return total
+
+
+@pytest.mark.parametrize("m", range(2, len(_PRIMES) + 2))
+def test_float_sums_run_left_to_right(m):
+    # from Python 3.12 on the built-in sum of floats is compensated, so totals taken with it
+    # would depend on the interpreter; these must be the plain left-to-right sums on every one
+    raw = [math.sqrt(q) for q in _PRIMES[: m - 1]] + [1.0]
+    assert sqrt_shares(m) == tuple(x / _left_sum(raw) for x in raw)
+    w = PartyWeights.of(sqrt_shares(m))
+    assert w.total == _left_sum(w.votes)
+    seats = [round(7 * p) for p in w.shares[:-1]]
+    seats.append(7 - sum(seats))
+    delta = [s - 7 * p for s, p in zip(seats, w.shares)]
+    assert divergence_value(SAINTE_LAGUE, seats, w, 7) == _left_sum(d * d / p for d, p in zip(delta, w.shares))
+    assert divergence_value(SUM_SQUARES, seats, w, 7) == _left_sum(d * d for d in delta)
+    assert divergence_value(FOURTH_POWER, seats, w, 7) == _left_sum(d**4 for d in delta)
 
 
 def test_float_sweep_nonlinear_families():

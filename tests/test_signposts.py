@@ -1,10 +1,12 @@
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from apportion import Exactness, InputError, SignpostSequence
+from test_jump_and_step import FAMILIES
 
 
 def test_linear_values():
@@ -116,3 +118,56 @@ def test_negative_seat_index_rejected(sp):
         with pytest.raises(InputError, match="indexed from 0"):
             evaluate()
     assert sp.figures(1.0, np.empty(0, dtype=np.int64)).size == 0
+
+
+def _fresh(sp):
+    return SignpostSequence(sp.kind, sp.beta, sp.exponent, sp.ratio, sp.values, sp.cap, sp.tail_beta)
+
+
+def _pair_of(d):
+    return (1, 0) if d == math.inf else (Fraction(d).numerator, Fraction(d).denominator)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_cached_constants_equal_a_fresh_evaluation(name):
+    # the scalar allocation's constants live in the instance dict, as _float_table does: not
+    # part of the sequence's value, each what its method gives on a fresh instance, and not pickled
+    sp = FAMILIES[name]
+    z, cap, closed, integer, beta, width = sp._constants
+    fresh = _fresh(sp)
+    assert "_constants" in vars(sp) and "_constants" not in vars(fresh)
+    assert sp == fresh and hash(sp) == hash(fresh) and repr(sp) == repr(fresh)
+    assert (z, cap, sp.exactness) == (fresh.zero_count(), fresh.max_seats(), _fresh(sp).exactness)
+    ns = list(range(z + 1, z + 80)) + [10**6, 2**40 + 3]
+    assert (closed is None) == (fresh.closed_pair() is None)
+    if closed:
+        assert [closed(n) for n in ns] == [fresh.closed_pair()(n) for n in ns]
+    exact = fresh.exactness is not Exactness.FLOAT
+    assert (integer is not None) == (exact and fresh.kind != "geometric")
+    if integer:
+        assert [integer(n) for n in ns] == [_pair_of(fresh._figure_divisor(n)) for n in ns]
+    b, envelope = fresh.asymptotic_beta(), fresh.beta_envelope()
+    assert beta == (None if b is None else float(b))
+    assert width == (None if envelope is None else float(max(b - min(envelope[0], 1), envelope[1] - b)))
+    back = pickle.loads(pickle.dumps(sp))
+    assert back == sp and "_constants" not in vars(back) and back._constants[:2] == (z, cap)
+
+
+TABLES = {
+    "capped": SignpostSequence.table([0, 0, Fraction(1, 3), 2, Fraction(7, 2), 5], cap=4),
+    "adjusted-sainte-lague": SignpostSequence.table([Fraction(7, 10)], tail_beta=Fraction(1, 2)),
+    "zero-then-tail": SignpostSequence.table([0, Fraction(1, 2)], tail_beta=Fraction(-1, 3)),
+    "tail-from-zero": SignpostSequence.table([0], tail_beta=-1),  # d(2) = 0 from the tail
+    "capped600": FAMILIES["capped600"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_table_integer_pairs_equal_the_fractions_of_its_values(name):
+    # over its zeros, its entries, its linear tail and past its cap, with no Fraction arithmetic
+    sp = TABLES[name]
+    assert sp._constants.closed is None and sp._constants.integer is not None
+    for n in list(range(len(sp.values) + 40)) + [10**6]:
+        a, b = sp.exact_pair(n)
+        assert type(a) is int and type(b) is int
+        assert (a, b) == _pair_of(sp.value(n))
