@@ -30,7 +30,7 @@ orbit mean).
 
 Every path reports a tie as one class (parties, grants, base_seats):
 ``grants`` of the tied parties get one seat over their base, in any
-combination.  The scalar divisor path builds it with ``_tie_class``,
+combination.  The scalar divisor path builds it with ``_tie_class`` and
 ``_largest_remainder`` from the remainders on the cut; the row
 kernel ``_remainder_rows`` gives it as masks over the tied rows, as the
 sweeps' award runs do.  It is found exactly on ints and ``Fraction``s
