@@ -48,7 +48,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, floor
 from numbers import Rational
 
@@ -105,13 +105,14 @@ def d_round(x, signposts: SignpostSequence):
 # -- result types ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TieInfo:
     """One tied rank class: ``grants`` of ``parties`` get one extra seat.
 
     ``base_seats`` are the tied parties' seat counts excluding the contested
-    grant; ``orbit_size`` counts every resolution.  ``near`` marks a float
-    near-tie where the class could not be resolved exactly.
+    grant; ``orbit_size`` counts every resolution, and ``truncated`` marks
+    ``ties`` that leave one out.  ``near`` marks a float near-tie where the
+    class could not be resolved exactly.
     """
 
     parties: tuple[int, ...]
@@ -121,11 +122,16 @@ class TieInfo:
     truncated: bool = False
     near: bool = False
 
+    def __init__(self, parties, grants, base_seats, orbit_size, truncated=False, near=False):
+        # one dict update: the frozen dataclass __init__ sets each field by object.__setattr__
+        self.__dict__.update(parties=parties, grants=grants, base_seats=base_seats, orbit_size=orbit_size,
+                             truncated=truncated, near=near)
+
 
 _NEAR_TIE = TieInfo((), 0, (), 1, near=True)  # a float near-tie: flagged, its class not resolved
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Allocation:
     """A seat vector plus tie descriptor and feasible parameter interval.
 
@@ -140,9 +146,11 @@ class Allocation:
     tie_info: TieInfo | None = None
     support_interval: tuple = (None, None)
 
-    def __post_init__(self):
-        if sum(self.seats) != self.house_size:
+    def __init__(self, seats, house_size, ties=(), tie_info=None, support_interval=(None, None)):
+        if sum(seats) != house_size:
             raise InvariantError("seat vector does not sum to the house size")
+        self.__dict__.update(seats=seats, house_size=house_size, ties=ties, tie_info=tie_info,
+                             support_interval=support_interval)
 
     @property
     def m(self) -> int:
@@ -227,40 +235,42 @@ def _tie_class(seats, on_held, on_next) -> tuple[tuple, int, tuple]:
     return tuple(parties), grants, tuple(base)
 
 
-def _primary_grant(parties: tuple[int, ...], k: int, policy: TiePolicy, house: int) -> tuple[int, ...]:
-    """The tied parties granted the contested seats: the k lowest indices, or
-    under ``TiePolicy.seeded`` a draw seeded by (seed, house)."""
-    if policy.kind == "random":
-        return tuple(random.Random(f"{policy.seed}:{house}").sample(parties, k))
-    return tuple(parties[:k])
-
-
-def _granted(seats, tie, grant) -> tuple[int, ...]:
-    """The orbit member of a tie class that gives the parties in ``grant`` their extra seat."""
-    vec = list(seats)
+def _members(seats, tie, grants):
+    """The orbit members of a tie class that give each grant's parties their extra seat, built
+    from one copy of the seats with every tied party at its base."""
+    base = list(seats)
     for party, b in zip(tie[0], tie[2]):
-        vec[party] = b + (party in grant)
-    return tuple(vec)
+        base[party] = b
+    for grant in grants:
+        vec = base.copy()
+        for party in grant:
+            vec[party] += 1
+        yield tuple(vec)
 
 
 def _policy_seats(seats, tie, policy: TiePolicy, house: int) -> tuple[int, ...]:
-    """The orbit member the tie policy picks as the primary vector."""
-    return _granted(seats, tie, _primary_grant(tie[0], tie[1], policy, house))
+    """The orbit member the tie policy picks as the primary vector: the k lowest tied indices
+    granted, or under ``TiePolicy.seeded`` a draw seeded by (seed, house)."""
+    parties, k, _ = tie
+    grant = random.Random(f"{policy.seed}:{house}").sample(parties, k) if policy.kind == "random" else parties[:k]
+    return next(_members(seats, tie, [grant]))
 
 
 def _resolve_orbit(seats, tie, policy: TiePolicy, house: int):
     """Apply the tie policy to a tie class: the primary vector, the other
-    orbit members (at most ``policy.max_alternatives``) and the TieInfo."""
+    orbit members in ``combinations`` order (at most ``policy.max_alternatives``)
+    and the TieInfo, ``truncated`` when a member is left out.  The canonical
+    member comes first in that order; only a seeded draw is looked for."""
     parties, k, base = tie
-    vec = _policy_seats(seats, tie, policy, house)
-    alternatives, truncated = [], False
-    for combo in combinations(parties, k):
-        alt = _granted(seats, tie, combo)
-        if alt != vec:
-            alternatives.append(alt)
-            if truncated := len(alternatives) >= policy.max_alternatives:
-                break
-    return vec, tuple(alternatives), TieInfo(parties, k, base, comb(len(parties), k), truncated)
+    members = _members(seats, tie, combinations(parties, k))
+    if policy.kind == "random":
+        primary = _policy_seats(seats, tie, policy, house)
+        members = (alt for alt in members if alt != primary)
+    else:
+        primary = next(members)
+    size = comb(len(parties), k)
+    alternatives = tuple(islice(members, policy.max_alternatives))
+    return primary, alternatives, TieInfo(parties, k, base, size, size - 1 > policy.max_alternatives)
 
 
 # -- divisor allocation -----------------------------------------------------

@@ -495,11 +495,12 @@ def _combs(n: np.ndarray, k: np.ndarray) -> np.ndarray:
     return table[key]
 
 
-def _excess_rows(houses, seats, tied, tie, held, votes, total: int, average: bool):
+def _excess_rows(houses, seats, tied, tie, held, votes, total: int, average: bool, excesses: bool = True):
     """(delta, sums, orbit) of a party-major block of exact houses, column r
     for houses[r].
 
-    delta (m, k) holds the seat excesses s_i - house*p_i as floats.  sums
+    delta (m, k) holds the seat excesses s_i - house*p_i as floats, or is
+    None unless ``excesses``.  sums
     (3m + 1, k) holds integer sums over each house's ``orbit`` of equally
     likely seat vectors: party i's seats summed over the members, the
     members in which it violates its lower quota, those in which it
@@ -559,6 +560,8 @@ def _excess_rows(houses, seats, tied, tie, held, votes, total: int, average: boo
         some = (short >= 0) & (short <= free) & ~fixed
         good[some] = _combs(free[some], short[some])
         sums[-1, tied] = big - good
+    if not excesses:
+        return None, sums, orbit
     num, den = scaled * total - x * k, k * total
     delta = (num / den).astype(float, copy=False)
     if dt is np.int64:
@@ -568,9 +571,9 @@ def _excess_rows(houses, seats, tied, tie, held, votes, total: int, average: boo
     return delta, sums, orbit
 
 
-def _exact_sweep(method, weights, n_from, n_to, tie_policy, stats) -> tuple[Fraction, ...]:
-    """Record the rows of ``_exact_seat_blocks`` in ``stats``; return their
-    exact mean seat excess as ``Fraction``s.
+def _exact_sweep(method, weights, n_from, n_to, tie_policy, stats=None) -> tuple[Fraction, ...]:
+    """Record the rows of ``_exact_seat_blocks`` in ``stats``, if any; return
+    their exact mean seat excess as ``Fraction``s.
 
     Each block pushes its float excesses to the moments and the histogram,
     and adds the ``sums`` of ``_excess_rows`` into one integer accumulator
@@ -578,30 +581,34 @@ def _exact_sweep(method, weights, n_from, n_to, tie_policy, stats) -> tuple[Frac
     orbit sizes exactly, once: the violation totals and the mean excess
     (sum of seats/size - p_i * sum of houses) / count become floats, the
     latter in place of the moments' merged mean, so neither depends on the
-    block size.
+    block size.  Without ``stats`` no float excess is formed.
     """
     votes, total = weights.integer_votes
     m = len(votes)
     average = tie_policy.kind == "average"
-    totals = {}  # orbit size -> the rows' summed sums, as Python ints
+    totals, count = {}, 0  # orbit size -> the rows' summed sums, as Python ints
     for houses, seats, tied, tie, held in _exact_seat_blocks(method, weights, n_from, n_to):
         if not average:
             seats = _policy_rows(houses, seats, tied, tie, held, tie_policy)
-        delta, sums, orbit = _excess_rows(houses, seats, tied, tie, held, votes, total, average)
-        if stats.histogram is not None:
-            stats.histogram._push(delta)
-        stats.moments._push(delta)  # last: it centres the excesses in place
-        stats.ties += tied.size
+        delta, sums, orbit = _excess_rows(houses, seats, tied, tie, held, votes, total, average, stats is not None)
+        count += houses.size
+        if stats is not None:
+            if stats.histogram is not None:
+                stats.histogram._push(delta)
+            stats.moments._push(delta)  # last: it centres the excesses in place
+            stats.ties += tied.size
         for size in set(orbit.tolist()):
             summed = sums[:, orbit == size].sum(axis=1).tolist()
             totals[size] = [a + b for a, b in zip(totals.get(size, [0] * (3 * m + 1)), summed)]
     lcm = math.lcm(*totals)  # every total over one denominator, in Python ints
     exact = [sum(c[j] * (lcm // size) for size, c in totals.items()) for j in range(3 * m + 1)]
-    houses, den = sum(exact[:m]), lcm * total * int(stats.count)  # each member's seats sum to its house
+    houses, den = sum(exact[:m]), lcm * total * count  # each member's seats sum to its house
     num = [s * total - houses * v for s, v in zip(exact, votes)]
-    stats.moments.mean = np.array([x / den for x in num])  # int / int rounds correctly
-    floats = np.array([x / lcm for x in exact[m:]])
-    stats.lower_violations, stats.upper_violations, stats.any_violation = floats[:m], floats[m:-1], float(floats[-1])
+    if stats is not None:
+        stats.moments.mean = np.array([x / den for x in num])  # int / int rounds correctly
+        floats = np.array([x / lcm for x in exact[m:]])
+        stats.lower_violations, stats.upper_violations = floats[:m], floats[m:-1]
+        stats.any_violation = float(floats[-1])
     return tuple(Fraction(x, den) for x in num)
 
 
@@ -740,7 +747,7 @@ def period_average_bias(method: Method, weights: PartyWeights) -> tuple[Fraction
         raise InputError("period averaging requires a rational quota offset")
     start = max(small_n_guard(method, weights), 1)
     end = start + detect_period(weights) - 1
-    return _exact_sweep(method, weights, start, end, TiePolicy.average(), SweepStats.empty(len(weights)))
+    return _exact_sweep(method, weights, start, end, TiePolicy.average())
 
 
 # -- equidistribution ----------------------------------------------------------

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, _integer
 from .signposts import SignpostSequence, _exact_or_float
 from .weights import PartyWeights
 
@@ -75,11 +75,18 @@ class TiePolicy:
                          list the alternatives
     * ``average()``      canonical member; statistics use the exact orbit
                          average, base + grants/k per tied party
+
+    An allocation lists at most ``max_alternatives`` (an integer >= 0) orbit
+    members besides its primary vector, and marks its TieInfo ``truncated``
+    when it leaves one out.
     """
 
     kind: str  # "random" | "enumerate" | "average"
     seed: int | None = None
     max_alternatives: int = 10_000
+
+    def __post_init__(self):
+        object.__setattr__(self, "max_alternatives", _integer(self.max_alternatives, "max_alternatives", True))
 
     @classmethod
     def seeded(cls, seed: int, max_alternatives: int = 10_000) -> "TiePolicy":

@@ -21,12 +21,16 @@ reference of its kernel ``apportion.allocation._remainder_rows``.
 support interval from ``Fraction`` figures, and ``fraction_brute_force_min``
 enumerates ``divergence_value`` in ``Fraction``s: the references of the
 integer pair ranking of ``allocate_divisor`` and of the integer functionals
-of ``apportion.analysis.brute_force_min``.
+of ``apportion.analysis.brute_force_min``.  ``loop_brute_force_min`` is the
+per-vector loop over ``loop_compositions`` that its int64 blocks replaced,
+and ``listed_orbit`` the tie orbit built member by member against the
+primary vector that ``allocation._resolve_orbit`` replaced.
 """
 
 import heapq
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb, floor, inf
 from numbers import Rational
 
@@ -35,11 +39,12 @@ import pytest
 
 from apportion import CapExceededError, DivisorMethod, NegativeSeatError, PartyWeights, SignpostSequence
 from apportion.stats import SweepStats
-from apportion.analysis import divergence_value
+from apportion.analysis import _integer_terms, divergence_value
 from apportion.allocation import (
     _NEAR_TIE,
     NEAR_TIE_RTOL,
     Allocation,
+    TieInfo,
     _divisor_validate,
     _is_exact,
     _resolve_orbit,
@@ -387,6 +392,70 @@ def fraction_brute_force_min(functional, weights: PartyWeights, house: int) -> s
         elif val == best:
             argmin.add(seats)
     return argmin
+
+
+def loop_compositions(total: int, parts: int):
+    """All seat vectors of length ``parts`` summing to ``total``, in lexicographic order: the next
+    adds a seat to the last party j < parts - 1 with seats after it and moves the rest to the last."""
+    seats = [0] * (parts - 1) + [total]
+    while True:
+        yield tuple(seats)
+        j, rest = parts - 2, seats[-1]  # rest: the seats after party j
+        while j >= 0 and not rest:
+            rest, seats[j] = seats[j], 0
+            j -= 1
+        if j < 0:
+            return
+        seats[j] += 1
+        seats[-1] = rest - 1
+
+
+def loop_brute_force_min(functional, weights: PartyWeights, house: int) -> set:
+    """Argmin set over ``loop_compositions``, one seat vector at a time: exact weights
+    ranked by the integer terms of ``_integer_terms``, float weights by ``divergence_value``."""
+    if weights.exact:
+        terms, combine = _integer_terms(functional, weights, house)
+
+        def score(seats):
+            return combine(map(list.__getitem__, terms, seats))
+
+    else:
+
+        def score(seats):
+            return divergence_value(functional, seats, weights, house)
+
+    best, argmin = None, set()
+    for seats in loop_compositions(house, len(weights)):
+        val = score(seats)
+        if best is None or val < best:
+            best, argmin = val, {seats}
+        elif val == best:
+            argmin.add(seats)
+    return argmin
+
+
+def listed_orbit(seats, tie, policy, house: int):
+    """(primary, alternatives, TieInfo) of a tie class, every member built from ``seats`` and
+    compared with the policy's primary vector; ``truncated`` once the list reaches
+    ``policy.max_alternatives``, which lists at least one alternative."""
+    parties, k, base = tie
+
+    def granted(grant):
+        vec = list(seats)
+        for party, b in zip(parties, base):
+            vec[party] = b + (party in grant)
+        return tuple(vec)
+
+    grant = random.Random(f"{policy.seed}:{house}").sample(parties, k) if policy.kind == "random" else parties[:k]
+    vec = granted(grant)
+    alternatives, truncated = [], False
+    for combo in combinations(parties, k):
+        alt = granted(combo)
+        if alt != vec:
+            alternatives.append(alt)
+            if truncated := len(alternatives) >= policy.max_alternatives:
+                break
+    return vec, tuple(alternatives), TieInfo(parties, k, base, comb(len(parties), k), truncated)
 
 
 def random_weights(rng: random.Random, m: int, lo: int = 1, hi: int = 9) -> PartyWeights:

@@ -12,7 +12,7 @@ from apportion.analysis import (
     MAX_POS,
     SAINTE_LAGUE,
     SUM_SQUARES,
-    _compositions,
+    _composition_blocks,
     brute_force_min,
     divergences,
     method_orbit,
@@ -173,7 +173,8 @@ def test_per_seat_functional_informational_only():
 
 
 def test_compositions_in_the_order_of_the_recursive_oracle():
-    # the iterative stars-and-bars loop gives every seat vector once, in lexicographic order
+    # the party-major blocks give every seat vector once, in lexicographic order
     for total in range(9):
         for parts in range(1, 5):
-            assert list(_compositions(total, parts)) == list(compositions(total, parts))
+            blocks = _composition_blocks(total, parts)
+            assert [tuple(v) for b in blocks for v in b.T.tolist()] == list(compositions(total, parts))

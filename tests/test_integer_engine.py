@@ -7,7 +7,8 @@ figures, also where the float keys cannot order the figures: figures past
 the float range, and votes whose figures round to one float.
 ``brute_force_min`` ranks exact seat vectors by integer functionals; its
 argmin sets must equal the ``Fraction`` enumeration of
-``fraction_brute_force_min``.
+``fraction_brute_force_min``, and on float weights those of the per-vector
+loop ``loop_brute_force_min``.
 """
 
 import random
@@ -15,12 +16,11 @@ from fractions import Fraction
 
 import pytest
 
-import apportion.analysis as analysis
 from apportion import PartyWeights, SignpostSequence, TiePolicy, allocate_divisor
 from apportion.analysis import FUNCTIONALS, brute_force_min
 from apportion.methods import method_by_name
 
-from conftest import fraction_brute_force_min, heap_divisor
+from conftest import fraction_brute_force_min, heap_divisor, loop_brute_force_min
 
 POLICIES = (TiePolicy.enumerate_all(), TiePolicy.seeded(3))
 
@@ -77,31 +77,22 @@ def _vote_sets(rng, m):
 @pytest.mark.parametrize("functional", FUNCTIONALS)
 def test_integer_functionals_match_fraction_enumeration(functional):
     rng = random.Random(functional)
-    for m in range(1, 5):
+    for m in range(1, 6):
         for votes in _vote_sets(rng, m):
             w = PartyWeights.of(votes)
             for house in range(13):
                 assert brute_force_min(functional, w, house) == fraction_brute_force_min(functional, w, house)
 
 
-def test_float_weights_rank_by_divergence_value(monkeypatch):
-    calls = []
-    real = analysis.divergence_value
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(analysis, "divergence_value", counted)
-    w = PartyWeights.of([0.4, 0.35, 0.25])
+def test_float_weights_rank_by_divergence_value():
+    # the float block scores keep the bits of divergence_value, so they give the per-vector loop's argmin
+    rng = random.Random(7)
     for functional in FUNCTIONALS:
-        calls.clear()
-        got = brute_force_min(functional, w, 9)
-        assert len(calls) == 55  # one call per seat vector: comb(11, 2)
-        assert got == fraction_brute_force_min(functional, w, 9)
-    calls.clear()
-    brute_force_min(FUNCTIONALS[0], PartyWeights.of([4, 3, 2]), 9)
-    assert calls == []  # exact weights rank by integers
+        for m in range(1, 6):
+            for votes in ([rng.random() for _ in range(m)], [0.1 * rng.randint(1, 3) for _ in range(m)]):
+                w = PartyWeights.of(votes)
+                for house in range(13):
+                    assert brute_force_min(functional, w, house) == loop_brute_force_min(functional, w, house)
 
 
 @pytest.mark.parametrize("m", [64, 65, 200])
