@@ -201,11 +201,7 @@ def quota_satisfaction(allocation: Allocation, weights: PartyWeights) -> tuple[Q
     if len(weights) != allocation.m:
         raise DimensionMismatchError("allocation and weights disagree on party count")
     n = allocation.house_size
-    flags = []
-    for s, p in zip(allocation.seats, weights.shares):
-        q = n * p
-        flags.append(QuotaFlags(lower=s >= floor(q), upper=s <= -floor(-q)))
-    return tuple(flags)
+    return tuple(QuotaFlags(s >= floor(n * p), s <= -floor(-n * p)) for s, p in zip(allocation.seats, weights.shares))
 
 
 # -- shared tie machinery ---------------------------------------------------
@@ -257,10 +253,9 @@ def _policy_seats(seats, tie, policy: TiePolicy, house: int) -> tuple[int, ...]:
 
 
 def _resolve_orbit(seats, tie, policy: TiePolicy, house: int):
-    """Apply the tie policy to a tie class: the primary vector, the other
-    orbit members in ``combinations`` order (at most ``policy.max_alternatives``)
-    and the TieInfo, ``truncated`` when a member is left out.  The canonical
-    member comes first in that order; only a seeded draw is looked for."""
+    """Apply the tie policy to a tie class: the primary vector, the other orbit members in
+    ``combinations`` order (at most ``policy.max_alternatives``) and the TieInfo, ``truncated`` when
+    one is left out.  The canonical member comes first in that order; only a seeded draw is looked for."""
     parties, k, base = tie
     members = _members(seats, tie, combinations(parties, k))
     if policy.kind == "random":

@@ -148,21 +148,22 @@ def brute_force_min(
 
     The blocks of ``_composition_blocks`` are scored in float64 from the terms of
     ``_integer_terms``, combined in ``divergence_value``'s order.  Rounding is monotone, so a
-    least max has the least float, and a least sum of m nonnegative terms, rounded m times,
-    lies within m*2**-52 of it, relatively; those candidates are scored again exactly (on
-    float weights, the floats decide alone).  Terms past the float range make every vector a
-    candidate.
+    least max has the least float.  A float sum of m nonnegative terms is rounded 2m - 1 times
+    (m conversions, m - 1 additions), so the floats of two sums keep their exact ratio within
+    ((1 + u)/(1 - u))**(2m - 1) < 1 + m*2**-51, u = 2**-53; the vectors within that factor of the
+    least float are scored again exactly (on float weights, the floats decide alone).  Terms past
+    the float range make every vector a candidate.
     """
     m = len(weights)
     if house_size < 0:
         raise InputError("house size must be nonnegative")
-    if (n_vectors := comb(house_size + m - 1, m - 1)) > limit:
-        raise InstanceTooLargeError(f"{n_vectors} seat vectors exceed the enumeration limit {limit}")
+    _check_size(m, house_size, limit)
     terms, combine = _integer_terms(functional, weights, house_size)
     try:
         table = np.array(terms, dtype=float)
     except OverflowError:
         table = None
+    # m*2**-51 = 2m*2**-52, not (2m - 1)*2**-52: the spare 2**-52 covers u**2 terms and the rounding of low*(1 + slack)
     slack = 0.0 if combine is max or not weights.exact else m * 2.0**-51
     merge = np.maximum if combine is max else np.add
     best, low, argmin = None, inf, set()
@@ -181,6 +182,11 @@ def brute_force_min(
             elif val == best:
                 argmin.add(seats)
     return argmin
+
+
+def _check_size(m: int, house_size: int, limit: int) -> None:
+    if house_size >= 0 and (n_vectors := comb(house_size + m - 1, m - 1)) > limit:  # a negative house is the caller's error
+        raise InstanceTooLargeError(f"{n_vectors} seat vectors exceed the enumeration limit {limit}")
 
 
 def _integer_terms(functional: str, weights: PartyWeights, house_size: int):
@@ -231,7 +237,9 @@ def verify_minimizer_identity(
     house_size: int,
     limit: int = 10_000_000,
 ) -> MinimizerCheck:
-    """Check that the method's tie orbit equals the functional's argmin set."""
-    argmin = frozenset(brute_force_min(functional, weights, house_size, limit))  # its size check bounds the orbit
+    """Check that the method's tie orbit equals the functional's argmin set.  More than ``limit`` seat vectors
+    raise InstanceTooLargeError before ``allocate`` runs (the orbit is a subset), and the enumeration runs after it."""
+    _check_size(len(weights), house_size, limit)
     orbit = method_orbit(method, weights, house_size)
+    argmin = frozenset(brute_force_min(functional, weights, house_size, limit))
     return MinimizerCheck(orbit == argmin, orbit, argmin)

@@ -499,9 +499,8 @@ def _excess_rows(houses, seats, tied, tie, held, votes, total: int, average: boo
     """(delta, sums, orbit) of a party-major block of exact houses, column r
     for houses[r].
 
-    delta (m, k) holds the seat excesses s_i - house*p_i as floats, or is
-    None unless ``excesses``.  sums
-    (3m + 1, k) holds integer sums over each house's ``orbit`` of equally
+    delta (m, k) holds the seat excesses s_i - house*p_i as floats, None unless
+    ``excesses``.  sums (3m + 1, k) holds integer sums over each house's ``orbit`` of equally
     likely seat vectors: party i's seats summed over the members, the
     members in which it violates its lower quota, those in which it
     violates its upper quota, and last the members in which some party
@@ -607,8 +606,7 @@ def _exact_sweep(method, weights, n_from, n_to, tie_policy, stats=None) -> tuple
     if stats is not None:
         stats.moments.mean = np.array([x / den for x in num])  # int / int rounds correctly
         floats = np.array([x / lcm for x in exact[m:]])
-        stats.lower_violations, stats.upper_violations = floats[:m], floats[m:-1]
-        stats.any_violation = float(floats[-1])
+        stats.lower_violations, stats.upper_violations, stats.any_violation = floats[:m], floats[m:-1], float(floats[-1])
     return tuple(Fraction(x, den) for x in num)
 
 

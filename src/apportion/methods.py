@@ -76,9 +76,8 @@ class TiePolicy:
     * ``average()``      canonical member; statistics use the exact orbit
                          average, base + grants/k per tied party
 
-    An allocation lists at most ``max_alternatives`` (an integer >= 0) orbit
-    members besides its primary vector, and marks its TieInfo ``truncated``
-    when it leaves one out.
+    An allocation lists at most ``max_alternatives`` (an integer >= 0) other orbit
+    members and marks its TieInfo ``truncated`` when it leaves one out.
     """
 
     kind: str  # "random" | "enumerate" | "average"

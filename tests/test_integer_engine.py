@@ -87,7 +87,9 @@ def test_integer_functionals_match_fraction_enumeration(functional):
 def test_float_weights_rank_by_divergence_value():
     # the float block scores keep the bits of divergence_value, so they give the per-vector loop's argmin
     rng = random.Random(7)
+    w = PartyWeights.of([0.4, 0.35, 0.25])
     for functional in FUNCTIONALS:
+        assert brute_force_min(functional, w, 9) == fraction_brute_force_min(functional, w, 9)
         for m in range(1, 6):
             for votes in ([rng.random() for _ in range(m)], [0.1 * rng.randint(1, 3) for _ in range(m)]):
                 w = PartyWeights.of(votes)

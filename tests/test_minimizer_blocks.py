@@ -12,6 +12,7 @@ member is left out.
 """
 
 import dataclasses
+import inspect
 import pickle
 import random
 from fractions import Fraction
@@ -21,7 +22,15 @@ import numpy as np
 import pytest
 
 import apportion.analysis as analysis
-from apportion import InputError, InstanceTooLargeError, InvariantError, PartyWeights, TiePolicy, allocate
+from apportion import (
+    InfeasibleHouseSizeError,
+    InputError,
+    InstanceTooLargeError,
+    InvariantError,
+    PartyWeights,
+    TiePolicy,
+    allocate,
+)
 from apportion.allocation import Allocation, TieInfo, _resolve_orbit
 from apportion.analysis import (
     FOURTH_POWER,
@@ -112,6 +121,25 @@ def test_size_checked_before_the_orbit(monkeypatch):
     assert run(argv) == 4
 
 
+def test_error_precedence_of_the_minimizer_check(monkeypatch):
+    # past the limit the size error wins over allocate's; under it allocate's error comes before any enumeration
+    adams = method_by_name("adams")
+    with pytest.raises(InstanceTooLargeError):  # Adams gives each of 20 parties a seat: house 10 is infeasible too
+        verify_minimizer_identity(adams, SAINTE_LAGUE, PartyWeights.of([1] * 20), 10)
+    argv = ["oracle-check", "--method", "adams", "--functional", "adams", "--seats", "10", "--votes"]
+    assert run(argv + [",".join(f"P{i}=1" for i in range(20))]) == 4
+
+    def no_enumeration(*args):
+        raise AssertionError("seat vectors enumerated for a rejected instance")
+
+    monkeypatch.setattr(analysis, "brute_force_min", no_enumeration)
+    with pytest.raises(InfeasibleHouseSizeError):
+        verify_minimizer_identity(adams, SAINTE_LAGUE, PartyWeights.of([1] * 5), 3)
+    with pytest.raises(InfeasibleHouseSizeError):  # a negative house is allocate's error, as before
+        verify_minimizer_identity(method_by_name("webster"), SAINTE_LAGUE, PartyWeights.of([1, 2]), -1)
+    assert run(argv + ["A=1,B=1,C=1,D=1,E=1,F=1,G=1,H=1,I=1,J=1,K=1"]) == 2
+
+
 def _tie_classes(rng):
     for _ in range(300):
         n = rng.randint(1, 6)
@@ -157,6 +185,17 @@ def test_max_alternatives_means_what_it_says():
         with pytest.raises(InputError):
             TiePolicy("random", seed=1, max_alternatives=bad)
     assert TiePolicy.enumerate_all(np.int64(4)).max_alternatives == 4
+
+
+@pytest.mark.parametrize("cls", [Allocation, TieInfo])
+def test_written_init_takes_the_declared_fields(cls):
+    # the __init__ is written out for speed: its parameters must stay the dataclass fields, in order, with their defaults
+    params = list(inspect.signature(cls).parameters.values())
+    fields = dataclasses.fields(cls)
+    assert [p.name for p in params] == [f.name for f in fields]
+    for p, f in zip(params, fields):
+        assert p.kind is p.POSITIONAL_OR_KEYWORD
+        assert p.default == (p.empty if f.default is dataclasses.MISSING else f.default)
 
 
 def test_result_types_keep_their_dataclass_contracts():
