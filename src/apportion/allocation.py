@@ -109,10 +109,9 @@ def d_round(x, signposts: SignpostSequence):
 class TieInfo:
     """One tied rank class: ``grants`` of ``parties`` get one extra seat.
 
-    ``base_seats`` are the tied parties' seat counts excluding the contested
-    grant; ``orbit_size`` counts every resolution, and ``truncated`` marks
-    ``ties`` that leave one out.  ``near`` marks a float near-tie where the
-    class could not be resolved exactly.
+    ``base_seats`` are the tied parties' seat counts excluding the contested grant; ``orbit_size``
+    counts every resolution, and ``truncated`` marks ``ties`` that leave one out.  ``near`` marks a
+    float near-tie where the class could not be resolved exactly.
     """
 
     parties: tuple[int, ...]
@@ -201,7 +200,11 @@ def quota_satisfaction(allocation: Allocation, weights: PartyWeights) -> tuple[Q
     if len(weights) != allocation.m:
         raise DimensionMismatchError("allocation and weights disagree on party count")
     n = allocation.house_size
-    return tuple(QuotaFlags(s >= floor(n * p), s <= -floor(-n * p)) for s, p in zip(allocation.seats, weights.shares))
+    flags = []
+    for s, p in zip(allocation.seats, weights.shares):
+        q = n * p
+        flags.append(QuotaFlags(lower=s >= floor(q), upper=s <= -floor(-q)))
+    return tuple(flags)
 
 
 # -- shared tie machinery ---------------------------------------------------
@@ -263,9 +266,8 @@ def _resolve_orbit(seats, tie, policy: TiePolicy, house: int):
         members = (alt for alt in members if alt != primary)
     else:
         primary = next(members)
-    size = comb(len(parties), k)
-    alternatives = tuple(islice(members, policy.max_alternatives))
-    return primary, alternatives, TieInfo(parties, k, base, size, size - 1 > policy.max_alternatives)
+    size, cap = comb(len(parties), k), policy.max_alternatives
+    return primary, tuple(islice(members, cap)), TieInfo(parties, k, base, size, size - 1 > cap)
 
 
 # -- divisor allocation -----------------------------------------------------

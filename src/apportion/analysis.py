@@ -146,13 +146,12 @@ def brute_force_min(
 ) -> set[tuple[int, ...]]:
     """Exact argmin set of a functional over every seat vector.
 
-    The blocks of ``_composition_blocks`` are scored in float64 from the terms of
-    ``_integer_terms``, combined in ``divergence_value``'s order.  Rounding is monotone, so a
-    least max has the least float.  A float sum of m nonnegative terms is rounded 2m - 1 times
-    (m conversions, m - 1 additions), so the floats of two sums keep their exact ratio within
-    ((1 + u)/(1 - u))**(2m - 1) < 1 + m*2**-51, u = 2**-53; the vectors within that factor of the
-    least float are scored again exactly (on float weights, the floats decide alone).  Terms past
-    the float range make every vector a candidate.
+    The blocks of ``_composition_blocks`` are scored in float64 from the terms of ``_integer_terms``,
+    combined in ``divergence_value``'s order.  Rounding is monotone, so a least max has the least float.
+    A float sum of m nonnegative terms is rounded 2m - 1 times (m conversions, m - 1 additions), so two
+    sums' floats keep their exact ratio within ((1 + u)/(1 - u))**(2m - 1) < 1 + m*2**-51, u = 2**-53;
+    the vectors within that factor of the least float are scored again exactly (on float weights, the
+    floats decide alone).  Terms past the float range make every vector a candidate.
     """
     m = len(weights)
     if house_size < 0:
@@ -185,7 +184,7 @@ def brute_force_min(
 
 
 def _check_size(m: int, house_size: int, limit: int) -> None:
-    if house_size >= 0 and (n_vectors := comb(house_size + m - 1, m - 1)) > limit:  # a negative house is the caller's error
+    if house_size >= 0 and (n_vectors := comb(house_size + m - 1, m - 1)) > limit:  # negative houses: the caller raises
         raise InstanceTooLargeError(f"{n_vectors} seat vectors exceed the enumeration limit {limit}")
 
 
@@ -237,9 +236,8 @@ def verify_minimizer_identity(
     house_size: int,
     limit: int = 10_000_000,
 ) -> MinimizerCheck:
-    """Check that the method's tie orbit equals the functional's argmin set.  More than ``limit`` seat vectors
-    raise InstanceTooLargeError before ``allocate`` runs (the orbit is a subset), and the enumeration runs after it."""
-    _check_size(len(weights), house_size, limit)
+    """Check that the method's tie orbit equals the functional's argmin set."""
+    _check_size(len(weights), house_size, limit)  # before allocate: the orbit is a subset of the seat vectors
     orbit = method_orbit(method, weights, house_size)
-    argmin = frozenset(brute_force_min(functional, weights, house_size, limit))
+    argmin = frozenset(brute_force_min(functional, weights, house_size, limit))  # after allocate's own errors
     return MinimizerCheck(orbit == argmin, orbit, argmin)
