@@ -11,7 +11,7 @@ on floats, and on exact weights and signposts integer pairs over coprime
 integer votes, which make the seats, the tie class and the support interval
 exact.  Each call builds one pair function over the signposts' cached
 constants (the closed pair or a table's integer pairs for n > z).  A pass scans up to
-_SCAN_MAX parties inline and reads two heaps keyed by rounded figures past that.
+_SCAN_MAX parties inline and reads the ends of float keys of the figures past that.
 Quota allocation floors the ideal shares (house + gamma) * p_i and hands
 remaining seats to the largest fractional parts, generalized so any real
 gamma works even when the raw remainder is negative or exceeds the party
@@ -47,7 +47,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from itertools import combinations, islice
 from math import comb, floor
 from numbers import Rational
@@ -71,7 +70,7 @@ from .weights import PartyWeights
 
 NEAR_TIE_RTOL = 1e-12
 _COUNT_TABLE_MAX = 2**22  # signposts per party in the table of a count start
-_SCAN_MAX = 64  # parties up to which a _step pass scans them all; more use two heaps
+_SCAN_MAX = 64  # parties up to which a _step pass scans them all; more read the float keys of _KeyEnds
 
 
 # -- rounding primitives --------------------------------------------------
@@ -315,13 +314,13 @@ def allocate_divisor(
     or drops the worst held ones until the seats sum to N, then swaps while
     the best next entry beats the worst held one.  The estimate misses by
     O(m) seats, so the work is O(m) steps, not O(N) (a count start past
-    _COUNT_TABLE_MAX seats per party steps the rest), of O(log m) each past
-    _SCAN_MAX parties.  Float weights or signposts rank the entries by
-    ``SignpostSequence.figure`` (float(w) / (a / b) from ``closed_pair``
-    where the family has one, +inf for n <= z) and flag a near-tie; exact
-    ones go through ``_exact_divisor``, which ranks them by integer pairs.
-    Either way the support interval and the tie class come from the
-    figures ``_step`` returns.
+    _COUNT_TABLE_MAX seats per party steps the rest), each a few numpy
+    operations on float keys past _SCAN_MAX parties.  Float weights or
+    signposts rank the entries by ``SignpostSequence.figure``
+    (float(w) / (a / b) from ``closed_pair`` where the family has one, +inf
+    for n <= z) and flag a near-tie; exact ones go through ``_exact_divisor``, which ranks
+    them by integer pairs.  Either way the support interval and the tie
+    class come from the figures ``_step`` returns.
     """
     z = _divisor_validate(weights, signposts, house_size)
     if _is_exact(weights, signposts):
@@ -354,32 +353,32 @@ def _step(seats: list[int], pair, house_size: int, z: int, sp: SignpostSequence 
     and figures compare by cross-multiplication: num/0 is infinite, and a
     numerator of 0 lies past a capped table.  Each pass finds the best next
     entry (figure descending, party ascending) and the worst held entry
-    among seats > z (figure ascending, party descending): by one scan of
-    the pairs for up to _SCAN_MAX parties, from ``_HeapEnds`` for more, so
-    a pass costs O(log m) there, not O(m); ``pair`` gives the 2m start
-    pairs and every step's.  It adds the one while the seats fall short of
-    ``house_size`` and drops the other while they exceed it, then swaps the
-    two while the best next entry beats the worst held one.  Raises
-    CapExceededError when the entry to add has numerator 0, and
-    InvariantError past |surplus| + house_size - z*m + 1 passes, more than
-    consistent pairs need from a start of at least z seats, or, given the
-    signposts ``sp`` of a start within ``_bracket`` of the seats, past
-    max(3m + 6, 2*bracket + 2) passes.  Returns (seats, held, nxt, i, k):
-    the seats, every party's pair at its last held and at its next seat,
-    and the best next party i and worst held party k of the last pass (k =
-    -1 when none holds a seat over z).
+    among seats > z (figure ascending, party descending): by one scan of the
+    pairs for up to _SCAN_MAX parties, from ``_KeyEnds`` for more, so a pass
+    there costs a few numpy operations on the keys, not m Python steps;
+    ``pair`` gives the 2m start pairs and every step's.  It adds the one
+    while the seats fall short of ``house_size`` and drops the other while
+    they exceed it, then swaps the two while the best next entry beats the
+    worst held one.  Raises CapExceededError when the entry to add has
+    numerator 0, and InvariantError past |surplus| + house_size - z*m + 1
+    passes, more than consistent pairs need from a start of at least z
+    seats, or, given the signposts ``sp`` of a start within ``_bracket`` of
+    the seats, past max(3m + 6, 2*bracket + 2) passes.  Returns (seats,
+    held, nxt, i, k): the seats, every party's pair at its last held and at
+    its next seat, and the best next party i and worst held party k of the
+    last pass (k = -1 when none holds a seat over z).
     """
     m = len(seats)
     held = [pair(j, s) for j, s in enumerate(seats)]
     nxt = [pair(j, s + 1) for j, s in enumerate(seats)]
     surplus = sum(seats) - house_size
-    heaps = m > _SCAN_MAX and _HeapEnds(seats, held, nxt, z)
+    ends = m > _SCAN_MAX and _KeyEnds(seats, held, nxt, z)
     bound = abs(surplus) + house_size - z * m + 1
     if sp is not None and bound > 3 * m + 6 and abs(surplus) <= (bracket := _bracket(sp, m, house_size, z)):
         bound = max(3 * m + 6, floor(min(bound, 2 * bracket + 2)))
     for _ in range(bound):
-        if heaps:
-            i, k = heaps(seats, held, nxt, z)
+        if ends:
+            i, k = ends(seats, held, nxt, z)
             (xn, xd), (hn, hd) = nxt[i], held[k]  # held[k] is unused when k = -1
         else:
             i, k, (xn, xd) = 0, -1, nxt[0]
@@ -411,8 +410,8 @@ def _scan_awards(w, sp: SignpostSequence, z: int, count: int, start=None):
     integer figure weights w_i, in exact order: each winner and whether each
     pair of adjacent figures w_i*b / a are equal, d(n) = a/b from each
     party's ``_pair_batches``.  Each award is the best next entry of a
-    ``_step`` pass (a scan, or ``_HeapEnds`` past _SCAN_MAX parties, where
-    a floor of INF means no held entry), up to award ``count - 1`` and the
+    ``_step`` pass (a scan, or the next keys of ``_KeyEnds`` past _SCAN_MAX
+    parties, without held keys), up to award ``count - 1`` and the
     equal ones after it, and is cross-multiplied with the one before: a
     larger figure raises InvariantError.  Raises InputError when only
     figures past a capped table are left.
@@ -420,11 +419,11 @@ def _scan_awards(w, sp: SignpostSequence, z: int, count: int, start=None):
     seats = [z] * len(w) if start is None else [int(s) for s in start]
     pairs = [_pair_batches(sp, s + 1) for s in seats]  # each party's pairs from its next seat on
     nxt = [(x * b, a) for x, (a, b) in zip(w, map(next, pairs))]  # each party's next figure, as (num, den)
-    heaps = len(w) > _SCAN_MAX and _HeapEnds(seats, nxt, nxt, INF)
+    ends = len(w) > _SCAN_MAX and _KeyEnds(seats, None, nxt, z)
     winners, equal, last = [], [], (1, 0)  # an infinite figure before the first award
     while True:
-        if heaps:
-            i, _ = heaps(seats, nxt, nxt, INF)
+        if ends:
+            i, _ = ends(seats, None, nxt, z)
         else:
             i, (num, den) = 0, nxt[0]
             for j, (a, b) in enumerate(nxt):
@@ -452,63 +451,47 @@ def _pair_batches(sp: SignpostSequence, n: int):
         yield from zip(*(x.tolist() for x in sp.exact_pairs(np.arange(n + 2**k - 1, n + 2 ** (k + 1) - 1))))
 
 
-class _Entry:
-    """A party's (num, den) pair at a seat count, ordered as seats are awarded.
-
-    An entry comes first when its figure is larger by cross-multiplication,
-    or equal with a lower party index; held entries order the other way.
-    """
-
-    __slots__ = ("num", "den", "party", "seats", "held")
-
-    def __init__(self, pair, party, seats, held):
-        (self.num, self.den), self.party, self.seats, self.held = pair, party, seats, held
-
-    def __lt__(self, other):
-        x, y = (other, self) if self.held else (self, other)
-        a, b = x.num * y.den, y.num * x.den
-        return a > b or (a == b and x.party < y.party)
-
-
-def _heap_item(pair, party, seats, held):
-    """(key, entry) of ``_HeapEnds``: the key, num / den rounded (monotone) or inf, negated for
-    next entries, compares natively, and only equal keys cross-multiply their entries."""
+def _key(pair) -> float:
+    """num / den of a (num, den) pair, correctly rounded (so in the figures' order); inf at den 0 or past the range."""
     try:
-        key = pair[0] / pair[1]
+        return pair[0] / pair[1]
     except (ZeroDivisionError, OverflowError):
-        key = INF
-    return (key if held else -key), _Entry(pair, party, seats, held)
+        return INF
 
 
-class _HeapEnds:
-    """The (i, k) of a ``_step`` pass for many parties, from a heap of next entries and one of held ones.
+class _KeyEnds:
+    """The (i, k) of a ``_step`` pass for many parties, from float64 keys of the next and held pairs.
 
-    An entry is stale once its party's seats move and is popped when it
-    reaches the top.  A pass moves only the previous (i, k), so each call
-    first pushes the current entries of those two.
-    """
+    A held entry at <= z seats keys inf (``held`` None keeps no held keys, and k is -1).  The parties
+    sharing the largest next key, or the smallest held one (inf and 0.0 included), are ranked by the
+    scan's cross-multiplications in party order.  Float pairs (f, 1.0) need none but among held keys
+    of inf, as each key is its figure.  A pass moves only the previous (i, k), so each call first
+    rekeys those two (k = -1 rekeys the last party, to the key it has)."""
 
     def __init__(self, seats, held, nxt, z):
-        self.at, self.moved = list(seats), ()
-        self.next = [_heap_item(x, j, s, False) for j, (x, s) in enumerate(zip(nxt, seats))]
-        self.held = [_heap_item(h, j, s, True) for j, (h, s) in enumerate(zip(held, seats)) if s > z]
-        heapify(self.next)
-        heapify(self.held)
+        self.next = np.array(list(map(_key, nxt)))
+        self.held = None if held is None else np.array([_key(h) if s > z else INF for h, s in zip(held, seats)])
+        self.moved, self.figures = (), isinstance(nxt[0][1], float)
 
     def __call__(self, seats, held, nxt, z):
         for j in self.moved:
-            if j >= 0 and self.at[j] != (s := seats[j]):
-                self.at[j] = s
-                heappush(self.next, _heap_item(nxt[j], j, s, False))
-                if s > z:
-                    heappush(self.held, _heap_item(held[j], j, s, True))
-        top, last = self.next, self.held
-        while (e := top[0][1]).seats != seats[e.party]:
-            heappop(top)
-        while last and (h := last[0][1]).seats != seats[h.party]:
-            heappop(last)
-        self.moved = (top[0][1].party, last[0][1].party if last else -1)
-        return self.moved
+            self.next[j] = _key(nxt[j])
+            if self.held is not None:
+                self.held[j] = _key(held[j]) if seats[j] > z else INF
+        i, k, keys = -1, -1, self.next
+        j = int(keys.argmax())  # the first largest key
+        for j in [j] if self.figures else (keys == keys[j]).nonzero()[0].tolist():
+            a, b = nxt[j]
+            if i < 0 or a * xd > xn * b:
+                i, xn, xd = j, a, b
+        if (keys := self.held) is not None:
+            j = len(keys) - 1 - int(keys[::-1].argmin()) if self.figures else int(keys.argmin())
+            for j in [j] if self.figures and keys[j] < INF else (keys == keys[j]).nonzero()[0].tolist():
+                a, b = held[j]
+                if seats[j] > z and (k < 0 or a * hd <= hn * b):  # the last of equal figures
+                    k, hn, hd = j, a, b
+        self.moved = i, k
+        return i, k
 
 
 def _exact_divisor(weights: PartyWeights, sp: SignpostSequence, house_size: int, z: int, policy: TiePolicy):
@@ -661,10 +644,11 @@ def _count_starts(shares: np.ndarray, sp: SignpostSequence, house_size: int, z: 
     min(cap, N), with log2 d(n) <= log2 p_i + x: the seats whose figures
     p_i / d(n) reach 2**-x.  The counts grow with x, and x is bisected per
     row over [-2200, 2200], keeping the counts of the largest x found whose
-    counts sum to at most N, until every row is within m seats of N (or the
-    bisection is down to 2e-11); the steps then add the seats left.  The
-    table stops at _COUNT_TABLE_MAX seats, so its memory stays bounded; a
-    party owed more starts at the table's end and the steps add the rest.
+    counts sum to at most N, until every row is within min(m, _SCAN_MAX)
+    seats of N (or the bisection is down to 2e-11); the steps then add the
+    seats left, one pass each.  The table stops at _COUNT_TABLE_MAX seats,
+    so its memory stays bounded; a party owed more starts at the table's
+    end and the steps add the rest.
     """
     k, m = shares.shape
     cap = sp.max_seats()
@@ -682,7 +666,7 @@ def _count_starts(shares: np.ndarray, sp: SignpostSequence, house_size: int, z: 
         seats[fits] = counts[fits]
         lo = np.where(fits, mid, lo)
         hi = np.where(fits, hi, mid)
-        if (np.einsum("ij->i", seats) >= house_size - m).all():
+        if (np.einsum("ij->i", seats) >= house_size - min(m, _SCAN_MAX)).all():
             break
     return seats
 

@@ -83,6 +83,7 @@ from .allocation import (
     _exact_remainder_rows,
     _float_quota_rows,
     _is_exact,
+    _members,
     _policy_seats,
     _divisor_cols,
     _scan_awards,
@@ -317,16 +318,17 @@ def _float_start(shares: np.ndarray, sp: SignpostSequence, house: int):
 
 
 def _start(house: int, m: int, z: int, seats_at):
-    """(seats, k) at the first house h = house - 1, house - 2, house - 4,
-    ... above z*m where seats_at(h) gives its seats, not None: where award
-    k - 1 = h - z*m - 1, its last, is not close to award k, so that no run
-    holding a later house reaches back past them; z seats and k = 0 from
-    house z*m down."""
+    """(seats, k) from the first house h = house - 1, house - 2, ..., house - m,
+    then house - 2m, house - 4m, ... above z*m where seats_at(h) gives seats,
+    not None (of h or a house below): where award k - 1 = sum(seats) - z*m - 1,
+    their last, is not close to award k, so that no run holding a later house
+    reaches back past them; z seats and k = 0 from house z*m down.  A run of
+    equal figures holds at most one award per party, so one of m houses in a row is untied."""
     back = 1
     while (h := house - back) > z * m:
         if (seats := seats_at(h)) is not None:
-            return np.asarray(seats, dtype=np.int64), h - z * m
-        back *= 2
+            return np.asarray(seats, dtype=np.int64), int(sum(seats)) - z * m
+        back = back + 1 if back < m else 2 * back
     return np.full(m, z, dtype=np.int64), 0
 
 
@@ -445,8 +447,8 @@ def _exact_seat_blocks(method, weights, n_from: int, n_to: int):
 
     Divisor houses read their seats and tie classes off windows of
     ``_exact_awards`` with ``_divisor_blocks``, from ``allocate``'s seats at
-    a house just below n_from without a tie (``_start``): a tie is a run of
-    equal figures.  Quota houses run ``allocation._exact_remainder_rows`` on
+    n_from - 1, or at a tie its base seats, which end no run of equal
+    figures (``_start``).  Quota houses run ``_exact_remainder_rows`` on
     each block.  Houses are checked as in the float source.
     """
     if not (_is_exact(weights, method.signposts) if isinstance(method, DivisorMethod) else weights.exact):
@@ -456,7 +458,11 @@ def _exact_seat_blocks(method, weights, n_from: int, n_to: int):
     if isinstance(method, DivisorMethod):
         sp = method.signposts
         z, m = sp.zero_count(), len(votes)
-        start, done = _start(n_from, m, z, lambda h: None if (a := allocate_divisor(weights, sp, h)).tied else a.seats)
+        def seats_at(h):  # at a tie, its base: the seats of the house before its run of equal figures
+            a = allocate_divisor(weights, sp, h, TiePolicy.enumerate_all(0))
+            ti = a.tie_info
+            return next(_members(a.seats, (ti.parties, ti.grants, ti.base_seats), [()])) if ti else a.seats
+        start, done = _start(n_from, m, z, seats_at)
         awards = partial(_exact_awards, votes, total, sp)
         yield from _divisor_blocks(awards, start, done, m, z, max(n_from, z * m), n_to, _EXACT_BLOCK)
     else:

@@ -480,8 +480,17 @@ class SignpostSequence:
         return pairs[where, 0].reshape(ns.shape), pairs[where, 1].reshape(ns.shape)
 
     def divisor_of_figure(self, fig):
-        """Map a figure back to a divisor value (float for squared space; sqrt(inf) is inf)."""
-        return math.sqrt(fig) if self.kind == SQRT_PAIR else fig
+        """Map a figure back to a divisor value (float for squared space; sqrt(inf) is inf, and so
+        is the root of a ``Fraction`` figure when the root is past the float range)."""
+        if self.kind != SQRT_PAIR:
+            return fig
+        try:
+            return math.sqrt(fig)
+        except OverflowError:  # a Fraction past the float range: the root of fig / 4**k, times 2**k
+            k = (fig.numerator.bit_length() - fig.denominator.bit_length()) // 2
+            with suppress(OverflowError):
+                return math.ldexp(math.sqrt(fig / 4**k), k)
+            return INF
 
     def seats_for_quotient(self, x) -> tuple[int, int]:
         """(n_strict, n_max): seat counts below/at a quotient value x > 0.

@@ -196,7 +196,18 @@ def test_float_sweep_peak_does_not_grow_with_the_range():
     assert long <= 2.5 * block, long / block
 
 
-EXACT_VOTES = {"census": (7, 5, 3, 2), "tie-heavy": (2, 1, 1)}
+@pytest.mark.parametrize("votes", [(1, 1, 1), (2, 2, 2, 2, 2), (1.0, 1.0, 1.0)])
+def test_a_late_sweep_of_equal_parties_starts_near_its_range(votes):
+    # equal parties from a multiple of m: every house that is not one is tied, and
+    # house - 1, - 2, - 4, ... never are, so the start must step back through the m below
+    method, w, n_from = method_by_name("webster"), PartyWeights.of(list(votes)), 12 * 10**4
+    late = _traced_peak(lambda: sweep(method, w, n_from, n_from + 1000))
+    later = _traced_peak(lambda: sweep(method, w, n_from + 1, n_from + 1001))
+    assert late <= 1.2 * later, (late, later)
+
+
+# "equal": both starts are multiples of 4, so the house below each is tied and the start is its tie's base
+EXACT_VOTES = {"census": (7, 5, 3, 2), "equal": (1, 1, 1, 1), "tie-heavy": (2, 1, 1)}
 EXACT_METHODS = ("webster", "dhondt", "huntington", "adams")
 
 

@@ -179,17 +179,22 @@ def test_the_integer_scan_refuses_a_rising_figure():
         allocation._scan_awards([1, 1], _RisingFigures(), 0, 10)
 
 
-def test_the_integer_scan_past_scan_max_reads_the_heaps(monkeypatch):
+def test_the_integer_scan_past_scan_max_reads_the_key_arrays(monkeypatch):
     # the geometric(3) ranges above with _SCAN_MAX = 0: every award of the
-    # scan comes from the heap of next entries of ``_HeapEnds``
-    heaps, calls, scanning = [], [], []
+    # scan comes from the next keys of one ``_KeyEnds``, which keeps no held keys
+    ends, calls, scanning, passes = [], [], [], []
     scan = harness._scan_awards
 
-    class Counted(allocation._HeapEnds):
+    class Counted(allocation._KeyEnds):
         def __init__(self, *args):
-            if scanning:  # the heaps of the scan only: the start's ``allocate`` builds its own
-                heaps.append(self)
+            if scanning:  # the arrays of the scan only: the start's ``allocate`` builds its own
+                ends.append(self)
             super().__init__(*args)
+
+        def __call__(self, *args):
+            if scanning:
+                passes.append(args)
+            return super().__call__(*args)
 
     def counted_scan(*a):
         calls.append(a[-1])
@@ -200,15 +205,17 @@ def test_the_integer_scan_past_scan_max_reads_the_heaps(monkeypatch):
             scanning.clear()
 
     monkeypatch.setattr(allocation, "_SCAN_MAX", 0)
-    monkeypatch.setattr(allocation, "_HeapEnds", Counted)
+    monkeypatch.setattr(allocation, "_KeyEnds", Counted)
     monkeypatch.setattr(harness, "_scan_awards", counted_scan)
     method = DivisorMethod(SignpostSequence.geometric(Fraction(3)))
     w = PartyWeights.of([1, 2])
     for n_from, n_to in ((1200, 1290), (1250, 1330)):
         calls.clear()
-        heaps.clear()
+        ends.clear()
+        passes.clear()
         _assert_rows(method, w, n_from, n_to, POLICIES[:1])
-        assert len(calls) == len(heaps) == 1
+        assert len(calls) == len(ends) == 1
+        assert ends[0].held is None and len(passes) >= n_to - n_from
 
 
 def test_exact_pairs_equal_exact_pair():

@@ -252,6 +252,15 @@ def test_macau_past_the_float_range():
     assert "float range" in _input_error(proc)
 
 
+def test_huntington_with_votes_past_the_float_range():
+    # the squared figures overflow a float: the divisors are past the range too, and read inf
+    votes = f"A={10**400 + 1},B={10**400},C={3 * 10**380}"
+    proc = cli("allocate", "--method", "huntington", "--seats", "7", "--votes", votes)
+    assert proc.returncode == 0, proc.stderr
+    res = results(proc)
+    assert res["seats"] == [3, 3, 1] and res["support_interval"] == ["inf", "inf"]
+
+
 def test_random_violations_need_a_trial():
     proc = cli("violations", "--method", "dhondt", "--random-simplex", "3", "--trials", "0", "--house", "10")
     assert "trial" in _input_error(proc)

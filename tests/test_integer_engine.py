@@ -100,8 +100,8 @@ def test_float_weights_rank_by_divergence_value():
 @pytest.mark.parametrize("m", [64, 65, 200])
 @pytest.mark.parametrize("name", ["webster", "dhondt", "adams", "huntington", "dean"])
 def test_heap_keys_that_round_to_one_float(name, m):
-    # past _SCAN_MAX the heaps key entries by rounded float figures; votes near 2**53 round
-    # to few floats, so equal keys must fall back to the exact entries' cross-multiplication
+    # past _SCAN_MAX the step passes key entries by rounded float figures; votes near 2**53
+    # round to few floats, so equal keys must fall back to the exact entries' cross-multiplication
     sp = method_by_name(name).signposts
     rng = random.Random(f"{name}/{m}")
     w = PartyWeights.of([Fraction(2**53 + rng.randint(0, 3), 7) for _ in range(m)])  # caller's units: sevenths
@@ -109,3 +109,32 @@ def test_heap_keys_that_round_to_one_float(name, m):
     for house in (z * m + 1, (z + 1) * m + m // 3, (z + 3) * m - 1):
         for policy in POLICIES:
             assert_same(allocate_divisor(w, sp, house, policy), heap_divisor(w, sp, house, policy))
+
+
+@pytest.mark.parametrize("m", [65, 120])
+@pytest.mark.parametrize("name", ["webster", "dhondt", "huntington"])
+def test_keys_past_the_float_range(name, m):
+    # votes near 10**400 key every figure inf, and so do the three parties near 10**380
+    # mixed in: every pass ranks all its candidates by cross-multiplication alone
+    sp = method_by_name(name).signposts
+    rng = random.Random(f"{name}/{m}/huge")
+    votes = [10**400 + rng.randint(0, 3) for _ in range(m - 3)] + [3 * 10**380 + rng.randint(0, 3) for _ in range(3)]
+    rng.shuffle(votes)
+    w = PartyWeights.of(votes)
+    z = sp.zero_count()
+    for house in (z * m + 1, (z + 1) * m + m // 3, (z + 3) * m - 1):
+        for policy in (TiePolicy.average(), *POLICIES):
+            assert repr(allocate_divisor(w, sp, house, policy)) == repr(heap_divisor(w, sp, house, policy))
+
+
+def test_huntington_divisors_of_figures_past_the_float_range():
+    # the squared figures leave the float range: the interval is inf where the divisor
+    # does too, and the float root of the exact figure where it does not
+    method = method_by_name("huntington")
+    a = allocate_divisor(PartyWeights.of([10**400 + 1, 10**400, 3 * 10**380]), method.signposts, 7)
+    assert a.seats == (3, 3, 1) and a.support_interval == (float("inf"), float("inf"))
+    a = allocate_divisor(PartyWeights.of([10**200 + 1, 10**200, 3 * 10**180]), method.signposts, 7)
+    d_minus, d_plus = a.support_interval
+    assert a.seats == (3, 3, 1) and 1e199 < d_minus < d_plus < 1e200
+    for d, fig in zip(a.support_interval, (Fraction((10**200 + 1) ** 2, 12), Fraction(10**400, 6))):
+        assert abs(Fraction(d) ** 2 / fig - 1) < 2**-50

@@ -5,7 +5,7 @@ pairs on exact input and (figure, 1.0) on float input.  From any start
 between the mandatory seats and the house it must reach the canonical seats
 of the sequential heap, and the best next and worst held parties it returns
 must be those of the ``Fraction`` figures, whether a pass scans the parties
-or, past ``_SCAN_MAX`` of them, reads two heaps.  Pairs that are not
+or, past ``_SCAN_MAX`` of them, reads the ends of two float key arrays.  Pairs that are not
 nonincreasing in the seat count must raise, not loop.
 """
 
