@@ -12,6 +12,7 @@ integer votes, which make the seats, the tie class and the support interval
 exact.  Each call builds one pair function over the signposts' cached
 constants (the closed pair or a table's integer pairs for n > z).  A pass scans up to
 _SCAN_MAX parties inline and reads the ends of float keys of the figures past that.
+Exact sweeps take the awards their float filter cannot order from its adds.
 Quota allocation floors the ideal shares (house + gamma) * p_i and hands
 remaining seats to the largest fractional parts, generalized so any real
 gamma works even when the raw remainder is negative or exceeds the party
@@ -346,27 +347,29 @@ def allocate_divisor(
     return Allocation(tuple(seats), house_size, (), info, interval)
 
 
-def _step(seats: list[int], pair, house_size: int, z: int, sp: SignpostSequence | None = None):
+def _step(seats: list[int], pair, house_size: int, z: int, sp: SignpostSequence | None = None, adds=None):
     """Step ``seats`` to the top ``house_size - z*m`` entries of the quotient table.
 
     pair(i, n) is party i's figure at its n-th seat as (num, den), den >= 0,
     and figures compare by cross-multiplication: num/0 is infinite, and a
     numerator of 0 lies past a capped table.  Each pass finds the best next
     entry (figure descending, party ascending) and the worst held entry
-    among seats > z (figure ascending, party descending): by one scan of the
-    pairs for up to _SCAN_MAX parties, from ``_KeyEnds`` for more, so a pass
-    there costs a few numpy operations on the keys, not m Python steps;
-    ``pair`` gives the 2m start pairs and every step's.  It adds the one
-    while the seats fall short of ``house_size`` and drops the other while
-    they exceed it, then swaps the two while the best next entry beats the
-    worst held one.  Raises CapExceededError when the entry to add has
-    numerator 0, and InvariantError past |surplus| + house_size - z*m + 1
-    passes, more than consistent pairs need from a start of at least z
-    seats, or, given the signposts ``sp`` of a start within ``_bracket`` of
-    the seats, past max(3m + 6, 2*bracket + 2) passes.  Returns (seats,
-    held, nxt, i, k): the seats, every party's pair at its last held and at
-    its next seat, and the best next party i and worst held party k of the
-    last pass (k = -1 when none holds a seat over z).
+    among seats > z (figure ascending, party descending; a scan skips it
+    while the seats fall short): by one scan of the pairs for up to
+    _SCAN_MAX parties, from ``_KeyEnds`` for more, so a pass there costs a
+    few numpy operations on the keys, not m Python steps; ``pair`` gives
+    the 2m start pairs and every step's.  It adds the one while the seats
+    fall short of ``house_size`` and drops the other while they exceed it,
+    then swaps the two while the best next entry beats the worst held one;
+    the parties it adds go to the list ``adds``, if given: from a prefix of
+    the award order, the awards after it.  Raises CapExceededError when the
+    entry to add has numerator 0, and InvariantError past |surplus| +
+    house_size - z*m + 1 passes, more than consistent pairs need from a
+    start of at least z seats, or, given the signposts ``sp`` of a start
+    within ``_bracket`` of the seats, past max(3m + 6, 2*bracket + 2) passes.
+    Returns (seats, held, nxt, i, k): the seats, every party's pair at its
+    last held and at its next seat, and the best next party i and worst held
+    party k of the last pass (k = -1 when none holds a seat over z).
     """
     m = len(seats)
     held = [pair(j, s) for j, s in enumerate(seats)]
@@ -377,19 +380,20 @@ def _step(seats: list[int], pair, house_size: int, z: int, sp: SignpostSequence 
     if sp is not None and bound > 3 * m + 6 and abs(surplus) <= (bracket := _bracket(sp, m, house_size, z)):
         bound = max(3 * m + 6, floor(min(bound, 2 * bracket + 2)))
     for _ in range(bound):
+        short, over = surplus < 0, surplus > 0
         if ends:
             i, k = ends(seats, held, nxt, z)
             (xn, xd), (hn, hd) = nxt[i], held[k]  # held[k] is unused when k = -1
         else:
             i, k, (xn, xd) = 0, -1, nxt[0]
-            for j in range(m):
+            for j in range(1, m):
                 a, b = nxt[j]
                 if a * xd > xn * b:
                     i, xn, xd = j, a, b
+            for j in () if short else range(m):  # short seats only add: the held entries stay put
                 a, b = held[j]
                 if seats[j] > z and (k < 0 or a * hd <= hn * b):  # the last of equal figures
                     k, hn, hd = j, a, b
-        short, over = surplus < 0, surplus > 0
         # compare, not subtract: two float figures past the range are inf, and inf - inf is nan
         if not (short or over) and (k < 0 or (a := hn * xd) > (b := xn * hd) or (a == b and i >= k)):
             return seats, held, nxt, i, k
@@ -398,57 +402,13 @@ def _step(seats: list[int], pair, house_size: int, z: int, sp: SignpostSequence 
                 raise CapExceededError("house size unreachable under the table cap")
             seats[i] += 1
             held[i], nxt[i] = nxt[i], pair(i, seats[i] + 1)
+            if adds is not None:
+                adds.append(i)
         if not short:
             seats[k] -= 1
             held[k], nxt[k] = pair(k, seats[k]), held[k]
         surplus += short - over
     raise InvariantError("step loop overran its pass bound: the figure pairs are inconsistent")
-
-
-def _scan_awards(w, sp: SignpostSequence, z: int, count: int, start=None):
-    """The awards past the seats ``start`` (default z for every party) for
-    integer figure weights w_i, in exact order: each winner and whether each
-    pair of adjacent figures w_i*b / a are equal, d(n) = a/b from each
-    party's ``_pair_batches``.  Each award is the best next entry of a
-    ``_step`` pass (a scan, or the next keys of ``_KeyEnds`` past _SCAN_MAX
-    parties, without held keys), up to award ``count - 1`` and the
-    equal ones after it, and is cross-multiplied with the one before: a
-    larger figure raises InvariantError.  Raises InputError when only
-    figures past a capped table are left.
-    """
-    seats = [z] * len(w) if start is None else [int(s) for s in start]
-    pairs = [_pair_batches(sp, s + 1) for s in seats]  # each party's pairs from its next seat on
-    nxt = [(x * b, a) for x, (a, b) in zip(w, map(next, pairs))]  # each party's next figure, as (num, den)
-    ends = len(w) > _SCAN_MAX and _KeyEnds(seats, None, nxt, z)
-    winners, equal, last = [], [], (1, 0)  # an infinite figure before the first award
-    while True:
-        if ends:
-            i, _ = ends(seats, None, nxt, z)
-        else:
-            i, (num, den) = 0, nxt[0]
-            for j, (a, b) in enumerate(nxt):
-                if a * den > num * b:
-                    i, num, den = j, a, b
-        num, den = nxt[i]
-        lhs, rhs = num * last[1], last[0] * den
-        if lhs > rhs:
-            raise InvariantError("the integer scan awarded a figure above the one before")
-        if len(winners) >= count and lhs != rhs:
-            return np.array(winners, dtype=np.int64), np.array(equal[1:], dtype=bool)
-        if not num:  # only figures past a capped table are left
-            raise InputError("house size unreachable under the table cap")
-        winners.append(i)
-        equal.append(lhs == rhs)
-        last = nxt[i]
-        seats[i] += 1
-        a, b = next(pairs[i])
-        nxt[i] = (w[i] * b, a)
-
-
-def _pair_batches(sp: SignpostSequence, n: int):
-    """The pairs (a, b) of d(n), d(n + 1), ... from ``exact_pairs``, in batches of 1, 2, 4, ... entries."""
-    for k in range(64):  # 2**64 - 1 entries: more than a house below 2**62 takes
-        yield from zip(*(x.tolist() for x in sp.exact_pairs(np.arange(n + 2**k - 1, n + 2 ** (k + 1) - 1))))
 
 
 def _key(pair) -> float:
@@ -462,34 +422,33 @@ def _key(pair) -> float:
 class _KeyEnds:
     """The (i, k) of a ``_step`` pass for many parties, from float64 keys of the next and held pairs.
 
-    A held entry at <= z seats keys inf (``held`` None keeps no held keys, and k is -1).  The parties
-    sharing the largest next key, or the smallest held one (inf and 0.0 included), are ranked by the
-    scan's cross-multiplications in party order.  Float pairs (f, 1.0) need none but among held keys
-    of inf, as each key is its figure.  A pass moves only the previous (i, k), so each call first
-    rekeys those two (k = -1 rekeys the last party, to the key it has)."""
+    A held entry at <= z seats keys inf.  The parties sharing the largest next key, or the smallest
+    held one (inf and 0.0 included), are ranked by the scan's cross-multiplications in party order.
+    Float pairs (f, 1.0) need none but among held keys of inf, as each key is its figure.  A pass
+    moves only the previous (i, k), so each call first rekeys those two (k = -1 rekeys the last
+    party, to the key it has)."""
 
     def __init__(self, seats, held, nxt, z):
         self.next = np.array(list(map(_key, nxt)))
-        self.held = None if held is None else np.array([_key(h) if s > z else INF for h, s in zip(held, seats)])
+        self.held = np.array([_key(h) if s > z else INF for h, s in zip(held, seats)])
         self.moved, self.figures = (), isinstance(nxt[0][1], float)
 
     def __call__(self, seats, held, nxt, z):
         for j in self.moved:
             self.next[j] = _key(nxt[j])
-            if self.held is not None:
-                self.held[j] = _key(held[j]) if seats[j] > z else INF
+            self.held[j] = _key(held[j]) if seats[j] > z else INF
         i, k, keys = -1, -1, self.next
         j = int(keys.argmax())  # the first largest key
         for j in [j] if self.figures else (keys == keys[j]).nonzero()[0].tolist():
             a, b = nxt[j]
             if i < 0 or a * xd > xn * b:
                 i, xn, xd = j, a, b
-        if (keys := self.held) is not None:
-            j = len(keys) - 1 - int(keys[::-1].argmin()) if self.figures else int(keys.argmin())
-            for j in [j] if self.figures and keys[j] < INF else (keys == keys[j]).nonzero()[0].tolist():
-                a, b = held[j]
-                if seats[j] > z and (k < 0 or a * hd <= hn * b):  # the last of equal figures
-                    k, hn, hd = j, a, b
+        keys = self.held
+        j = len(keys) - 1 - int(keys[::-1].argmin()) if self.figures else int(keys.argmin())
+        for j in [j] if self.figures and keys[j] < INF else (keys == keys[j]).nonzero()[0].tolist():
+            a, b = held[j]
+            if seats[j] > z and (k < 0 or a * hd <= hn * b):  # the last of equal figures
+                k, hn, hd = j, a, b
         self.moved = i, k
         return i, k
 

@@ -19,10 +19,11 @@ the float range only while the final awards stop short.
 input picks the path: exact weights and signposts always take the exact
 kernels, float input the float ones.  Exact sweeps and period averages run
 on the votes scaled once to coprime integers, and certify each window of
-the float award sequence of the shares in integers (``_exact_awards``),
-unless a kept figure is subnormal: adjacent awards are compared by
-cross-multiplication, and only runs of float figures within their rounding
-bound may be re-ordered.  Quota houses run the
+the float award sequence of the shares in integers (``_exact_awards``):
+adjacent awards are compared by cross-multiplication, and only runs of
+float figures within their rounding bound may be re-ordered.  Windows the
+floats cannot order (a subnormal figure, or houses from 2**49) take the
+awards of the exact step loop, ``allocation._step``.  Quota houses run the
 largest-remainder rule of ``allocation._remainder_rows`` on a block of
 houses at once, on float ideals or, exactly, on integer ones, ranking the
 remainders without sorting each house.  The exact rows of a block (seat
@@ -86,7 +87,7 @@ from .allocation import (
     _members,
     _policy_seats,
     _divisor_cols,
-    _scan_awards,
+    _step,
     allocate_divisor,
 )
 from .asymptotics import excess_bounds, moment_prediction
@@ -386,33 +387,37 @@ def _exact_awards(votes, total: int, sp: SignpostSequence, count: int, start):
 
     Fallback.  Where a kept figure leaves the normal float range (an exact
     geometric ratio at large n: d(n) past 1.8e308, or figures below
-    2**-1022), the awards and their equal pairs come from the integer scan
-    ``allocation._scan_awards``, one ``_step`` pass per award.  Raises
+    2**-1022), or the window's houses reach 1/_CERTIFY_RTOL = 2**49 (adjacent
+    awards, about 1/N apart relatively, leave no gap to certify), the awards
+    are the exact step loop's (``_stepped_awards``), compared as above for
+    the equal flags and cut after the first unequal pair at or after award
+    ``count - 1``; a misordered pair raises InvariantError.  Raises
     InputError when ``count`` passes the finite entries of a capped table.
     """
     m, z = len(votes), sp.zero_count()
     w = [sp.figure_weight(v) for v in votes]
     shares = np.array([v / total for v in votes])
-    smallest = 0.0  # the integer scan runs unless every float figure kept is normal
-    if sp.figure_weight(shares).min() >= _TINY and float(sp.value(z + 1)) >= _TINY:
+    smallest = 0.0  # the step loop runs unless every float figure kept is normal
+    normal = sp.figure_weight(shares).min() >= _TINY and float(sp.value(z + 1)) >= _TINY
+    if normal and (int(start.sum()) + count) * _CERTIFY_RTOL < 1:  # below 2**49 houses
         try:
             winners, figures, close = _award_sequence(shares, sp, count, _CERTIFY_RTOL, start)
             smallest, figures = figures[-1], None  # free the figures before the exact pairs
         except InputError:  # a table reached the float range, or figures underflowed to 0
             pass
-    if smallest < _TINY:  # the scan's order is exact, and it flags the equal pairs itself
-        return _scan_awards(w, sp, z, count, start)
-    # award k is seat n[k] of its party: its earlier awards counted from the party's start + 1
-    winners, keep = winners.astype(np.int64), winners.size
-    per_party = np.bincount(winners, minlength=m)
-    n = np.empty(keep, dtype=np.int64)
-    n[np.argsort(winners, kind="stable")] = np.arange(keep) - np.repeat(np.cumsum(per_party) - per_party, per_party)
-    a, b = sp.exact_pairs(n + start[winners] + 1)
-    if a.dtype == object or max(w) * int(b.max()) * int(a.max()) >= 2**63:
-        a, b, weight = a.astype(object), b.astype(object), np.array(w, dtype=object)
-    else:
-        weight = np.array(w, dtype=np.int64)
-    num, den = weight[winners] * b, a
+    if stepped := smallest < _TINY:
+        winners, num, den = _stepped_awards(w, sp, count, start)
+    else:  # award k is seat n[k] of its party: its earlier awards counted from the party's start + 1
+        winners, keep = winners.astype(np.int64), winners.size
+        per_party = np.bincount(winners, minlength=m)
+        n = np.empty(keep, dtype=np.int64)
+        n[np.argsort(winners, kind="stable")] = np.arange(keep) - np.repeat(np.cumsum(per_party) - per_party, per_party)
+        a, b = sp.exact_pairs(n + start[winners] + 1)
+        if a.dtype == object or max(w) * int(b.max()) * int(a.max()) >= 2**63:
+            a, b, weight = a.astype(object), b.astype(object), np.array(w, dtype=object)
+        else:
+            weight = np.array(w, dtype=np.int64)
+        num, den = weight[winners] * b, a
 
     def compare():
         lhs, rhs = num[:-1] * den[1:], num[1:] * den[:-1]
@@ -420,6 +425,12 @@ def _exact_awards(votes, total: int, sp: SignpostSequence, count: int, start):
         return (lhs < rhs) | (equal & (winners[:-1] > winners[1:])), equal
 
     bad, equal = compare()
+    if stepped:  # the step loop's order is exact: cut it after the run holding award count - 1
+        if bad.any():
+            raise InvariantError("the step loop awarded a figure above the one before")
+        rest = np.flatnonzero(~equal[count - 1 :])
+        keep = count + int(rest[0]) if rest.size else winners.size  # a capped table's last award ends a run
+        return winners[:keep], equal[: keep - 1]
     if (bad & ~close).any():
         raise InvariantError("a float figure left its error bound")
     # odd-even transposition sort: swap the misordered adjacent pairs of one
@@ -432,6 +443,34 @@ def _exact_awards(votes, total: int, sp: SignpostSequence, count: int, start):
         bad, equal = compare()
         parity ^= 1
     return winners, equal
+
+
+def _stepped_awards(w, sp: SignpostSequence, count: int, start):
+    """(winners, num, den) of the awards past the seats ``start``, a prefix of the award order,
+    for integer figure weights w_i: the adds of one ``_step`` run to the house count + m awards
+    on, at most cap*m, and their pairs (w_i*b, a).  A run of equal figures holds at most one
+    award per party, so the run holding award ``count - 1`` ends inside them.  Party i's pairs
+    come from ``exact_pairs`` in batches of 1, 2, 4, ... seats from start[i] on, so a
+    ``Fraction`` geometric ratio takes a power per batch, not per seat."""
+    m, z, cap, first = len(w), sp.zero_count(), sp.max_seats(), start.tolist()
+    house, cache = sum(first) + count + m, [[] for _ in w]
+    if cap is not None and (house := min(house, cap * m)) < sum(first) + count:
+        raise InputError("house size unreachable under the table cap")
+
+    def pair(i, n):
+        if (k := n - first[i]) < 0:  # a drop below the start, which consistent pairs never take
+            raise InvariantError("the step loop left its start: it is no prefix of the award order")
+        while k >= len(got := cache[i]):
+            a, b = sp.exact_pairs(np.arange(first[i] + len(got), first[i] + 2 * len(got) + 1))
+            got += zip([w[i] * x for x in b.tolist()], a.tolist())
+        return got[k]
+
+    adds = []
+    _step(first.copy(), pair, house, z, adds=adds)
+    taken = [iter(got[1:]) for got in cache]  # each party's pairs past its start, in award order
+    num, den = np.empty((2, len(adds)), dtype=object)
+    num[:], den[:] = zip(*(next(taken[i]) for i in adds))
+    return np.array(adds, dtype=np.int64), num, den
 
 
 def _exact_seat_blocks(method, weights, n_from: int, n_to: int):

@@ -173,6 +173,18 @@ def test_divergence_means():
         predict_divergence_mean(linear_divisor(Fraction(1, 2)), eq, "jefferson")
 
 
+@pytest.mark.parametrize("method", [linear_divisor(1), linear_divisor(0), linear_divisor(Fraction(3, 10)),
+                                    linear_divisor(0.8), quota_method(1), quota_method(Fraction(-7, 10))],
+                         ids=["dhondt", "adams", "beta-0.3", "beta-0.8", "droop", "gamma--0.7"])
+def test_divergence_means_are_second_moments_on_unequal_shares(method):
+    # E sum Delta_i^2 / p_i and E sum Delta_i^2 are sums of var_i + bias_i^2: every branch, with beta != 1/2 or gamma != 0
+    p = np.array([0.4, 0.3, 0.2, 0.1])
+    second = predict_variance(method, p) + predict_bias(method, p) ** 2
+    assert np.abs(predict_bias(method, p)).max() > 0.05
+    assert predict_divergence_mean(method, p, "sainte_lague") == pytest.approx((second / p).sum(), abs=1e-12)
+    assert predict_divergence_mean(method, p, "sum_squares") == pytest.approx(second.sum(), abs=1e-12)
+
+
 def test_moment_prediction_bundle():
     mp = moment_prediction(quota_method(1), P3)
     assert np.allclose(np.diag(mp.covariance), mp.variance)

@@ -15,7 +15,8 @@ way, from the seats of exact ``allocate`` at a house just below the range
 whose allocation has no tie: a late exact range must equal per-house
 ``allocate`` (seats, tie classes and orbit means) and the matching columns
 of the whole-range blocks, also where a tie run crosses a window edge, and
-where the windows come from the integer scan.
+where the windows come from the exact step loop, whose awards equal the
+certified ones wherever both run.
 """
 
 import tracemalloc
@@ -23,10 +24,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import apportion.harness as harness
 from apportion import InvariantError, PartyWeights, SignpostSequence, allocate, method_by_name
-from apportion.allocation import NEAR_TIE_RTOL
+from apportion.allocation import _SCAN_MAX, NEAR_TIE_RTOL
 from apportion.harness import (
     _award_sequence,
     _exact_seat_blocks,
@@ -211,7 +214,8 @@ EXACT_VOTES = {"census": (7, 5, 3, 2), "equal": (1, 1, 1, 1), "tie-heavy": (2, 1
 EXACT_METHODS = ("webster", "dhondt", "huntington", "adams")
 
 
-@pytest.mark.parametrize("n_from", [10**7, 10**11])
+# from 2**49 houses on no float gap certifies, and the windows come from the step loop
+@pytest.mark.parametrize("n_from", [10**7, 10**11, 10**15, 2**61])
 @pytest.mark.parametrize("votes", sorted(EXACT_VOTES))
 @pytest.mark.parametrize("name", EXACT_METHODS)
 def test_a_late_exact_range_equals_allocate(name, votes, n_from):
@@ -279,12 +283,12 @@ def test_a_late_exact_range_equals_the_whole_range_columns(monkeypatch, name, vo
 @pytest.mark.parametrize("votes", [(1, 2), (1, 3)])
 def test_late_exact_windows_off_the_integer_scan(monkeypatch, votes):
     # geometric(3) figures turn subnormal near house 1290: the windows there come from the
-    # integer scan, each from the seats the window before ended on; (1, 3) ties at every other award
+    # step loop, each from the seats the window before ended on; (1, 3) ties at every other award
     method, w = DivisorMethod(SignpostSequence.geometric(Fraction(3))), PartyWeights.of(list(votes))
     whole = _columns(_exact_seat_blocks(method, w, 0, 1330))
     scans = []
-    scan = harness._scan_awards
-    monkeypatch.setattr(harness, "_scan_awards", lambda *a: scans.append(a[-1]) or scan(*a))
+    scan = harness._stepped_awards
+    monkeypatch.setattr(harness, "_stepped_awards", lambda *a: scans.append(a[-1]) or scan(*a))
     monkeypatch.setattr(harness, "_EXACT_BLOCK", 16)
     monkeypatch.setattr(harness, "_FLOAT_BLOCK", 23)
     houses, seats, tied, tie, held = _columns(_exact_seat_blocks(method, w, 1250, 1330))
@@ -293,3 +297,46 @@ def test_late_exact_windows_off_the_integer_scan(monkeypatch, votes):
     keep = whole[2] >= 1250
     assert tied.tolist() == whole[2][keep].tolist()
     assert np.array_equal(tie, whole[3][:, keep]) and np.array_equal(held, whole[4][:, keep])
+
+
+def _awards_both_ways(method, votes, houses, count=40):
+    """``_exact_awards`` from the seats of each house, or of the base of its tie run, certified and
+    off the step loop (``_TINY`` = inf sends every window there): asserts equal (winners, equal)."""
+    sp, (ints, total) = method.signposts, PartyWeights.of(list(votes)).integer_votes
+    z, m = sp.zero_count(), len(ints)
+    zeros = np.full(m, z, dtype=np.int64)
+    winners, equal = harness._exact_awards(ints, total, sp, max(houses) - z * m + 1, zeros)
+    steps = []
+    for house in houses:
+        k = max(house - z * m, 0)  # the awards before the house; a start must end a run of equal figures
+        while k > 0 and equal[k - 1]:
+            k -= 1
+        start = zeros + np.bincount(winners[:k], minlength=m)
+        certified = harness._exact_awards(ints, total, sp, count, start)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_TINY", np.inf)
+            stepped = harness._stepped_awards
+            mp.setattr(harness, "_stepped_awards", lambda *a: steps.append(a) or stepped(*a))
+            got = harness._exact_awards(ints, total, sp, count, start)
+        assert got[0].size >= count and got[1].size == got[0].size - 1
+        assert np.array_equal(got[0], certified[0]) and np.array_equal(got[1], certified[1]), house
+    assert len(steps) == len(houses)
+
+
+@pytest.mark.parametrize("votes", sorted(EXACT_VOTES))
+@pytest.mark.parametrize("name", EXACT_METHODS)
+def test_the_step_loop_gives_the_certified_awards(name, votes):
+    _awards_both_ways(method_by_name(name), EXACT_VOTES[votes], [4, 5, 17, 100, 1001])
+
+
+@given(st.lists(st.integers(1, 60), min_size=2, max_size=6), st.sampled_from(EXACT_METHODS), st.integers(4, 500))
+@settings(max_examples=60, deadline=None)
+def test_the_step_loop_gives_the_certified_awards_on_drawn_votes(votes, name, house):
+    _awards_both_ways(method_by_name(name), votes, [house, house + 7], count=25)
+
+
+@pytest.mark.parametrize("name", EXACT_METHODS)
+def test_the_step_loop_past_scan_max_gives_the_certified_awards(name):
+    # 65 equal parties, past _SCAN_MAX: every run of equal figures holds 65 awards, read off _KeyEnds
+    assert 65 > _SCAN_MAX
+    _awards_both_ways(method_by_name(name), [1] * 65, [130, 200, 333], count=100)

@@ -7,8 +7,8 @@ and on Python ints beyond, and divides as float64 only below 2**53.  The
 corpora here sit where those shortcuts would go wrong: float figures a few
 ulps apart without an exact tie, rows on both sides of 2**53 and of 2**63,
 award cross-products on both sides of 2**63, and
-figures past the float range, where the awards come from the integer scan
-fallback.
+figures past the float range, where the awards come from the fallback: the
+adds of one exact ``allocation._step`` run (``harness._stepped_awards``).
 """
 
 from fractions import Fraction
@@ -67,6 +67,17 @@ def test_near_ulp_figures_are_misordered_by_floats_and_certified(case):
     _assert_rows(method, w, 1, n_to)
 
 
+@pytest.mark.parametrize("case", range(len(NEAR_ULP)))
+def test_a_misordered_pair_outside_its_error_bound_raises(monkeypatch, case):
+    # each float misorder above is a pair of equal floats, close under any bound >= 0: a bound
+    # below 0 certifies every gap, equal floats included, and so puts the misorder out of bounds
+    name, votes, n_to = NEAR_ULP[case]
+    ints, total = PartyWeights.of(list(votes)).integer_votes
+    monkeypatch.setattr(harness, "_CERTIFY_RTOL", -(2.0**-52))
+    with pytest.raises(InvariantError, match="left its error bound"):
+        harness._exact_awards(ints, total, method_by_name(name).signposts, n_to, np.zeros(len(ints), dtype=np.int64))
+
+
 @pytest.mark.parametrize("m", [3, 6, 12])
 def test_a_tie_class_past_the_first_awards_is_read_whole(m):
     # the last house takes the first of m equal figures: its class reaches
@@ -119,8 +130,8 @@ def test_award_products_on_both_sides_of_2_63():
 
 def test_figures_past_the_float_range_take_the_integer_scan(monkeypatch):
     calls = []
-    scan = harness._scan_awards
-    monkeypatch.setattr(harness, "_scan_awards", lambda *a: calls.append(a[-1]) or scan(*a))
+    scan = harness._stepped_awards
+    monkeypatch.setattr(harness, "_stepped_awards", lambda *a: calls.append(a[-1]) or scan(*a))
     method = DivisorMethod(SignpostSequence.geometric(Fraction(3)))
     w = PartyWeights.of([1, 2])
     # 3**(n - 1) passes 1.8e308 at n = 648; from house 1290 the float
@@ -140,10 +151,10 @@ def test_figures_past_the_float_range_take_the_integer_scan(monkeypatch):
 
 def test_the_scan_starts_at_the_first_subnormal_award_read(monkeypatch):
     # house 1290's own award is the first with a subnormal float figure: the
-    # sweeps up to house 1289 certify the float awards, the later ones scan
+    # sweeps up to house 1289 certify the float awards, the later ones step
     calls = []
-    scan = harness._scan_awards
-    monkeypatch.setattr(harness, "_scan_awards", lambda *a: calls.append(a[-1]) or scan(*a))
+    scan = harness._stepped_awards
+    monkeypatch.setattr(harness, "_stepped_awards", lambda *a: calls.append(a[-1]) or scan(*a))
     method = DivisorMethod(SignpostSequence.geometric(Fraction(3)))
     w = PartyWeights.of([1, 2])
     for n_to in (1288, 1289, 1290, 1291):
@@ -154,14 +165,15 @@ def test_the_scan_starts_at_the_first_subnormal_award_read(monkeypatch):
 
 def test_the_integer_scan_flags_its_own_ties(monkeypatch):
     # under geometric(3), votes (1, 3) give party 1 the figure 3**(2 - n)
-    # at its n-th seat: equal to one of party 0's, so the scan meets ties
+    # at its n-th seat: equal to one of party 0's, so the step loop meets ties
     calls = []
-    scan = harness._scan_awards
-    monkeypatch.setattr(harness, "_scan_awards", lambda *a: calls.append(a[-1]) or scan(*a))
+    scan = harness._stepped_awards
+    monkeypatch.setattr(harness, "_stepped_awards", lambda *a: calls.append(a[-1]) or scan(*a))
     method = DivisorMethod(SignpostSequence.geometric(Fraction(3)))
     w = PartyWeights.of([1, 3])
-    winners, equal = allocation._scan_awards([1, 3], method.signposts, 0, 1330)
-    assert equal.size == winners.size - 1 and equal.sum() >= 600
+    winners, equal = harness._exact_awards([1, 3], 4, method.signposts, 1330, np.zeros(2, dtype=np.int64))
+    assert calls and winners.size >= 1330 and equal.size == winners.size - 1 and equal.sum() >= 600
+    calls.clear()
     _assert_rows(method, w, 1250, 1330)
     assert calls
 
@@ -169,21 +181,37 @@ def test_the_integer_scan_flags_its_own_ties(monkeypatch):
 class _RisingFigures:
     """Stub signposts with d(n) = 1/n: each party's figures rise with its seats."""
 
+    zero_count, max_seats, figure_weight = staticmethod(lambda: 0), staticmethod(lambda: None), staticmethod(abs)
+
     @staticmethod
     def exact_pairs(ns):
         return np.ones_like(ns), np.maximum(ns, 1)
 
 
-def test_the_integer_scan_refuses_a_rising_figure():
+class _BumpedFigures(_RisingFigures):
+    """Stub signposts with d(n) = n but d(2) = 1/2: each party's figure rises at its second seat only."""
+
+    @staticmethod
+    def exact_pairs(ns):
+        return np.where(ns == 2, 1, ns), np.where(ns == 2, 2, 1)
+
+
+def test_the_integer_scan_refuses_a_rising_figure(monkeypatch):
+    monkeypatch.setattr(harness, "_TINY", np.inf)  # the step loop, whatever the floats
+    start = np.zeros(2, dtype=np.int64)
+    # figures rising at every seat keep the step loop swapping past its pass bound
+    with pytest.raises(InvariantError, match="pass bound"):
+        harness._exact_awards([1, 1], 2, _RisingFigures(), 10, start)
+    # one rising figure gets past the step loop, and the exact comparison of its awards refuses it
     with pytest.raises(InvariantError, match="above the one before"):
-        allocation._scan_awards([1, 1], _RisingFigures(), 0, 10)
+        harness._exact_awards([1, 1], 2, _BumpedFigures(), 10, start)
 
 
 def test_the_integer_scan_past_scan_max_reads_the_key_arrays(monkeypatch):
     # the geometric(3) ranges above with _SCAN_MAX = 0: every award of the
-    # scan comes from the next keys of one ``_KeyEnds``, which keeps no held keys
+    # step loop comes from the next keys of one ``_KeyEnds``
     ends, calls, scanning, passes = [], [], [], []
-    scan = harness._scan_awards
+    scan = harness._stepped_awards
 
     class Counted(allocation._KeyEnds):
         def __init__(self, *args):
@@ -206,7 +234,7 @@ def test_the_integer_scan_past_scan_max_reads_the_key_arrays(monkeypatch):
 
     monkeypatch.setattr(allocation, "_SCAN_MAX", 0)
     monkeypatch.setattr(allocation, "_KeyEnds", Counted)
-    monkeypatch.setattr(harness, "_scan_awards", counted_scan)
+    monkeypatch.setattr(harness, "_stepped_awards", counted_scan)
     method = DivisorMethod(SignpostSequence.geometric(Fraction(3)))
     w = PartyWeights.of([1, 2])
     for n_from, n_to in ((1200, 1290), (1250, 1330)):
@@ -215,7 +243,7 @@ def test_the_integer_scan_past_scan_max_reads_the_key_arrays(monkeypatch):
         passes.clear()
         _assert_rows(method, w, n_from, n_to, POLICIES[:1])
         assert len(calls) == len(ends) == 1
-        assert ends[0].held is None and len(passes) >= n_to - n_from
+        assert len(passes) >= n_to - n_from
 
 
 def test_exact_pairs_equal_exact_pair():

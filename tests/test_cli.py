@@ -399,3 +399,17 @@ def test_a_late_exact_sweep_costs_its_width():
     proc = cli("sweep", "--method", "webster", *argv, timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert results(proc)["stats"]["count"] == 1001
+
+
+def test_an_exact_sweep_past_two_to_the_49_houses_runs():
+    # from 2**49 houses no float gap certifies: the awards come from the step loop, in bounded memory
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+    argv = ["--votes", "A=2,B=1", "--seats-from", str(2**61), "--seats-to", str(2**61 + 5)]
+    proc = subprocess.run(RUN + ["sweep", "--method", "webster", *argv], capture_output=True, text=True,
+                          timeout=60, preexec_fn=limit)
+    assert proc.returncode == 0, proc.stderr
+    assert results(proc)["stats"]["count"] == 6

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from apportion import DimensionMismatchError
 from apportion.stats import ComparisonReport, ComparisonRow, DeltaHistogram, RunningMoments, SweepStats, _column_means
 
 
@@ -53,6 +54,26 @@ def test_histogram_counts_and_merge():
     h2.merge(h1)
     assert h2.counts.sum() == 10
     assert h1.counts.sum() == 5
+
+
+def test_empty_moments_are_nan():
+    rm = RunningMoments(3)
+    assert rm.variance.shape == (3,) and np.isnan(rm.variance).all()
+    assert rm.covariance.shape == (3, 3) and np.isnan(rm.covariance).all()
+    rm.merge(RunningMoments(3))  # an empty merge leaves them so
+    assert rm.count == 0 and np.isnan(rm.covariance).all()
+
+
+def test_merges_of_other_configurations_raise():
+    with pytest.raises(DimensionMismatchError, match="dimension"):
+        RunningMoments(2).merge(RunningMoments(3))
+    h = DeltaHistogram([(-1.0, 1.0), (-1.0, 1.0)], bin_width=0.1)
+    for other in (DeltaHistogram([(-1.0, 1.0)] * 3, bin_width=0.1),  # another party count
+                  DeltaHistogram([(-1.0, 1.0), (-1.0, 1.0)], bin_width=0.2),  # another bin width
+                  DeltaHistogram([(-2.0, 0.0), (-1.0, 1.0)], bin_width=0.1)):  # as many bins, shifted
+        with pytest.raises(DimensionMismatchError, match="configurations differ"):
+            h.merge(other)
+    assert not h.counts.any()
 
 
 def test_sweep_stats_violations():
